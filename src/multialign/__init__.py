@@ -52,11 +52,10 @@ from .errors import (
 )
 from .linalg import (
     RegularizedProjector,
-    Tolerances,
     TruncatedSvd,
+    projector_from_svd,
     regularized_projector,
     symmetric_eig,
-    tolerances,
     truncated_svd,
 )
 from .metrics import (
@@ -119,7 +118,6 @@ __all__ = [
     "SubjectData",
     "SupervisionKernel",
     "SynthConfig",
-    "Tolerances",
     "TruncatedSvd",
     "accuracy",
     "class_instances",
@@ -145,6 +143,7 @@ __all__ = [
     "one_vs_rest_auc",
     "pairwise_objective",
     "pearson",
+    "projector_from_svd",
     "read_matrix_csv",
     "regularized_projector",
     "rho1",
@@ -159,7 +158,6 @@ __all__ = [
     "substream",
     "supervision_kernel",
     "symmetric_eig",
-    "tolerances",
     "train_classifier",
     "truncated_svd",
     "write_matrix_csv",

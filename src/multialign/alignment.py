@@ -11,6 +11,11 @@ baseline.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: everything is phrased through the thin SVD of the subject's data.
+Each subject factors each matrix once: the thin SVDs of its data rows and
+of its label-coupled responses are memoized on the subject object (see
+:meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
+that needs them, and reused by every later method, fold, fit and mapping
+that is handed the same subject.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .data import Dataset, SubjectData, read_matrix_csv, write_matrix_csv
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
-from .linalg import regularized_projector, symmetric_eig, truncated_svd
+from .linalg import projector_from_svd, symmetric_eig, truncated_svd
 from .supervision import SupervisionKernel, identity_kernel
 
 METHODS = ("none", "rha", "sha", "sha_r")
@@ -168,6 +173,12 @@ def _coupled_matrix(subject: SubjectData, kernel: SupervisionKernel) -> np.ndarr
     return x if kernel.is_identity else kernel.matrix @ x
 
 
+def _projector(subject: SubjectData, kernel: SupervisionKernel, epsilon: float):
+    """Ridge projector of the subject's coupled responses, from its memoized SVD."""
+    coupling = None if kernel.is_identity else kernel.matrix
+    return projector_from_svd(subject.thin_svd(kernel.labeled, coupling), epsilon)
+
+
 def _template_from(shared: np.ndarray, kernels) -> np.ndarray:
     """Average back-projection of the shared space through every kernel."""
     acc = None
@@ -183,7 +194,7 @@ def _check_finite(name: str, *arrays) -> None:
             raise NumericError(f"{name} produced non-finite values")
 
 
-def _single_shot(train, kernels, epsilon, k, method, streaming):
+def _single_shot(train, kernels, epsilon, k, method):
     size = kernels[0].n_classes
     if size > _LARGE_EIG_SIZE:
         warnings.warn(
@@ -194,34 +205,23 @@ def _single_shot(train, kernels, epsilon, k, method, streaming):
         )
     k = _resolve_k(k, size, size if method == "sha" else min(train.n_voxels, size))
 
-    def factor_of(idx):
-        m = _coupled_matrix(train.subjects[idx], kernels[idx])
-        return regularized_projector(m, epsilon, rank=min(m.shape))
-
     advisories = []
     u = np.zeros((size, size))
-    factors = []
-    for idx in range(train.n_subjects):
-        proj = factor_of(idx)
+    for subject, kernel in zip(train.subjects, kernels):
+        proj = _projector(subject, kernel, epsilon)
         u += np.eye(size) - proj.matrix()
         if proj.rank_deficient:
             advisories.append(
-                f"subject {train.subjects[idx].subject_id!r}: coupled matrix is "
-                "rank deficient"
+                f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
             )
-        if streaming:
-            del proj
-        else:
-            factors.append(proj.factor)
 
     eigenvalues, vectors = symmetric_eig(u)
     w = vectors[:, :k]
 
     # Diagnostics: where each subject's projector carries the shared space.
-    projected = []
-    for idx in range(train.n_subjects):
-        f = factor_of(idx).factor if streaming else factors[idx]
-        projected.append(f @ (f.T @ w))
+    # Factors are re-derived from the memoized SVDs rather than kept alive.
+    projected = [_projector(subject, kernel, epsilon).apply(w)
+                 for subject, kernel in zip(train.subjects, kernels)]
     trace = float(np.trace(w.T @ (u @ w)))
     pairwise = pairwise_objective(projected)
     residual = float(sum(((p - w) ** 2).sum() for p in projected))
@@ -239,8 +239,8 @@ def _single_shot(train, kernels, epsilon, k, method, streaming):
     return w, template, k, report
 
 
-def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = None,
-            streaming: bool = False) -> AlignmentModel:
+def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4,
+            k: int | None = None) -> AlignmentModel:
     """Single-shot supervised alignment.
 
     Per subject, the label-coupled responses ``K_i X_i`` define a
@@ -248,6 +248,9 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = None
     ``k`` eigenvectors with smallest eigenvalue of ``U = sum_i (I - P_i)``,
     i.e. the directions of label space every subject's responses can express.
     The time-point template is the kernel-average back-projection of ``W``.
+    ``U`` is accumulated subject by subject from each subject's memoized SVD
+    of ``K_i X_i``; no projector factor is retained, the fit diagnostics
+    re-derive each one from the same SVD.
 
     Parameters
     ----------
@@ -261,13 +264,9 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = None
     k : int, optional
         Shared-space dimension, ``1 <= k <= classes``; defaults to the class
         count.
-    streaming : bool
-        Accumulate ``U`` subject-by-subject without retaining per-subject
-        projector factors (they are recomputed once for diagnostics).  Same
-        result, smaller peak memory.
     """
     kernels = _validate_kernels(train, kernels)
-    w, template, k, report = _single_shot(train, kernels, epsilon, k, "sha", streaming)
+    w, template, k, report = _single_shot(train, kernels, epsilon, k, "sha")
     return AlignmentModel(
         method="sha",
         shared_space=w,
@@ -280,16 +279,18 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = None
     )
 
 
-def fit_rha(train: Dataset, epsilon: float = 1e-4, k: int | None = None,
-            streaming: bool = False) -> AlignmentModel:
+def fit_rha(train: Dataset, epsilon: float = 1e-4,
+            k: int | None = None) -> AlignmentModel:
     """Unsupervised alignment: the identical pipeline under an identity kernel.
 
     Every time point acts as its own class, the summed projector complement
     is (time points x time points), and the template coincides with the
-    shared space.  ``k`` defaults to ``min(voxels, time points)``.
+    shared space.  ``k`` defaults to ``min(voxels, time points)``.  Each
+    subject's projector comes from the same memoized SVD of its data that
+    :func:`map_subject` uses.
     """
     kernels = [identity_kernel(train.n_timepoints) for _ in range(train.n_subjects)]
-    w, template, k, report = _single_shot(train, kernels, epsilon, k, "rha", streaming)
+    w, template, k, report = _single_shot(train, kernels, epsilon, k, "rha")
     return AlignmentModel(
         method="rha",
         shared_space=w,
@@ -324,20 +325,17 @@ def fit_sha_r(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = No
 
     factors = []
     advisories = []
-    coupled = []
-    for idx in range(train.n_subjects):
-        m = _coupled_matrix(train.subjects[idx], kernels[idx])
-        proj = regularized_projector(m, epsilon, rank=min(m.shape))
+    for subject, kernel in zip(train.subjects, kernels):
+        proj = _projector(subject, kernel, epsilon)
         if proj.rank_deficient:
             advisories.append(
-                f"subject {train.subjects[idx].subject_id!r}: coupled matrix is "
-                "rank deficient"
+                f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
             )
         factors.append(proj.factor)
-        coupled.append(m)
 
     if initial_shared is None:
-        template = sum(coupled) / len(coupled)
+        template = sum(_coupled_matrix(subject, kernel)
+                       for subject, kernel in zip(train.subjects, kernels)) / len(kernels)
     else:
         template = np.asarray(initial_shared, dtype=float)
         if template.ndim != 2 or template.shape[0] != size:
@@ -417,7 +415,9 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     Solves the ridge regression of the subject's responses (at the template's
     time points) onto the template and applies the resulting voxel map to the
     full time series, all through the thin SVD of the data — the
-    (voxels x voxels) system is never formed.  Mapping needs no labels.
+    (voxels x voxels) system is never formed.  That SVD is memoized on the
+    subject, shared with the ``rha`` fit and with every other model mapped
+    through the same subject object.  Mapping needs no labels.
     """
     x = subject.data
     if model.method == "none":
@@ -434,8 +434,7 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
             f"model's template expects {model.template.shape[0]} coupled points "
             f"within the time axis"
         )
-    x_fit = x[labeled]
-    svd = truncated_svd(x_fit, min(x_fit.shape))
+    svd = subject.thin_svd(labeled)
     s = svd.singular_values
     if eps == 0.0 and (s <= 1e-12).any():
         raise NumericError(

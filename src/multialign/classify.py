@@ -8,7 +8,8 @@ The leave-one-subject-out loop is the package's end-to-end evaluation: per
 fold the alignment is fitted on the training subjects alone, every subject
 is mapped through that model, the classifier is trained on the mapped
 training rows, and the held-out subject is scored.  The held-out subject's
-labels are used only for scoring, never for fitting.
+labels are used only for scoring, never for fitting.  Subjects are
+normalized once, and each subject's factorizations are reused by every fold.
 """
 
 from __future__ import annotations
@@ -141,10 +142,15 @@ def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
              iterations: int = 10, ridge: float = 1.0) -> LosoReport:
     """Leave-one-subject-out classification with per-fold alignment.
 
-    Per fold: normalize training and held-out subjects independently, fit
-    the alignment on the training subjects only, map everyone through the
+    Every subject is normalized once, on its own, before the fold loop;
+    since normalization is per subject this equals normalizing each fold's
+    training and held-out subjects independently.  Per fold: fit the
+    alignment on the training subjects only, map everyone through the
     fitted model, train the ridge classifier on the mapped training rows,
-    and score the held-out subject's labeled rows.  Stage wall-clock totals
+    and score the held-out subject's labeled rows.  Every fold is handed
+    the same normalized subject objects, so each subject's SVDs (see
+    :meth:`SubjectData.thin_svd`) are computed once, in the first fit or
+    map that needs them, and reused by all later folds.  Stage wall-clock totals
     (nanoseconds) are collected on the report's ``timings`` attribute, which
     stays out of the JSON form so that reports are reproducible byte for
     byte.
@@ -154,12 +160,11 @@ def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
     if dataset.n_subjects < 2:
         raise InvalidArgumentError("leave-one-subject-out needs at least 2 subjects")
 
+    normalized = normalize(dataset)
     folds = []
     per_fold_timings = []
     for held in range(dataset.n_subjects):
-        train_raw, test_raw = split_loso(dataset, held)
-        train = normalize(train_raw)
-        test = normalize(test_raw)
+        train, test = split_loso(normalized, held)
 
         t0 = time.perf_counter_ns()
         kernels = kernels_for(train, gamma) if method in ("sha", "sha_r") else None

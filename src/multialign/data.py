@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError
-from .linalg import as_matrix
+from .linalg import TruncatedSvd, as_matrix, truncated_svd
 
 # Columns whose sample standard deviation falls at or below this are treated
 # as constant and zeroed during normalization.
@@ -49,11 +49,18 @@ class SubjectData:
     ``zeroed_columns`` lists voxel columns that normalization found constant
     and replaced with zeros (advisory bookkeeping, empty before
     normalization).
+
+    The thin SVDs that alignment asks of a subject are memoized on it (see
+    :meth:`thin_svd`), so ``data`` must not be modified in place; the
+    matrices :func:`normalize` returns are read-only.  The memo
+    takes no part in equality or ``repr``, and :func:`normalize` and
+    ``dataclasses.replace`` return subjects with an empty memo.
     """
 
     subject_id: str
     data: np.ndarray
     zeroed_columns: tuple[int, ...] = ()
+    _svds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.data, f"data for subject {self.subject_id!r}")
@@ -70,6 +77,25 @@ class SubjectData:
     @property
     def n_voxels(self) -> int:
         return self.data.shape[1]
+
+    def thin_svd(self, rows: np.ndarray, coupling: np.ndarray | None = None) -> TruncatedSvd:
+        """Full-rank thin SVD of ``data[rows]``, or of ``coupling @ data[rows]``.
+
+        Computed on the first request for a given ``rows`` and ``coupling``
+        and reused afterwards, so every method, fold, fit and mapping that
+        shares this subject object factors each matrix once.
+        """
+        rows = np.asarray(rows, dtype=int)
+        key = (rows.tobytes(),
+               None if coupling is None else (coupling.shape, coupling.tobytes()))
+        svd = self._svds.get(key)
+        if svd is None:
+            m = self.data[rows]
+            if coupling is not None:
+                m = coupling @ m
+            svd = truncated_svd(m, min(m.shape))
+            self._svds[key] = svd
+        return svd
 
 
 @dataclass(frozen=True)
@@ -266,6 +292,7 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     safe = np.where(constant, 1.0, std)
     out = centered / safe
     out[:, constant] = 0.0
+    out.flags.writeable = False  # subjects memoize factors of it
     return out, tuple(int(i) for i in np.flatnonzero(constant))
 
 
@@ -274,7 +301,8 @@ def normalize(dataset: Dataset) -> Dataset:
 
     Constant columns cannot be scaled; they are zeroed and recorded in the
     subject's ``zeroed_columns``.  The operation is idempotent up to floating
-    point rounding.
+    point rounding.  The normalized matrices are read-only, so the factors
+    a subject memoizes (:meth:`SubjectData.thin_svd`) cannot go stale.
     """
     subjects = []
     for subj in dataset.subjects:

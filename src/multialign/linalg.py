@@ -1,7 +1,8 @@
 """Dense decomposition kernels shared by every alignment path.
 
 Three operations live here: a deterministic truncated SVD, the shrunken
-orthogonal projector built from it, and a symmetric eigendecomposition with
+orthogonal projector built from it (from a matrix, or from an SVD already
+at hand), and a symmetric eigendecomposition with
 the same sign convention.  Everything downstream (alignment, mapping,
 template extraction) is phrased in terms of these, so determinism and sign
 conventions are fixed once, in this module.
@@ -20,24 +21,8 @@ from .errors import InvalidArgumentError, InvalidDataError, NumericError
 _ZERO_SINGULAR_VALUE = 1e-12
 
 
-@dataclass
-class Tolerances:
-    """Global numeric tolerances.
-
-    Attributes
-    ----------
-    equivalence : float
-        Tolerance for "these two matrices should be the same" checks.
-    symmetry : float
-        Maximum allowed asymmetry ``max|m - m.T|`` for symmetric inputs.
-    """
-
-    equivalence: float = 1e-8
-    symmetry: float = 1e-10
-
-
-#: Module-wide tolerance settings; mutate fields to adjust globally.
-tolerances = Tolerances()
+# Largest asymmetry ``max|m - m.T|`` accepted from a "symmetric" input.
+_SYMMETRY_TOLERANCE = 1e-10
 
 
 def as_matrix(values, name: str = "input") -> np.ndarray:
@@ -156,27 +141,16 @@ class RegularizedProjector:
         return self.factor @ (self.factor.T @ m)
 
 
-def regularized_projector(x, epsilon: float, rank: int | None = None) -> RegularizedProjector:
-    """Ridge-regularized projector onto the column space of ``x``.
+def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjector:
+    """Ridge-regularized projector onto the column space of a factored matrix.
 
-    Parameters
-    ----------
-    x : array_like, shape (rows, cols)
-        Matrix whose column space is projected onto.
-    epsilon : float
-        Ridge term, must be >= 0.  With ``epsilon = 0`` every retained
-        singular value must exceed ``1e-12`` or a :class:`NumericError` is
-        raised (the unregularized projector would be singular).
-    rank : int, optional
-        Number of singular directions to retain; defaults to full rank
-        ``min(rows, cols)``.
+    Shrinks each left singular vector of ``svd`` by ``s_i / sqrt(s_i^2 + eps)``.
+    With ``epsilon = 0`` every retained singular value must exceed ``1e-12``
+    or a :class:`NumericError` is raised (the unregularized projector would
+    be singular).
     """
-    x = as_matrix(x, "matrix")
     if not np.isfinite(epsilon) or epsilon < 0:
         raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
-    if rank is None:
-        rank = min(x.shape)
-    svd = truncated_svd(x, rank)
     s = svd.singular_values
     if epsilon == 0.0 and (s <= _ZERO_SINGULAR_VALUE).any():
         raise NumericError(
@@ -188,19 +162,37 @@ def regularized_projector(x, epsilon: float, rank: int | None = None) -> Regular
     )
 
 
+def regularized_projector(x, epsilon: float, rank: int | None = None) -> RegularizedProjector:
+    """Ridge-regularized projector onto the column space of ``x``.
+
+    Parameters
+    ----------
+    x : array_like, shape (rows, cols)
+        Matrix whose column space is projected onto.
+    epsilon : float
+        Ridge term, must be >= 0; see :func:`projector_from_svd`.
+    rank : int, optional
+        Number of singular directions to retain; defaults to full rank
+        ``min(rows, cols)``.
+    """
+    x = as_matrix(x, "matrix")
+    if rank is None:
+        rank = min(x.shape)
+    return projector_from_svd(truncated_svd(x, rank), epsilon)
+
+
 def symmetric_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns under the same sign convention as
-    :func:`truncated_svd`.  Asymmetry beyond the global symmetry tolerance is
-    rejected.
+    :func:`truncated_svd`.  Asymmetry beyond ``1e-10`` is rejected.
     """
     m = as_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise InvalidDataError(f"matrix must be square, got shape {m.shape}")
     asym = np.abs(m - m.T).max()
-    if asym > tolerances.symmetry:
+    if asym > _SYMMETRY_TOLERANCE:
         raise InvalidDataError(
             f"matrix is asymmetric beyond tolerance: max|m - m.T| = {asym:.3e}"
         )

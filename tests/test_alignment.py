@@ -138,13 +138,6 @@ class TestFitSha:
         z_perm = map_subject(model_perm, ds.subjects[0]).features
         assert_close_up_to_sign(z, z_perm, 1e-9)
 
-    def test_streaming_matches_default(self, rng):
-        ds, kernels, model = _fitted(rng)
-        streamed = fit_sha(ds, kernels, streaming=True)
-        np.testing.assert_array_equal(model.shared_space, streamed.shared_space)
-        np.testing.assert_array_equal(model.template, streamed.template)
-        assert model.fit_report.pairwise_objective == streamed.fit_report.pairwise_objective
-
     def test_identical_subjects_map_identically(self, rng):
         base = rng.standard_normal((20, 8))
         lab_classes = np.arange(20) % 2
@@ -224,6 +217,48 @@ class TestFitRha:
         assert model.fit_report.trace_objective == pytest.approx(
             values[: model.k].sum(), abs=1e-8
         )
+
+
+    def test_zero_epsilon_with_singular_data_rejected(self, rng):
+        ds = normalize(random_dataset(rng, 3, 24, 10, 2))
+        dup = ds.subjects[0].data.copy()
+        dup[:, 1] = dup[:, 0]  # exactly collinear voxels
+        singular = Dataset((SubjectData("dup", dup),) + ds.subjects[1:],
+                           ds.labels, ds.class_names)
+        with pytest.raises(NumericError):
+            fit_rha(singular, epsilon=0.0)
+
+
+class TestFactorReuse:
+    """Fits and maps on one normalized dataset share its subjects' SVDs."""
+
+    @staticmethod
+    def _same_model(a, b):
+        np.testing.assert_array_equal(a.shared_space, b.shared_space)
+        np.testing.assert_array_equal(a.template, b.template)
+        assert a.fit_report == b.fit_report
+
+    def test_reused_subjects_match_fresh_ones(self, rng):
+        raw = random_dataset(rng, 4, 20, 12, 3, rest_fraction=0.25)
+        shared = normalize(raw)
+        # Every fit and map below goes through the same subject objects, in
+        # an order that revisits settings; each is checked against a copy
+        # of the dataset whose subjects have never been factored.
+        for method, gamma, epsilon in (("sha", None, 1e-4), ("rha", None, 1e-4),
+                                       ("sha", 0.01, 1e-2), ("sha_r", 0.01, 1e-4),
+                                       ("rha", None, 0.5), ("sha", None, 1e-2)):
+            fresh = normalize(raw)
+            models = [
+                fit(method, ds, kernels_for(ds, gamma) if method != "rha" else None,
+                    epsilon=epsilon, iterations=3)
+                for ds in (shared, fresh)
+            ]
+            self._same_model(*models)
+            for subj, fresh_subj in zip(shared.subjects, fresh.subjects):
+                np.testing.assert_array_equal(
+                    map_subject(models[0], subj).features,
+                    map_subject(models[1], fresh_subj).features,
+                )
 
 
 class TestFitShaR:

@@ -5,14 +5,26 @@ import json
 import numpy as np
 import pytest
 
+import multialign.alignment
 import multialign.classify
+import multialign.data
+import multialign.linalg
 from multialign import (
+    FoldResult,
     InvalidArgumentError,
     InvalidDataError,
     LinearClassifier,
+    NumericError,
     SynthConfig,
+    accuracy,
+    fit,
     generate,
+    kernels_for,
+    map_subject,
+    normalize,
+    one_vs_rest_auc,
     run_loso,
+    split_loso,
     train_classifier,
 )
 from conftest import random_dataset
@@ -220,3 +232,58 @@ class TestRunLoso:
         aligned = run_loso(ds, "sha").accuracy_mean
         unaligned = run_loso(ds, "none").accuracy_mean
         assert aligned > unaligned
+
+
+def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0):
+    """LOSO folds with each fold normalized on its own, so no factor carries over."""
+    folds = []
+    for held in range(dataset.n_subjects):
+        train_raw, test_raw = split_loso(dataset, held)
+        train, test = normalize(train_raw), normalize(test_raw)
+        kernels = kernels_for(train, gamma) if method in ("sha", "sha_r") else None
+        model = fit(method, train, kernels, epsilon=epsilon)
+        x_rows, y_rows = [], []
+        for subj, lab in zip(train.subjects, train.labels):
+            idx = lab.labeled_indices
+            x_rows.append(map_subject(model, subj).features[idx])
+            y_rows.append(lab.class_of()[idx])
+        clf = train_classifier(np.vstack(x_rows), np.concatenate(y_rows), ridge=ridge)
+        idx = test.labels[0].labeled_indices
+        scores = clf.decision_function(map_subject(model, test.subjects[0]).features[idx])
+        y_test = test.labels[0].class_of()[idx]
+        try:
+            auc = one_vs_rest_auc(y_test, scores, classes=clf.classes)
+        except NumericError:
+            auc = None
+        acc = accuracy(y_test, clf.classes[scores.argmax(axis=1)])
+        folds.append(FoldResult(test.subjects[0].subject_id, acc, auc, int(y_test.size)))
+    return tuple(folds)
+
+
+class TestLosoFactorReuse:
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_equals_per_fold_reference(self, dataset, method):
+        assert run_loso(dataset, method).folds == _reference_loso(dataset, method)
+
+    @pytest.mark.parametrize("method", ["rha", "sha"])
+    def test_equals_per_fold_reference_with_rest_points(self, method):
+        ds = random_dataset(np.random.default_rng(3), 4, 18, 10, 3, rest_fraction=0.3)
+        for epsilon, gamma in ((1e-4, None), (0.1, 0.02)):
+            report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, ridge=0.5)
+            assert report.folds == _reference_loso(ds, method, epsilon=epsilon,
+                                                   gamma=gamma, ridge=0.5)
+
+    @pytest.mark.parametrize("method, per_subject", [("rha", 1), ("sha", 2)])
+    def test_each_subject_factored_once(self, dataset, monkeypatch, method, per_subject):
+        calls = []
+        real = multialign.linalg.truncated_svd
+
+        def counting(m, rank):
+            calls.append(np.shape(m))
+            return real(m, rank)
+
+        for module in (multialign.linalg, multialign.data, multialign.alignment):
+            monkeypatch.setattr(module, "truncated_svd", counting, raising=False)
+        run_loso(dataset, method)
+        # rha: each subject's data; sha: its data and its label-coupled responses.
+        assert len(calls) == per_subject * dataset.n_subjects

@@ -1,5 +1,6 @@
 """Dataset containers, CSV/manifest IO, normalization, LOSO splitting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from multialign import (
     read_matrix_csv,
     save_dataset,
     split_loso,
+    truncated_svd,
     write_matrix_csv,
 )
 from conftest import random_dataset
@@ -200,3 +202,45 @@ class TestSplitLoso:
             split_loso(ds, 3)
         with pytest.raises(InvalidArgumentError):
             split_loso(ds, -1)
+
+
+class TestThinSvdMemo:
+    def test_factors_each_matrix_once(self, rng):
+        subj = random_dataset(rng, 1, 12, 5, 2).subjects[0]
+        rows = np.arange(2, 12)
+        coupling = rng.standard_normal((3, 10))
+        plain = subj.thin_svd(rows)
+        coupled = subj.thin_svd(rows, coupling)
+        assert subj.thin_svd(rows.copy()) is plain
+        assert subj.thin_svd(rows, coupling.copy()) is coupled
+        for got, m in ((plain, subj.data[rows]), (coupled, coupling @ subj.data[rows])):
+            want = truncated_svd(m, min(m.shape))
+            np.testing.assert_array_equal(got.left, want.left)
+            np.testing.assert_array_equal(got.singular_values, want.singular_values)
+            np.testing.assert_array_equal(got.right, want.right)
+        assert subj.thin_svd(np.arange(12)) is not plain
+        assert subj.thin_svd(rows, 2.0 * coupling) is not coupled
+
+    def test_memo_invisible_to_equality_hash_and_repr(self, rng):
+        subj = random_dataset(rng, 1, 12, 5, 2).subjects[0]
+        twin = SubjectData(subj.subject_id, subj.data, subj.zeroed_columns)
+        before = repr(subj)
+        subj.thin_svd(np.arange(12))
+        assert repr(subj) == before == repr(twin)
+        assert subj == twin and twin == subj
+        memo = [f for f in dataclasses.fields(SubjectData) if f.name == "_svds"]
+        assert len(memo) == 1
+        assert not memo[0].compare and not memo[0].repr and not memo[0].hash
+
+    def test_new_subjects_start_empty(self, rng):
+        ds = random_dataset(rng, 2, 12, 5, 2)
+        subj = ds.subjects[0]
+        subj.thin_svd(np.arange(12))
+        assert subj._svds
+        assert dataclasses.replace(subj)._svds == {}
+        assert normalize(ds).subjects[0]._svds == {}
+
+    def test_normalized_data_is_read_only(self, rng):
+        subj = normalize(random_dataset(rng, 1, 12, 5, 2)).subjects[0]
+        with pytest.raises(ValueError):
+            subj.data[0, 0] = 1.0
