@@ -22,7 +22,7 @@ import numpy as np
 from .alignment import METHODS, fit, map_subject
 from .data import Dataset, normalize, split_loso
 from .errors import InvalidArgumentError, InvalidDataError, NumericError
-from .metrics import accuracy, one_vs_rest_auc
+from .metrics import classification_scores
 from .supervision import kernels_for
 
 
@@ -186,14 +186,11 @@ def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
         x_test, y_test = _labeled_rows(mapped_test.features, test.labels[0])
         scores = clf.decision_function(x_test)
         predicted = clf.classes[scores.argmax(axis=1)]
-        acc = accuracy(y_test, predicted)
-        try:
-            auc = one_vs_rest_auc(y_test, scores, classes=clf.classes)
-        except NumericError:
-            auc = None
+        scored = classification_scores(y_test, predicted, scores, classes=clf.classes)
         t4 = time.perf_counter_ns()
 
-        folds.append(FoldResult(test.subjects[0].subject_id, acc, auc, int(y_test.size)))
+        folds.append(FoldResult(test.subjects[0].subject_id, scored.accuracy,
+                                scored.auc, int(y_test.size)))
         per_fold_timings.append(
             {"fit_ns": t1 - t0, "map_ns": t2 - t1, "train_ns": t3 - t2,
              "score_ns": t4 - t3}

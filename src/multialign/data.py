@@ -51,10 +51,11 @@ class SubjectData:
     normalization).
 
     The thin SVDs that alignment asks of a subject are memoized on it (see
-    :meth:`thin_svd`), so ``data`` must not be modified in place; the
-    matrices :func:`normalize` returns are read-only.  The memo
-    takes no part in equality or ``repr``, and :func:`normalize` and
-    ``dataclasses.replace`` return subjects with an empty memo.
+    :meth:`thin_svd`), so ``data`` is stored read-only: a writable input is
+    copied, and a later write to the caller's array cannot reach the
+    subject or leave its memoized factors stale.  The memo takes no part in
+    equality or ``repr``, and :func:`normalize` and ``dataclasses.replace``
+    return subjects with an empty memo.
     """
 
     subject_id: str
@@ -68,6 +69,9 @@ class SubjectData:
             raise InvalidDataError(
                 f"subject {self.subject_id!r} needs at least 2 time points, got {m.shape[0]}"
             )
+        if m.flags.writeable:
+            m = m.copy()
+            m.flags.writeable = False
         object.__setattr__(self, "data", m)
 
     @property
@@ -292,7 +296,6 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     safe = np.where(constant, 1.0, std)
     out = centered / safe
     out[:, constant] = 0.0
-    out.flags.writeable = False  # subjects memoize factors of it
     return out, tuple(int(i) for i in np.flatnonzero(constant))
 
 
@@ -301,8 +304,8 @@ def normalize(dataset: Dataset) -> Dataset:
 
     Constant columns cannot be scaled; they are zeroed and recorded in the
     subject's ``zeroed_columns``.  The operation is idempotent up to floating
-    point rounding.  The normalized matrices are read-only, so the factors
-    a subject memoizes (:meth:`SubjectData.thin_svd`) cannot go stale.
+    point rounding.  Like every subject's data, the normalized matrices are
+    read-only (see :class:`SubjectData`).
     """
     subjects = []
     for subj in dataset.subjects:

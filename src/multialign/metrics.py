@@ -8,6 +8,17 @@ points carrying the same class label; its block of mapped rows is flattened
 before the correlation.  All statistics are reported as mean and standard
 deviation over the enumerated comparisons, together with the comparison
 count.
+
+Every correlation goes through one kernel: :func:`_unit_rows` centers each
+flattened block and scales it to unit norm, so a single matmul of the
+stacked unit rows correlates every pair at once.  ``rho1`` is the upper
+triangle of the subjects' Gram matrix.  The instance statistics share
+:func:`_instance_correlations`, which correlates every instance pair across
+every subject pair, and differ only in the boolean mask over instance pairs
+(diagonal, same class off the diagonal, different class).  Two instances of
+unequal length are compared on the first rows of both, up to the shorter
+length; blocks are grouped by that truncation length, one matmul per group,
+so a layout of equal-length instances is a single matmul.
 """
 
 from __future__ import annotations
@@ -22,23 +33,32 @@ from .data import LabelMatrix
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
 
 
+def _unit_rows(m) -> np.ndarray:
+    """Center each row of a stacked block array and scale it to unit norm.
+
+    The dot product of two result rows is the Pearson correlation of the two
+    input rows.  This is the one place that checks correlation inputs.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[1] < 2:
+        raise InvalidDataError("correlation needs at least 2 entries")
+    if not np.isfinite(m).all():
+        raise InvalidDataError("correlation input contains non-finite entries")
+    centered = m - m.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
+    if (norms == 0.0).any():
+        raise NumericError("correlation undefined: an input has zero variance")
+    return centered / norms[:, None]
+
+
 def pearson(a, b) -> float:
     """Pearson correlation of two equally sized arrays, flattened."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:
         raise InvalidDataError(f"size mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
-        raise InvalidDataError("correlation needs at least 2 entries")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidDataError("correlation input contains non-finite entries")
-    a = a - a.mean()
-    b = b - b.mean()
-    na = float(np.sqrt(a @ a))
-    nb = float(np.sqrt(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise NumericError("correlation undefined: an input has zero variance")
-    return float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
+    units = _unit_rows(np.stack([a, b]))
+    return float(np.clip(units[0] @ units[1], -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -53,11 +73,10 @@ class MetricSummary:
         return {"mean": self.mean, "std": self.std, "pairs": self.pairs}
 
 
-def _summarize(values: list[float]) -> MetricSummary:
-    if not values:
+def _summarize(values: np.ndarray) -> MetricSummary:
+    if values.size == 0:
         return MetricSummary(None, None, 0)
-    arr = np.asarray(values, dtype=float)
-    return MetricSummary(float(arr.mean()), float(arr.std()), int(arr.size))
+    return MetricSummary(float(values.mean()), float(values.std()), int(values.size))
 
 
 @dataclass(frozen=True)
@@ -93,25 +112,35 @@ def class_instances(labels: LabelMatrix) -> list[InstanceRun]:
     return runs
 
 
-def _as_arrays(mapped) -> list[np.ndarray]:
+def _stacked(mapped) -> np.ndarray:
+    """Mapped subjects as one (subjects, time points, features) array."""
     arrays = []
     for idx, z in enumerate(mapped):
         z = np.asarray(getattr(z, "features", z), dtype=float)
         if z.ndim != 2:
             raise InvalidDataError(f"mapped entry {idx} must be 2-D")
+        if arrays and z.shape != arrays[0].shape:
+            raise InvalidDataError(
+                f"mapped entry {idx} has shape {z.shape}, entry 0 has {arrays[0].shape}"
+            )
         arrays.append(z)
     if len(arrays) < 2:
         raise InvalidArgumentError("need at least two subjects to correlate")
-    return arrays
+    return np.stack(arrays)
 
 
-def _shared_runs(labels, n_subjects: int) -> list[InstanceRun]:
+def _shared_runs(labels, n_subjects: int, n_timepoints: int) -> list[InstanceRun]:
     labels = list(labels)
     if len(labels) != n_subjects:
         raise InvalidDataError(f"{len(labels)} label matrices for {n_subjects} subjects")
     runs = class_instances(labels[0])
-    for idx, lab in enumerate(labels[1:], start=1):
-        if class_instances(lab) != runs:
+    for idx, lab in enumerate(labels):
+        if lab.n_timepoints != n_timepoints:
+            raise InvalidDataError(
+                f"label matrix {idx} covers {lab.n_timepoints} time points, the "
+                f"mapped data has {n_timepoints}"
+            )
+        if idx and class_instances(lab) != runs:
             raise InvalidDataError(
                 f"subject {idx} has a different stimulus-instance layout than "
                 "subject 0; instance metrics need a shared layout"
@@ -121,58 +150,85 @@ def _shared_runs(labels, n_subjects: int) -> list[InstanceRun]:
     return runs
 
 
-def _block(z: np.ndarray, run: InstanceRun, length: int | None = None) -> np.ndarray:
-    stop = run.stop if length is None else run.start + length
-    return z[run.start:stop]
-
-
-def _pairs(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
-
-
 def rho1(mapped, mask=None) -> MetricSummary:
     """Whole-series correlation over unordered subject pairs.
 
     ``mask`` optionally restricts the rows entering the comparison (used to
     exclude unlabeled time points on request).
     """
-    arrays = _as_arrays(mapped)
+    z = _stacked(mapped)
     if mask is not None:
-        mask = np.asarray(mask)
-        arrays = [z[mask] for z in arrays]
-    values = [pearson(arrays[i], arrays[j]) for i, j in _pairs(len(arrays))]
-    return _summarize(values)
+        z = z[:, np.asarray(mask)]
+    whole = _unit_rows(z.reshape(z.shape[0], -1))
+    gram = whole @ whole.T
+    return _summarize(np.clip(gram[np.triu_indices(len(z), 1)], -1.0, 1.0))
+
+
+def _instance_correlations(z: np.ndarray, runs, mask: np.ndarray) -> np.ndarray:
+    """Correlations of the instance pairs ``mask`` selects, for every subject pair.
+
+    Entry ``[p, e]`` correlates instance ``a`` of the first subject of the
+    ``p``-th unordered pair (``np.triu_indices`` order) with instance ``b``
+    of the second, where ``(a, b)`` is the ``e``-th true entry of ``mask``
+    in row-major order.  Both blocks are truncated to the shorter instance.
+    Per truncation length ``L``, the first ``L`` rows of every instance
+    that takes part are centered and unit-normalized once, and one matmul
+    correlates them all.
+    """
+    n_subjects = z.shape[0]
+    starts = np.array([run.start for run in runs])
+    lengths = np.array([run.length for run in runs])
+    first, second = np.nonzero(mask)
+    truncation = np.minimum(lengths[first], lengths[second])
+    pair_i, pair_j = np.triu_indices(n_subjects, 1)
+    out = np.empty((pair_i.size, first.size))
+    for length in np.unique(truncation):
+        group = truncation == length
+        members, slot = np.unique(np.concatenate([first[group], second[group]]),
+                                  return_inverse=True)
+        rows = starts[members, None] + np.arange(length)
+        units = _unit_rows(z[:, rows].reshape(n_subjects * members.size, -1))
+        gram = (units @ units.T).reshape(n_subjects, members.size,
+                                         n_subjects, members.size)
+        slot_a, slot_b = np.split(slot, 2)
+        out[:, group] = gram[pair_i[:, None], slot_a, pair_j[:, None], slot_b]
+    return np.clip(out, -1.0, 1.0)
+
+
+def _instances(mapped, labels) -> tuple[np.ndarray, list[InstanceRun]]:
+    z = _stacked(mapped)
+    return z, _shared_runs(labels, z.shape[0], z.shape[1])
+
+
+def _classes(runs) -> np.ndarray:
+    return np.array([run.class_index for run in runs])
+
+
+def _instance_statistic(z, runs, mask) -> MetricSummary:
+    """Summary of the instance pairs ``mask`` selects, across subject pairs.
+
+    Warns once if a selected pair has unequal lengths, quoting the shorter
+    length of the first such pair in (class, class, instance, instance)
+    order.
+    """
+    lengths = np.array([run.length for run in runs])
+    first, second = np.nonzero(mask & (lengths[:, None] != lengths[None, :]))
+    if first.size:
+        classes = _classes(runs)
+        head = np.lexsort((second, first, classes[second], classes[first]))[0]
+        warnings.warn(
+            "comparing instances of unequal length; blocks truncated to the "
+            f"shorter ({min(lengths[first[head]], lengths[second[head]])} time points)",
+            AdvisoryWarning,
+            stacklevel=3,
+        )
+    return _summarize(_instance_correlations(z, runs, mask))
 
 
 def rho2(mapped, labels) -> MetricSummary:
     """Correlation of matching instances (same class, same position)."""
-    arrays = _as_arrays(mapped)
-    runs = _shared_runs(labels, len(arrays))
-    values = []
-    for i, j in _pairs(len(arrays)):
-        for run in runs:
-            values.append(pearson(_block(arrays[i], run), _block(arrays[j], run)))
-    return _summarize(values)
-
-
-def _runs_by_class(runs, n_classes: int) -> list[list[InstanceRun]]:
-    by_class = [[] for _ in range(n_classes)]
-    for run in runs:
-        by_class[run.class_index].append(run)
-    return by_class
-
-
-def _truncation_advisory(emitted: list, run_a: InstanceRun, run_b: InstanceRun):
-    if not emitted:
-        warnings.warn(
-            "comparing instances of unequal length; blocks truncated to the "
-            f"shorter ({min(run_a.length, run_b.length)} time points)",
-            AdvisoryWarning,
-            stacklevel=4,
-        )
-        emitted.append(True)
+    z, runs = _instances(mapped, labels)
+    return _instance_statistic(z, runs, np.eye(len(runs), dtype=bool))
 
 
 def rho3(mapped, labels) -> MetricSummary:
@@ -182,25 +238,10 @@ def rho3(mapped, labels) -> MetricSummary:
     with a single instance contribute nothing.  Unequal-length instances are
     truncated to the shorter with an advisory.
     """
-    arrays = _as_arrays(mapped)
-    runs = _shared_runs(labels, len(arrays))
-    by_class = _runs_by_class(runs, labels[0].n_classes)
-    emitted: list = []
-    values = []
-    for i, j in _pairs(len(arrays)):
-        for class_runs in by_class:
-            for a, run_a in enumerate(class_runs):
-                for b, run_b in enumerate(class_runs):
-                    if a == b:
-                        continue
-                    length = min(run_a.length, run_b.length)
-                    if run_a.length != run_b.length:
-                        _truncation_advisory(emitted, run_a, run_b)
-                    values.append(
-                        pearson(_block(arrays[i], run_a, length),
-                                _block(arrays[j], run_b, length))
-                    )
-    return _summarize(values)
+    z, runs = _instances(mapped, labels)
+    classes = _classes(runs)
+    same = classes[:, None] == classes[None, :]
+    return _instance_statistic(z, runs, same & ~np.eye(len(runs), dtype=bool))
 
 
 def rho4(mapped, labels) -> MetricSummary:
@@ -210,26 +251,9 @@ def rho4(mapped, labels) -> MetricSummary:
     class (in the first subject of the pair) meets every instance of the
     second class (in the second subject).
     """
-    arrays = _as_arrays(mapped)
-    runs = _shared_runs(labels, len(arrays))
-    by_class = _runs_by_class(runs, labels[0].n_classes)
-    emitted: list = []
-    values = []
-    for i, j in _pairs(len(arrays)):
-        for m, runs_m in enumerate(by_class):
-            for n, runs_n in enumerate(by_class):
-                if m == n:
-                    continue
-                for run_a in runs_m:
-                    for run_b in runs_n:
-                        length = min(run_a.length, run_b.length)
-                        if run_a.length != run_b.length:
-                            _truncation_advisory(emitted, run_a, run_b)
-                        values.append(
-                            pearson(_block(arrays[i], run_a, length),
-                                    _block(arrays[j], run_b, length))
-                        )
-    return _summarize(values)
+    z, runs = _instances(mapped, labels)
+    classes = _classes(runs)
+    return _instance_statistic(z, runs, classes[:, None] != classes[None, :])
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,27 @@ class TestFactorReuse:
                 )
 
 
+    def test_caller_writes_do_not_reach_a_fitted_subject(self, rng):
+        # Subjects built straight from the caller's writable arrays: a write
+        # into those arrays after the fit must not meet the memoized factors.
+        arrays = [rng.standard_normal((20, 12)) for _ in range(3)]
+        pristine = [a.copy() for a in arrays]
+        labels = random_dataset(rng, 1, 20, 12, 3).labels * 3
+
+        def dataset(mats):
+            subjects = tuple(SubjectData(f"s{i}", m) for i, m in enumerate(mats))
+            return Dataset(subjects, labels, ("a", "b", "c"))
+
+        ds = dataset(arrays)
+        model = fit_rha(ds)
+        arrays[0] *= 2.0
+        fresh = dataset(pristine)
+        np.testing.assert_array_equal(
+            map_subject(model, ds.subjects[0]).features,
+            map_subject(model, fresh.subjects[0]).features,
+        )
+
+
 class TestFitShaR:
     def test_history_non_increasing(self, rng):
         for seed in range(4):

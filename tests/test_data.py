@@ -244,3 +244,11 @@ class TestThinSvdMemo:
         subj = normalize(random_dataset(rng, 1, 12, 5, 2)).subjects[0]
         with pytest.raises(ValueError):
             subj.data[0, 0] = 1.0
+
+    def test_writable_input_is_copied_read_only(self, rng):
+        data = rng.standard_normal((6, 3))
+        subj = SubjectData("a", data)
+        assert subj.data is not data and not subj.data.flags.writeable
+        data[0, 0] = 99.0
+        assert subj.data[0, 0] != 99.0
+        assert SubjectData("b", subj.data).data is subj.data  # read-only: shared

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multialign import (
     AdvisoryWarning,
@@ -186,6 +188,112 @@ class TestInstanceStatistics:
         zs, labels = session
         for summary in (rho1(zs), rho2(zs, labels)):
             assert -1.0 <= summary.mean <= 1.0
+
+
+def _naive_instance_stats(zs, runs):
+    """rho2/rho3/rho4 values and whether rho3/rho4 compare unequal lengths."""
+    values = {"rho2": [], "rho3": [], "rho4": []}
+    unequal = {"rho3": False, "rho4": False}
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            for a, (ca, sa, ea) in enumerate(runs):
+                for b, (cb, sb, eb) in enumerate(runs):
+                    n = min(ea - sa, eb - sb)
+                    name = "rho2" if a == b else "rho3" if ca == cb else "rho4"
+                    values[name].append(_corr(zs[i][sa:sa + n], zs[j][sb:sb + n]))
+                    if name != "rho2" and ea - sa != eb - sb:
+                        unequal[name] = True
+    return values, unequal
+
+
+# (class, run length, rest points before the run)
+_RUN = st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(0, 2))
+
+
+class TestInstanceKernel:
+    """The one correlation kernel against the naive loop on random layouts."""
+
+    @given(spec=st.lists(_RUN, min_size=1, max_size=8),
+           n_subjects=st.integers(2, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_loop(self, spec, n_subjects, seed):
+        classes, runs = [], []
+        for c, length, gap in spec:
+            if classes and classes[-1] == c:
+                gap = max(gap, 1)  # keep same-class runs distinct instances
+            classes += [-1] * gap
+            runs.append((c, len(classes), len(classes) + length))
+            classes += [c] * length
+        labels = _labels_from_classes(classes, 3)
+        gen = np.random.default_rng(seed)
+        zs = [gen.standard_normal((len(classes), 2)) for _ in range(n_subjects)]
+        expected, unequal = _naive_instance_stats(zs, runs)
+        for name, fn in (("rho2", rho2), ("rho3", rho3), ("rho4", rho4)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", AdvisoryWarning)
+                summary = fn(zs, [labels] * n_subjects)
+            assert len(caught) == int(unequal.get(name, False))
+            assert summary.pairs == len(expected[name])
+            if expected[name]:
+                assert summary.mean == pytest.approx(np.mean(expected[name]), abs=1e-12)
+                assert summary.std == pytest.approx(np.std(expected[name]), abs=1e-12)
+            else:
+                assert summary.mean is None and summary.std is None
+
+    #            0  0  1  1  -  0  0  0  1  1
+    CLASSES = [0, 0, 1, 1, -1, 0, 0, 0, 1, 1]
+
+    @pytest.fixture()
+    def session(self, rng):
+        labels = _labels_from_classes(self.CLASSES, 2)
+        zs = [rng.standard_normal((len(self.CLASSES), 2)) for _ in range(3)]
+        return zs, [labels] * 3
+
+    @staticmethod
+    def _all_four(zs, labels, rho1_mask=None):
+        return {
+            "rho1": lambda: rho1(zs, mask=rho1_mask),
+            "rho2": lambda: rho2(zs, labels),
+            "rho3": lambda: rho3(zs, labels),
+            "rho4": lambda: rho4(zs, labels),
+        }
+
+    def test_zero_variance_block_rejected(self, session):
+        zs, labels = session
+        zs[1][0:2] = 3.0  # first class-0 instance of subject 1
+        block_rows = np.arange(len(self.CLASSES)) < 2
+        for call in self._all_four(zs, labels, block_rows).values():
+            with pytest.raises(NumericError), warnings.catch_warnings():
+                warnings.simplefilter("ignore", AdvisoryWarning)
+                call()
+
+    def test_non_finite_input_rejected(self, session):
+        zs, labels = session
+        zs[1][6, 0] = np.nan  # inside the second class-0 instance
+        for call in self._all_four(zs, labels).values():
+            with pytest.raises(InvalidDataError), warnings.catch_warnings():
+                warnings.simplefilter("ignore", AdvisoryWarning)
+                call()
+
+    def test_mismatched_feature_counts_rejected(self, session, rng):
+        zs, labels = session
+        zs[2] = rng.standard_normal((len(self.CLASSES), 3))
+        for call in self._all_four(zs, labels).values():
+            with pytest.raises(InvalidDataError):
+                call()
+
+    def test_report_invariant_to_subject_order(self, rng):
+        labels = _labels_from_classes(self.CLASSES, 2)
+        zs = [rng.standard_normal((len(self.CLASSES), 3)) for _ in range(4)]
+        reference = correlation_report(zs, [labels] * 4)
+        for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+            report = correlation_report([zs[i] for i in order], [labels] * 4)
+            assert report.advisories == reference.advisories
+            for name in ("rho1", "rho2", "rho3", "rho4"):
+                got, want = getattr(report, name), getattr(reference, name)
+                assert got.pairs == want.pairs
+                assert got.mean == pytest.approx(want.mean, abs=1e-12)
+                assert got.std == pytest.approx(want.std, abs=1e-12)
 
 
 class TestInstanceCounts:
