@@ -10,12 +10,15 @@ pipeline with the trivial identity kernel.  ``none`` is the do-nothing
 baseline.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
-system: everything is phrased through the thin SVD of the subject's data.
-Each subject factors each matrix once: the thin SVDs of its data rows and
-of its label-coupled responses are memoized on the subject object (see
-:meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
-that needs them, and reused by every later method, fold, fit and mapping
-that is handed the same subject.
+system: it is phrased in the dual (time-point) form of the ridge
+regression, through the thin SVD ``X_l = U S V^T`` of the subject's data at
+the template's time points.  Those rows map as ``U diag(s^2 / (s^2 + eps))
+U^T G`` with no voxel-side product at all; only rest rows outside the
+template go through ``V``.  Each subject factors each matrix once: the thin
+SVDs of its data rows and of its label-coupled responses are memoized on
+the subject object (see :meth:`SubjectData.thin_svd`), computed lazily
+inside the first fit or map that needs them, and reused by every later
+method, fold, fit and mapping that is handed the same subject.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ def pairwise_objective(mapped, kernels=None) -> float:
     ``mapped``; when ``kernels`` is given each entry is first restricted to
     its kernel's coupled time points and premultiplied by the kernel, so the
     comparison happens in label space.
+
+    Computed as ``S * sum_i ||M_i - mean||_F^2`` in two passes over the
+    entries, holding only a running sum and one deviation buffer.  Both
+    passes work on differences from the first entry, which are exact for
+    nearby entries, so well-aligned subjects lose no digits to
+    cancellation.
     """
     mats = []
     for idx, z in enumerate(mapped):
@@ -124,12 +133,17 @@ def pairwise_objective(mapped, kernels=None) -> float:
             raise InvalidDataError(
                 f"mapped entry {idx} has shape {m.shape}, expected {shape}"
             )
-    total = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            diff = mats[i] - mats[j]
-            total += float((diff * diff).sum())
-    return total
+    origin = mats[0]
+    mean = np.zeros(shape)
+    for m in mats[1:]:
+        mean += m - origin
+    mean /= len(mats)
+    total = float((mean * mean).sum())  # the first entry's deviation is -mean
+    for m in mats[1:]:
+        dev = m - origin
+        dev -= mean
+        total += float((dev * dev).sum())
+    return len(mats) * total
 
 
 def _validate_kernels(train: Dataset, kernels) -> list[SupervisionKernel]:
@@ -414,8 +428,11 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
 
     Solves the ridge regression of the subject's responses (at the template's
     time points) onto the template and applies the resulting voxel map to the
-    full time series, all through the thin SVD of the data — the
-    (voxels x voxels) system is never formed.  That SVD is memoized on the
+    full time series, in dual form through the thin SVD ``X_l = U S V^T`` of
+    the data at those time points.  They map as ``U diag(s^2 / (s^2 + eps))
+    (U^T G)``, which never touches ``V``; rest time points outside the
+    template map as ``X_rest V diag(s / (s^2 + eps)) (U^T G)``.  The
+    (voxels x voxels) system is never formed.  The SVD is memoized on the
     subject, shared with the ``rha`` fit and with every other model mapped
     through the same subject object.  Mapping needs no labels.
     """
@@ -440,8 +457,15 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
         raise NumericError(
             "mapping is singular: zero singular value with epsilon = 0"
         )
-    coeff = svd.right * (s / (s * s + eps))
-    z = x @ (coeff @ (svd.left.T @ model.template))
+    s2 = s * s
+    # Shrinking the (rank x k) projection is cheaper than scaling U or V.
+    projected = svd.left.T @ model.template
+    z = np.empty((x.shape[0], projected.shape[1]))
+    z[labeled] = svd.left @ ((s2 / (s2 + eps))[:, None] * projected)
+    rest = np.ones(x.shape[0], dtype=bool)
+    rest[labeled] = False
+    if rest.any():
+        z[rest] = x[rest] @ (svd.right @ ((s / (s2 + eps))[:, None] * projected))
     _check_finite("mapping", z)
     return MappedFeatures(subject.subject_id, z)
 

@@ -9,7 +9,8 @@ fold the alignment is fitted on the training subjects alone, every subject
 is mapped through that model, the classifier is trained on the mapped
 training rows, and the held-out subject is scored.  The held-out subject's
 labels are used only for scoring, never for fitting.  Subjects are
-normalized once, and each subject's factorizations are reused by every fold.
+normalized once and their supervision kernels built once, and each
+subject's factorizations are reused by every fold.
 """
 
 from __future__ import annotations
@@ -144,31 +145,51 @@ def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
 
     Every subject is normalized once, on its own, before the fold loop;
     since normalization is per subject this equals normalizing each fold's
-    training and held-out subjects independently.  Per fold: fit the
-    alignment on the training subjects only, map everyone through the
-    fitted model, train the ridge classifier on the mapped training rows,
-    and score the held-out subject's labeled rows.  Every fold is handed
-    the same normalized subject objects, so each subject's SVDs (see
-    :meth:`SubjectData.thin_svd`) are computed once, in the first fit or
-    map that needs them, and reused by all later folds.  Stage wall-clock totals
-    (nanoseconds) are collected on the report's ``timings`` attribute, which
-    stays out of the JSON form so that reports are reproducible byte for
-    byte.
+    training and held-out subjects independently.  The folds are those of
+    :func:`run_loso_normalized` on the normalized dataset.
+    """
+    return run_loso_normalized(normalize(dataset), method, epsilon=epsilon,
+                               gamma=gamma, k=k, iterations=iterations,
+                               ridge=ridge)
+
+
+def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e-4,
+                        gamma: float | None = None, k: int | None = None,
+                        iterations: int = 10, ridge: float = 1.0) -> LosoReport:
+    """The folds of :func:`run_loso` over subjects normalized by the caller.
+
+    ``normalized`` must be the output of :func:`normalize`; it is used as
+    is.  Per fold: fit the alignment on the training subjects only, map
+    everyone through the fitted model, train the ridge classifier on the
+    mapped training rows, and score the held-out subject's labeled rows.
+    Each subject's supervision kernel depends only on its own labels, so
+    the kernels are built once and each fold is handed its training
+    subjects' kernels.  Every fold is handed the same normalized subject
+    objects, so each subject's SVDs (see :meth:`SubjectData.thin_svd`) are
+    computed once, in the first fit or map that needs them, and reused by
+    all later folds, and by later calls handed the same dataset.  Stage
+    wall-clock totals (nanoseconds) are collected on the report's
+    ``timings`` attribute (the kernel build counts toward the total
+    ``fit_ns``), which stays out of the JSON form so that reports are
+    reproducible byte for byte.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
-    if dataset.n_subjects < 2:
+    if normalized.n_subjects < 2:
         raise InvalidArgumentError("leave-one-subject-out needs at least 2 subjects")
 
-    normalized = normalize(dataset)
+    t0 = time.perf_counter_ns()
+    kernels = kernels_for(normalized, gamma) if method in ("sha", "sha_r") else None
+    kernels_ns = time.perf_counter_ns() - t0
     folds = []
     per_fold_timings = []
-    for held in range(dataset.n_subjects):
+    for held in range(normalized.n_subjects):
         train, test = split_loso(normalized, held)
 
         t0 = time.perf_counter_ns()
-        kernels = kernels_for(train, gamma) if method in ("sha", "sha_r") else None
-        model = fit(method, train, kernels, epsilon=epsilon, k=k, iterations=iterations)
+        train_kernels = None if kernels is None else kernels[:held] + kernels[held + 1:]
+        model = fit(method, train, train_kernels, epsilon=epsilon, k=k,
+                    iterations=iterations)
         t1 = time.perf_counter_ns()
         mapped_train = [map_subject(model, subj) for subj in train.subjects]
         mapped_test = map_subject(model, test.subjects[0])
@@ -202,6 +223,7 @@ def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
         stage: int(sum(t[stage] for t in per_fold_timings))
         for stage in ("fit_ns", "map_ns", "train_ns", "score_ns")
     }
+    totals["fit_ns"] += kernels_ns
     params = {
         "epsilon": float(epsilon),
         "gamma": None if gamma is None else float(gamma),

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import METHODS, fit, map_subject, save_model
-from .classify import run_loso
+from .classify import run_loso, run_loso_normalized
 from .data import (
     Dataset,
     LabelMatrix,
@@ -297,12 +297,14 @@ def cmd_sweep(args) -> None:
             rows.append(["det", float(v), "coupling_det",
                          coupling_determinant(t, v), 0.0])
     elif args.kind == "gamma":
-        dataset = load_dataset(args.data)
+        # Only the supervision kernels change with gamma: every value's folds
+        # share one normalized dataset, hence each subject's data-side SVD.
+        dataset = _load_normalized(args)
         t = int(dataset.labels[0].labeled_indices.size)
         for v in values:
-            report = run_loso(dataset, args.method, epsilon=args.epsilon,
-                              gamma=float(v), k=_parse_k(args.k),
-                              iterations=args.iters, ridge=args.ridge)
+            report = run_loso_normalized(dataset, args.method, epsilon=args.epsilon,
+                                         gamma=float(v), k=_parse_k(args.k),
+                                         iterations=args.iters, ridge=args.ridge)
             rows.append(["gamma", float(v), "coupling_det",
                          coupling_determinant(t, v), 0.0])
             rows.append(["gamma", float(v), "accuracy",

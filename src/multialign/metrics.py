@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import LabelMatrix
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
@@ -204,12 +203,25 @@ def _classes(runs) -> np.ndarray:
     return np.array([run.class_index for run in runs])
 
 
-def _instance_statistic(z, runs, mask) -> MetricSummary:
-    """Summary of the instance pairs ``mask`` selects, across subject pairs.
+def _instance_masks(runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instance-pair masks of ``rho2``, ``rho3`` and ``rho4``, in that order.
 
-    Warns once if a selected pair has unequal lengths, quoting the shorter
-    length of the first such pair in (class, class, instance, instance)
-    order.
+    Matching instances (the diagonal), distinct instances of one class, and
+    instances of different classes.  Together they cover every pair.
+    """
+    classes = _classes(runs)
+    same = classes[:, None] == classes[None, :]
+    diagonal = np.eye(len(runs), dtype=bool)
+    return diagonal, same & ~diagonal, ~same
+
+
+def _instance_statistic(runs, mask, correlations) -> MetricSummary:
+    """Summary of the correlations of the instance pairs ``mask`` selects.
+
+    ``correlations`` holds them as :func:`_instance_correlations` returns
+    them.  Warns once if a selected pair has unequal lengths, quoting the
+    shorter length of the first such pair in (class, class, instance,
+    instance) order.
     """
     lengths = np.array([run.length for run in runs])
     first, second = np.nonzero(mask & (lengths[:, None] != lengths[None, :]))
@@ -220,15 +232,20 @@ def _instance_statistic(z, runs, mask) -> MetricSummary:
             "comparing instances of unequal length; blocks truncated to the "
             f"shorter ({min(lengths[first[head]], lengths[second[head]])} time points)",
             AdvisoryWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of rho2/rho3/rho4 or correlation_report
         )
-    return _summarize(_instance_correlations(z, runs, mask))
+    return _summarize(correlations)
+
+
+def _statistic(mapped, labels, which: int) -> MetricSummary:
+    z, runs = _instances(mapped, labels)
+    mask = _instance_masks(runs)[which]
+    return _instance_statistic(runs, mask, _instance_correlations(z, runs, mask))
 
 
 def rho2(mapped, labels) -> MetricSummary:
     """Correlation of matching instances (same class, same position)."""
-    z, runs = _instances(mapped, labels)
-    return _instance_statistic(z, runs, np.eye(len(runs), dtype=bool))
+    return _statistic(mapped, labels, 0)
 
 
 def rho3(mapped, labels) -> MetricSummary:
@@ -238,10 +255,7 @@ def rho3(mapped, labels) -> MetricSummary:
     with a single instance contribute nothing.  Unequal-length instances are
     truncated to the shorter with an advisory.
     """
-    z, runs = _instances(mapped, labels)
-    classes = _classes(runs)
-    same = classes[:, None] == classes[None, :]
-    return _instance_statistic(z, runs, same & ~np.eye(len(runs), dtype=bool))
+    return _statistic(mapped, labels, 1)
 
 
 def rho4(mapped, labels) -> MetricSummary:
@@ -251,9 +265,7 @@ def rho4(mapped, labels) -> MetricSummary:
     class (in the first subject of the pair) meets every instance of the
     second class (in the second subject).
     """
-    z, runs = _instances(mapped, labels)
-    classes = _classes(runs)
-    return _instance_statistic(z, runs, classes[:, None] != classes[None, :])
+    return _statistic(mapped, labels, 2)
 
 
 @dataclass(frozen=True)
@@ -281,7 +293,10 @@ def correlation_report(mapped, labels, rho1_labeled_only: bool = False) -> Corre
 
     ``rho1`` uses every time point unless ``rho1_labeled_only`` restricts it
     to labeled ones; the instance statistics always use labeled points only
-    (instances cannot span rest gaps).
+    (instances cannot span rest gaps).  The instance statistics share one
+    pass of :func:`_instance_correlations` over every instance pair; each
+    takes its own entries from it, with the advisories ``rho2``, ``rho3``
+    and ``rho4`` raise, in that order.
     """
     labels = list(labels)
     mask = labels[0].labeled_mask if rho1_labeled_only else None
@@ -289,9 +304,12 @@ def correlation_report(mapped, labels, rho1_labeled_only: bool = False) -> Corre
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AdvisoryWarning)
         r1 = rho1(mapped, mask=mask)
-        r2 = rho2(mapped, labels)
-        r3 = rho3(mapped, labels)
-        r4 = rho4(mapped, labels)
+        z, runs = _instances(mapped, labels)
+        masks = _instance_masks(runs)
+        union = np.logical_or.reduce(masks)
+        correlations = _instance_correlations(z, runs, union)
+        r2, r3, r4 = (_instance_statistic(runs, m, correlations[:, m[union]])
+                      for m in masks)
         advisories.extend(str(w.message) for w in caught
                           if issubclass(w.category, AdvisoryWarning))
     return CorrelationReport(r1, r2, r3, r4, tuple(dict.fromkeys(advisories)))
@@ -309,7 +327,11 @@ def accuracy(truth, predicted) -> float:
 
 
 def _binary_auc(positive: np.ndarray, scores: np.ndarray) -> float:
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():  # NaN has no rank
+        return float("nan")
+    # Tied scores share the average of the ranks they span: exact half-integers.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     n_pos = int(positive.sum())
     n_neg = positive.size - n_pos
     rank_sum = float(ranks[positive].sum())

@@ -63,6 +63,41 @@ class TestPairwiseObjective:
             pairwise_objective([rng.standard_normal((3, 2))])
 
 
+def _brute_force_pairwise(mats) -> float:
+    return sum(float(((mats[i] - mats[j]) ** 2).sum())
+               for i in range(len(mats)) for j in range(i + 1, len(mats)))
+
+
+class TestPairwiseObjectiveBruteForce:
+    @given(s=st.integers(2, 7), n=st.integers(1, 6), m=st.integers(1, 5),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pair_loop(self, s, n, m, seed):
+        mats = list(np.random.default_rng(seed).standard_normal((s, n, m)) * 3.0 + 1.0)
+        assert pairwise_objective(mats) == pytest.approx(
+            _brute_force_pairwise(mats), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("spread", [1e-4, 1e-7, 1e-10])
+    def test_nearly_identical_subjects_keep_their_digits(self, rng, spread):
+        # S * sum ||M||^2 - ||sum M||^2 would lose every digit here.
+        base = rng.standard_normal((20, 6)) * 100.0 + 1e3
+        mats = [base + spread * rng.standard_normal(base.shape) for _ in range(5)]
+        assert pairwise_objective(mats) == pytest.approx(
+            _brute_force_pairwise(mats), rel=1e-9)
+
+    def test_identical_subjects_give_zero(self, rng):
+        base = rng.standard_normal((7, 3)) * 1e6
+        assert pairwise_objective([base, base.copy(), base.copy()]) == 0.0
+
+    def test_with_kernels_equals_pair_loop(self, rng):
+        ds = random_dataset(rng, 4, 16, 5, 3, rest_fraction=0.25)
+        kernels = kernels_for(ds, gamma=0.02)
+        zs = [subj.data for subj in ds.subjects]
+        coupled = [ker.matrix @ z[ker.labeled] for ker, z in zip(kernels, zs)]
+        assert pairwise_objective(zs, kernels) == pytest.approx(
+            _brute_force_pairwise(coupled), rel=1e-12)
+
+
 class TestFitSha:
     def test_shapes_and_orthonormality(self, rng):
         ds, kernels, model = _fitted(rng)
@@ -395,6 +430,58 @@ class TestMapSubject:
         ds, kernels, model = _fitted(rng, n_t=24, n_v=10)
         dup = ds.subjects[0].data.copy()
         dup[:, 1] = dup[:, 0]  # exactly collinear voxels
+        with pytest.raises(NumericError):
+            map_subject(model, SubjectData("dup", dup), epsilon=0.0)
+
+
+def _primal_ridge_map(x, labeled, template, epsilon):
+    """Dense primal ridge map ``x (x_l^T x_l + eps I)^{-1} x_l^T G``."""
+    x_l = x[labeled]
+    return x @ np.linalg.solve(x_l.T @ x_l + epsilon * np.eye(x.shape[1]),
+                               x_l.T @ template)
+
+
+class TestMapSubjectDualForm:
+    @pytest.mark.parametrize("n_v", [6, 14, 40])
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.3])
+    @pytest.mark.parametrize("method", ["sha", "rha"])
+    def test_matches_primal_ridge_with_rest_rows(self, n_v, epsilon, method):
+        rng = np.random.default_rng(n_v)
+        ds = normalize(random_dataset(rng, 3, 30, n_v, 3, rest_fraction=0.3))
+        kernels = kernels_for(ds) if method == "sha" else None
+        model = fit(method, ds, kernels, epsilon=epsilon)
+        assert model.labeled.size < ds.n_timepoints or method == "rha"
+        for subj in ds.subjects:
+            z = map_subject(model, subj).features
+            dense = _primal_ridge_map(subj.data, model.labeled, model.template, epsilon)
+            np.testing.assert_allclose(z, dense, rtol=1e-10,
+                                       atol=1e-10 * np.abs(dense).max())
+
+    def test_rest_rows_between_labeled_rows(self, rng):
+        ds = normalize(random_dataset(rng, 3, 24, 8, 2, rest_fraction=0.4))
+        model = fit_sha(ds, kernels_for(ds), epsilon=0.05)
+        rest = np.setdiff1d(np.arange(ds.n_timepoints), model.labeled)
+        assert rest.size and rest.min() < model.labeled.max()
+        subj = ds.subjects[1]
+        z = map_subject(model, subj).features
+        dense = _primal_ridge_map(subj.data, model.labeled, model.template, 0.05)
+        np.testing.assert_allclose(z[rest], dense[rest], rtol=1e-10,
+                                   atol=1e-10 * np.abs(dense).max())
+
+    def test_epsilon_zero_on_full_rank_data_is_least_squares(self, rng):
+        ds = normalize(random_dataset(rng, 3, 30, 8, 3, rest_fraction=0.2))
+        model = fit_sha(ds, kernels_for(ds))
+        subj = ds.subjects[0]
+        z = map_subject(model, subj, epsilon=0.0).features
+        dense = _primal_ridge_map(subj.data, model.labeled, model.template, 0.0)
+        np.testing.assert_allclose(z, dense, rtol=1e-10,
+                                   atol=1e-10 * np.abs(dense).max())
+
+    def test_epsilon_zero_on_singular_data_with_rest_rows_raises(self, rng):
+        ds = normalize(random_dataset(rng, 3, 30, 8, 3, rest_fraction=0.2))
+        model = fit_sha(ds, kernels_for(ds))
+        dup = ds.subjects[0].data.copy()
+        dup[:, 2] = dup[:, 1]  # exactly collinear voxels
         with pytest.raises(NumericError):
             map_subject(model, SubjectData("dup", dup), epsilon=0.0)
 

@@ -9,6 +9,7 @@ import multialign.alignment
 import multialign.classify
 import multialign.data
 import multialign.linalg
+import multialign.supervision
 from multialign import (
     FoldResult,
     InvalidArgumentError,
@@ -24,6 +25,7 @@ from multialign import (
     normalize,
     one_vs_rest_auc,
     run_loso,
+    run_loso_normalized,
     split_loso,
     train_classifier,
 )
@@ -287,3 +289,64 @@ class TestLosoFactorReuse:
         run_loso(dataset, method)
         # rha: each subject's data; sha: its data and its label-coupled responses.
         assert len(calls) == per_subject * dataset.n_subjects
+
+
+def _count_calls(monkeypatch, module, name, modules=()):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for owner in (module,) + tuple(modules):
+        monkeypatch.setattr(owner, name, counting, raising=False)
+    return calls
+
+
+class TestLosoHoisting:
+    @pytest.mark.parametrize("method", ["sha", "sha_r"])
+    def test_kernels_built_once_per_subject(self, dataset, monkeypatch, method):
+        calls = _count_calls(monkeypatch, multialign.supervision, "supervision_kernel")
+        run_loso(dataset, method)
+        # One kernel per subject, not one per training subject per fold.
+        assert len(calls) == dataset.n_subjects
+
+    def test_folds_get_their_training_subjects_kernels(self, dataset, monkeypatch):
+        seen = []
+        real_fit = multialign.classify.fit
+
+        def recording_fit(method, train, kernels, **kw):
+            seen.append((train, kernels))
+            return real_fit(method, train, kernels, **kw)
+
+        monkeypatch.setattr(multialign.classify, "fit", recording_fit)
+        run_loso(dataset, "sha", gamma=0.01)
+        for train, kernels in seen:
+            expected = kernels_for(train, 0.01)
+            assert len(kernels) == len(expected)
+            for got, want in zip(kernels, expected):
+                np.testing.assert_array_equal(got.matrix, want.matrix)
+                np.testing.assert_array_equal(got.labeled, want.labeled)
+
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_normalized_entry_point_equals_run_loso(self, dataset, method):
+        a = run_loso(dataset, method, gamma=None if method in ("none", "rha") else 0.01)
+        b = run_loso_normalized(normalize(dataset), method,
+                                gamma=None if method in ("none", "rha") else 0.01)
+        assert a.to_json_dict() == b.to_json_dict()
+
+    def test_normalized_subjects_shared_across_gammas(self, dataset, monkeypatch):
+        calls = _count_calls(monkeypatch, multialign.linalg, "truncated_svd",
+                             (multialign.data, multialign.alignment))
+        normalized = normalize(dataset)
+        gammas = (0.0, 0.005, 0.01)
+        reports = [run_loso_normalized(normalized, "sha", gamma=g) for g in gammas]
+        data_shape = normalized.subjects[0].data.shape
+        data_calls = [c for c in calls if np.shape(c[0]) == data_shape]
+        # Each subject's data once; its label-coupled responses once per gamma.
+        assert len(data_calls) == dataset.n_subjects
+        assert len(calls) == dataset.n_subjects * (1 + len(gammas))
+        for g, report in zip(gammas, reports):
+            assert report.folds == run_loso(dataset, "sha", gamma=g).folds
+

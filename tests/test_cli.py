@@ -1,6 +1,7 @@
 """Command line interface: outputs, determinism, replay, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multialign import load_dataset, normalize, read_matrix_csv, write_matrix_csv
+import multialign
+import multialign.alignment
+import multialign.data
+import multialign.linalg
+from multialign import (
+    coupling_determinant,
+    load_dataset,
+    normalize,
+    read_matrix_csv,
+    run_loso,
+    write_matrix_csv,
+)
 from multialign.cli import main
 
 
@@ -220,6 +232,61 @@ class TestSweep:
     def test_det_requires_data(self, tmp_path):
         assert run_cli("sweep", "--kind", "det", "--values", "0.1",
                        "--out", str(tmp_path / "x")) == 2
+
+
+class TestGammaSweepSharesSubjects:
+    VALUES = (0.0, 0.005, 0.01)
+
+    def _sweep(self, manifest, out):
+        return run_cli("sweep", "--kind", "gamma", "--data", str(manifest),
+                       "--values", ",".join(repr(v) for v in self.VALUES),
+                       "--out", str(out))
+
+    def test_csv_equals_one_loso_per_value(self, manifest, tmp_path):
+        # The reference normalizes and factors afresh for every value.
+        assert self._sweep(manifest, tmp_path / "sweep") == 0
+        dataset = load_dataset(manifest)
+        t = int(dataset.labels[0].labeled_indices.size)
+        lines = ["kind,value,metric,mean,std"]
+        for v in self.VALUES:
+            report = run_loso(dataset, "sha", gamma=v)
+            lines += [f"gamma,{v!r},coupling_det,{coupling_determinant(t, v)!r},0.0",
+                      f"gamma,{v!r},accuracy,{report.accuracy_mean!r},"
+                      f"{report.accuracy_std!r}",
+                      f"gamma,{v!r},auc,{report.auc_mean!r},{report.auc_std!r}"]
+        written = (tmp_path / "sweep" / "sweep.csv").read_bytes()
+        assert written == ("\n".join(lines) + "\n").encode()
+
+    def test_each_subject_data_factored_once(self, manifest, tmp_path, monkeypatch):
+        calls = []
+        real = multialign.linalg.truncated_svd
+
+        def counting(m, rank):
+            calls.append(np.shape(m))
+            return real(m, rank)
+
+        for module in (multialign.linalg, multialign.data, multialign.alignment):
+            monkeypatch.setattr(module, "truncated_svd", counting, raising=False)
+        assert self._sweep(manifest, tmp_path / "sweep") == 0
+        dataset = load_dataset(manifest)
+        n = dataset.n_subjects
+        data_calls = [c for c in calls if c == dataset.subjects[0].data.shape]
+        assert len(data_calls) == n
+        # Plus each subject's label-coupled responses once per value.
+        assert len(calls) == n + len(self.VALUES) * n
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(multialign.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, multialign.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -31,6 +31,8 @@ from multialign import (
     rho3,
     rho4,
 )
+import multialign.metrics
+from multialign.metrics import _binary_auc
 
 
 def _labels_from_classes(classes, n_classes):
@@ -296,6 +298,87 @@ class TestInstanceKernel:
                 assert got.std == pytest.approx(want.std, abs=1e-12)
 
 
+def _layout(spec):
+    """Class per time point and (class, start, stop) runs of a run spec."""
+    classes, runs = [], []
+    for c, length, gap in spec:
+        if classes and classes[-1] == c:
+            gap = max(gap, 1)  # keep same-class runs distinct instances
+        classes += [-1] * gap
+        runs.append((c, len(classes), len(classes) + length))
+        classes += [c] * length
+    return classes, runs
+
+
+class TestSharedInstancePass:
+    """correlation_report's one kernel pass against the separate statistics."""
+
+    @given(spec=st.lists(_RUN, min_size=1, max_size=8),
+           n_subjects=st.integers(2, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_separate_statistics(self, spec, n_subjects, seed):
+        classes, _ = _layout(spec)
+        labels = [_labels_from_classes(classes, 3)] * n_subjects
+        gen = np.random.default_rng(seed)
+        zs = [gen.standard_normal((len(classes), 2)) for _ in range(n_subjects)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AdvisoryWarning)
+            separate = {fn.__name__: fn(zs, labels) for fn in (rho2, rho3, rho4)}
+        report = correlation_report(zs, labels)
+        expected = tuple(dict.fromkeys(str(w.message) for w in caught))
+        assert report.advisories == expected
+        for name, want in separate.items():
+            got = getattr(report, name)
+            assert got.pairs == want.pairs
+            if want.pairs:
+                assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15)
+                assert got.std == pytest.approx(want.std, rel=1e-12, abs=1e-15)
+            else:
+                assert got.mean is None and got.std is None
+
+    def test_advisories_keep_statistic_order(self):
+        # rho3 truncates to 2 points, rho4 additionally to 1 point.
+        classes = [0, 0, -1, 0, 0, 0, 1, -1, 1, 1, 1]
+        labels = [_labels_from_classes(classes, 2)] * 2
+        gen = np.random.default_rng(5)
+        zs = [gen.standard_normal((len(classes), 3)) for _ in range(2)]
+        report = correlation_report(zs, labels)
+        assert report.advisories == (
+            "comparing instances of unequal length; blocks truncated to the "
+            "shorter (2 time points)",
+            "comparing instances of unequal length; blocks truncated to the "
+            "shorter (1 time points)",
+        )
+
+    def test_one_kernel_pass_per_report(self, rng, monkeypatch):
+        calls = []
+        real = multialign.metrics._instance_correlations
+
+        def counting(z, runs, mask):
+            calls.append(mask.copy())
+            return real(z, runs, mask)
+
+        monkeypatch.setattr(multialign.metrics, "_instance_correlations", counting)
+        classes = np.repeat([0, 1, 0, 1], 3)
+        zs = [rng.standard_normal((12, 4)) for _ in range(3)]
+        correlation_report(zs, [_labels_from_classes(classes, 2)] * 3)
+        assert len(calls) == 1 and calls[0].all()
+
+    def test_report_raises_like_the_statistics(self, rng):
+        classes = [0, 0, 1, 1, -1, 0, 0, 0, 1, 1]
+        labels = [_labels_from_classes(classes, 2)] * 3
+        zs = [rng.standard_normal((len(classes), 2)) for _ in range(3)]
+        flat = [z.copy() for z in zs]
+        flat[1][0:2] = 3.0  # a zero-variance instance block
+        with pytest.raises(NumericError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdvisoryWarning)
+            correlation_report(flat, labels)
+        broken = [z.copy() for z in zs]
+        broken[2][6, 1] = np.inf
+        with pytest.raises(InvalidDataError):
+            correlation_report(broken, labels)
+
+
 class TestInstanceCounts:
     def test_two_subjects_two_classes_two_instances_each(self, rng):
         # alternating layout: H1 B1 H2 B2, uniform length
@@ -451,6 +534,30 @@ class TestAuc:
     def test_vector_scores_need_binary_truth(self):
         with pytest.raises(InvalidDataError):
             one_vs_rest_auc([0, 1, 2], [0.1, 0.2, 0.3])
+
+
+class TestBinaryAucRanks:
+    """Tie-averaged ranks give the Mann-Whitney statistic exactly."""
+
+    @given(scores=st.lists(st.integers(-3, 3), min_size=2, max_size=40),
+           flags=st.lists(st.booleans(), min_size=2, max_size=40),
+           scale=st.sampled_from([1.0, 0.1, 1e-300, 7e10]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pair_count_on_tied_scores(self, scores, flags, scale):
+        n = min(len(scores), len(flags))
+        scores = np.array(scores[:n], dtype=float) * scale
+        positive = np.array(flags[:n])
+        if positive.all() or not positive.any():
+            positive[0] = not positive[0]
+        pos, neg = scores[positive], scores[~positive]
+        wins = int((pos[:, None] > neg[None, :]).sum())
+        ties = int((pos[:, None] == neg[None, :]).sum())
+        expected = (wins + 0.5 * ties) / (pos.size * neg.size)
+        assert _binary_auc(positive, scores) == expected
+
+    def test_nan_scores_give_nan(self):
+        auc = _binary_auc(np.array([True, False, True]), np.array([0.1, np.nan, 0.3]))
+        assert np.isnan(auc)
 
 
 class TestClassificationScores:
