@@ -2,12 +2,13 @@
 
 All methods place subjects into a common space by comparing, per subject,
 the ridge-regularized projector onto the column space of the (optionally
-label-coupled) response matrix.  The single-shot supervised path (``sha``)
-solves one symmetric eigenproblem over the summed projector complements;
-the iterative path (``sha_r``) alternates between per-subject ridge maps
-and a shared template; the unsupervised path (``rha``) is the identical
-pipeline with the trivial identity kernel.  ``none`` is the do-nothing
-baseline.
+label-coupled) response matrix.  ``sha``, ``rha`` (its identity-kernel
+case) and ``sha_r`` share one fit pipeline (kernels, ``k``, rank advisories,
+diagnostics, template, model) and differ only in how they choose the shared
+space ``W``: the single-shot paths solve one symmetric eigenproblem over the
+summed projector complements, the iterative path (``sha_r``) alternates
+between per-subject ridge maps and a shared template.  ``none`` is the
+do-nothing baseline.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
@@ -187,12 +188,6 @@ def _coupled_matrix(subject: SubjectData, kernel: SupervisionKernel) -> np.ndarr
     return x if kernel.is_identity else kernel.matrix @ x
 
 
-def _projector(subject: SubjectData, kernel: SupervisionKernel, epsilon: float):
-    """Ridge projector of the subject's coupled responses, from its memoized SVD."""
-    coupling = None if kernel.is_identity else kernel.matrix
-    return projector_from_svd(subject.thin_svd(kernel.labeled, coupling), epsilon)
-
-
 def _template_from(shared: np.ndarray, kernels) -> np.ndarray:
     """Average back-projection of the shared space through every kernel."""
     acc = None
@@ -208,49 +203,103 @@ def _check_finite(name: str, *arrays) -> None:
             raise NumericError(f"{name} produced non-finite values")
 
 
-def _single_shot(train, kernels, epsilon, k, method):
+def _eigen_space(svds, epsilon, k):
+    """``W``, ``tr(W^T U W)`` and the spectrum of ``U = sum_i (I - P_i)``."""
+    size = svds[0].left.shape[0]
+    u = np.zeros((size, size))
+    for svd in svds:
+        u += np.eye(size) - projector_from_svd(svd, epsilon).matrix()
+    eigenvalues, vectors = symmetric_eig(u)
+    w = vectors[:, :k]
+    return w, float(np.trace(w.T @ (u @ w))), tuple(float(v) for v in eigenvalues)
+
+
+def _iterated_space(pairs, svds, epsilon, k, iterations, initial_shared):
+    """``W`` from alternating ridge maps, and each round's pairwise objective."""
+    if iterations < 1:
+        raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
+    factors = [projector_from_svd(svd, epsilon).factor for svd in svds]
+    size = svds[0].left.shape[0]
+    if initial_shared is None:
+        template = sum(_coupled_matrix(subject, kernel)
+                       for subject, kernel in pairs) / len(pairs)
+    else:
+        template = np.asarray(initial_shared, dtype=float)
+        if template.ndim != 2 or template.shape[0] != size:
+            raise InvalidArgumentError(
+                f"initial_shared must have {size} rows, got shape {template.shape}"
+            )
+    if template.shape[1] < k:
+        raise InvalidArgumentError(
+            f"initial template has {template.shape[1]} columns, cannot extract k={k}"
+        )
+    history = []
+    for _ in range(iterations):
+        mapped = [f @ (f.T @ template) for f in factors]
+        history.append(pairwise_objective(mapped))
+        template = sum(mapped) / len(mapped)
+    return truncated_svd(template, k).left, tuple(history)
+
+
+def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None):
+    """The fit of ``rha``, ``sha`` and ``sha_r``; only the choice of ``W`` differs.
+
+    :func:`fit` and the ``fit_*`` wrappers call it directly, so the size
+    warning's ``stacklevel`` names their caller's line.
+    """
+    if method == "rha":
+        kernels = [identity_kernel(train.n_timepoints) for _ in range(train.n_subjects)]
+    else:
+        kernels = _validate_kernels(train, kernels)
+    pairs = list(zip(train.subjects, kernels))
     size = kernels[0].n_classes
-    if size > _LARGE_EIG_SIZE:
+    if method != "sha_r" and size > _LARGE_EIG_SIZE:
         warnings.warn(
             f"assembling a {size} x {size} eigenproblem; this path is meant "
             "for moderate problem sizes",
             AdvisoryWarning,
             stacklevel=3,
         )
-    k = _resolve_k(k, size, size if method == "sha" else min(train.n_voxels, size))
-
-    advisories = []
-    u = np.zeros((size, size))
-    for subject, kernel in zip(train.subjects, kernels):
-        proj = _projector(subject, kernel, epsilon)
-        u += np.eye(size) - proj.matrix()
-        if proj.rank_deficient:
-            advisories.append(
-                f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
-            )
-
-    eigenvalues, vectors = symmetric_eig(u)
-    w = vectors[:, :k]
+    k = _resolve_k(k, size, min(train.n_voxels, size) if method == "rha" else size)
+    # Each subject's memoized SVD of its coupled responses; every projector
+    # below is re-derived from it rather than kept alive.
+    svds = [subject.thin_svd(kernel.labeled, None if kernel.is_identity else kernel.matrix)
+            for subject, kernel in pairs]
+    advisories = tuple(
+        f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
+        for subject, svd in zip(train.subjects, svds) if svd.rank_deficient
+    )
+    trace = eigenvalues = history = None
+    if method == "sha_r":
+        w, history = _iterated_space(pairs, svds, epsilon, k, iterations, initial_shared)
+    else:
+        w, trace, eigenvalues = _eigen_space(svds, epsilon, k)
 
     # Diagnostics: where each subject's projector carries the shared space.
-    # Factors are re-derived from the memoized SVDs rather than kept alive.
-    projected = [_projector(subject, kernel, epsilon).apply(w)
-                 for subject, kernel in zip(train.subjects, kernels)]
-    trace = float(np.trace(w.T @ (u @ w)))
-    pairwise = pairwise_objective(projected)
+    projected = [projector_from_svd(svd, epsilon).apply(w) for svd in svds]
     residual = float(sum(((p - w) ** 2).sum() for p in projected))
     report = FitReport(
         method=method,
         trace_objective=trace,
-        pairwise_objective=pairwise,
+        pairwise_objective=pairwise_objective(projected),
         residual_objective=residual,
-        projection_gap=trace - residual,
-        eigenvalues=tuple(float(v) for v in eigenvalues),
-        advisories=tuple(advisories),
+        projection_gap=None if trace is None else trace - residual,
+        eigenvalues=eigenvalues,
+        objective_history=history,
+        advisories=advisories,
     )
     template = _template_from(w, kernels)
     _check_finite("alignment fit", w, template)
-    return w, template, k, report
+    return AlignmentModel(
+        method=method,
+        shared_space=w,
+        template=template,
+        epsilon=float(epsilon),
+        gamma=None if method == "rha" else kernels[0].gamma,
+        k=k,
+        labeled=kernels[0].labeled.copy(),
+        fit_report=report,
+    )
 
 
 def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4,
@@ -279,18 +328,7 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4,
         Shared-space dimension, ``1 <= k <= classes``; defaults to the class
         count.
     """
-    kernels = _validate_kernels(train, kernels)
-    w, template, k, report = _single_shot(train, kernels, epsilon, k, "sha")
-    return AlignmentModel(
-        method="sha",
-        shared_space=w,
-        template=template,
-        epsilon=float(epsilon),
-        gamma=kernels[0].gamma,
-        k=k,
-        labeled=kernels[0].labeled.copy(),
-        fit_report=report,
-    )
+    return _fit("sha", train, kernels, epsilon, k)
 
 
 def fit_rha(train: Dataset, epsilon: float = 1e-4,
@@ -303,18 +341,7 @@ def fit_rha(train: Dataset, epsilon: float = 1e-4,
     subject's projector comes from the same memoized SVD of its data that
     :func:`map_subject` uses.
     """
-    kernels = [identity_kernel(train.n_timepoints) for _ in range(train.n_subjects)]
-    w, template, k, report = _single_shot(train, kernels, epsilon, k, "rha")
-    return AlignmentModel(
-        method="rha",
-        shared_space=w,
-        template=template,
-        epsilon=float(epsilon),
-        gamma=None,
-        k=k,
-        labeled=kernels[0].labeled.copy(),
-        fit_report=report,
-    )
+    return _fit("rha", train, None, epsilon, k)
 
 
 def fit_sha_r(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = None,
@@ -331,67 +358,7 @@ def fit_sha_r(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = No
     mean coupled response is used.  The recorded ``objective_history`` holds
     the pairwise objective of the mapped responses after each round.
     """
-    kernels = _validate_kernels(train, kernels)
-    size = kernels[0].n_classes
-    k = _resolve_k(k, size, size)
-    if iterations < 1:
-        raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
-
-    factors = []
-    advisories = []
-    for subject, kernel in zip(train.subjects, kernels):
-        proj = _projector(subject, kernel, epsilon)
-        if proj.rank_deficient:
-            advisories.append(
-                f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
-            )
-        factors.append(proj.factor)
-
-    if initial_shared is None:
-        template = sum(_coupled_matrix(subject, kernel)
-                       for subject, kernel in zip(train.subjects, kernels)) / len(kernels)
-    else:
-        template = np.asarray(initial_shared, dtype=float)
-        if template.ndim != 2 or template.shape[0] != size:
-            raise InvalidArgumentError(
-                f"initial_shared must have {size} rows, got shape {template.shape}"
-            )
-    if template.shape[1] < k:
-        raise InvalidArgumentError(
-            f"initial template has {template.shape[1]} columns, cannot extract k={k}"
-        )
-
-    history = []
-    for _ in range(iterations):
-        mapped = [f @ (f.T @ template) for f in factors]
-        history.append(pairwise_objective(mapped))
-        template = sum(mapped) / len(mapped)
-
-    w = truncated_svd(template, k).left
-    projected = [f @ (f.T @ w) for f in factors]
-    trace = None
-    pairwise = pairwise_objective(projected)
-    residual = float(sum(((p - w) ** 2).sum() for p in projected))
-    report = FitReport(
-        method="sha_r",
-        trace_objective=trace,
-        pairwise_objective=pairwise,
-        residual_objective=residual,
-        objective_history=tuple(history),
-        advisories=tuple(advisories),
-    )
-    out_template = _template_from(w, kernels)
-    _check_finite("alignment fit", w, out_template)
-    return AlignmentModel(
-        method="sha_r",
-        shared_space=w,
-        template=out_template,
-        epsilon=float(epsilon),
-        gamma=kernels[0].gamma,
-        k=k,
-        labeled=kernels[0].labeled.copy(),
-        fit_report=report,
-    )
+    return _fit("sha_r", train, kernels, epsilon, k, iterations, initial_shared)
 
 
 def fit_none(train: Dataset) -> AlignmentModel:
@@ -410,15 +377,11 @@ def fit_none(train: Dataset) -> AlignmentModel:
 
 def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
         k: int | None = None, iterations: int = 10) -> AlignmentModel:
-    """Dispatch to the fit routine named by ``method``."""
-    if method == "sha":
-        return fit_sha(train, kernels, epsilon=epsilon, k=k)
-    if method == "sha_r":
-        return fit_sha_r(train, kernels, epsilon=epsilon, k=k, iterations=iterations)
-    if method == "rha":
-        return fit_rha(train, epsilon=epsilon, k=k)
+    """Fit the model named by ``method``; ``rha`` ignores ``kernels``."""
     if method == "none":
         return fit_none(train)
+    if method in METHODS:
+        return _fit(method, train, kernels, epsilon, k, iterations)
     raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
 
 

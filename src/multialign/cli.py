@@ -6,11 +6,18 @@ every subject), ``corr`` (between-subject correlation profiles per method),
 gamma, coupling determinant, time-series length, or noise), and ``rerun``
 (replay a recorded run configuration).
 
-Every run directory receives ``run_config.json`` (the exact arguments, so
-the run can be replayed into a fresh directory) and ``timings.json``
-(monotonic nanosecond wall-clock figures).  Timings are the only
-non-deterministic output: rerunning a command with the same arguments and
-seed reproduces every other file byte for byte.
+Every run directory receives ``run_config.json`` and ``timings.json``
+(monotonic nanosecond wall-clock figures).  ``run_config.json`` records the
+command and every parsed option under its argument name (the ``dest`` of
+the option, e.g. ``instances_per_class`` for ``synth --instances``) except
+``--out``; ``rerun`` turns each recorded name back into the option whose
+``dest`` it is and replays the run into a fresh directory.  Timings are the
+only non-deterministic output: rerunning a command with the same arguments
+and seed reproduces every other file byte for byte.
+
+``sweep --kind noise`` generates its datasets from ``--seed`` and refuses
+``--data``, so that no record names a dataset the run never read; the
+other kinds require ``--data``.
 
 Exit codes: 0 success, 2 usage/configuration (including missing files),
 3 invalid data, 4 numeric failure.
@@ -40,7 +47,7 @@ from .data import (
 from .errors import InvalidArgumentError, InvalidDataError, NumericError
 from .metrics import correlation_report
 from .supervision import coupling_determinant, kernels_for
-from .synth import ROTATIONS, SynthConfig, config_as_dict, generate, save_ground_truth
+from .synth import ROTATIONS, SynthConfig, generate, save_ground_truth
 
 PROG = "multialign"
 SWEEP_KINDS = ("det", "gamma", "trs", "noise")
@@ -77,8 +84,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_run_config(out: Path, command: str, arguments: dict) -> None:
-    _write_json(out / "run_config.json", {"command": command, "arguments": arguments})
+def _arguments(args) -> dict:
+    """Every parsed option of a command under its ``dest``, minus ``--out``."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "func", "out")}
+
+
+def _write_run_config(out: Path, args) -> None:
+    _write_json(out / "run_config.json",
+                {"command": args.command, "arguments": _arguments(args)})
 
 
 def _write_timings(out: Path, command: str, stages: dict[str, int], started_ns: int) -> None:
@@ -90,22 +104,19 @@ def _write_timings(out: Path, command: str, stages: dict[str, int], started_ns: 
     _write_json(out / "timings.json", payload)
 
 
-def _parse_gamma(text) -> float | None:
-    if text is None or text == "auto":
+def _number_or_auto(text, cast, requirement: str):
+    """``cast(text)``, or None for ``'auto'``; ``requirement`` opens the error."""
+    if text == "auto":
         return None
     try:
-        return float(text)
+        return cast(text)
     except (TypeError, ValueError):
-        raise InvalidArgumentError(f"--gamma must be a real number or 'auto', got {text!r}")
+        raise InvalidArgumentError(f"{requirement} or 'auto', got {text!r}")
 
 
-def _parse_k(text) -> int | None:
-    if text is None or text == "auto":
-        return None
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"--k must be an integer or 'auto', got {text!r}")
+def _gamma_and_k(args) -> tuple[float | None, int | None]:
+    return (_number_or_auto(args.gamma, float, "--gamma must be a real number"),
+            _number_or_auto(args.k, int, "--k must be an integer"))
 
 
 def _parse_values(text: str, kind: str) -> list[float]:
@@ -120,22 +131,9 @@ def _parse_values(text: str, kind: str) -> list[float]:
         raise InvalidArgumentError(f"--values contains a non-numeric entry: {text!r}")
 
 
-def _load_normalized(args) -> Dataset:
-    return normalize(load_dataset(args.data))
-
-
 def cmd_synth(args) -> None:
     started = time.perf_counter_ns()
-    config = SynthConfig(
-        subjects=args.subjects,
-        classes=args.classes,
-        instances_per_class=args.instances,
-        instance_length=args.instance_length,
-        voxels=args.voxels,
-        noise_sigma=args.noise,
-        rotation=args.rotation,
-        seed=args.seed,
-    )
+    config = SynthConfig(**_arguments(args))
     out = _out_dir(args)
     t0 = time.perf_counter_ns()
     dataset, truth = generate(config)
@@ -143,17 +141,16 @@ def cmd_synth(args) -> None:
     save_dataset(dataset, out)
     save_ground_truth(truth, out / "ground_truth.json")
     t2 = time.perf_counter_ns()
-    _write_run_config(out, "synth", config_as_dict(config))
+    _write_run_config(out, args)
     _write_timings(out, "synth", {"generate_ns": t1 - t0, "write_ns": t2 - t1}, started)
 
 
 def cmd_align(args) -> None:
     started = time.perf_counter_ns()
     out = _out_dir(args)
-    gamma = _parse_gamma(args.gamma)
-    k = _parse_k(args.k)
+    gamma, k = _gamma_and_k(args)
     t0 = time.perf_counter_ns()
-    dataset = _load_normalized(args)
+    dataset = normalize(load_dataset(args.data))
     t1 = time.perf_counter_ns()
     kernels = kernels_for(dataset, gamma) if args.method in ("sha", "sha_r") else None
     model = fit(args.method, dataset, kernels, epsilon=args.epsilon, k=k,
@@ -164,15 +161,7 @@ def cmd_align(args) -> None:
         mapped = map_subject(model, subject)
         write_matrix_csv(out / f"z_{subject.subject_id}.csv", mapped.features)
     t3 = time.perf_counter_ns()
-    _write_run_config(out, "align", {
-        "data": str(args.data),
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "gamma": args.gamma,
-        "k": args.k,
-        "iters": args.iters,
-        "seed": args.seed,
-    })
+    _write_run_config(out, args)
     _write_timings(out, "align", {
         "load_ns": t1 - t0, "fit_ns": t2 - t1, "map_ns": t3 - t2,
     }, started)
@@ -189,10 +178,9 @@ def cmd_corr(args) -> None:
                 f"--methods entries must be among {METHODS}, got {method!r}"
             )
     out = _out_dir(args)
-    gamma = _parse_gamma(args.gamma)
-    k = _parse_k(args.k)
+    gamma, k = _gamma_and_k(args)
     t0 = time.perf_counter_ns()
-    dataset = _load_normalized(args)
+    dataset = normalize(load_dataset(args.data))
     t1 = time.perf_counter_ns()
 
     rows = []
@@ -220,24 +208,14 @@ def cmd_corr(args) -> None:
                               ("rho3", report.rho3), ("rho4", report.rho4)):
             rows.append([method, name, summary.mean, summary.std])
     _write_csv(out / "corr_summary.csv", ["method", "metric", "mean", "std"], rows)
-    _write_run_config(out, "corr", {
-        "data": str(args.data),
-        "methods": args.methods,
-        "epsilon": args.epsilon,
-        "gamma": args.gamma,
-        "k": args.k,
-        "iters": args.iters,
-        "rho1_labeled_only": bool(args.rho1_labeled_only),
-        "seed": args.seed,
-    })
+    _write_run_config(out, args)
     _write_timings(out, "corr", stages, started)
 
 
 def cmd_loso(args) -> None:
     started = time.perf_counter_ns()
     out = _out_dir(args)
-    gamma = _parse_gamma(args.gamma)
-    k = _parse_k(args.k)
+    gamma, k = _gamma_and_k(args)
     t0 = time.perf_counter_ns()
     dataset = load_dataset(args.data)
     t1 = time.perf_counter_ns()
@@ -254,16 +232,7 @@ def cmd_loso(args) -> None:
         [[str(args.data), args.method, args.seed, report.accuracy_mean,
           report.accuracy_std, report.auc_mean, report.auc_std]],
     )
-    _write_run_config(out, "loso", {
-        "data": str(args.data),
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "gamma": args.gamma,
-        "k": args.k,
-        "iters": args.iters,
-        "ridge": args.ridge,
-        "seed": args.seed,
-    })
+    _write_run_config(out, args)
     stages = {"load_ns": t1 - t0}
     stages.update(report.timings["total"])
     _write_timings(out, "loso", stages, started)
@@ -286,95 +255,76 @@ def cmd_sweep(args) -> None:
     started = time.perf_counter_ns()
     out = _out_dir(args)
     values = _parse_values(args.values, args.kind)
-    if args.kind in ("det", "gamma", "trs") and args.data is None:
+    if args.kind == "noise" and args.data is not None:
+        raise InvalidArgumentError("--kind noise generates its datasets and takes no --data")
+    if args.kind != "noise" and args.data is None:
         raise InvalidArgumentError(f"--data is required for --kind {args.kind}")
+    gamma, k = _gamma_and_k(args)
 
-    rows = []
-    if args.kind == "det":
-        dataset = load_dataset(args.data)
-        t = int(dataset.labels[0].labeled_indices.size)
-        for v in values:
-            rows.append(["det", float(v), "coupling_det",
-                         coupling_determinant(t, v), 0.0])
-    elif args.kind == "gamma":
+    base = None if args.kind == "noise" else load_dataset(args.data)
+    if args.kind == "gamma":
         # Only the supervision kernels change with gamma: every value's folds
         # share one normalized dataset, hence each subject's data-side SVD.
-        dataset = _load_normalized(args)
-        t = int(dataset.labels[0].labeled_indices.size)
-        for v in values:
+        base = normalize(base)
+    rows = []
+    for v in values:
+        if args.kind == "gamma":
+            dataset, gamma = base, v
+        elif args.kind == "trs":
+            dataset = normalize(_truncate_dataset(base, v))
+        elif args.kind == "noise":
+            dataset = normalize(generate(SynthConfig(noise_sigma=v, seed=args.seed))[0])
+        if args.kind != "det":
             report = run_loso_normalized(dataset, args.method, epsilon=args.epsilon,
-                                         gamma=float(v), k=_parse_k(args.k),
-                                         iterations=args.iters, ridge=args.ridge)
-            rows.append(["gamma", float(v), "coupling_det",
-                         coupling_determinant(t, v), 0.0])
-            rows.append(["gamma", float(v), "accuracy",
-                         report.accuracy_mean, report.accuracy_std])
-            rows.append(["gamma", float(v), "auc", report.auc_mean, report.auc_std])
-    elif args.kind == "trs":
-        dataset = load_dataset(args.data)
-        for v in values:
-            truncated = _truncate_dataset(dataset, int(v))
-            report = run_loso(truncated, args.method, epsilon=args.epsilon,
-                              gamma=_parse_gamma(args.gamma), k=_parse_k(args.k),
-                              iterations=args.iters, ridge=args.ridge)
-            rows.append(["trs", int(v), "accuracy",
-                         report.accuracy_mean, report.accuracy_std])
-            rows.append(["trs", int(v), "auc", report.auc_mean, report.auc_std])
-    else:  # noise
-        for v in values:
-            config = SynthConfig(noise_sigma=float(v), seed=args.seed)
-            dataset, _ = generate(config)
-            report = run_loso(dataset, args.method, epsilon=args.epsilon,
-                              gamma=_parse_gamma(args.gamma), k=_parse_k(args.k),
-                              iterations=args.iters, ridge=args.ridge)
-            rows.append(["noise", float(v), "accuracy",
-                         report.accuracy_mean, report.accuracy_std])
-            rows.append(["noise", float(v), "auc", report.auc_mean, report.auc_std])
+                                         gamma=gamma, k=k, iterations=args.iters,
+                                         ridge=args.ridge)
+        if args.kind in ("det", "gamma"):
+            t = int(base.labels[0].labeled_indices.size)
+            rows.append([args.kind, v, "coupling_det", coupling_determinant(t, v), 0.0])
+        if args.kind != "det":
+            rows.append([args.kind, v, "accuracy", report.accuracy_mean, report.accuracy_std])
+            rows.append([args.kind, v, "auc", report.auc_mean, report.auc_std])
 
     _write_csv(out / "sweep.csv", ["kind", "value", "metric", "mean", "std"], rows)
-    _write_run_config(out, "sweep", {
-        "data": None if args.data is None else str(args.data),
-        "kind": args.kind,
-        "values": args.values,
-        "method": args.method,
-        "epsilon": args.epsilon,
-        "gamma": args.gamma,
-        "k": args.k,
-        "iters": args.iters,
-        "ridge": args.ridge,
-        "seed": args.seed,
-    })
+    _write_run_config(out, args)
     _write_timings(out, "sweep", {}, started)
 
 
 def cmd_rerun(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        recorded = json.load(fh)
-    if not isinstance(recorded, dict) or "command" not in recorded:
+        try:
+            recorded = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidDataError(f"{args.config} is not valid JSON: {exc}") from exc
+    if not isinstance(recorded, dict) or not isinstance(recorded.get("command"), str):
         raise InvalidDataError(f"{args.config} is not a run configuration")
     command = recorded["command"]
     if command == "rerun":
         raise InvalidArgumentError("cannot rerun a rerun")
     arguments = recorded.get("arguments", {})
+    if command not in args.subcommands:
+        raise InvalidDataError(f"{args.config} records an unknown command {command!r}")
+    if not isinstance(arguments, dict):
+        raise InvalidDataError(f"{args.config}: 'arguments' must be a JSON object")
+    # Each recorded name is the dest of one of the command's own options.
+    options = {action.dest: action.option_strings
+               for action in args.subcommands[command]._actions if action.option_strings}
     argv = [command]
-    flag_names = {"instances_per_class": "--instances", "noise_sigma": "--noise"}
     for key, value in sorted(arguments.items()):
-        if value is None:
+        if key not in options:
+            raise InvalidDataError(f"{args.config}: {command} has no option {key!r}")
+        if value is None or value is False:  # unset, or a store_true flag left off
             continue
-        flag = flag_names.get(key, "--" + key.replace("_", "-"))
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-            continue
-        argv.extend([flag, str(value)])
+        argv.append(options[key][0])
+        if value is not True:
+            argv.append(str(value))
     argv.extend(["--out", str(args.out)])
     return main(argv)
 
 
 def _add_common(parser, data_required=True, with_method=True):
-    if data_required is not None:
-        parser.add_argument("--data", required=data_required,
-                            help="path to a dataset manifest (JSON)")
+    parser.add_argument("--data", required=data_required,
+                        help="path to a dataset manifest (JSON)")
     if with_method:
         parser.add_argument("--method", choices=METHODS, default="sha",
                             help="alignment method (default: sha)")
@@ -399,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--subjects", type=int, default=6)
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--instances", type=int, default=4,
-                   help="stimulus instances per class (default: 4)")
+    p.add_argument("--instances", type=int, default=4, dest="instances_per_class",
+                   metavar="INSTANCES", help="stimulus instances per class (default: 4)")
     p.add_argument("--instance-length", type=int, default=5,
                    help="time points per instance (default: 5)")
     p.add_argument("--voxels", type=int, default=50)
-    p.add_argument("--noise", type=float, default=0.5,
-                   help="noise standard deviation (default: 0.5)")
+    p.add_argument("--noise", type=float, default=0.5, dest="noise_sigma",
+                   metavar="NOISE", help="noise standard deviation (default: 0.5)")
     p.add_argument("--rotation", choices=ROTATIONS, default="orthogonal")
     p.set_defaults(func=cmd_synth)
 
@@ -437,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a recorded run_config.json")
     p.add_argument("config", help="path to run_config.json")
-    p.set_defaults(func=cmd_rerun)
+    p.set_defaults(func=cmd_rerun, subcommands=sub.choices)
 
     for sp in sub.choices.values():
         sp.add_argument("--seed", type=int, default=0,

@@ -246,22 +246,30 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidDataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InvalidDataError("manifest must be a JSON object")
     for key in ("class_names", "subjects"):
         if key not in manifest:
             raise InvalidDataError(f"manifest is missing required key {key!r}")
+        if not isinstance(manifest[key], list):
+            raise InvalidDataError(f"manifest key {key!r} must be a list")
     if not manifest["subjects"]:
         raise InvalidDataError("manifest lists no subjects")
 
     base = manifest_path.parent
     subjects, labels = [], []
     for entry in manifest["subjects"]:
+        if not isinstance(entry, dict):
+            raise InvalidDataError(f"subject entry must be a JSON object, got {entry!r}")
         for key in ("id", "data", "labels"):
             if key not in entry:
                 raise InvalidDataError(f"subject entry is missing required key {key!r}")
+        for key in ("data", "labels"):
+            if not isinstance(entry[key], str):
+                raise InvalidDataError(f"subject entry {key!r} must be a file name, "
+                                       f"got {entry[key]!r}")
         subjects.append(SubjectData(str(entry["id"]), read_matrix_csv(base / entry["data"])))
         labels.append(LabelMatrix(read_matrix_csv(base / entry["labels"])))
     dataset = Dataset(tuple(subjects), tuple(labels), tuple(manifest["class_names"]))

@@ -1,11 +1,15 @@
 """Alignment engines: single-shot, iterative, unsupervised, and mapping."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multialign.alignment
 from multialign import (
+    AdvisoryWarning,
     Dataset,
     InvalidArgumentError,
     LabelMatrix,
@@ -528,3 +532,39 @@ class TestDispatcher:
         ds = normalize(random_dataset(rng, 2, 10, 6, 2))
         with pytest.raises(InvalidArgumentError):
             fit("procrustes", ds, None)
+
+
+class TestLargeEigAdvisory:
+    """The eigenproblem-size advisory names the line that asked for the fit."""
+
+    @pytest.fixture
+    def small_threshold(self, monkeypatch):
+        monkeypatch.setattr(multialign.alignment, "_LARGE_EIG_SIZE", 1)
+
+    @staticmethod
+    def _assert_names_line(record, line):
+        sizes = [w for w in record if "eigenproblem" in str(w.message)]
+        assert len(sizes) == 1
+        assert (sizes[0].filename, sizes[0].lineno) == (__file__, line)
+
+    def test_fit_sha_names_its_caller(self, rng, small_threshold):
+        ds = normalize(random_dataset(rng, 3, 12, 8, 2))
+        kernels = kernels_for(ds)
+        with pytest.warns(AdvisoryWarning) as record:
+            line = inspect.currentframe().f_lineno + 1
+            fit_sha(ds, kernels)
+        self._assert_names_line(record, line)
+
+    @pytest.mark.parametrize("method", ["sha", "rha"])
+    def test_fit_names_its_caller(self, rng, small_threshold, method):
+        ds = normalize(random_dataset(rng, 3, 12, 8, 2))
+        kernels = kernels_for(ds)
+        with pytest.warns(AdvisoryWarning) as record:
+            line = inspect.currentframe().f_lineno + 1
+            fit(method, ds, kernels)
+        self._assert_names_line(record, line)
+
+    def test_iterative_path_does_not_warn(self, rng, small_threshold, recwarn):
+        ds = normalize(random_dataset(rng, 3, 12, 8, 2))
+        fit_sha_r(ds, kernels_for(ds), iterations=2)
+        assert not [w for w in recwarn if "eigenproblem" in str(w.message)]

@@ -1,5 +1,6 @@
 """Command line interface: outputs, determinism, replay, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -22,7 +23,8 @@ from multialign import (
     run_loso,
     write_matrix_csv,
 )
-from multialign.cli import main
+from multialign.cli import build_parser, main
+from multialign.synth import SynthConfig, config_as_dict
 
 
 SYNTH_ARGS = ["synth", "--subjects", "3", "--classes", "2", "--instances", "3",
@@ -233,6 +235,25 @@ class TestSweep:
         assert run_cli("sweep", "--kind", "det", "--values", "0.1",
                        "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("kind", ["det", "gamma"])
+    def test_unparseable_gamma_rejected_for_every_kind(self, manifest, tmp_path,
+                                                        capsys, kind):
+        assert run_cli("sweep", "--kind", kind, "--data", str(manifest),
+                       "--values", "0", "--gamma", "lots",
+                       "--out", str(tmp_path / "x")) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidArgumentError"
+
+    def test_noise_refuses_data(self, manifest, tmp_path, capsys):
+        # A noise sweep generates its datasets; a --data it never reads
+        # would still be recorded in run_config.json.
+        out = tmp_path / "noise"
+        assert run_cli("sweep", "--kind", "noise", "--data", str(manifest),
+                       "--values", "0.2", "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidArgumentError"
+        assert not (out / "run_config.json").exists()
+
 
 class TestGammaSweepSharesSubjects:
     VALUES = (0.0, 0.005, 0.01)
@@ -325,6 +346,22 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidDataError"
 
+    def test_wrong_typed_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"class_names": ["a", "b"], "subjects": 5}))
+        code = run_cli("align", "--data", str(manifest), "--out", str(tmp_path / "out"))
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidDataError"
+
+    def test_bad_k_is_usage_error(self, manifest, tmp_path, capsys):
+        code = run_cli("loso", "--data", str(manifest), "--k", "1.5",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "InvalidArgumentError",
+                       "message": "--k must be an integer or 'auto', got '1.5'"}
+
     def test_exactly_singular_fit_is_numeric_error(self, tmp_path, capsys, rng):
         data_dir = tmp_path / "singular"
         data_dir.mkdir()
@@ -367,6 +404,89 @@ class TestExitCodes:
         config.write_text(json.dumps({"settings": {}}))
         assert run_cli("rerun", str(config), "--out", str(tmp_path / "out")) == 3
         capsys.readouterr()
+
+
+def _subparsers() -> dict:
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _dests(command: str) -> set:
+    return {a.dest for a in _subparsers()[command]._actions
+            if a.dest not in ("help", "out")}
+
+
+class TestRunRecords:
+    """run_config.json holds every parsed option under its dest, minus --out."""
+
+    @pytest.mark.parametrize("argv", [
+        ("align", "--method", "rha"),
+        ("corr", "--methods", "sha"),
+        ("loso", "--method", "none"),
+        ("sweep", "--kind", "det", "--values", "0"),
+    ], ids=lambda argv: argv[0])
+    def test_keys_are_the_subparser_dests(self, manifest, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--data", str(manifest), "--out", str(out)) == 0
+        config = json.loads((out / "run_config.json").read_text())
+        assert config["command"] == argv[0]
+        assert set(config["arguments"]) == _dests(argv[0])
+
+    def test_synth_keys_are_the_subparser_dests(self, synth_dir):
+        config = json.loads((synth_dir / "run_config.json").read_text())
+        assert set(config["arguments"]) == _dests("synth")
+
+    def test_synth_record_keeps_the_config_field_names(self, synth_dir):
+        arguments = json.loads((synth_dir / "run_config.json").read_text())["arguments"]
+        assert arguments["instances_per_class"] == 3
+        assert arguments["noise_sigma"] == 0.4
+        assert "instances" not in arguments and "noise" not in arguments
+        assert arguments == config_as_dict(SynthConfig(**arguments))
+
+
+class TestRerunReplays:
+    @pytest.mark.parametrize("argv", [
+        ("loso", "--method", "sha_r", "--iters", "3", "--ridge", "0.5"),
+        ("sweep", "--kind", "det", "--values", "0,0.02"),
+        ("sweep", "--kind", "gamma", "--values", "0,0.01", "--k", "1"),
+        ("sweep", "--kind", "trs", "--values", "12,18", "--method", "rha"),
+    ], ids=["loso", "sweep-det", "sweep-gamma", "sweep-trs"])
+    def test_replay_is_byte_identical(self, manifest, tmp_path, argv):
+        first = tmp_path / "first"
+        assert run_cli(*argv, "--data", str(manifest), "--out", str(first)) == 0
+        second = tmp_path / "second"
+        assert run_cli("rerun", str(first / "run_config.json"),
+                       "--out", str(second)) == 0
+        assert _tree_bytes(second) == _tree_bytes(first)
+
+    def test_noise_sweep_replay_is_byte_identical(self, tmp_path):
+        first = tmp_path / "first"
+        assert run_cli("sweep", "--kind", "noise", "--values", "0.3", "--seed", "5",
+                       "--out", str(first)) == 0
+        second = tmp_path / "second"
+        assert run_cli("rerun", str(first / "run_config.json"),
+                       "--out", str(second)) == 0
+        assert _tree_bytes(second) == _tree_bytes(first)
+
+
+class TestRerunMalformed:
+    """A malformed record is invalid data (exit 3), never a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"command": "align", "arguments": ["--method", "sha"]}),
+        json.dumps({"command": 5, "arguments": {}}),
+        json.dumps({"command": "fit", "arguments": {}}),
+        json.dumps({"command": "align", "arguments": {"no_such_option": 1}}),
+    ], ids=["not-json", "arguments-list", "command-int", "unknown-command",
+            "unknown-option"])
+    def test_exit_code_3(self, tmp_path, capsys, text):
+        config = tmp_path / "run_config.json"
+        config.write_text(text)
+        assert run_cli("rerun", str(config), "--out", str(tmp_path / "out")) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidDataError"
 
 
 class TestConsoleScript:

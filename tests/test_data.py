@@ -252,3 +252,29 @@ class TestThinSvdMemo:
         data[0, 0] = 99.0
         assert subj.data[0, 0] != 99.0
         assert SubjectData("b", subj.data).data is subj.data  # read-only: shared
+
+
+class TestManifestTypes:
+    """Wrong-typed manifest entries are data errors, not Python type errors."""
+
+    @pytest.mark.parametrize("manifest", [
+        {"class_names": ["a", "b"], "subjects": 5},
+        {"class_names": ["a", "b"], "subjects": [5]},
+        {"class_names": ["a", "b"],
+         "subjects": [{"id": "s0", "data": 3, "labels": "s0_labels.csv"}]},
+        {"class_names": ["a", "b"],
+         "subjects": [{"id": "s0", "data": "s0_data.csv", "labels": None}]},
+        {"class_names": 5, "subjects": [{"id": "s0", "data": "x", "labels": "y"}]},
+    ], ids=["subjects-int", "subject-entry-int", "data-int", "labels-null",
+            "class-names-int"])
+    def test_rejected_as_invalid_data(self, tmp_path, manifest):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(InvalidDataError):
+            load_dataset(path)
+
+    def test_non_utf8_manifest_rejected_as_invalid_data(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"class_names": ["\xff"]}')
+        with pytest.raises(InvalidDataError):
+            load_dataset(path)
