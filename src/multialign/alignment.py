@@ -3,19 +3,28 @@
 All methods place subjects into a common space by comparing, per subject,
 the ridge-regularized projector onto the column space of the (optionally
 label-coupled) response matrix.  ``sha``, ``rha`` (its identity-kernel
-case) and ``sha_r`` share one fit pipeline (kernels, ``k``, rank advisories,
-diagnostics, template, model) and differ only in how they choose the shared
-space ``W``: the single-shot paths solve one symmetric eigenproblem over the
-summed projector complements, the iterative path (``sha_r``) alternates
-between per-subject ridge maps and a shared template.  ``none`` is the
-do-nothing baseline.
+case) and ``sha_r`` share one fit pipeline and differ only in how they
+choose the shared space ``W``: the single-shot paths solve one symmetric
+eigenproblem over the summed projector complements, the iterative path
+(``sha_r``) alternates between per-subject ridge maps and a shared
+template.  ``none`` is the do-nothing baseline.
+
+The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
+each subject (validated kernels, ``k``, one projector factor per subject
+and, for leave-one-subject-out, each complement ``I - P_i``), stacked in
+subject order; :func:`_fit_terms` fits over any subset of those subjects by
+indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers run the two over every
+subject and add the diagnostics; leave-one-subject-out builds the terms
+once per run and fits each fold from them.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
 regression, through the thin SVD ``X_l = U S V^T`` of the subject's data at
 the template's time points.  Those rows map as ``U diag(s^2 / (s^2 + eps))
 U^T G`` with no voxel-side product at all; only rest rows outside the
-template go through ``V``.  Each subject factors each matrix once: the thin
+template go through ``V``.  :func:`_map_rows` maps a stack of subjects
+this way in two stacked matmuls; :func:`map_subject` hands it a stack of
+one.  Each subject factors each matrix once: the thin
 SVDs of its data rows and of its label-coupled responses are memoized on
 the subject object (see :meth:`SubjectData.thin_svd`), computed lazily
 inside the first fit or map that needs them, and reused by every later
@@ -183,46 +192,86 @@ def _resolve_k(k: int | None, limit: int, default: int) -> int:
     return int(k)
 
 
-def _coupled_matrix(subject: SubjectData, kernel: SupervisionKernel) -> np.ndarray:
-    x = subject.data[kernel.labeled]
-    return x if kernel.is_identity else kernel.matrix @ x
-
-
-def _template_from(shared: np.ndarray, kernels) -> np.ndarray:
-    """Average back-projection of the shared space through every kernel."""
-    acc = None
-    for ker in kernels:
-        contrib = shared.T if ker.is_identity else shared.T @ ker.matrix
-        acc = contrib.copy() if acc is None else acc + contrib
-    return (acc / len(kernels)).T
-
-
 def _check_finite(name: str, *arrays) -> None:
     for a in arrays:
         if a is not None and not np.isfinite(a).all():
             raise NumericError(f"{name} produced non-finite values")
 
 
-def _eigen_space(svds, epsilon, k):
-    """``W``, ``tr(W^T U W)`` and the spectrum of ``U = sum_i (I - P_i)``."""
-    size = svds[0].left.shape[0]
-    u = np.zeros((size, size))
-    for svd in svds:
-        u += np.eye(size) - projector_from_svd(svd, epsilon).matrix()
-    eigenvalues, vectors = symmetric_eig(u)
-    w = vectors[:, :k]
-    return w, float(np.trace(w.T @ (u @ w))), tuple(float(v) for v in eigenvalues)
+@dataclass(frozen=True)
+class _SubjectTerms:
+    """What a fit needs of each subject, stacked along axis 0 in subject order.
+
+    ``factors[i]`` is the shrunken projector factor ``F_i`` of subject ``i``'s
+    label-coupled responses (``P_i = F_i F_i^T``), ``complements[i]`` is
+    ``I - P_i``, ``couplings[i]`` the kernel matrix (absent under the
+    identity kernel) and ``coupled[i]`` the coupled responses ``K_i X_i``
+    (``sha_r`` only, its default start).  A fit over a subset of the
+    subjects indexes these stacks.  ``complements`` is kept only when the
+    terms serve a fit per fold; a single fit adds each complement to ``U``
+    as it forms it, so a (time points x time points) ``U`` is never held
+    once per subject.
+    """
+
+    kernels: tuple[SupervisionKernel, ...]
+    svds: tuple
+    k: int
+    factors: np.ndarray
+    complements: np.ndarray | None
+    couplings: np.ndarray | None
+    coupled: np.ndarray | None
 
 
-def _iterated_space(pairs, svds, epsilon, k, iterations, initial_shared):
-    """``W`` from alternating ridge maps, and each round's pairwise objective."""
-    if iterations < 1:
+def _subject_terms(method, dataset, kernels, epsilon, k, iterations,
+                   keep_complements=False) -> _SubjectTerms:
+    """Validate a fit's inputs and build every subject's terms once.
+
+    One memoized SVD lookup and one :func:`projector_from_svd` per subject;
+    kept complements come from one stacked matmul.  The size advisory's
+    ``stacklevel`` names the line that called :func:`fit` or ``fit_*``.
+    """
+    if method == "rha":
+        kernels = [identity_kernel(dataset.n_timepoints)] * dataset.n_subjects
+    else:
+        kernels = _validate_kernels(dataset, kernels)
+    size = kernels[0].n_classes
+    if method != "sha_r" and size > _LARGE_EIG_SIZE:
+        warnings.warn(
+            f"assembling a {size} x {size} eigenproblem; this path is meant "
+            "for moderate problem sizes",
+            AdvisoryWarning,
+            stacklevel=4,
+        )
+    k = _resolve_k(k, size, min(dataset.n_voxels, size) if method == "rha" else size)
+    if method == "sha_r" and iterations < 1:
         raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
-    factors = [projector_from_svd(svd, epsilon).factor for svd in svds]
-    size = svds[0].left.shape[0]
+    identity = all(kernel.is_identity for kernel in kernels)
+    svds = tuple(subject.thin_svd(kernel.labeled, None if identity else kernel.matrix)
+                 for subject, kernel in zip(dataset.subjects, kernels))
+    factors = np.stack([projector_from_svd(svd, epsilon).factor for svd in svds])
+    complements = coupled = None
+    if method == "sha_r":
+        coupled = np.stack([kernel.matrix @ subject.data[kernel.labeled]
+                            for subject, kernel in zip(dataset.subjects, kernels)])
+    elif keep_complements:
+        complements = factors @ factors.swapaxes(1, 2)
+        np.subtract(np.eye(size), complements, out=complements)
+    return _SubjectTerms(
+        kernels=tuple(kernels),
+        svds=svds,
+        k=k,
+        factors=factors,
+        complements=complements,
+        couplings=None if identity else np.stack([ker.matrix for ker in kernels]),
+        coupled=coupled,
+    )
+
+
+def _iterated_space(factors, coupled, k, iterations, initial_shared):
+    """``W`` from alternating ridge maps, and each round's pairwise objective."""
+    size = factors.shape[1]
     if initial_shared is None:
-        template = sum(_coupled_matrix(subject, kernel)
-                       for subject, kernel in pairs) / len(pairs)
+        template = coupled.sum(axis=0) / len(coupled)
     else:
         template = np.asarray(initial_shared, dtype=float)
         if template.ndim != 2 or template.shape[0] != size:
@@ -235,48 +284,67 @@ def _iterated_space(pairs, svds, epsilon, k, iterations, initial_shared):
         )
     history = []
     for _ in range(iterations):
-        mapped = [f @ (f.T @ template) for f in factors]
+        mapped = factors @ (factors.swapaxes(1, 2) @ template)
         history.append(pairwise_objective(mapped))
-        template = sum(mapped) / len(mapped)
+        template = mapped.sum(axis=0) / len(mapped)
     return truncated_svd(template, k).left, tuple(history)
 
 
+def _summed_complements(terms: _SubjectTerms, subset):
+    """``U = sum_i (I - P_i)`` over the selected subjects, and their count."""
+    if terms.complements is not None:
+        kept = terms.complements[subset]
+        return kept.sum(axis=0), len(kept)
+    factors = terms.factors[subset]
+    size = factors.shape[1]
+    u = np.zeros((size, size))
+    for f in factors:
+        u += np.eye(size) - f @ f.T
+    return u, len(factors)
+
+
+def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None):
+    """The fit over the subjects ``subset`` selects: ``W``, template, objectives.
+
+    Returns ``(W, template, trace, eigenvalues, history)``.  The single-shot
+    paths sum the selected complements in subject order into
+    ``U = sum_i (I - P_i)``, from zeros (the kept stack and the running
+    sum give the same bits), and keep the ``k`` eigenvectors of smallest
+    eigenvalue; ``sha_r`` iterates instead (``trace`` and ``eigenvalues``
+    are then ``None``, ``history`` its per-round pairwise objective).  The
+    template is the kernel-average back-projection of ``W``.
+    """
+    trace = eigenvalues = history = None
+    if terms.coupled is not None:
+        factors = terms.factors[subset]
+        count = len(factors)
+        w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
+                                     iterations, initial_shared)
+    else:
+        u, count = _summed_complements(terms, subset)
+        eigenvalues, vectors = symmetric_eig(u)
+        w = vectors[:, :terms.k]
+        trace = float(np.trace(w.T @ (u @ w)))
+    if terms.couplings is None:
+        contributions = np.broadcast_to(w.T, (count,) + w.T.shape)
+    else:
+        contributions = w.T @ terms.couplings[subset]
+    template = (contributions.sum(axis=0) / len(contributions)).T
+    _check_finite("alignment fit", w, template)
+    return w, template, trace, eigenvalues, history
+
+
 def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None):
-    """The fit of ``rha``, ``sha`` and ``sha_r``; only the choice of ``W`` differs.
+    """The fit of ``rha``, ``sha`` and ``sha_r`` over every subject of ``train``.
 
     :func:`fit` and the ``fit_*`` wrappers call it directly, so the size
     warning's ``stacklevel`` names their caller's line.
     """
-    if method == "rha":
-        kernels = [identity_kernel(train.n_timepoints) for _ in range(train.n_subjects)]
-    else:
-        kernels = _validate_kernels(train, kernels)
-    pairs = list(zip(train.subjects, kernels))
-    size = kernels[0].n_classes
-    if method != "sha_r" and size > _LARGE_EIG_SIZE:
-        warnings.warn(
-            f"assembling a {size} x {size} eigenproblem; this path is meant "
-            "for moderate problem sizes",
-            AdvisoryWarning,
-            stacklevel=3,
-        )
-    k = _resolve_k(k, size, min(train.n_voxels, size) if method == "rha" else size)
-    # Each subject's memoized SVD of its coupled responses; every projector
-    # below is re-derived from it rather than kept alive.
-    svds = [subject.thin_svd(kernel.labeled, None if kernel.is_identity else kernel.matrix)
-            for subject, kernel in pairs]
-    advisories = tuple(
-        f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
-        for subject, svd in zip(train.subjects, svds) if svd.rank_deficient
-    )
-    trace = eigenvalues = history = None
-    if method == "sha_r":
-        w, history = _iterated_space(pairs, svds, epsilon, k, iterations, initial_shared)
-    else:
-        w, trace, eigenvalues = _eigen_space(svds, epsilon, k)
-
+    terms = _subject_terms(method, train, kernels, epsilon, k, iterations)
+    w, template, trace, eigenvalues, history = _fit_terms(terms, slice(None), iterations,
+                                                          initial_shared)
     # Diagnostics: where each subject's projector carries the shared space.
-    projected = [projector_from_svd(svd, epsilon).apply(w) for svd in svds]
+    projected = terms.factors @ (terms.factors.swapaxes(1, 2) @ w)
     residual = float(sum(((p - w) ** 2).sum() for p in projected))
     report = FitReport(
         method=method,
@@ -284,20 +352,21 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
         pairwise_objective=pairwise_objective(projected),
         residual_objective=residual,
         projection_gap=None if trace is None else trace - residual,
-        eigenvalues=eigenvalues,
+        eigenvalues=None if eigenvalues is None else tuple(float(v) for v in eigenvalues),
         objective_history=history,
-        advisories=advisories,
+        advisories=tuple(
+            f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
+            for subject, svd in zip(train.subjects, terms.svds) if svd.rank_deficient
+        ),
     )
-    template = _template_from(w, kernels)
-    _check_finite("alignment fit", w, template)
     return AlignmentModel(
         method=method,
         shared_space=w,
         template=template,
         epsilon=float(epsilon),
-        gamma=None if method == "rha" else kernels[0].gamma,
-        k=k,
-        labeled=kernels[0].labeled.copy(),
+        gamma=None if method == "rha" else terms.kernels[0].gamma,
+        k=terms.k,
+        labeled=terms.kernels[0].labeled.copy(),
         fit_report=report,
     )
 
@@ -385,6 +454,36 @@ def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
     raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
 
 
+def _mapping_factors(svds, epsilon):
+    """Stacked left factors and shrinks ``s^2 / (s^2 + eps)`` of data SVDs.
+
+    The inputs of :func:`_map_rows`, one entry per SVD, all of one shape.
+    """
+    shrinks = []
+    for svd in svds:
+        s = svd.singular_values
+        if epsilon == 0.0 and (s <= 1e-12).any():
+            raise NumericError(
+                "mapping is singular: zero singular value with epsilon = 0"
+            )
+        s2 = s * s
+        shrinks.append(s2 / (s2 + epsilon))
+    return np.stack([svd.left for svd in svds]), np.stack(shrinks)
+
+
+def _map_rows(left, shrink, template):
+    """A stack of subjects' rows at the template's time points, mapped.
+
+    With ``left`` (subjects, rows, rank) and ``shrink`` (subjects, rank) from
+    :func:`_mapping_factors`, subject ``i`` maps as ``U_i diag(shrink_i)
+    (U_i^T G)``: two stacked matmuls for the whole stack.  Returns the
+    mapped rows and the projections ``U_i^T G``.
+    """
+    projected = np.matmul(left.swapaxes(1, 2), template)
+    # Shrinking the (rank x k) projection is cheaper than scaling U or V.
+    return np.matmul(left, shrink[..., None] * projected), projected
+
+
 def map_subject(model: AlignmentModel, subject: SubjectData,
                 epsilon: float | None = None) -> MappedFeatures:
     """Carry one subject's responses into the model's shared space.
@@ -393,11 +492,13 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     time points) onto the template and applies the resulting voxel map to the
     full time series, in dual form through the thin SVD ``X_l = U S V^T`` of
     the data at those time points.  They map as ``U diag(s^2 / (s^2 + eps))
-    (U^T G)``, which never touches ``V``; rest time points outside the
-    template map as ``X_rest V diag(s / (s^2 + eps)) (U^T G)``.  The
-    (voxels x voxels) system is never formed.  The SVD is memoized on the
-    subject, shared with the ``rha`` fit and with every other model mapped
-    through the same subject object.  Mapping needs no labels.
+    (U^T G)``, which never touches ``V`` (:func:`_map_rows` on a stack of
+    one, the core leave-one-subject-out maps every subject through); rest
+    time points outside the template map as ``X_rest V diag(s / (s^2 +
+    eps)) (U^T G)``.  The (voxels x voxels) system is never formed.  The
+    SVD is memoized on the subject, shared with the ``rha`` fit and with
+    every other model mapped through the same subject object.  Mapping
+    needs no labels.
     """
     x = subject.data
     if model.method == "none":
@@ -415,20 +516,14 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
             f"within the time axis"
         )
     svd = subject.thin_svd(labeled)
-    s = svd.singular_values
-    if eps == 0.0 and (s <= 1e-12).any():
-        raise NumericError(
-            "mapping is singular: zero singular value with epsilon = 0"
-        )
-    s2 = s * s
-    # Shrinking the (rank x k) projection is cheaper than scaling U or V.
-    projected = svd.left.T @ model.template
-    z = np.empty((x.shape[0], projected.shape[1]))
-    z[labeled] = svd.left @ ((s2 / (s2 + eps))[:, None] * projected)
+    mapped, projected = _map_rows(*_mapping_factors([svd], eps), model.template)
+    z = np.empty((x.shape[0], model.template.shape[1]))
+    z[labeled] = mapped[0]
     rest = np.ones(x.shape[0], dtype=bool)
     rest[labeled] = False
     if rest.any():
-        z[rest] = x[rest] @ (svd.right @ ((s / (s2 + eps))[:, None] * projected))
+        s = svd.singular_values
+        z[rest] = x[rest] @ (svd.right @ ((s / (s * s + eps))[:, None] * projected[0]))
     _check_finite("mapping", z)
     return MappedFeatures(subject.subject_id, z)
 

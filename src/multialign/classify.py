@@ -8,21 +8,27 @@ The leave-one-subject-out loop is the package's end-to-end evaluation: per
 fold the alignment is fitted on the training subjects alone, every subject
 is mapped through that model, the classifier is trained on the mapped
 training rows, and the held-out subject is scored.  The held-out subject's
-labels are used only for scoring, never for fitting.  Subjects are
-normalized once and their supervision kernels built once, and each
-subject's factorizations are reused by every fold.
+labels are used only for scoring, never for fitting.  Everything that
+depends on one subject alone is built once per run and stacked in subject
+order: the supervision kernel, the projector factor and complement
+``I - P_i`` of the fit, the left factor and shrinks of the data SVD that
+mapping uses, and the class ids of the labeled rows.  Each fold then makes
+one stacked pass: it sums its training subjects' complements, solves one
+eigenproblem, forms the template, maps every subject with one stacked
+matmul, and trains and scores the classifier.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import METHODS, fit, map_subject
-from .data import Dataset, normalize, split_loso
-from .errors import InvalidArgumentError, InvalidDataError, NumericError
+from .alignment import METHODS, _fit_terms, _map_rows, _mapping_factors, _subject_terms
+from .data import Dataset, normalize
+from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
 from .metrics import classification_scores
 from .supervision import kernels_for
 
@@ -133,11 +139,6 @@ class LosoReport:
         }
 
 
-def _labeled_rows(mapped_features: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    idx = labels.labeled_indices
-    return mapped_features[idx], labels.class_of()[idx]
-
-
 def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
              gamma: float | None = None, k: int | None = None,
              iterations: int = 10, ridge: float = 1.0) -> LosoReport:
@@ -162,55 +163,85 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     is.  Per fold: fit the alignment on the training subjects only, map
     everyone through the fitted model, train the ridge classifier on the
     mapped training rows, and score the held-out subject's labeled rows.
-    Each subject's supervision kernel depends only on its own labels, so
-    the kernels are built once and each fold is handed its training
-    subjects' kernels.  Every fold is handed the same normalized subject
-    objects, so each subject's SVDs (see :meth:`SubjectData.thin_svd`) are
-    computed once, in the first fit or map that needs them, and reused by
-    all later folds, and by later calls handed the same dataset.  Stage
-    wall-clock totals (nanoseconds) are collected on the report's
-    ``timings`` attribute (the kernel build counts toward the total
-    ``fit_ns``), which stays out of the JSON form so that reports are
-    reproducible byte for byte.
+
+    Every per-subject quantity is built once per run and stacked in subject
+    order: the kernels (validated once, against all subjects), one
+    projector factor and one complement ``I - P_i`` per subject, the left
+    factors and shrinks of each subject's data SVD at the template's time
+    points, and the class ids of the labeled rows.  Each subject's SVDs
+    are memoized on the subject (see :meth:`SubjectData.thin_svd`), so
+    later calls handed the same dataset reuse them.  A fold then makes a
+    constant number of stacked numpy calls: it sums its training subjects'
+    complements in subject order (the same sum a fit on those subjects
+    forms), solves one eigenproblem, forms the template, maps every
+    subject's rows at the template's time points with one stacked matmul
+    (rest rows outside the template are never mapped), and trains and
+    scores the classifier.  Per-fold memory is the (subjects, rows,
+    rank + k) stack of one mapping.
+
+    Stage wall-clock totals (nanoseconds) are collected on the report's
+    ``timings`` attribute: the per-run stacks count toward the total
+    ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping factors).  They
+    stay out of the JSON form so that reports are reproducible byte for
+    byte.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
-    if normalized.n_subjects < 2:
+    subjects = normalized.n_subjects
+    if subjects < 2:
         raise InvalidArgumentError("leave-one-subject-out needs at least 2 subjects")
+    if subjects == 2:
+        warnings.warn(
+            "training split has a single subject; alignment degenerates to a "
+            "self-template",
+            AdvisoryWarning,
+            stacklevel=2,
+        )
 
     t0 = time.perf_counter_ns()
-    kernels = kernels_for(normalized, gamma) if method in ("sha", "sha_r") else None
-    kernels_ns = time.perf_counter_ns() - t0
+    terms = None
+    if method != "none":
+        kernels = kernels_for(normalized, gamma) if method in ("sha", "sha_r") else None
+        terms = _subject_terms(method, normalized, kernels, epsilon, k, iterations,
+                               keep_complements=True)
+    t1 = time.perf_counter_ns()
+    labeled = normalized.labels[0].labeled_indices
+    class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
+    if terms is None:
+        features = np.stack([subj.data[labeled] for subj in normalized.subjects])
+    else:
+        # Mapping covers the template's time points; the classifier reads
+        # the labeled ones among them.
+        rows = terms.kernels[0].labeled
+        svds = [subj.thin_svd(rows) for subj in normalized.subjects]
+        left, shrink = _mapping_factors(svds, epsilon)
+        pick = np.searchsorted(rows, labeled)
+    t2 = time.perf_counter_ns()
+    setup = {"fit_ns": t1 - t0, "map_ns": t2 - t1}
+
     folds = []
     per_fold_timings = []
-    for held in range(normalized.n_subjects):
-        train, test = split_loso(normalized, held)
-
+    for held in range(subjects):
+        train = np.delete(np.arange(subjects), held)
         t0 = time.perf_counter_ns()
-        train_kernels = None if kernels is None else kernels[:held] + kernels[held + 1:]
-        model = fit(method, train, train_kernels, epsilon=epsilon, k=k,
-                    iterations=iterations)
+        if terms is not None:
+            template = _fit_terms(terms, train, iterations)[1]
         t1 = time.perf_counter_ns()
-        mapped_train = [map_subject(model, subj) for subj in train.subjects]
-        mapped_test = map_subject(model, test.subjects[0])
+        if terms is not None:
+            features = _map_rows(left, shrink, template)[0][:, pick]
         t2 = time.perf_counter_ns()
 
-        blocks = [
-            _labeled_rows(m.features, lab)
-            for m, lab in zip(mapped_train, train.labels)
-        ]
-        x_train = np.vstack([b[0] for b in blocks])
-        y_train = np.concatenate([b[1] for b in blocks])
-        clf = train_classifier(x_train, y_train, ridge=ridge)
+        clf = train_classifier(features[train].reshape(-1, features.shape[2]),
+                               class_ids[train].ravel(), ridge=ridge)
         t3 = time.perf_counter_ns()
 
-        x_test, y_test = _labeled_rows(mapped_test.features, test.labels[0])
-        scores = clf.decision_function(x_test)
+        y_test = class_ids[held]
+        scores = clf.decision_function(features[held])
         predicted = clf.classes[scores.argmax(axis=1)]
         scored = classification_scores(y_test, predicted, scores, classes=clf.classes)
         t4 = time.perf_counter_ns()
 
-        folds.append(FoldResult(test.subjects[0].subject_id, scored.accuracy,
+        folds.append(FoldResult(normalized.subjects[held].subject_id, scored.accuracy,
                                 scored.auc, int(y_test.size)))
         per_fold_timings.append(
             {"fit_ns": t1 - t0, "map_ns": t2 - t1, "train_ns": t3 - t2,
@@ -220,10 +251,9 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     accs = np.array([f.accuracy for f in folds])
     aucs = [f.auc for f in folds if f.auc is not None]
     totals = {
-        stage: int(sum(t[stage] for t in per_fold_timings))
+        stage: int(sum(t[stage] for t in per_fold_timings)) + setup.get(stage, 0)
         for stage in ("fit_ns", "map_ns", "train_ns", "score_ns")
     }
-    totals["fit_ns"] += kernels_ns
     params = {
         "epsilon": float(epsilon),
         "gamma": None if gamma is None else float(gamma),

@@ -326,16 +326,35 @@ def accuracy(truth, predicted) -> float:
     return float((truth == predicted).mean())
 
 
+def _column_aucs(positive: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """AUC of every column of ``scores`` (n, c) against the flags ``positive`` (n, c).
+
+    One stable sort of the whole matrix ranks every column at once; each
+    score takes the average of the ranks its run of equal scores spans,
+    ``(first + last) / 2 + 1`` for 0-based positions ``first..last``, an
+    exact half-integer, so rank sums are exact.  A column holding NaN (which
+    has no rank) gets NaN.
+    """
+    n = scores.shape[0]
+    order = np.argsort(scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    position = np.arange(n)[:, None]
+    starts = np.ones(scores.shape, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ends = np.ones(scores.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, position, n - 1)[::-1], axis=0)[::-1]
+    ranks = (first + last) / 2.0 + 1.0
+    rank_sum = (ranks * np.take_along_axis(positive, order, axis=0)).sum(axis=0)
+    n_pos = positive.sum(axis=0)
+    aucs = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+    aucs[np.isnan(scores).any(axis=0)] = np.nan
+    return aucs
+
+
 def _binary_auc(positive: np.ndarray, scores: np.ndarray) -> float:
-    if np.isnan(scores).any():  # NaN has no rank
-        return float("nan")
-    # Tied scores share the average of the ranks they span: exact half-integers.
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    n_pos = int(positive.sum())
-    n_neg = positive.size - n_pos
-    rank_sum = float(ranks[positive].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(_column_aucs(positive[:, None], scores[:, None])[0])
 
 
 def one_vs_rest_auc(truth, scores, classes=None) -> float:
@@ -371,12 +390,9 @@ def one_vs_rest_auc(truth, scores, classes=None) -> float:
         raise InvalidDataError(
             f"{classes.size} class ids for {scores.shape[1]} score columns"
         )
-    aucs = [
-        _binary_auc(truth == c, scores[:, col])
-        for col, c in enumerate(classes)
-        if c in present
-    ]
-    return float(np.mean(aucs))
+    columns = (classes[:, None] == present[None, :]).any(axis=1)
+    positive = truth[:, None] == classes[columns][None, :]
+    return float(np.mean(_column_aucs(positive, scores[:, columns])))
 
 
 @dataclass(frozen=True)
@@ -407,12 +423,12 @@ def classification_scores(truth, predicted, scores=None, classes=None) -> Classi
     acc = accuracy(truth, predicted)
     advisories = []
     auc = None
-    truth_arr = np.asarray(truth).ravel()
-    if np.unique(truth_arr).size < 2:
+    n_present = np.unique(np.asarray(truth).ravel()).size
+    if n_present < 2:
         advisories.append("AUC undefined: truth contains a single class")
     else:
         if scores is None:
-            if np.unique(truth_arr).size == 2:
+            if n_present == 2:
                 scores = np.asarray(predicted, dtype=float)
             else:
                 advisories.append("AUC unavailable: no decision scores provided")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import multialign.alignment
+import multialign.cli
 import multialign.classify
 import multialign.data
 import multialign.linalg
@@ -182,14 +183,15 @@ class TestRunLoso:
         json.dumps(d)  # must be serializable as-is
 
     def test_held_out_subject_never_enters_fitting(self, dataset, monkeypatch):
+        # The seam is each fold's fit over the per-run subject terms.
         seen = []
-        real_fit = multialign.classify.fit
+        real_fit = multialign.classify._fit_terms
 
-        def recording_fit(method, train, kernels, **kw):
-            seen.append(tuple(s.subject_id for s in train.subjects))
-            return real_fit(method, train, kernels, **kw)
+        def recording_fit(terms, subset, *args, **kw):
+            seen.append(tuple(dataset.subjects[i].subject_id for i in subset))
+            return real_fit(terms, subset, *args, **kw)
 
-        monkeypatch.setattr(multialign.classify, "fit", recording_fit)
+        monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
         report = run_loso(dataset, "sha")
         assert len(seen) == 4
         for fold, train_ids in zip(report.folds, seen):
@@ -314,15 +316,17 @@ class TestLosoHoisting:
 
     def test_folds_get_their_training_subjects_kernels(self, dataset, monkeypatch):
         seen = []
-        real_fit = multialign.classify.fit
+        real_fit = multialign.classify._fit_terms
 
-        def recording_fit(method, train, kernels, **kw):
-            seen.append((train, kernels))
-            return real_fit(method, train, kernels, **kw)
+        def recording_fit(terms, subset, *args, **kw):
+            seen.append([terms.kernels[i] for i in subset])
+            return real_fit(terms, subset, *args, **kw)
 
-        monkeypatch.setattr(multialign.classify, "fit", recording_fit)
+        monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
         run_loso(dataset, "sha", gamma=0.01)
-        for train, kernels in seen:
+        assert len(seen) == dataset.n_subjects
+        for held, kernels in enumerate(seen):
+            train, _ = split_loso(dataset, held)
             expected = kernels_for(train, 0.01)
             assert len(kernels) == len(expected)
             for got, want in zip(kernels, expected):
@@ -350,3 +354,83 @@ class TestLosoHoisting:
         for g, report in zip(gammas, reports):
             assert report.folds == run_loso(dataset, "sha", gamma=g).folds
 
+
+
+def _per_subject_labels(rng, n_subjects, n_timepoints, n_voxels, n_classes):
+    """Subjects sharing one rest mask but each with its own class values."""
+    base = random_dataset(rng, n_subjects, n_timepoints, n_voxels, n_classes,
+                          rest_fraction=0.3)
+    labels = tuple(
+        multialign.data.LabelMatrix(base.labels[0].onehot[rng.permutation(n_classes)])
+        for _ in base.subjects
+    )
+    return multialign.data.Dataset(base.subjects, labels, base.class_names)
+
+
+def _rank_deficient_dataset(rng, deficient=0):
+    onehot = np.zeros((3, 12))
+    onehot[np.arange(12) % 3, np.arange(12)] = 1.0
+    subjects = []
+    for i in range(3):
+        data = rng.standard_normal((12, 5))
+        if i == deficient:
+            data[:, 1] = data[:, 0]  # collinear voxels: exact rank deficiency
+        subjects.append(multialign.data.SubjectData(f"s{i}", data))
+    labels = (multialign.data.LabelMatrix(onehot),) * 3
+    return multialign.data.Dataset(tuple(subjects), labels, ("a", "b", "c"))
+
+
+class TestBatchedLoso:
+    """The batched fold loop: per-run stacks, one stacked pass per fold."""
+
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_equals_reference_with_rest_points_and_per_subject_labels(self, method):
+        # Per-subject label values are what ``strict_labels=False`` admits.
+        ds = _per_subject_labels(np.random.default_rng(8), 5, 18, 7, 3)
+        assert not ds.labels_identical()
+        for epsilon, gamma in ((1e-4, None), (0.1, 0.02)):
+            report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, ridge=0.5)
+            assert report.folds == _reference_loso(ds, method, epsilon=epsilon,
+                                                   gamma=gamma, ridge=0.5)
+
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_per_run_call_counts(self, dataset, monkeypatch, method):
+        normalized = normalize(dataset)
+        n = normalized.n_subjects
+        projectors = _count_calls(monkeypatch, multialign.linalg, "projector_from_svd",
+                                  (multialign.alignment,))
+        eigs = _count_calls(monkeypatch, multialign.linalg, "symmetric_eig",
+                            (multialign.alignment,))
+        maps = _count_calls(monkeypatch, multialign.alignment, "map_subject",
+                            (multialign.classify,))
+        splits = _count_calls(monkeypatch, multialign.data, "split_loso",
+                              (multialign.classify,))
+        lookups = _count_calls(monkeypatch, multialign.data.SubjectData, "thin_svd")
+        run_loso_normalized(normalized, method)
+        assert len(projectors) == (0 if method == "none" else n)
+        assert len(eigs) == (n if method in ("rha", "sha") else 0)
+        assert maps == [] and splits == []
+        if method == "sha":
+            # Each subject's label-coupled responses once, its data once.
+            assert len(lookups) == 2 * n
+
+    @pytest.mark.parametrize("method", ["none", "sha"])
+    def test_two_subjects_warn_of_a_single_training_subject(self, rng, method):
+        ds = random_dataset(rng, 2, 12, 6, 2)
+        with pytest.warns(multialign.AdvisoryWarning, match="single subject"):
+            report = run_loso(ds, method)
+        assert len(report.folds) == 2
+
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    @pytest.mark.parametrize("deficient", [0, 2])
+    def test_zero_epsilon_on_rank_deficient_subject_raises(self, rng, method, deficient):
+        with pytest.raises(NumericError):
+            run_loso(_rank_deficient_dataset(rng, deficient), method, epsilon=0.0)
+
+    def test_zero_epsilon_on_rank_deficient_subject_exits_4(self, rng, tmp_path, capsys):
+        manifest = multialign.data.save_dataset(_rank_deficient_dataset(rng),
+                                                tmp_path / "ds")
+        code = multialign.cli.main(["loso", "--data", str(manifest), "--method", "rha",
+                                    "--epsilon", "0", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"

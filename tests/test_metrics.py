@@ -560,6 +560,32 @@ class TestBinaryAucRanks:
         assert np.isnan(auc)
 
 
+class TestColumnAucs:
+    """One sort of the score matrix gives every column's tie-averaged AUC."""
+
+    @given(data=st.data(), n=st.integers(2, 30), n_classes=st.integers(2, 5),
+           scale=st.sampled_from([1.0, 0.1, 1e-300, 7e10]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_column_binary_auc_on_tied_scores(self, data, n, n_classes, scale):
+        truth = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                            min_size=n, max_size=n)))
+        if np.unique(truth).size < 2:
+            truth[0], truth[1] = 0, 1
+        scores = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * n_classes,
+                                             max_size=n * n_classes)),
+                          dtype=float).reshape(n, n_classes) * scale
+        if data.draw(st.booleans()):
+            row = data.draw(st.integers(0, n - 1))
+            scores[row, data.draw(st.integers(0, n_classes - 1))] = np.nan
+        classes = np.arange(n_classes)
+        per_column = [_binary_auc(truth == c, scores[:, c]) for c in classes
+                      if c in truth]
+        got = one_vs_rest_auc(truth, scores, classes=classes)
+        expected = float(np.mean(per_column))
+        # TestBinaryAucRanks pins _binary_auc itself to the pair count.
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
 class TestClassificationScores:
     def test_binary_with_scores(self):
         truth = [0, 0, 1, 1]
