@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SubjectData, read_matrix_csv, write_matrix_csv
+from .data import Dataset, SubjectData, read_matrix_csv, write_json, write_matrix_csv
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
 from .linalg import projector_from_svd, symmetric_eig, truncated_svd
 from .supervision import SupervisionKernel, identity_kernel
@@ -267,8 +267,13 @@ def _subject_terms(method, dataset, kernels, epsilon, k, iterations,
     )
 
 
-def _iterated_space(factors, coupled, k, iterations, initial_shared):
-    """``W`` from alternating ridge maps, and each round's pairwise objective."""
+def _iterated_space(factors, coupled, k, iterations, initial_shared, record_history):
+    """``W`` from alternating ridge maps, and each round's pairwise objective.
+
+    The history is computed only under ``record_history`` (``None``
+    otherwise): it costs a pass over every subject per round, and only a
+    fit's report keeps it.
+    """
     size = factors.shape[1]
     if initial_shared is None:
         template = coupled.sum(axis=0) / len(coupled)
@@ -285,9 +290,10 @@ def _iterated_space(factors, coupled, k, iterations, initial_shared):
     history = []
     for _ in range(iterations):
         mapped = factors @ (factors.swapaxes(1, 2) @ template)
-        history.append(pairwise_objective(mapped))
+        if record_history:
+            history.append(pairwise_objective(mapped))
         template = mapped.sum(axis=0) / len(mapped)
-    return truncated_svd(template, k).left, tuple(history)
+    return truncated_svd(template, k).left, tuple(history) if record_history else None
 
 
 def _summed_complements(terms: _SubjectTerms, subset):
@@ -303,7 +309,8 @@ def _summed_complements(terms: _SubjectTerms, subset):
     return u, len(factors)
 
 
-def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None):
+def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
+               record_history=False):
     """The fit over the subjects ``subset`` selects: ``W``, template, objectives.
 
     Returns ``(W, template, trace, eigenvalues, history)``.  The single-shot
@@ -311,15 +318,16 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None)
     ``U = sum_i (I - P_i)``, from zeros (the kept stack and the running
     sum give the same bits), and keep the ``k`` eigenvectors of smallest
     eigenvalue; ``sha_r`` iterates instead (``trace`` and ``eigenvalues``
-    are then ``None``, ``history`` its per-round pairwise objective).  The
-    template is the kernel-average back-projection of ``W``.
+    are then ``None``, ``history`` its per-round pairwise objective when
+    ``record_history`` asks for it, else ``None``).  The template is the
+    kernel-average back-projection of ``W``.
     """
     trace = eigenvalues = history = None
     if terms.coupled is not None:
         factors = terms.factors[subset]
         count = len(factors)
         w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
-                                     iterations, initial_shared)
+                                     iterations, initial_shared, record_history)
     else:
         u, count = _summed_complements(terms, subset)
         eigenvalues, vectors = symmetric_eig(u)
@@ -338,11 +346,16 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
     """The fit of ``rha``, ``sha`` and ``sha_r`` over every subject of ``train``.
 
     :func:`fit` and the ``fit_*`` wrappers call it directly, so the size
-    warning's ``stacklevel`` names their caller's line.
+    warning's ``stacklevel`` names their caller's line.  A fit compares
+    subjects with each other, so it needs at least two.
     """
+    if train.n_subjects < 2:
+        raise InvalidArgumentError(
+            f"fitting {method!r} needs at least 2 subjects, got {train.n_subjects}"
+        )
     terms = _subject_terms(method, train, kernels, epsilon, k, iterations)
-    w, template, trace, eigenvalues, history = _fit_terms(terms, slice(None), iterations,
-                                                          initial_shared)
+    w, template, trace, eigenvalues, history = _fit_terms(
+        terms, slice(None), iterations, initial_shared, record_history=True)
     # Diagnostics: where each subject's projector carries the shared space.
     projected = terms.factors @ (terms.factors.swapaxes(1, 2) @ w)
     residual = float(sum(((p - w) ** 2).sum() for p in projected))
@@ -552,9 +565,7 @@ def save_model(model: AlignmentModel, out_dir) -> Path:
         "labeled": None if model.labeled is None else [int(i) for i in model.labeled],
     }
     path = out_dir / "model.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, meta)
     if model.shared_space is not None:
         write_matrix_csv(out_dir / "w.csv", model.shared_space)
         write_matrix_csv(out_dir / "g.csv", model.template)

@@ -42,6 +42,7 @@ from .data import (
     load_dataset,
     normalize,
     save_dataset,
+    write_json,
     write_matrix_csv,
 )
 from .errors import InvalidArgumentError, InvalidDataError, NumericError
@@ -56,12 +57,6 @@ SWEEP_KINDS = ("det", "gamma", "trs", "noise")
 def _emit_error(exc: BaseException) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -91,8 +86,8 @@ def _arguments(args) -> dict:
 
 
 def _write_run_config(out: Path, args) -> None:
-    _write_json(out / "run_config.json",
-                {"command": args.command, "arguments": _arguments(args)})
+    write_json(out / "run_config.json",
+               {"command": args.command, "arguments": _arguments(args)})
 
 
 def _write_timings(out: Path, command: str, stages: dict[str, int], started_ns: int) -> None:
@@ -101,7 +96,7 @@ def _write_timings(out: Path, command: str, stages: dict[str, int], started_ns: 
         "stages_ns": stages,
         "total_ns": time.perf_counter_ns() - started_ns,
     }
-    _write_json(out / "timings.json", payload)
+    write_json(out / "timings.json", payload)
 
 
 def _number_or_auto(text, cast, requirement: str):
@@ -194,7 +189,7 @@ def cmd_corr(args) -> None:
         report = correlation_report(mapped, dataset.labels,
                                     rho1_labeled_only=args.rho1_labeled_only)
         stages[f"{method}_ns"] = time.perf_counter_ns() - m0
-        _write_json(out / f"corr_{method}.json", {
+        write_json(out / f"corr_{method}.json", {
             "method": method,
             "params": {
                 "epsilon": model.epsilon,
@@ -224,7 +219,7 @@ def cmd_loso(args) -> None:
     payload = report.to_json_dict()
     payload["dataset"] = str(args.data)
     payload["seed"] = args.seed
-    _write_json(out / f"loso_{args.method}.json", payload)
+    write_json(out / f"loso_{args.method}.json", payload)
     _write_csv(
         out / "loso_summary.csv",
         ["dataset", "method", "seed", "accuracy_mean", "accuracy_std",

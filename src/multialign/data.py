@@ -25,12 +25,28 @@ _CONSTANT_STD = 1e-12
 
 
 def write_matrix_csv(path, m) -> None:
-    """Write a matrix as header-free CSV (LF newlines, shortest float repr)."""
+    """Write a matrix as header-free CSV (LF newlines, shortest float repr).
+
+    Each row is converted to Python floats in one ``tolist()`` and formatted
+    with ``repr``, so memory stays at one row and the cost per value is the
+    ``repr`` itself.  Anything but a 2-D matrix is refused before the file
+    is opened.
+    """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise InvalidDataError(f"can only write a 2-D matrix as CSV, got shape {m.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in m:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON ending in one LF.
+
+    The document is encoded whole and written in a single call.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -291,9 +307,7 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
         entries.append({"id": subj.subject_id, "data": data_name, "labels": label_name})
     manifest = {"class_names": list(dataset.class_names), "subjects": entries}
     manifest_path = out_dir / manifest_name
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

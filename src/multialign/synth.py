@@ -11,14 +11,13 @@ dataset bit for bit.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, LabelMatrix, SubjectData
+from .data import Dataset, LabelMatrix, SubjectData, write_json
 from .errors import InvalidArgumentError
 
 ROTATIONS = ("orthogonal", "identity")
@@ -147,9 +146,7 @@ def save_ground_truth(truth: GroundTruth, path) -> Path:
         "latent": truth.latent.tolist(),
         "rotations": [r.tolist() for r in truth.rotations],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
     return path
 
 

@@ -30,6 +30,7 @@ from multialign import (
     save_model,
     supervision_kernel,
 )
+from multialign.linalg import projector_from_svd
 from conftest import assert_close_up_to_sign, random_dataset
 
 
@@ -362,6 +363,25 @@ class TestFitShaR:
         )
         assert model.template.shape == (20, 3)
 
+    def test_history_equals_per_subject_reference(self, rng):
+        ds = normalize(random_dataset(rng, 4, 24, 15, 3))
+        kernels = kernels_for(ds, gamma=0.01)
+        epsilon, iterations = 1e-3, 6
+        factors = [
+            projector_from_svd(subj.thin_svd(ker.labeled, ker.matrix), epsilon).factor
+            for subj, ker in zip(ds.subjects, kernels)
+        ]
+        template = np.stack([ker.matrix @ subj.data[ker.labeled]
+                             for subj, ker in zip(ds.subjects, kernels)]).mean(axis=0)
+        expected = []
+        for _ in range(iterations):
+            mapped = [f @ (f.T @ template) for f in factors]
+            expected.append(pairwise_objective(mapped))
+            template = np.stack(mapped).mean(axis=0)
+        model = fit_sha_r(ds, kernels, epsilon=epsilon, iterations=iterations)
+        np.testing.assert_allclose(model.fit_report.objective_history, expected,
+                                   rtol=1e-12, atol=0)
+
     def test_iterations_validated(self, rng):
         ds = normalize(random_dataset(rng, 2, 10, 6, 2))
         kernels = kernels_for(ds)
@@ -532,6 +552,25 @@ class TestDispatcher:
         ds = normalize(random_dataset(rng, 2, 10, 6, 2))
         with pytest.raises(InvalidArgumentError):
             fit("procrustes", ds, None)
+
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    def test_one_subject_refused_before_factoring(self, rng, method, monkeypatch):
+        ds = normalize(random_dataset(rng, 1, 10, 6, 2))
+        kernels = kernels_for(ds)
+        factored = []
+        monkeypatch.setattr(SubjectData, "thin_svd",
+                            lambda *args, **kw: factored.append(args))
+        wrapper = {"rha": lambda: fit_rha(ds), "sha": lambda: fit_sha(ds, kernels),
+                   "sha_r": lambda: fit_sha_r(ds, kernels)}[method]
+        for attempt in (wrapper, lambda: fit(method, ds, kernels)):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"'{method}' needs at least 2 subjects, got 1"):
+                attempt()
+        assert factored == []
+
+    def test_one_subject_baseline_still_fits(self, rng):
+        ds = normalize(random_dataset(rng, 1, 10, 6, 2))
+        assert fit("none", ds).method == fit_none(ds).method == "none"
 
 
 class TestLargeEigAdvisory:

@@ -238,14 +238,15 @@ class TestRunLoso:
         assert aligned > unaligned
 
 
-def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0):
+def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0,
+                    iterations=10):
     """LOSO folds with each fold normalized on its own, so no factor carries over."""
     folds = []
     for held in range(dataset.n_subjects):
         train_raw, test_raw = split_loso(dataset, held)
         train, test = normalize(train_raw), normalize(test_raw)
         kernels = kernels_for(train, gamma) if method in ("sha", "sha_r") else None
-        model = fit(method, train, kernels, epsilon=epsilon)
+        model = fit(method, train, kernels, epsilon=epsilon, iterations=iterations)
         x_rows, y_rows = [], []
         for subj, lab in zip(train.subjects, train.labels):
             idx = lab.labeled_indices
@@ -413,6 +414,16 @@ class TestBatchedLoso:
         if method == "sha":
             # Each subject's label-coupled responses once, its data once.
             assert len(lookups) == 2 * n
+
+    def test_sha_r_folds_compute_no_objective_history(self, dataset, monkeypatch):
+        calls = _count_calls(monkeypatch, multialign.alignment, "pairwise_objective")
+        report = run_loso(dataset, "sha_r", iterations=4)
+        assert calls == []
+        # The counter sees the fit path: one call per round, one for the report.
+        normalized = normalize(dataset)
+        fit("sha_r", normalized, kernels_for(normalized), iterations=4)
+        assert len(calls) == 4 + 1
+        assert report.folds == _reference_loso(dataset, "sha_r", iterations=4)
 
     @pytest.mark.parametrize("method", ["none", "sha"])
     def test_two_subjects_warn_of_a_single_training_subject(self, rng, method):

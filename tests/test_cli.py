@@ -354,6 +354,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidDataError"
 
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    def test_one_subject_fit_is_usage_error(self, manifest, tmp_path, capsys, method):
+        one = load_dataset(manifest)
+        one = multialign.Dataset(one.subjects[:1], one.labels[:1], one.class_names)
+        single = multialign.save_dataset(one, tmp_path / "one")
+        code = run_cli("align", "--data", str(single), "--method", method,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "InvalidArgumentError",
+                       "message": f"fitting '{method}' needs at least 2 subjects, got 1"}
+
     def test_bad_k_is_usage_error(self, manifest, tmp_path, capsys):
         code = run_cli("loso", "--data", str(manifest), "--k", "1.5",
                        "--out", str(tmp_path / "out"))

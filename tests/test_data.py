@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from multialign import (
     AdvisoryWarning,
@@ -21,6 +25,7 @@ from multialign import (
     truncated_svd,
     write_matrix_csv,
 )
+from multialign.data import write_json
 from conftest import random_dataset
 
 
@@ -39,6 +44,67 @@ def test_csv_rejects_garbage(tmp_path):
     path.write_text("1.0,2.0\nnot,numbers\n")
     with pytest.raises(InvalidDataError):
         read_matrix_csv(path)
+
+
+def _reference_csv_bytes(m) -> bytes:
+    """The per-element formatter ``write_matrix_csv`` used to run: the byte reference."""
+    m = np.asarray(m, dtype=float)
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m).encode()
+
+
+_EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5, 1e22,
+                1e15, 1e-4, 0.1, 3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308]
+
+
+class TestWriteMatrixCsv:
+    @given(m=hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int64]),
+        st.one_of(hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  st.tuples(st.just(1), st.integers(1, 12)),
+                  st.tuples(st.integers(1, 12), st.just(1)))))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_per_element_reference(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == _reference_csv_bytes(m)
+
+    @given(m=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @settings(max_examples=100, deadline=None)
+    def test_read_back_round_trip(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_matrix_csv(path, m)
+        back = read_matrix_csv(path)
+        np.testing.assert_array_equal(back, m)
+        # repr writes every NaN as "nan", so only a number keeps its sign.
+        numbers = ~np.isnan(m)
+        np.testing.assert_array_equal(np.signbit(back[numbers]), np.signbit(m[numbers]))
+
+    @pytest.mark.parametrize("shape", [(1, len(_EDGE_VALUES)), (len(_EDGE_VALUES), 1)])
+    def test_edge_values(self, tmp_path, shape):
+        m = np.array(_EDGE_VALUES).reshape(shape)
+        path = tmp_path / "edge.csv"
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == _reference_csv_bytes(m)
+        assert read_matrix_csv(path).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_non_matrix_refused_before_the_file_is_opened(self, tmp_path, shape):
+        path = tmp_path / "m.csv"
+        with pytest.raises(InvalidDataError, match=re.escape(str(shape))):
+            write_matrix_csv(path, np.zeros(shape))
+        assert not path.exists()
+
+
+def test_write_json_bytes_equal_streamed_dump(tmp_path):
+    payload = {"b": [1.5, -0.0, 1e22, None, True], "a": {"z": "\u00e9", "y": []},
+               "c": [[0.1, 2.0], [3, 5e-324]]}
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_json(tmp_path / "out.json", payload)
+    assert (tmp_path / "out.json").read_bytes() == reference.read_bytes()
 
 
 class TestLabelMatrix:
