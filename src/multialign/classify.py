@@ -15,7 +15,12 @@ order: the supervision kernel, the projector factor and complement
 mapping uses, and the class ids of the labeled rows.  Each fold then makes
 one stacked pass: it sums its training subjects' complements, solves one
 eigenproblem, forms the template, maps every subject with one stacked
-matmul, and trains and scores the classifier.
+matmul, and forms the ridge system of its classifier: the Gram matrix and
+right-hand side of the mapped training rows.  The held-out subject's
+features are kept.  Once every fold is done, one stacked solve gives every
+fold's classifier, one stacked matmul scores every held-out subject, one
+argmax and one comparison give the accuracies, and one sort ranks every
+AUC column (per training class set; a ``synth`` layout has one).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .alignment import METHODS, _fit_terms, _map_rows, _mapping_factors, _subject_terms
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
-from .metrics import classification_scores
+from .metrics import _macro_aucs
 from .supervision import kernels_for
 
 
@@ -49,11 +54,60 @@ class LinearClassifier:
                 f"features must be (n, {self.weights.shape[0]}), got "
                 f"{features.shape}"
             )
-        return features @ self.weights + self.bias
+        return _decide(features, self.weights, self.bias)
 
     def predict(self, features) -> np.ndarray:
         scores = self.decision_function(features)
         return self.classes[scores.argmax(axis=1)]
+
+
+def _decide(features, weights, bias) -> np.ndarray:
+    """Scores ``features @ weights + bias`` of one classifier or of a stack.
+
+    ``features`` (n, k), ``weights`` (k, classes) and ``bias`` (classes,), or
+    the same with a leading stack axis on all three.
+    """
+    return features @ weights + bias[..., None, :]
+
+
+def _check_ridge(ridge) -> float:
+    if not np.isfinite(ridge) or ridge < 0:
+        raise InvalidArgumentError(f"ridge must be a finite value >= 0, got {ridge}")
+    return float(ridge)
+
+
+def _ridge_system(x: np.ndarray, y: np.ndarray, classes: np.ndarray,
+                  ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The normal equations ``(gram, rhs)`` of the one-vs-rest ridge fit.
+
+    ``gram`` is ``aug^T aug`` plus the ridge on the feature coefficients
+    (the intercept is not penalized), ``rhs`` is ``aug^T targets``, with
+    ``aug`` the features plus a column of ones and ``targets`` +1 on the
+    row's class among ``classes`` and -1 elsewhere.
+    """
+    if not np.isfinite(x).all():
+        raise InvalidDataError("features contain non-finite entries")
+    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
+    aug = np.hstack([x, np.ones((x.shape[0], 1))])
+    gram = aug.T @ aug
+    penalty = np.full(aug.shape[1], ridge)
+    penalty[-1] = 0.0  # intercept
+    gram += np.diag(penalty)
+    return gram, aug.T @ targets
+
+
+def _solve_ridge(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients (systems, k + 1, classes) of a stack of ridge systems.
+
+    Row ``k`` of each is the intercept.  Every system gets the bits a solve
+    of it alone gives, as long as its right-hand side has the same columns:
+    one more column can change the bits of the others, which is why
+    leave-one-subject-out stacks only folds that train on the same classes.
+    """
+    try:
+        return np.linalg.solve(grams, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"ridge system is singular: {exc}") from exc
 
 
 def train_classifier(features, labels, ridge: float = 1.0) -> LinearClassifier:
@@ -67,6 +121,10 @@ def train_classifier(features, labels, ridge: float = 1.0) -> LinearClassifier:
     ridge : float
         Non-negative ridge weight on the feature coefficients (the intercept
         is not penalized).
+
+    Leave-one-subject-out trains every fold through the same cores: it
+    stacks the folds' :func:`_ridge_system` outputs into one
+    :func:`_solve_ridge`, where this solves a stack of one.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels).ravel()
@@ -74,25 +132,35 @@ def train_classifier(features, labels, ridge: float = 1.0) -> LinearClassifier:
         raise InvalidDataError(f"features must be 2-D, got ndim={x.ndim}")
     if y.size != x.shape[0]:
         raise InvalidDataError(f"{y.size} labels for {x.shape[0]} feature rows")
-    if not np.isfinite(x).all():
-        raise InvalidDataError("features contain non-finite entries")
-    if not np.isfinite(ridge) or ridge < 0:
-        raise InvalidArgumentError(f"ridge must be a finite value >= 0, got {ridge}")
+    ridge = _check_ridge(ridge)
     classes = np.unique(y)
     if classes.size < 2:
         raise InvalidDataError(f"need at least 2 classes, got {classes.size}")
+    gram, rhs = _ridge_system(x, y, classes, ridge)
+    coef = _solve_ridge(gram[None], rhs[None])[0]
+    return LinearClassifier(coef[:-1], coef[-1], ridge, classes)
 
-    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
-    aug = np.hstack([x, np.ones((x.shape[0], 1))])
-    gram = aug.T @ aug
-    penalty = np.full(aug.shape[1], float(ridge))
-    penalty[-1] = 0.0  # intercept
-    gram += np.diag(penalty)
-    try:
-        coef = np.linalg.solve(gram, aug.T @ targets)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"ridge system is singular: {exc}") from exc
-    return LinearClassifier(coef[:-1], coef[-1], float(ridge), classes)
+
+def _training_class_sets(class_ids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The leave-one-subject-out folds grouped by the classes they train on.
+
+    ``class_ids`` is (subjects, rows).  Returns ``(classes, folds)`` pairs:
+    the ascending class ids the training subjects of ``folds`` show (what
+    :func:`train_classifier` finds with ``np.unique``), in order of each
+    group's first fold.  Folds train on different classes only where some
+    class is shown by a single subject.
+    """
+    ids = np.unique(class_ids)
+    shows = (class_ids[:, :, None] == ids).any(axis=1)
+    shown_by = shows.sum(axis=0)
+    groups = {}
+    for held in range(class_ids.shape[0]):
+        trained = shown_by - shows[held] > 0
+        groups.setdefault(trained.tobytes(), (ids[trained], []))[1].append(held)
+    for classes, _ in groups.values():
+        if classes.size < 2:
+            raise InvalidDataError(f"need at least 2 classes, got {classes.size}")
+    return [(classes, np.array(folds)) for classes, folds in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -175,16 +243,28 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     complements in subject order (the same sum a fit on those subjects
     forms), solves one eigenproblem, forms the template, maps every
     subject's rows at the template's time points with one stacked matmul
-    (rest rows outside the template are never mapped), and trains and
-    scores the classifier.  Per-fold memory is the (subjects, rows,
-    rank + k) stack of one mapping.
+    (rest rows outside the template are never mapped), and forms the ridge
+    system of its mapped training rows (:func:`_ridge_system`, as
+    :func:`train_classifier` forms it).  Per-fold memory is the (subjects,
+    rows, rank + k) stack of one mapping.
+
+    After the folds, the run trains and scores every classifier at once,
+    per group of folds that train on the same classes (one group unless
+    some class is shown by a single subject): one stacked solve, one
+    stacked matmul over the held-out subjects' rows, one argmax and one
+    comparison for the accuracies, and one :func:`_macro_aucs` sort for
+    the AUCs.  Each fold's scores are bit-identical to those of
+    :func:`train_classifier` on its training rows.  A held-out subject
+    whose labeled rows show a single class has no AUC (``None``).
 
     Stage wall-clock totals (nanoseconds) are collected on the report's
     ``timings`` attribute: the per-run stacks count toward the total
-    ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping factors).  They
-    stay out of the JSON form so that reports are reproducible byte for
-    byte.
+    ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping factors, class
+    sets), the stacked solve toward ``train_ns`` and the stacked scoring
+    toward ``score_ns``.  They stay out of the JSON form so that reports
+    are reproducible byte for byte.
     """
+    ridge = _check_ridge(ridge)
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     subjects = normalized.n_subjects
@@ -216,10 +296,14 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         svds = [subj.thin_svd(rows) for subj in normalized.subjects]
         left, shrink = _mapping_factors(svds, epsilon)
         pick = np.searchsorted(rows, labeled)
+    groups = _training_class_sets(class_ids)
+    classes_of = {int(f): classes for classes, members in groups for f in members}
+    scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
     t2 = time.perf_counter_ns()
-    setup = {"fit_ns": t1 - t0, "map_ns": t2 - t1}
+    run = {"fit_ns": t1 - t0, "map_ns": t2 - t1}
 
-    folds = []
+    systems = []
+    held_rows = []
     per_fold_timings = []
     for held in range(subjects):
         train = np.delete(np.arange(subjects), held)
@@ -230,28 +314,42 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         if terms is not None:
             features = _map_rows(left, shrink, template)[0][:, pick]
         t2 = time.perf_counter_ns()
-
-        clf = train_classifier(features[train].reshape(-1, features.shape[2]),
-                               class_ids[train].ravel(), ridge=ridge)
+        systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),
+                                     class_ids[train].ravel(), classes_of[held], ridge))
         t3 = time.perf_counter_ns()
-
-        y_test = class_ids[held]
-        scores = clf.decision_function(features[held])
-        predicted = clf.classes[scores.argmax(axis=1)]
-        scored = classification_scores(y_test, predicted, scores, classes=clf.classes)
+        held_rows.append(features[held].copy())
         t4 = time.perf_counter_ns()
-
-        folds.append(FoldResult(normalized.subjects[held].subject_id, scored.accuracy,
-                                scored.auc, int(y_test.size)))
         per_fold_timings.append(
             {"fit_ns": t1 - t0, "map_ns": t2 - t1, "train_ns": t3 - t2,
              "score_ns": t4 - t3}
         )
 
-    accs = np.array([f.accuracy for f in folds])
+    accs = np.empty(subjects)
+    auc_of = np.full(subjects, np.nan)
+    run["train_ns"] = run["score_ns"] = 0
+    for classes, members in groups:
+        t0 = time.perf_counter_ns()
+        coef = _solve_ridge(np.stack([systems[f][0] for f in members]),
+                            np.stack([systems[f][1] for f in members]))
+        t1 = time.perf_counter_ns()
+        scores = _decide(np.stack([held_rows[f] for f in members]),
+                         coef[:, :-1], coef[:, -1])
+        truth = class_ids[members]
+        accs[members] = (truth == classes[scores.argmax(axis=2)]).mean(axis=1)
+        ranked = scorable[members]
+        auc_of[members[ranked]] = _macro_aucs(truth[ranked], scores[ranked], classes)
+        t2 = time.perf_counter_ns()
+        run["train_ns"] += t1 - t0
+        run["score_ns"] += t2 - t1
+
+    folds = tuple(
+        FoldResult(subject.subject_id, float(accs[i]),
+                   float(auc_of[i]) if scorable[i] else None, int(class_ids.shape[1]))
+        for i, subject in enumerate(normalized.subjects)
+    )
     aucs = [f.auc for f in folds if f.auc is not None]
     totals = {
-        stage: int(sum(t[stage] for t in per_fold_timings)) + setup.get(stage, 0)
+        stage: int(sum(t[stage] for t in per_fold_timings)) + run[stage]
         for stage in ("fit_ns", "map_ns", "train_ns", "score_ns")
     }
     params = {
@@ -264,7 +362,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     return LosoReport(
         method=method,
         params=params,
-        folds=tuple(folds),
+        folds=folds,
         accuracy_mean=float(accs.mean()),
         accuracy_std=float(accs.std()),
         auc_mean=float(np.mean(aucs)) if aucs else None,

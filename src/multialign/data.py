@@ -29,12 +29,14 @@ def write_matrix_csv(path, m) -> None:
 
     Each row is converted to Python floats in one ``tolist()`` and formatted
     with ``repr``, so memory stays at one row and the cost per value is the
-    ``repr`` itself.  Anything but a 2-D matrix is refused before the file
-    is opened.
+    ``repr`` itself.  Anything but a non-empty 2-D matrix is refused before
+    the file is opened: CSV cannot hold a zero-length dimension.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InvalidDataError(f"can only write a 2-D matrix as CSV, got shape {m.shape}")
+    if m.ndim != 2 or m.size == 0:
+        raise InvalidDataError(
+            f"can only write a non-empty 2-D matrix as CSV, got shape {m.shape}"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in m:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
@@ -50,11 +52,20 @@ def write_json(path, payload) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a header-free CSV matrix written by :func:`write_matrix_csv`."""
+    """Read a header-free CSV matrix written by :func:`write_matrix_csv`.
+
+    A file without a single value (empty, or blank lines only) is refused
+    with :class:`InvalidDataError`; numpy's warning about it is not passed on.
+    """
     try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise InvalidDataError(f"cannot parse CSV matrix {path}: {exc}") from exc
+    if m.size == 0:
+        raise InvalidDataError(f"CSV matrix {path} holds no values")
     return m
 
 

@@ -353,6 +353,33 @@ def _column_aucs(positive: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return aucs
 
 
+def _macro_aucs(truth: np.ndarray, scores: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Macro one-vs-rest AUC of every fold of a stack.
+
+    ``truth`` (folds, n) holds each fold's class ids and ``scores``
+    (folds, n, c) its decision values for ``classes`` (c,); every fold's
+    truth must hold at least two distinct ids.  A fold averages the AUCs of
+    the ``classes`` its truth holds, in ascending class order; no column is
+    formed for a class absent from its truth, and a fold whose truth holds
+    none of ``classes`` gets NaN.  One :func:`_column_aucs` sort ranks the
+    columns of every fold at once, and the folds with equally many columns
+    are averaged in one row-wise mean, which sums in the order a mean over
+    one fold's columns does.
+    """
+    positive = truth[:, :, None] == classes
+    present = positive.any(axis=1)
+    fold, column = np.nonzero(present)
+    aucs = np.full(present.shape, np.nan)
+    aucs[fold, column] = _column_aucs(positive[fold, :, column].T,
+                                      scores[fold, :, column].T)
+    counts = present.sum(axis=1)
+    means = np.full(len(truth), np.nan)
+    for count in np.unique(counts[counts > 0]):
+        rows = counts == count
+        means[rows] = aucs[rows][present[rows]].reshape(-1, count).mean(axis=1)
+    return means
+
+
 def _binary_auc(positive: np.ndarray, scores: np.ndarray) -> float:
     return float(_column_aucs(positive[:, None], scores[:, None])[0])
 
@@ -363,7 +390,9 @@ def one_vs_rest_auc(truth, scores, classes=None) -> float:
     ``scores`` is (n, classes) of per-class decision values, or a length-n
     vector of positive-class scores for binary problems.  Ties receive the
     conventional rank-average treatment.  Classes absent from ``truth``
-    contribute nothing; a single-class truth makes the AUC undefined.
+    contribute nothing; a single-class truth makes the AUC undefined.  This
+    is :func:`_macro_aucs`, the core leave-one-subject-out scores every
+    fold through, on a stack of one.
     """
     truth = np.asarray(truth).ravel()
     scores = np.asarray(scores, dtype=float)
@@ -390,9 +419,7 @@ def one_vs_rest_auc(truth, scores, classes=None) -> float:
         raise InvalidDataError(
             f"{classes.size} class ids for {scores.shape[1]} score columns"
         )
-    columns = (classes[:, None] == present[None, :]).any(axis=1)
-    positive = truth[:, None] == classes[columns][None, :]
-    return float(np.mean(_column_aucs(positive, scores[:, columns])))
+    return float(_macro_aucs(truth[None], scores[None], classes)[0])
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multialign.alignment
 import multialign.cli
@@ -133,6 +135,30 @@ class TestTrainClassifier:
     def test_label_count_mismatch_rejected(self, rng):
         with pytest.raises(InvalidDataError):
             train_classifier(rng.standard_normal((5, 2)), np.arange(4))
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(6, 40),
+           width=st.integers(1, 6), n_classes=st.integers(2, 4),
+           ridge=st.floats(0.01, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_predictions_invariant_under_feature_rotation(self, seed, rows, width,
+                                                          n_classes, ridge):
+        # The ridge penalty and the intercept are rotation-invariant, so the
+        # rotated fit is the rotated classifier.
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((rows, width))
+        y = gen.integers(0, n_classes, size=rows)
+        y[:n_classes] = np.arange(n_classes)
+        q = np.linalg.qr(gen.standard_normal((width, width)))[0]
+        test = gen.standard_normal((25, width))
+        plain = train_classifier(x, y, ridge=ridge)
+        rotated = train_classifier(x @ q, y, ridge=ridge)
+        scores = plain.decision_function(test)
+        np.testing.assert_allclose(rotated.decision_function(test @ q), scores,
+                                   rtol=1e-9, atol=1e-9)
+        top = np.sort(scores, axis=1)
+        clear = top[:, -1] - top[:, -2] > 1e-6
+        np.testing.assert_array_equal(rotated.predict(test @ q)[clear],
+                                      plain.predict(test)[clear])
 
     def test_feature_width_checked_at_predict(self, rng):
         x, y = _separable(rng)
@@ -393,6 +419,55 @@ class TestBatchedLoso:
             report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, ridge=0.5)
             assert report.folds == _reference_loso(ds, method, epsilon=epsilon,
                                                    gamma=gamma, ridge=0.5)
+
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_class_only_the_held_out_subject_shows(self, method):
+        # Subjects 1-3 label class 2 as class 0: subject 0's fold trains on
+        # classes {0, 1}, every other fold on {0, 1, 2}.
+        ds, _ = generate(SynthConfig(subjects=4, classes=3, instances_per_class=2,
+                                     instance_length=3, voxels=12, noise_sigma=0.4,
+                                     seed=9))
+        labels = [ds.labels[0]]
+        for lab in ds.labels[1:]:
+            onehot = np.array(lab.onehot)
+            onehot[0] += onehot[2]
+            onehot[2] = 0.0
+            labels.append(multialign.data.LabelMatrix(onehot))
+        ds = multialign.data.Dataset(ds.subjects, tuple(labels), ds.class_names)
+        assert run_loso(ds, method).folds == _reference_loso(ds, method)
+
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_stacked_scores_equal_single_fold_classifier(self, monkeypatch, method):
+        # Each fold's training rows (from its ridge system) and the stacked
+        # classifiers and scores, recorded at the private seams.
+        ds = _per_subject_labels(np.random.default_rng(4), 5, 18, 7, 3)
+        systems, decisions = [], []
+        real_system = multialign.classify._ridge_system
+        real_decide = multialign.classify._decide
+
+        def recording_system(x, y, classes, ridge):
+            systems.append((x, y, ridge))
+            return real_system(x, y, classes, ridge)
+
+        def recording_decide(features, weights, bias):
+            scores = real_decide(features, weights, bias)
+            decisions.append((features, weights, scores))
+            return scores
+
+        monkeypatch.setattr(multialign.classify, "_ridge_system", recording_system)
+        monkeypatch.setattr(multialign.classify, "_decide", recording_decide)
+        run_loso(ds, method, ridge=0.5)
+        monkeypatch.undo()
+        assert len(systems) == ds.n_subjects
+        stacked = [(f, w, s) for features, weights, scores in decisions
+                   for f, w, s in zip(features, weights, scores)]
+        assert len(stacked) == ds.n_subjects
+        for x, y, ridge in systems:
+            clf = train_classifier(x, y, ridge=ridge)
+            matches = [(f, s) for f, w, s in stacked if np.array_equal(w, clf.weights)]
+            assert len(matches) == 1
+            held_rows, scores = matches[0]
+            assert np.array_equal(scores, clf.decision_function(held_rows))
 
     @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
     def test_per_run_call_counts(self, dataset, monkeypatch, method):

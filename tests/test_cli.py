@@ -25,6 +25,7 @@ from multialign import (
 )
 from multialign.cli import build_parser, main
 from multialign.synth import SynthConfig, config_as_dict
+from conftest import random_dataset
 
 
 SYNTH_ARGS = ["synth", "--subjects", "3", "--classes", "2", "--instances", "3",
@@ -311,6 +312,25 @@ class TestImportCost:
 
 
 class TestExitCodes:
+    def test_empty_data_csv_exits_3_with_only_the_error_line(self, tmp_path, rng):
+        manifest = multialign.data.save_dataset(random_dataset(rng, 3, 12, 6, 2),
+                                                tmp_path / "ds")
+        empty = tmp_path / "ds" / "s1_data.csv"
+        empty.write_text("")
+        src = str(Path(multialign.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "multialign.cli", "loso",
+             "--data", str(manifest), "--method", "none", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidDataError"
+        assert str(empty) in err["message"]
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         code = run_cli("align", "--data", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out"))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,16 @@ def test_csv_rejects_garbage(tmp_path):
     path.write_text("1.0,2.0\nnot,numbers\n")
     with pytest.raises(InvalidDataError):
         read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n"])
+def test_csv_without_values_refused_without_a_numpy_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDataError, match=re.escape(str(path))):
+            read_matrix_csv(path)
 
 
 def _reference_csv_bytes(m) -> bytes:
@@ -88,7 +99,7 @@ class TestWriteMatrixCsv:
         assert path.read_bytes() == _reference_csv_bytes(m)
         assert read_matrix_csv(path).tobytes() == m.tobytes()
 
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (3, 0), (0, 3), (0, 0)])
     def test_non_matrix_refused_before_the_file_is_opened(self, tmp_path, shape):
         path = tmp_path / "m.csv"
         with pytest.raises(InvalidDataError, match=re.escape(str(shape))):
