@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset, SubjectData, read_matrix_csv, write_json, write_matrix_csv
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
-from .linalg import projector_from_svd, symmetric_eig, truncated_svd
+from .linalg import _check_epsilon, projector_from_svd, symmetric_eig, truncated_svd
 from .supervision import SupervisionKernel, identity_kernel
 
 METHODS = ("none", "rha", "sha", "sha_r")
@@ -459,7 +459,12 @@ def fit_none(train: Dataset) -> AlignmentModel:
 
 def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
         k: int | None = None, iterations: int = 10) -> AlignmentModel:
-    """Fit the model named by ``method``; ``rha`` ignores ``kernels``."""
+    """Fit the model named by ``method``; ``rha`` ignores ``kernels``.
+
+    ``epsilon`` is checked for every method, ``none`` included, although
+    ``none`` does not use it.
+    """
+    _check_epsilon(epsilon)
     if method == "none":
         return fit_none(train)
     if method in METHODS:
@@ -519,8 +524,7 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     if model.template is None or model.labeled is None:
         raise InvalidArgumentError(f"model for method {model.method!r} has no template")
     eps = model.epsilon if epsilon is None else float(epsilon)
-    if not np.isfinite(eps) or eps < 0:
-        raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
+    _check_epsilon(eps)
     labeled = model.labeled
     if labeled.max() >= x.shape[0] or labeled.size != model.template.shape[0]:
         raise InvalidArgumentError(

@@ -34,8 +34,33 @@ import numpy as np
 from .alignment import METHODS, _fit_terms, _map_rows, _mapping_factors, _subject_terms
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
+from .linalg import _check_epsilon
 from .metrics import _macro_aucs
 from .supervision import kernels_for
+
+
+class _Stages(dict):
+    """Wall-clock nanoseconds per stage: ``with stages("fit_ns"):`` adds one span.
+
+    A stage entered more than once accumulates, and spans may nest.  The
+    figures are monotonic (``time.perf_counter_ns``) and are the only
+    non-deterministic output of a run.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._open = []
+
+    def __call__(self, stage: str) -> "_Stages":
+        self._open.append((stage, time.perf_counter_ns()))
+        return self
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, *exc) -> None:
+        stage, start = self._open.pop()
+        self[stage] = self.get(stage, 0) + time.perf_counter_ns() - start
 
 
 @dataclass(frozen=True)
@@ -255,16 +280,21 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     comparison for the accuracies, and one :func:`_macro_aucs` sort for
     the AUCs.  Each fold's scores are bit-identical to those of
     :func:`train_classifier` on its training rows.  A held-out subject
-    whose labeled rows show a single class has no AUC (``None``).
+    whose labeled rows show a single class, or none of the classes its
+    fold trains on, has no AUC (``None``); ``auc_mean`` and ``auc_std``
+    cover the folds that have one.
 
     Stage wall-clock totals (nanoseconds) are collected on the report's
-    ``timings`` attribute: the per-run stacks count toward the total
-    ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping factors, class
-    sets), the stacked solve toward ``train_ns`` and the stacked scoring
-    toward ``score_ns``.  They stay out of the JSON form so that reports
-    are reproducible byte for byte.
+    ``timings`` attribute: ``per_fold`` holds each fold's ``fit_ns``,
+    ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method),
+    and ``total`` their sums plus the run-level work: the per-run stacks
+    count toward ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping
+    factors, class sets), the stacked solve toward ``train_ns`` and the
+    stacked scoring toward ``score_ns``.  They stay out of the JSON form so
+    that reports are reproducible byte for byte.
     """
     ridge = _check_ridge(ridge)
+    _check_epsilon(epsilon)
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     subjects = normalized.n_subjects
@@ -278,69 +308,63 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             stacklevel=2,
         )
 
-    t0 = time.perf_counter_ns()
-    terms = None
-    if method != "none":
-        kernels = kernels_for(normalized, gamma) if method in ("sha", "sha_r") else None
-        terms = _subject_terms(method, normalized, kernels, epsilon, k, iterations,
-                               keep_complements=True)
-    t1 = time.perf_counter_ns()
-    labeled = normalized.labels[0].labeled_indices
-    class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
-    if terms is None:
-        features = np.stack([subj.data[labeled] for subj in normalized.subjects])
-    else:
-        # Mapping covers the template's time points; the classifier reads
-        # the labeled ones among them.
-        rows = terms.kernels[0].labeled
-        svds = [subj.thin_svd(rows) for subj in normalized.subjects]
-        left, shrink = _mapping_factors(svds, epsilon)
-        pick = np.searchsorted(rows, labeled)
-    groups = _training_class_sets(class_ids)
-    classes_of = {int(f): classes for classes, members in groups for f in members}
-    scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
-    t2 = time.perf_counter_ns()
-    run = {"fit_ns": t1 - t0, "map_ns": t2 - t1}
+    run = _Stages()
+    with run("fit_ns"):
+        terms = None
+        if method != "none":
+            kernels = kernels_for(normalized, gamma) if method in ("sha", "sha_r") else None
+            terms = _subject_terms(method, normalized, kernels, epsilon, k, iterations,
+                                   keep_complements=True)
+    with run("map_ns"):
+        labeled = normalized.labels[0].labeled_indices
+        class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
+        if terms is None:
+            features = np.stack([subj.data[labeled] for subj in normalized.subjects])
+        else:
+            # Mapping covers the template's time points; the classifier reads
+            # the labeled ones among them.
+            rows = terms.kernels[0].labeled
+            svds = [subj.thin_svd(rows) for subj in normalized.subjects]
+            left, shrink = _mapping_factors(svds, epsilon)
+            pick = np.searchsorted(rows, labeled)
+        groups = _training_class_sets(class_ids)
+        classes_of = {int(f): classes for classes, members in groups for f in members}
+        scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
 
     systems = []
     held_rows = []
-    per_fold_timings = []
+    per_fold = []
     for held in range(subjects):
         train = np.delete(np.arange(subjects), held)
-        t0 = time.perf_counter_ns()
-        if terms is not None:
-            template = _fit_terms(terms, train, iterations)[1]
-        t1 = time.perf_counter_ns()
-        if terms is not None:
-            features = _map_rows(left, shrink, template)[0][:, pick]
-        t2 = time.perf_counter_ns()
-        systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),
-                                     class_ids[train].ravel(), classes_of[held], ridge))
-        t3 = time.perf_counter_ns()
-        held_rows.append(features[held].copy())
-        t4 = time.perf_counter_ns()
-        per_fold_timings.append(
-            {"fit_ns": t1 - t0, "map_ns": t2 - t1, "train_ns": t3 - t2,
-             "score_ns": t4 - t3}
-        )
+        fold = _Stages()
+        with fold("fit_ns"):
+            if terms is not None:
+                template = _fit_terms(terms, train, iterations)[1]
+        with fold("map_ns"):
+            if terms is not None:
+                features = _map_rows(left, shrink, template)[0][:, pick]
+        with fold("train_ns"):
+            systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),
+                                         class_ids[train].ravel(), classes_of[held], ridge))
+        with fold("score_ns"):
+            held_rows.append(features[held].copy())
+        per_fold.append(fold)
 
     accs = np.empty(subjects)
     auc_of = np.full(subjects, np.nan)
-    run["train_ns"] = run["score_ns"] = 0
     for classes, members in groups:
-        t0 = time.perf_counter_ns()
-        coef = _solve_ridge(np.stack([systems[f][0] for f in members]),
-                            np.stack([systems[f][1] for f in members]))
-        t1 = time.perf_counter_ns()
-        scores = _decide(np.stack([held_rows[f] for f in members]),
-                         coef[:, :-1], coef[:, -1])
-        truth = class_ids[members]
-        accs[members] = (truth == classes[scores.argmax(axis=2)]).mean(axis=1)
-        ranked = scorable[members]
-        auc_of[members[ranked]] = _macro_aucs(truth[ranked], scores[ranked], classes)
-        t2 = time.perf_counter_ns()
-        run["train_ns"] += t1 - t0
-        run["score_ns"] += t2 - t1
+        with run("train_ns"):
+            coef = _solve_ridge(np.stack([systems[f][0] for f in members]),
+                                np.stack([systems[f][1] for f in members]))
+        with run("score_ns"):
+            scores = _decide(np.stack([held_rows[f] for f in members]),
+                             coef[:, :-1], coef[:, -1])
+            truth = class_ids[members]
+            accs[members] = (truth == classes[scores.argmax(axis=2)]).mean(axis=1)
+            # The AUC also needs a trained class among the held-out subject's.
+            ranked = scorable[members] & (truth[:, :, None] == classes).any(axis=(1, 2))
+            scorable[members] = ranked
+            auc_of[members[ranked]] = _macro_aucs(truth[ranked], scores[ranked], classes)
 
     folds = tuple(
         FoldResult(subject.subject_id, float(accs[i]),
@@ -348,10 +372,8 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         for i, subject in enumerate(normalized.subjects)
     )
     aucs = [f.auc for f in folds if f.auc is not None]
-    totals = {
-        stage: int(sum(t[stage] for t in per_fold_timings)) + run[stage]
-        for stage in ("fit_ns", "map_ns", "train_ns", "score_ns")
-    }
+    totals = {stage: sum(fold[stage] for fold in per_fold) + spent
+              for stage, spent in run.items()}
     params = {
         "epsilon": float(epsilon),
         "gamma": None if gamma is None else float(gamma),
@@ -367,5 +389,5 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         accuracy_std=float(accs.std()),
         auc_mean=float(np.mean(aucs)) if aucs else None,
         auc_std=float(np.std(aucs)) if aucs else None,
-        timings={"per_fold": per_fold_timings, "total": totals},
+        timings={"per_fold": per_fold, "total": totals},
     )

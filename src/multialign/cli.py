@@ -6,14 +6,18 @@ every subject), ``corr`` (between-subject correlation profiles per method),
 gamma, coupling determinant, time-series length, or noise), and ``rerun``
 (replay a recorded run configuration).
 
-Every run directory receives ``run_config.json`` and ``timings.json``
-(monotonic nanosecond wall-clock figures).  ``run_config.json`` records the
-command and every parsed option under its argument name (the ``dest`` of
-the option, e.g. ``instances_per_class`` for ``synth --instances``) except
-``--out``; ``rerun`` turns each recorded name back into the option whose
-``dest`` it is and replays the run into a fresh directory.  Timings are the
-only non-deterministic output: rerunning a command with the same arguments
-and seed reproduces every other file byte for byte.
+:func:`main` runs every command: it creates ``--out``, starts the run clock,
+calls the command (which only does its work, timing its stages) and only
+then writes ``run_config.json`` and ``timings.json``; a failed run writes
+neither and may leave an empty ``--out``.  ``run_config.json`` records the
+command and every parsed option under its ``dest`` (e.g.
+``instances_per_class`` for ``synth --instances``) except ``--out``;
+``rerun`` maps each recorded name back to its option and hands the
+replayed command line to :func:`main`.  ``timings.json`` holds ``command``,
+``stages_ns`` (monotonic nanoseconds per stage, such as ``load_ns``;
+``sweep`` has none) and ``total_ns``.  Timings are the only
+non-deterministic output: rerunning a command with the same arguments and
+seed reproduces every other file byte for byte.
 
 ``sweep --kind noise`` generates its datasets from ``--seed`` and refuses
 ``--data``, so that no record names a dataset the run never read; the
@@ -34,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import METHODS, fit, map_subject, save_model
-from .classify import run_loso, run_loso_normalized
+from .classify import _Stages, run_loso, run_loso_normalized
 from .data import (
     Dataset,
     LabelMatrix,
@@ -52,6 +56,8 @@ from .synth import ROTATIONS, SynthConfig, generate, save_ground_truth
 
 PROG = "multialign"
 SWEEP_KINDS = ("det", "gamma", "trs", "noise")
+EXIT_CODES = {InvalidArgumentError: 2, OSError: 2, InvalidDataError: 3,
+              NumericError: 4, FloatingPointError: 4, np.linalg.LinAlgError: 4}
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -73,30 +79,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(cell(v) for v in row) + "\n")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _arguments(args) -> dict:
     """Every parsed option of a command under its ``dest``, minus ``--out``."""
     return {key: value for key, value in vars(args).items()
             if key not in ("command", "func", "out")}
-
-
-def _write_run_config(out: Path, args) -> None:
-    write_json(out / "run_config.json",
-               {"command": args.command, "arguments": _arguments(args)})
-
-
-def _write_timings(out: Path, command: str, stages: dict[str, int], started_ns: int) -> None:
-    payload = {
-        "command": command,
-        "stages_ns": stages,
-        "total_ns": time.perf_counter_ns() - started_ns,
-    }
-    write_json(out / "timings.json", payload)
 
 
 def _number_or_auto(text, cast, requirement: str):
@@ -126,44 +112,31 @@ def _parse_values(text: str, kind: str) -> list[float]:
         raise InvalidArgumentError(f"--values contains a non-numeric entry: {text!r}")
 
 
-def cmd_synth(args) -> None:
-    started = time.perf_counter_ns()
+def cmd_synth(args, out: Path, stage: _Stages) -> None:
     config = SynthConfig(**_arguments(args))
-    out = _out_dir(args)
-    t0 = time.perf_counter_ns()
-    dataset, truth = generate(config)
-    t1 = time.perf_counter_ns()
-    save_dataset(dataset, out)
-    save_ground_truth(truth, out / "ground_truth.json")
-    t2 = time.perf_counter_ns()
-    _write_run_config(out, args)
-    _write_timings(out, "synth", {"generate_ns": t1 - t0, "write_ns": t2 - t1}, started)
+    with stage("generate_ns"):
+        dataset, truth = generate(config)
+    with stage("write_ns"):
+        save_dataset(dataset, out)
+        save_ground_truth(truth, out / "ground_truth.json")
 
 
-def cmd_align(args) -> None:
-    started = time.perf_counter_ns()
-    out = _out_dir(args)
+def cmd_align(args, out: Path, stage: _Stages) -> None:
     gamma, k = _gamma_and_k(args)
-    t0 = time.perf_counter_ns()
-    dataset = normalize(load_dataset(args.data))
-    t1 = time.perf_counter_ns()
-    kernels = kernels_for(dataset, gamma) if args.method in ("sha", "sha_r") else None
-    model = fit(args.method, dataset, kernels, epsilon=args.epsilon, k=k,
-                iterations=args.iters)
-    t2 = time.perf_counter_ns()
-    save_model(model, out)
-    for subject in dataset.subjects:
-        mapped = map_subject(model, subject)
-        write_matrix_csv(out / f"z_{subject.subject_id}.csv", mapped.features)
-    t3 = time.perf_counter_ns()
-    _write_run_config(out, args)
-    _write_timings(out, "align", {
-        "load_ns": t1 - t0, "fit_ns": t2 - t1, "map_ns": t3 - t2,
-    }, started)
+    with stage("load_ns"):
+        dataset = normalize(load_dataset(args.data))
+    with stage("fit_ns"):
+        kernels = kernels_for(dataset, gamma) if args.method in ("sha", "sha_r") else None
+        model = fit(args.method, dataset, kernels, epsilon=args.epsilon, k=k,
+                    iterations=args.iters)
+    with stage("map_ns"):
+        save_model(model, out)
+        for subject in dataset.subjects:
+            mapped = map_subject(model, subject)
+            write_matrix_csv(out / f"z_{subject.subject_id}.csv", mapped.features)
 
 
-def cmd_corr(args) -> None:
-    started = time.perf_counter_ns()
+def cmd_corr(args, out: Path, stage: _Stages) -> None:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InvalidArgumentError("--methods must name at least one method")
@@ -172,23 +145,19 @@ def cmd_corr(args) -> None:
             raise InvalidArgumentError(
                 f"--methods entries must be among {METHODS}, got {method!r}"
             )
-    out = _out_dir(args)
     gamma, k = _gamma_and_k(args)
-    t0 = time.perf_counter_ns()
-    dataset = normalize(load_dataset(args.data))
-    t1 = time.perf_counter_ns()
+    with stage("load_ns"):
+        dataset = normalize(load_dataset(args.data))
 
     rows = []
-    stages = {"load_ns": t1 - t0}
     for method in methods:
-        m0 = time.perf_counter_ns()
-        kernels = kernels_for(dataset, gamma) if method in ("sha", "sha_r") else None
-        model = fit(method, dataset, kernels, epsilon=args.epsilon, k=k,
-                    iterations=args.iters)
-        mapped = [map_subject(model, subj).features for subj in dataset.subjects]
-        report = correlation_report(mapped, dataset.labels,
-                                    rho1_labeled_only=args.rho1_labeled_only)
-        stages[f"{method}_ns"] = time.perf_counter_ns() - m0
+        with stage(f"{method}_ns"):
+            kernels = kernels_for(dataset, gamma) if method in ("sha", "sha_r") else None
+            model = fit(method, dataset, kernels, epsilon=args.epsilon, k=k,
+                        iterations=args.iters)
+            mapped = [map_subject(model, subj).features for subj in dataset.subjects]
+            report = correlation_report(mapped, dataset.labels,
+                                        rho1_labeled_only=args.rho1_labeled_only)
         write_json(out / f"corr_{method}.json", {
             "method": method,
             "params": {
@@ -203,19 +172,15 @@ def cmd_corr(args) -> None:
                               ("rho3", report.rho3), ("rho4", report.rho4)):
             rows.append([method, name, summary.mean, summary.std])
     _write_csv(out / "corr_summary.csv", ["method", "metric", "mean", "std"], rows)
-    _write_run_config(out, args)
-    _write_timings(out, "corr", stages, started)
 
 
-def cmd_loso(args) -> None:
-    started = time.perf_counter_ns()
-    out = _out_dir(args)
+def cmd_loso(args, out: Path, stage: _Stages) -> None:
     gamma, k = _gamma_and_k(args)
-    t0 = time.perf_counter_ns()
-    dataset = load_dataset(args.data)
-    t1 = time.perf_counter_ns()
+    with stage("load_ns"):
+        dataset = load_dataset(args.data)
     report = run_loso(dataset, args.method, epsilon=args.epsilon, gamma=gamma,
                       k=k, iterations=args.iters, ridge=args.ridge)
+    stage.update(report.timings["total"])
     payload = report.to_json_dict()
     payload["dataset"] = str(args.data)
     payload["seed"] = args.seed
@@ -227,10 +192,6 @@ def cmd_loso(args) -> None:
         [[str(args.data), args.method, args.seed, report.accuracy_mean,
           report.accuracy_std, report.auc_mean, report.auc_std]],
     )
-    _write_run_config(out, args)
-    stages = {"load_ns": t1 - t0}
-    stages.update(report.timings["total"])
-    _write_timings(out, "loso", stages, started)
 
 
 def _truncate_dataset(dataset: Dataset, n_timepoints: int) -> Dataset:
@@ -246,9 +207,7 @@ def _truncate_dataset(dataset: Dataset, n_timepoints: int) -> Dataset:
     return Dataset(subjects, labels, dataset.class_names)
 
 
-def cmd_sweep(args) -> None:
-    started = time.perf_counter_ns()
-    out = _out_dir(args)
+def cmd_sweep(args, out: Path, stage: _Stages) -> None:
     values = _parse_values(args.values, args.kind)
     if args.kind == "noise" and args.data is not None:
         raise InvalidArgumentError("--kind noise generates its datasets and takes no --data")
@@ -281,11 +240,10 @@ def cmd_sweep(args) -> None:
             rows.append([args.kind, v, "auc", report.auc_mean, report.auc_std])
 
     _write_csv(out / "sweep.csv", ["kind", "value", "metric", "mean", "std"], rows)
-    _write_run_config(out, args)
-    _write_timings(out, "sweep", {}, started)
 
 
-def cmd_rerun(args) -> int:
+def _replayed_argv(args) -> list[str]:
+    """The command line a recorded ``run_config.json`` replays into ``--out``."""
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             recorded = json.load(fh)
@@ -314,7 +272,7 @@ def cmd_rerun(args) -> int:
         if value is not True:
             argv.append(str(value))
     argv.extend(["--out", str(args.out)])
-    return main(argv)
+    return argv
 
 
 def _add_common(parser, data_required=True, with_method=True):
@@ -382,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", help="replay a recorded run_config.json")
     p.add_argument("config", help="path to run_config.json")
-    p.set_defaults(func=cmd_rerun, subcommands=sub.choices)
+    p.set_defaults(subcommands=sub.choices)
 
     for sp in sub.choices.values():
         sp.add_argument("--seed", type=int, default=0,
@@ -393,26 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; its records are written only once it has succeeded."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    started = time.perf_counter_ns()
     try:
-        result = args.func(args)
-        return 0 if result is None else int(result)
-    except InvalidArgumentError as exc:
+        if args.command == "rerun":
+            return main(_replayed_argv(args))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        stage = _Stages()
+        args.func(args, out, stage)
+        write_json(out / "run_config.json",
+                   {"command": args.command, "arguments": _arguments(args)})
+        write_json(out / "timings.json", {"command": args.command, "stages_ns": stage,
+                                          "total_ns": time.perf_counter_ns() - started})
+        return 0
+    except tuple(EXIT_CODES) as exc:
         _emit_error(exc)
-        return 2
-    except OSError as exc:
-        _emit_error(exc)
-        return 2
-    except InvalidDataError as exc:
-        _emit_error(exc)
-        return 3
-    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        _emit_error(exc)
-        return 4
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -141,6 +141,11 @@ class RegularizedProjector:
         return self.factor @ (self.factor.T @ m)
 
 
+def _check_epsilon(epsilon) -> None:
+    if not np.isfinite(epsilon) or epsilon < 0:
+        raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
+
+
 def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjector:
     """Ridge-regularized projector onto the column space of a factored matrix.
 
@@ -149,8 +154,7 @@ def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjecto
     or a :class:`NumericError` is raised (the unregularized projector would
     be singular).
     """
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
+    _check_epsilon(epsilon)
     s = svd.singular_values
     if epsilon == 0.0 and (s <= _ZERO_SINGULAR_VALUE).any():
         raise NumericError(

@@ -358,13 +358,13 @@ def _macro_aucs(truth: np.ndarray, scores: np.ndarray, classes: np.ndarray) -> n
 
     ``truth`` (folds, n) holds each fold's class ids and ``scores``
     (folds, n, c) its decision values for ``classes`` (c,); every fold's
-    truth must hold at least two distinct ids.  A fold averages the AUCs of
-    the ``classes`` its truth holds, in ascending class order; no column is
-    formed for a class absent from its truth, and a fold whose truth holds
-    none of ``classes`` gets NaN.  One :func:`_column_aucs` sort ranks the
-    columns of every fold at once, and the folds with equally many columns
-    are averaged in one row-wise mean, which sums in the order a mean over
-    one fold's columns does.
+    truth must hold at least two distinct ids and at least one of
+    ``classes`` (a fold that holds none gets NaN).  A fold averages the
+    AUCs of the ``classes`` its truth holds, in ascending class order; no
+    column is formed for a class absent from its truth.  One
+    :func:`_column_aucs` sort ranks the columns of every fold at once, and
+    the folds with equally many columns are averaged in one row-wise mean,
+    which sums in the order a mean over one fold's columns does.
     """
     positive = truth[:, :, None] == classes
     present = positive.any(axis=1)
@@ -390,7 +390,8 @@ def one_vs_rest_auc(truth, scores, classes=None) -> float:
     ``scores`` is (n, classes) of per-class decision values, or a length-n
     vector of positive-class scores for binary problems.  Ties receive the
     conventional rank-average treatment.  Classes absent from ``truth``
-    contribute nothing; a single-class truth makes the AUC undefined.  This
+    contribute nothing; a single-class truth, or one that holds none of
+    ``classes``, makes the AUC undefined (:class:`NumericError`).  This
     is :func:`_macro_aucs`, the core leave-one-subject-out scores every
     fold through, on a stack of one.
     """
@@ -419,6 +420,8 @@ def one_vs_rest_auc(truth, scores, classes=None) -> float:
         raise InvalidDataError(
             f"{classes.size} class ids for {scores.shape[1]} score columns"
         )
+    if not np.isin(present, classes).any():
+        raise NumericError("AUC undefined: truth contains none of the scored classes")
     return float(_macro_aucs(truth[None], scores[None], classes)[0])
 
 

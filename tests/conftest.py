@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from multialign import Dataset, LabelMatrix, SubjectData
+from multialign import Dataset, LabelMatrix, SubjectData, SynthConfig, generate
 
 
 def align_signs(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -56,6 +56,29 @@ def random_dataset(rng: np.random.Generator, n_subjects: int, n_timepoints: int,
     )
     return Dataset(subjects, tuple(labels for _ in subjects),
                    tuple(f"c{m}" for m in range(n_classes)))
+
+
+def relabeled_dataset(classes: int, held: dict, rest: dict) -> Dataset:
+    """A four-subject ``synth`` set with per-subject label values.
+
+    Subject 0 shows each class ``c`` in ``held`` as class ``held[c]``; the
+    other subjects show each class ``c`` in ``rest`` as ``rest[c]``.
+    """
+    ds, _ = generate(SynthConfig(subjects=4, classes=classes, instances_per_class=2,
+                                 instance_length=3, voxels=12, noise_sigma=0.4, seed=9))
+    labels = []
+    for i, lab in enumerate(ds.labels):
+        onehot = np.array(lab.onehot)
+        for source, target in (held if i == 0 else rest).items():
+            onehot[target] += onehot[source]
+            onehot[source] = 0.0
+        labels.append(LabelMatrix(onehot))
+    return Dataset(ds.subjects, tuple(labels), ds.class_names)
+
+
+# Subject 0 shows only classes 2 and 3, subjects 1-3 only classes 0 and 1:
+# fold 0 trains on no class its held-out subject shows.
+NO_TRAINING_CLASS = dict(classes=4, held={0: 2, 1: 3}, rest={2: 0, 3: 1})
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from multialign import (
     split_loso,
     train_classifier,
 )
-from conftest import random_dataset
+from conftest import NO_TRAINING_CLASS, random_dataset, relabeled_dataset
 
 
 def _separable(rng, n_per_class=20, n_classes=3, n_features=6):
@@ -420,21 +420,21 @@ class TestBatchedLoso:
             assert report.folds == _reference_loso(ds, method, epsilon=epsilon,
                                                    gamma=gamma, ridge=0.5)
 
-    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
-    def test_class_only_the_held_out_subject_shows(self, method):
+    @pytest.mark.parametrize("method, layout", [
         # Subjects 1-3 label class 2 as class 0: subject 0's fold trains on
         # classes {0, 1}, every other fold on {0, 1, 2}.
-        ds, _ = generate(SynthConfig(subjects=4, classes=3, instances_per_class=2,
-                                     instance_length=3, voxels=12, noise_sigma=0.4,
-                                     seed=9))
-        labels = [ds.labels[0]]
-        for lab in ds.labels[1:]:
-            onehot = np.array(lab.onehot)
-            onehot[0] += onehot[2]
-            onehot[2] = 0.0
-            labels.append(multialign.data.LabelMatrix(onehot))
-        ds = multialign.data.Dataset(ds.subjects, tuple(labels), ds.class_names)
-        assert run_loso(ds, method).folds == _reference_loso(ds, method)
+        *(pytest.param(m, dict(classes=3, held={}, rest={2: 0}), id=m)
+          for m in ("none", "rha", "sha", "sha_r")),
+        # Fold 0 trains on none of its held-out subject's classes: no AUC.
+        *(pytest.param(m, NO_TRAINING_CLASS, id=f"{m}-no-training-class")
+          for m in ("none", "rha", "sha", "sha_r")),
+    ])
+    def test_class_only_the_held_out_subject_shows(self, method, layout):
+        ds = relabeled_dataset(**layout)
+        report = run_loso(ds, method)
+        assert report.folds == _reference_loso(ds, method)
+        aucs = [f.auc for f in report.folds if f.auc is not None]
+        assert report.auc_mean == np.mean(aucs) and report.auc_std == np.std(aucs)
 
     @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
     def test_stacked_scores_equal_single_fold_classifier(self, monkeypatch, method):

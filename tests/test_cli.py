@@ -1,6 +1,7 @@
 """Command line interface: outputs, determinism, replay, exit codes."""
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -23,9 +24,10 @@ from multialign import (
     run_loso,
     write_matrix_csv,
 )
+from multialign.alignment import METHODS
 from multialign.cli import build_parser, main
 from multialign.synth import SynthConfig, config_as_dict
-from conftest import random_dataset
+from conftest import NO_TRAINING_CLASS, random_dataset, relabeled_dataset
 
 
 SYNTH_ARGS = ["synth", "--subjects", "3", "--classes", "2", "--instances", "3",
@@ -418,6 +420,19 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NumericError"
 
+    @pytest.mark.parametrize("argv", [
+        ("loso", "--method", "none", "--epsilon", "nan"),
+        ("align", "--method", "none", "--epsilon", "-5"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_epsilon_is_usage_error_for_every_method(self, manifest, tmp_path,
+                                                         capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--data", str(manifest), "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "InvalidArgumentError",
+                       "message": f"epsilon must be a finite value >= 0, got {float(argv[-1])}"}
+        assert not (out / "run_config.json").exists()
+
     def test_bad_gamma_is_usage_error(self, manifest, tmp_path, capsys):
         code = run_cli("align", "--data", str(manifest), "--gamma", "lots",
                        "--out", str(tmp_path / "out"))
@@ -500,6 +515,76 @@ class TestRerunReplays:
         assert run_cli("rerun", str(first / "run_config.json"),
                        "--out", str(second)) == 0
         assert _tree_bytes(second) == _tree_bytes(first)
+
+
+LOSO_STAGES = {"fit_ns", "map_ns", "train_ns", "score_ns"}
+
+
+class TestTimingsContract:
+    """``timings.json`` is flat, and ``bench/worker.py`` reads its ``stages_ns``."""
+
+    @staticmethod
+    def _check(out: Path, command: str, stages: set) -> None:
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"command", "stages_ns", "total_ns"}
+        assert timings["command"] == command
+        assert set(timings["stages_ns"]) == stages
+        assert all(isinstance(ns, int) and ns >= 0 for ns in timings["stages_ns"].values())
+        assert timings["total_ns"] >= sum(timings["stages_ns"].values())
+
+    @pytest.mark.parametrize("argv, stages", [
+        (tuple(SYNTH_ARGS), {"generate_ns", "write_ns"}),
+        (("align", "--method", "rha"), {"load_ns", "fit_ns", "map_ns"}),
+        (("corr", "--methods", "none,sha"), {"load_ns", "none_ns", "sha_ns"}),
+        (("loso", "--method", "none"), {"load_ns"} | LOSO_STAGES),
+        (("loso", "--method", "sha"), {"load_ns"} | LOSO_STAGES),
+        (("sweep", "--kind", "gamma", "--values", "0,0.01"), set()),
+    ], ids=["synth", "align", "corr", "loso-none", "loso-sha", "sweep"])
+    def test_stage_keys_of_every_command_and_its_rerun(self, manifest, tmp_path,
+                                                      argv, stages):
+        data = () if argv[0] == "synth" else ("--data", str(manifest))
+        out = tmp_path / "out"
+        assert run_cli(*argv, *data, "--out", str(out)) == 0
+        self._check(out, argv[0], stages)
+        replay = tmp_path / "replay"
+        assert run_cli("rerun", str(out / "run_config.json"), "--out", str(replay)) == 0
+        self._check(replay, argv[0], stages)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_loso_report_keeps_per_fold_and_total(self, manifest, method):
+        timings = run_loso(load_dataset(manifest), method).timings
+        assert set(timings) == {"per_fold", "total"}
+        assert len(timings["per_fold"]) == 3
+        assert all(set(fold) == LOSO_STAGES for fold in timings["per_fold"])
+        assert set(timings["total"]) == LOSO_STAGES
+        for stage in LOSO_STAGES:
+            assert timings["total"][stage] >= sum(f[stage] for f in timings["per_fold"])
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestStrictJson:
+    def test_no_output_holds_nan_or_infinity(self, manifest, synth_dir, tmp_path,
+                                             monkeypatch):
+        # The CLI loads labels strictly; a layout whose subjects show different
+        # classes reaches loso through the library's strict_labels=False.
+        layout = multialign.save_dataset(relabeled_dataset(**NO_TRAINING_CLASS),
+                                         tmp_path / "layout")
+        with monkeypatch.context() as patch:
+            patch.setattr(multialign.cli, "load_dataset",
+                          functools.partial(load_dataset, strict_labels=False))
+            for method in METHODS:
+                assert run_cli("loso", "--data", str(layout), "--method", method,
+                               "--out", str(tmp_path / f"loso_{method}")) == 0
+        for command in ("align", "corr"):
+            assert run_cli(command, "--data", str(manifest),
+                           "--out", str(tmp_path / command)) == 0
+        paths = sorted([*tmp_path.rglob("*.json"), *synth_dir.rglob("*.json")])
+        assert len(paths) >= 20
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 class TestRerunMalformed:

@@ -531,6 +531,11 @@ class TestAuc:
         with pytest.raises(NumericError):
             one_vs_rest_auc([1, 1, 1], [0.1, 0.2, 0.3])
 
+    def test_truth_with_none_of_the_classes_rejected(self):
+        scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+        with pytest.raises(NumericError, match="none of the scored classes"):
+            one_vs_rest_auc([2, 3, 3], scores, classes=[0, 1])
+
     def test_vector_scores_need_binary_truth(self):
         with pytest.raises(InvalidDataError):
             one_vs_rest_auc([0, 1, 2], [0.1, 0.2, 0.3])
