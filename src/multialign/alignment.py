@@ -19,16 +19,25 @@ once per run and fits each fold from them.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
-regression, through the thin SVD ``X_l = U S V^T`` of the subject's data at
-the template's time points.  Those rows map as ``U diag(s^2 / (s^2 + eps))
-U^T G`` with no voxel-side product at all; only rest rows outside the
-template go through ``V``.  :func:`_map_rows` maps a stack of subjects
-this way in two stacked matmuls; :func:`map_subject` hands it a stack of
-one.  Each subject factors each matrix once: the thin
-SVDs of its data rows and of its label-coupled responses are memoized on
-the subject object (see :meth:`SubjectData.thin_svd`), computed lazily
-inside the first fit or map that needs them, and reused by every later
-method, fold, fit and mapping that is handed the same subject.
+regression, through the left factor ``U`` and singular values ``s`` of the
+subject's data ``X_l`` at the template's time points.  Those rows map as
+``U diag(s^2 / (s^2 + eps)) U^T G`` with no voxel-side product at all; rest
+rows outside the template map as ``X_rest X_l^T U diag(1 / (s^2 + eps))
+U^T G``.  The voxel-side factor ``V`` is never computed.  :func:`_map_rows`
+maps a stack of subjects this way in two stacked matmuls; :func:`map_subject`
+hands it a stack of one.  Leave-one-subject-out maps ``rha`` folds through
+the fit's own complements instead: under the identity kernel the mapping
+projector is the fit projector ``P_i``, so the rows map as ``G - (I - P_i)
+G``, one stacked matmul.
+
+Each subject factors each matrix once: the SVDs of its data rows and of its
+label-coupled responses are memoized on the subject object (see
+:meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
+that needs them, and reused by every later method, fold, fit and mapping
+that is handed the same subject.  Wide rows (fewer time points than
+voxels) are first reduced once to a (time points x time points) triangular
+factor with the same left singular vectors and values, so no SVD runs on a
+matrix with one column per voxel.
 """
 
 from __future__ import annotations
@@ -508,15 +517,16 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
 
     Solves the ridge regression of the subject's responses (at the template's
     time points) onto the template and applies the resulting voxel map to the
-    full time series, in dual form through the thin SVD ``X_l = U S V^T`` of
-    the data at those time points.  They map as ``U diag(s^2 / (s^2 + eps))
-    (U^T G)``, which never touches ``V`` (:func:`_map_rows` on a stack of
-    one, the core leave-one-subject-out maps every subject through); rest
-    time points outside the template map as ``X_rest V diag(s / (s^2 +
-    eps)) (U^T G)``.  The (voxels x voxels) system is never formed.  The
-    SVD is memoized on the subject, shared with the ``rha`` fit and with
-    every other model mapped through the same subject object.  Mapping
-    needs no labels.
+    full time series, in dual form through the left factor ``U`` and singular
+    values ``s`` of the data ``X_l`` at those time points.  They map as
+    ``U diag(s^2 / (s^2 + eps)) (U^T G)`` (:func:`_map_rows` on a stack of
+    one, the core leave-one-subject-out maps ``sha`` and ``sha_r`` folds
+    through); rest time points outside the template map as ``X_rest X_l^T U
+    diag(1 / (s^2 + eps)) (U^T G)``, the same ridge map without ``V`` and
+    without a division by ``s``.  Neither the (voxels x voxels) system nor
+    the voxel-side factor ``V`` is ever formed.  The factors are memoized on
+    the subject, shared with the ``rha`` fit and with every other model
+    mapped through the same subject object.  Mapping needs no labels.
     """
     x = subject.data
     if model.method == "none":
@@ -540,7 +550,8 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     rest[labeled] = False
     if rest.any():
         s = svd.singular_values
-        z[rest] = x[rest] @ (svd.right @ ((s / (s * s + eps))[:, None] * projected[0]))
+        ridge = svd.left @ ((1.0 / (s * s + eps))[:, None] * projected[0])
+        z[rest] = x[rest] @ (x[labeled].T @ ridge)
     _check_finite("mapping", z)
     return MappedFeatures(subject.subject_id, z)
 

@@ -12,10 +12,11 @@ labels are used only for scoring, never for fitting.  Everything that
 depends on one subject alone is built once per run and stacked in subject
 order: the supervision kernel, the projector factor and complement
 ``I - P_i`` of the fit, the left factor and shrinks of the data SVD that
-mapping uses, and the class ids of the labeled rows.  Each fold then makes
-one stacked pass: it sums its training subjects' complements, solves one
-eigenproblem, forms the template, maps every subject with one stacked
-matmul, and forms the ridge system of its classifier: the Gram matrix and
+mapping uses (``rha`` maps through its complements instead), and the class
+ids of the labeled rows.  Each fold then makes one stacked pass: it sums
+its training subjects' complements, solves one eigenproblem, forms the
+template, maps every subject with one stacked matmul, and forms the ridge
+system of its classifier: the Gram matrix and
 right-hand side of the mapped training rows.  The held-out subject's
 features are kept.  Once every fold is done, one stacked solve gives every
 fold's classifier, one stacked matmul scores every held-out subject, one
@@ -261,17 +262,20 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     order: the kernels (validated once, against all subjects), one
     projector factor and one complement ``I - P_i`` per subject, the left
     factors and shrinks of each subject's data SVD at the template's time
-    points, and the class ids of the labeled rows.  Each subject's SVDs
-    are memoized on the subject (see :meth:`SubjectData.thin_svd`), so
-    later calls handed the same dataset reuse them.  A fold then makes a
-    constant number of stacked numpy calls: it sums its training subjects'
-    complements in subject order (the same sum a fit on those subjects
-    forms), solves one eigenproblem, forms the template, maps every
-    subject's rows at the template's time points with one stacked matmul
-    (rest rows outside the template are never mapped), and forms the ridge
-    system of its mapped training rows (:func:`_ridge_system`, as
-    :func:`train_classifier` forms it).  Per-fold memory is the (subjects,
-    rows, rank + k) stack of one mapping.
+    points (not for ``rha``), and the class ids of the labeled rows.  Each
+    subject's SVDs are memoized on the subject (see
+    :meth:`SubjectData.thin_svd`), so later calls handed the same dataset
+    reuse them.  A fold then makes a constant number of stacked numpy
+    calls: it sums its training subjects' complements in subject order
+    (the same sum a fit on those subjects forms), solves one eigenproblem,
+    forms the template ``G``, maps every subject's rows at the template's
+    time points with one stacked matmul (rest rows outside the template
+    are never mapped), and forms the ridge system of its mapped training
+    rows (:func:`_ridge_system`, as :func:`train_classifier` forms it).
+    ``rha`` maps as ``G - (I - P_i) G`` through the complements its fit
+    keeps: under the identity kernel the mapping projector is the fit
+    projector.  Per-fold memory is the (subjects, rows, rank + k) stack of
+    one mapping.
 
     After the folds, the run trains and scores every classifier at once,
     per group of folds that train on the same classes (one group unless
@@ -324,9 +328,10 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             # Mapping covers the template's time points; the classifier reads
             # the labeled ones among them.
             rows = terms.kernels[0].labeled
-            svds = [subj.thin_svd(rows) for subj in normalized.subjects]
-            left, shrink = _mapping_factors(svds, epsilon)
             pick = np.searchsorted(rows, labeled)
+            if method != "rha":
+                svds = [subj.thin_svd(rows) for subj in normalized.subjects]
+                left, shrink = _mapping_factors(svds, epsilon)
         groups = _training_class_sets(class_ids)
         classes_of = {int(f): classes for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
@@ -341,7 +346,10 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             if terms is not None:
                 template = _fit_terms(terms, train, iterations)[1]
         with fold("map_ns"):
-            if terms is not None:
+            if method == "rha":
+                # The mapping projector is the fit's: P_i G = G - (I - P_i) G.
+                features = (template - terms.complements @ template)[:, pick]
+            elif terms is not None:
                 features = _map_rows(left, shrink, template)[0][:, pick]
         with fold("train_ns"):
             systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),

@@ -140,11 +140,13 @@ def cmd_corr(args, out: Path, stage: _Stages) -> None:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise InvalidArgumentError("--methods must name at least one method")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise InvalidArgumentError(
                 f"--methods entries must be among {METHODS}, got {method!r}"
             )
+        if method in methods[:i]:
+            raise InvalidArgumentError(f"--methods names {method!r} more than once")
     gamma, k = _gamma_and_k(args)
     with stage("load_ns"):
         dataset = normalize(load_dataset(args.data))
@@ -342,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="path to run_config.json")
     p.set_defaults(subcommands=sub.choices)
 
-    for sp in sub.choices.values():
-        sp.add_argument("--seed", type=int, default=0,
-                        help="base random seed (default: 0)")
+    for name, sp in sub.choices.items():
+        if name != "rerun":  # a replay takes the recorded seed
+            sp.add_argument("--seed", type=int, default=0,
+                            help="base random seed (default: 0)")
         sp.add_argument("--out", required=True, help="output directory")
 
     return parser

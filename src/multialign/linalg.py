@@ -80,6 +80,29 @@ class TruncatedSvd:
         return (self.left * self.singular_values) @ self.right.T
 
 
+@dataclass(frozen=True)
+class LeftSvd:
+    """The left half of a thin SVD: ``left`` and ``singular_values`` only.
+
+    The fields mean what they mean in :class:`TruncatedSvd`, under the same
+    sign convention; the right factor is not kept.  A projector or a
+    dual-form ridge map needs nothing else of a matrix.
+    """
+
+    left: np.ndarray
+    singular_values: np.ndarray
+    rank_deficient: bool
+
+
+def _rank_deficient(s: np.ndarray, shape) -> bool:
+    """Whether ``s`` of a matrix of ``shape`` falls below its numerical rank.
+
+    Mirrors ``np.linalg.matrix_rank``'s default cutoff
+    ``s[0] * max(shape) * eps``.
+    """
+    return bool(s[-1] <= s[0] * max(shape) * np.finfo(float).eps)
+
+
 def truncated_svd(m, rank: int) -> TruncatedSvd:
     """Deterministic truncated SVD of a matrix.
 
@@ -107,10 +130,7 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
     s = s[:rank]
     right = right_t[:rank].T
     left, right = _fix_signs(left, right)
-    # Numerical-rank check mirroring np.linalg.matrix_rank's default cutoff.
-    cutoff = s[0] * max(m.shape) * np.finfo(float).eps if s.size else 0.0
-    deficient = bool(s[-1] <= max(cutoff, 0.0)) if s.size else True
-    return TruncatedSvd(left, s, right, rank_deficient=deficient)
+    return TruncatedSvd(left, s, right, rank_deficient=_rank_deficient(s, m.shape))
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,7 @@ def _check_epsilon(epsilon) -> None:
         raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
 
 
-def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjector:
+def projector_from_svd(svd: TruncatedSvd | LeftSvd, epsilon: float) -> RegularizedProjector:
     """Ridge-regularized projector onto the column space of a factored matrix.
 
     Shrinks each left singular vector of ``svd`` by ``s_i / sqrt(s_i^2 + eps)``.

@@ -501,6 +501,28 @@ class TestMapSubjectDualForm:
         np.testing.assert_allclose(z, dense, rtol=1e-10,
                                    atol=1e-10 * np.abs(dense).max())
 
+    def test_epsilon_zero_on_wide_data_is_minimum_norm(self, rng):
+        # V > T: the labeled rows are reproduced exactly and every row maps
+        # through the minimum-norm least-squares voxel map.
+        ds = normalize(random_dataset(rng, 3, 30, 60, 3, rest_fraction=0.2))
+        model = fit_sha(ds, kernels_for(ds))
+        assert model.labeled.size < ds.n_voxels
+        subj = ds.subjects[0]
+        z = map_subject(model, subj, epsilon=0.0).features
+        x_l = subj.data[model.labeled]
+        dense = subj.data @ np.linalg.lstsq(x_l, model.template, rcond=None)[0]
+        atol = 1e-10 * np.abs(dense).max()
+        np.testing.assert_allclose(z, dense, rtol=1e-10, atol=atol)
+        np.testing.assert_allclose(z[model.labeled], model.template, rtol=0, atol=atol)
+
+    def test_epsilon_zero_on_wide_data_with_a_duplicated_time_point_raises(self, rng):
+        ds = normalize(random_dataset(rng, 3, 30, 60, 3, rest_fraction=0.2))
+        model = fit_sha(ds, kernels_for(ds))
+        dup = ds.subjects[0].data.copy()
+        dup[model.labeled[3]] = dup[model.labeled[1]]
+        with pytest.raises(NumericError):
+            map_subject(model, SubjectData("dup", dup), epsilon=0.0)
+
     def test_epsilon_zero_on_singular_data_with_rest_rows_raises(self, rng):
         ds = normalize(random_dataset(rng, 3, 30, 8, 3, rest_fraction=0.2))
         model = fit_sha(ds, kernels_for(ds))

@@ -420,6 +420,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NumericError"
 
+    @pytest.mark.parametrize("method", ["rha", "sha"])
+    def test_wide_subject_with_a_duplicated_time_point_is_numeric_error(
+            self, tmp_path, capsys, rng, method):
+        ds = random_dataset(rng, 3, 12, 40, 2)
+        data = np.array(ds.subjects[1].data)
+        data[5] = data[2]  # wide rows, one time point repeated: rank 11 of 12
+        subjects = (ds.subjects[0], multialign.SubjectData("s1", data), ds.subjects[2])
+        manifest = multialign.data.save_dataset(
+            multialign.Dataset(subjects, ds.labels, ds.class_names), tmp_path / "ds")
+        code = run_cli("align", "--data", str(manifest), "--method", method,
+                       "--epsilon", "0", "--out", str(tmp_path / "out"))
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NumericError"
+
     @pytest.mark.parametrize("argv", [
         ("loso", "--method", "none", "--epsilon", "nan"),
         ("align", "--method", "none", "--epsilon", "-5"),
@@ -445,6 +460,27 @@ class TestExitCodes:
         config.write_text(json.dumps({"command": "rerun", "arguments": {}}))
         assert run_cli("rerun", str(config), "--out", str(tmp_path / "out")) == 2
         capsys.readouterr()
+
+    def test_rerun_takes_no_seed(self, manifest, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run_cli("loso", "--data", str(manifest), "--seed", "1",
+                       "--out", str(first)) == 0
+        replay = tmp_path / "replay"
+        code = run_cli("rerun", str(first / "run_config.json"), "--seed", "99",
+                       "--out", str(replay))
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not replay.exists()
+
+    def test_corr_refuses_a_method_named_twice_before_loading(self, tmp_path, capsys):
+        garbled = tmp_path / "manifest.json"
+        garbled.write_text("{not json")  # loading it would exit 3
+        code = run_cli("corr", "--data", str(garbled), "--methods", "rha,sha,sha",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "InvalidArgumentError",
+                       "message": "--methods names 'sha' more than once"}
 
     def test_rerun_of_non_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "run_config.json"
