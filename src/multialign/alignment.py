@@ -34,10 +34,7 @@ Each subject factors each matrix once: the SVDs of its data rows and of its
 label-coupled responses are memoized on the subject object (see
 :meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
 that needs them, and reused by every later method, fold, fit and mapping
-that is handed the same subject.  Wide rows (fewer time points than
-voxels) are first reduced once to a (time points x time points) triangular
-factor with the same left singular vectors and values, so no SVD runs on a
-matrix with one column per voxel.
+that is handed the same subject.
 """
 
 from __future__ import annotations
@@ -51,10 +48,19 @@ import numpy as np
 
 from .data import Dataset, SubjectData, read_matrix_csv, write_json, write_matrix_csv
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
-from .linalg import _check_epsilon, projector_from_svd, symmetric_eig, truncated_svd
+from .linalg import (
+    _check_epsilon,
+    _check_nonsingular,
+    projector_from_svd,
+    symmetric_eig,
+    truncated_svd,
+)
 from .supervision import SupervisionKernel, identity_kernel
 
 METHODS = ("none", "rha", "sha", "sha_r")
+# The methods that fit through supervision kernels; the others take no kernel
+# and no gamma.
+SUPERVISED_METHODS = ("sha", "sha_r")
 
 # Above this many coupled time points the unsupervised path materializes an
 # uncomfortably large dense eigenproblem; warn rather than refuse.
@@ -241,6 +247,10 @@ def _subject_terms(method, dataset, kernels, epsilon, k, iterations,
     """
     if method == "rha":
         kernels = [identity_kernel(dataset.n_timepoints)] * dataset.n_subjects
+    elif kernels is None:
+        raise InvalidArgumentError(
+            f"fitting {method!r} needs one supervision kernel per subject, got None"
+        )
     else:
         kernels = _validate_kernels(dataset, kernels)
     size = kernels[0].n_classes
@@ -489,10 +499,7 @@ def _mapping_factors(svds, epsilon):
     shrinks = []
     for svd in svds:
         s = svd.singular_values
-        if epsilon == 0.0 and (s <= 1e-12).any():
-            raise NumericError(
-                "mapping is singular: zero singular value with epsilon = 0"
-            )
+        _check_nonsingular(s, epsilon, "mapping")
         s2 = s * s
         shrinks.append(s2 / (s2 + epsilon))
     return np.stack([svd.left for svd in svds]), np.stack(shrinks)

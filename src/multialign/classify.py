@@ -32,7 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import METHODS, _fit_terms, _map_rows, _mapping_factors, _subject_terms
+from .alignment import (
+    METHODS,
+    SUPERVISED_METHODS,
+    _fit_terms,
+    _map_rows,
+    _mapping_factors,
+    _subject_terms,
+)
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
 from .linalg import _check_epsilon
@@ -257,6 +264,8 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     is.  Per fold: fit the alignment on the training subjects only, map
     everyone through the fitted model, train the ridge classifier on the
     mapped training rows, and score the held-out subject's labeled rows.
+    ``gamma`` reaches only the supervision kernels of ``sha`` and ``sha_r``;
+    the report's ``params`` record it as ``None`` for the other methods.
 
     Every per-subject quantity is built once per run and stacked in subject
     order: the kernels (validated once, against all subjects), one
@@ -316,7 +325,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     with run("fit_ns"):
         terms = None
         if method != "none":
-            kernels = kernels_for(normalized, gamma) if method in ("sha", "sha_r") else None
+            kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k, iterations,
                                    keep_complements=True)
     with run("map_ns"):
@@ -384,7 +393,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
               for stage, spent in run.items()}
     params = {
         "epsilon": float(epsilon),
-        "gamma": None if gamma is None else float(gamma),
+        "gamma": None if gamma is None or method not in SUPERVISED_METHODS else float(gamma),
         "k": None if k is None else int(k),
         "iterations": int(iterations),
         "ridge": float(ridge),

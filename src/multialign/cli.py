@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import METHODS, fit, map_subject, save_model
+from .alignment import METHODS, SUPERVISED_METHODS, fit, map_subject, save_model
 from .classify import _Stages, run_loso, run_loso_normalized
 from .data import (
     Dataset,
@@ -126,7 +126,7 @@ def cmd_align(args, out: Path, stage: _Stages) -> None:
     with stage("load_ns"):
         dataset = normalize(load_dataset(args.data))
     with stage("fit_ns"):
-        kernels = kernels_for(dataset, gamma) if args.method in ("sha", "sha_r") else None
+        kernels = kernels_for(dataset, gamma) if args.method in SUPERVISED_METHODS else None
         model = fit(args.method, dataset, kernels, epsilon=args.epsilon, k=k,
                     iterations=args.iters)
     with stage("map_ns"):
@@ -154,7 +154,7 @@ def cmd_corr(args, out: Path, stage: _Stages) -> None:
     rows = []
     for method in methods:
         with stage(f"{method}_ns"):
-            kernels = kernels_for(dataset, gamma) if method in ("sha", "sha_r") else None
+            kernels = kernels_for(dataset, gamma) if method in SUPERVISED_METHODS else None
             model = fit(method, dataset, kernels, epsilon=args.epsilon, k=k,
                         iterations=args.iters)
             mapped = [map_subject(model, subj).features for subj in dataset.subjects]

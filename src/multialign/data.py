@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError
-from .linalg import LeftSvd, _rank_deficient, as_matrix, truncated_svd
+from .linalg import TruncatedSvd, as_matrix, truncated_svd
 
 # Columns whose sample standard deviation falls at or below this are treated
 # as constant and zeroed during normalization.
@@ -78,19 +78,17 @@ class SubjectData:
     normalization).
 
     The thin SVDs that alignment asks of a subject are memoized on it (see
-    :meth:`thin_svd`), and so are the triangular factors of its wide row
-    sets, so ``data`` is stored read-only: a writable input is copied, and a
-    later write to the caller's array cannot reach the subject or leave its
-    memoized factors stale.  The memos take no part in equality or
-    ``repr``, and :func:`normalize` and ``dataclasses.replace`` return
-    subjects with empty memos.
+    :meth:`thin_svd`), so ``data`` is stored read-only: a writable input is
+    copied, and a later write to the caller's array cannot reach the subject
+    or leave its memoized factors stale.  The memo takes no part in equality
+    or ``repr``, and :func:`normalize` and ``dataclasses.replace`` return
+    subjects with an empty memo.
     """
 
     subject_id: str
     data: np.ndarray
     zeroed_columns: tuple[int, ...] = ()
     _svds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _reduced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.data, f"data for subject {self.subject_id!r}")
@@ -111,43 +109,20 @@ class SubjectData:
     def n_voxels(self) -> int:
         return self.data.shape[1]
 
-    def thin_svd(self, rows: np.ndarray, coupling: np.ndarray | None = None) -> LeftSvd:
-        """Left factor and singular values of ``data[rows]``, or of ``coupling @ data[rows]``.
+    def thin_svd(self, rows: np.ndarray, coupling: np.ndarray | None = None) -> TruncatedSvd:
+        """Full-rank :func:`truncated_svd` of ``data[rows]``, or of ``coupling @ data[rows]``.
 
-        Full rank, under :func:`truncated_svd`'s sign convention; the
-        voxel-side factor ``V`` is never kept.  Computed on the first request
-        for a given ``rows`` and ``coupling`` and reused afterwards, so every
-        method, fold, fit and mapping that shares this subject object factors
-        each matrix once.
-
-        Wide rows (fewer rows than voxels) are reduced once per row set to
-        the triangular ``L = qr(X^T, mode="r")^T``: ``X = L Q^T`` with ``Q``'s
-        columns orthonormal, so ``X`` and ``L``, and ``K X`` and ``K L``, share
-        their left singular vectors and values, and the SVDs run on
-        ``L`` (rows x rows) and ``K L`` (classes x rows) instead of on
-        matrices with one column per voxel.  A coupling with more rows than
-        ``X`` has would lose singular values to ``K L`` and is factored
-        whole, like tall rows, which are never reduced.  Either way
-        ``rank_deficient`` applies the cutoff of the matrix asked for, not
-        of the one factored.
+        Computed on the first request for a given ``rows`` and ``coupling``
+        and reused afterwards, so every method, fold, fit and mapping that
+        shares this subject object factors each matrix once.
         """
         rows = np.asarray(rows, dtype=int)
         key = (rows.tobytes(),
                None if coupling is None else (coupling.shape, coupling.tobytes()))
         svd = self._svds.get(key)
         if svd is None:
-            shape = (rows.size if coupling is None else coupling.shape[0], self.n_voxels)
-            if min(shape) <= rows.size < self.n_voxels:
-                m = self._reduced.get(key[0])
-                if m is None:
-                    m = self._reduced[key[0]] = np.linalg.qr(self.data[rows].T, mode="r").T
-            else:
-                m = self.data[rows]
-            if coupling is not None:
-                m = coupling @ m
-            full = truncated_svd(m, min(m.shape))
-            s = full.singular_values
-            svd = self._svds[key] = LeftSvd(full.left, s, _rank_deficient(s, shape))
+            m = self.data[rows] if coupling is None else coupling @ self.data[rows]
+            svd = self._svds[key] = truncated_svd(m, min(m.shape))
         return svd
 
 

@@ -6,6 +6,10 @@ at hand), and a symmetric eigendecomposition with
 the same sign convention.  Everything downstream (alignment, mapping,
 template extraction) is phrased in terms of these, so determinism and sign
 conventions are fixed once, in this module.
+
+The SVD keeps only the left factor and the singular values, and it reduces
+a wide matrix (fewer rows than columns) to its triangular QR factor before
+factoring it, so no SVD ever runs on a matrix with one column per voxel.
 """
 
 from __future__ import annotations
@@ -37,86 +41,60 @@ def as_matrix(values, name: str = "input") -> np.ndarray:
     return m
 
 
-def _fix_signs(left: np.ndarray, right: np.ndarray | None = None):
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive.
 
-    The flip is applied consistently to ``right`` (paired columns) when given.
     Ties resolve to the first maximal index, which makes the convention
     deterministic.
     """
-    if left.shape[1] == 0:
-        return left, right
-    anchor = np.abs(left).argmax(axis=0)
-    signs = np.sign(left[anchor, np.arange(left.shape[1])])
+    if vectors.shape[1] == 0:
+        return vectors
+    anchor = np.abs(vectors).argmax(axis=0)
+    signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    left = left * signs
-    if right is not None:
-        right = right * signs
-    return left, right
+    return vectors * signs
 
 
 @dataclass(frozen=True)
 class TruncatedSvd:
-    """Rank-``r`` singular value decomposition ``m ~ left @ diag(s) @ right.T``.
+    """The left half of a rank-``r`` SVD ``m ~ left @ diag(s) @ right.T``.
 
-    ``left`` is (rows, r) with orthonormal columns, ``singular_values`` is
-    (r,) non-increasing and non-negative, ``right`` is (cols, r) with
-    orthonormal columns.  ``rank_deficient`` flags that the numerical rank of
-    the input fell below the requested rank, in which case the trailing
+    ``left`` is (rows, r) with orthonormal columns and ``singular_values``
+    is (r,), non-increasing and non-negative; the right factor is never
+    computed, since a projector or a dual-form ridge map needs nothing else
+    of a matrix.  ``rank_deficient`` flags that the numerical rank of the
+    input fell below the requested rank, in which case the trailing
     singular values are (numerically) zero and the corresponding vectors are
     an orthonormal completion.
     """
 
     left: np.ndarray
     singular_values: np.ndarray
-    right: np.ndarray
     rank_deficient: bool = False
-
-    @property
-    def rank(self) -> int:
-        return int(self.singular_values.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
-
-
-@dataclass(frozen=True)
-class LeftSvd:
-    """The left half of a thin SVD: ``left`` and ``singular_values`` only.
-
-    The fields mean what they mean in :class:`TruncatedSvd`, under the same
-    sign convention; the right factor is not kept.  A projector or a
-    dual-form ridge map needs nothing else of a matrix.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    rank_deficient: bool
-
-
-def _rank_deficient(s: np.ndarray, shape) -> bool:
-    """Whether ``s`` of a matrix of ``shape`` falls below its numerical rank.
-
-    Mirrors ``np.linalg.matrix_rank``'s default cutoff
-    ``s[0] * max(shape) * eps``.
-    """
-    return bool(s[-1] <= s[0] * max(shape) * np.finfo(float).eps)
 
 
 def truncated_svd(m, rank: int) -> TruncatedSvd:
-    """Deterministic truncated SVD of a matrix.
+    """Deterministic truncated SVD of a matrix, left factor only.
+
+    A wide matrix (fewer rows than columns) is reduced first, as in Chan's
+    R-SVD: with ``m^T = Q R``, ``m = R^T Q^T`` and ``Q``'s columns are
+    orthonormal, so ``m`` and the (rows x rows) triangular ``R^T`` share
+    their left singular vectors and values, and the SVD runs on ``R^T``
+    instead of on a matrix with one column per voxel.  The rank flag still
+    applies the cutoff of ``m``'s own shape, ``np.linalg.matrix_rank``'s
+    default ``s[0] * max(rows, cols) * eps``.
 
     Parameters
     ----------
     m : array_like, shape (rows, cols)
         Matrix to decompose; must be finite.
     rank : int
-        Number of singular triplets to keep, ``1 <= rank <= min(rows, cols)``.
+        Number of singular pairs to keep, ``1 <= rank <= min(rows, cols)``.
 
     Returns
     -------
     TruncatedSvd
-        Orthonormal factors under a fixed sign convention: the
+        Orthonormal left factor under a fixed sign convention: the
         largest-magnitude entry of every left singular vector is positive.
     """
     m = as_matrix(m, "matrix")
@@ -125,12 +103,11 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
         raise InvalidArgumentError(
             f"rank must be in [1, {max_rank}] for shape {m.shape}, got {rank}"
         )
-    left, s, right_t = np.linalg.svd(m, full_matrices=False)
-    left = left[:, :rank]
+    factored = np.linalg.qr(m.T, mode="r").T if m.shape[0] < m.shape[1] else m
+    left, s, _ = np.linalg.svd(factored, full_matrices=False)
     s = s[:rank]
-    right = right_t[:rank].T
-    left, right = _fix_signs(left, right)
-    return TruncatedSvd(left, s, right, rank_deficient=_rank_deficient(s, m.shape))
+    deficient = bool(s[-1] <= s[0] * max(m.shape) * np.finfo(float).eps)
+    return TruncatedSvd(_fix_signs(left[:, :rank]), s, rank_deficient=deficient)
 
 
 @dataclass(frozen=True)
@@ -166,7 +143,19 @@ def _check_epsilon(epsilon) -> None:
         raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
 
 
-def projector_from_svd(svd: TruncatedSvd | LeftSvd, epsilon: float) -> RegularizedProjector:
+def _check_nonsingular(singular_values, epsilon: float, what: str) -> None:
+    """Refuse ``epsilon = 0`` when a retained singular value is numerically zero.
+
+    Every ridge quantity built from an SVD divides by ``s_i^2 + eps``
+    somewhere; with no ridge a zero ``s_i`` leaves ``what`` undefined.
+    """
+    if epsilon == 0.0 and (singular_values <= _ZERO_SINGULAR_VALUE).any():
+        raise NumericError(
+            f"{what} is singular: zero singular value retained with epsilon = 0"
+        )
+
+
+def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjector:
     """Ridge-regularized projector onto the column space of a factored matrix.
 
     Shrinks each left singular vector of ``svd`` by ``s_i / sqrt(s_i^2 + eps)``.
@@ -176,10 +165,7 @@ def projector_from_svd(svd: TruncatedSvd | LeftSvd, epsilon: float) -> Regulariz
     """
     _check_epsilon(epsilon)
     s = svd.singular_values
-    if epsilon == 0.0 and (s <= _ZERO_SINGULAR_VALUE).any():
-        raise NumericError(
-            "projector is singular: zero singular value retained with epsilon = 0"
-        )
+    _check_nonsingular(s, epsilon, "projector")
     shrink = s / np.sqrt(s * s + epsilon)
     return RegularizedProjector(
         svd.left * shrink, float(epsilon), rank_deficient=svd.rank_deficient
@@ -221,5 +207,4 @@ def symmetric_eig(m) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is asymmetric beyond tolerance: max|m - m.T| = {asym:.3e}"
         )
     values, vectors = np.linalg.eigh((m + m.T) / 2.0)
-    vectors, _ = _fix_signs(vectors)
-    return values, vectors
+    return values, _fix_signs(vectors)

@@ -575,6 +575,15 @@ class TestDispatcher:
         with pytest.raises(InvalidArgumentError):
             fit("procrustes", ds, None)
 
+    @pytest.mark.parametrize("method", ["sha", "sha_r"])
+    def test_supervised_fit_without_kernels_is_refused(self, rng, method):
+        ds = normalize(random_dataset(rng, 3, 10, 6, 2))
+        wrapper = {"sha": fit_sha, "sha_r": fit_sha_r}[method]
+        for attempt in (lambda: fit(method, ds), lambda: wrapper(ds, None)):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"'{method}' needs one supervision kernel per subject"):
+                attempt()
+
     @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
     def test_one_subject_refused_before_factoring(self, rng, method, monkeypatch):
         ds = normalize(random_dataset(rng, 1, 10, 6, 2))

@@ -192,6 +192,18 @@ class TestLoso:
             timings["stages_ns"]
         )
 
+    @pytest.mark.parametrize("method", ["none", "rha"])
+    def test_gamma_is_not_recorded_for_methods_without_a_kernel(self, manifest, tmp_path,
+                                                                method):
+        runs = {}
+        for gamma in ("auto", "5"):
+            out = tmp_path / gamma
+            assert run_cli("loso", "--data", str(manifest), "--method", method,
+                           "--gamma", gamma, "--out", str(out)) == 0
+            runs[gamma] = (out / f"loso_{method}.json").read_bytes()
+        assert json.loads(runs["5"])["params"]["gamma"] is None
+        assert runs["5"] == runs["auto"]
+
 
 class TestSweep:
     def test_det_grid(self, manifest, tmp_path):

@@ -304,20 +304,17 @@ class TestThinSvdMemo:
         subj.thin_svd(np.arange(12))
         assert repr(subj) == before == repr(twin)
         assert subj == twin and twin == subj
-        memos = [f for f in dataclasses.fields(SubjectData)
-                 if f.name in ("_svds", "_reduced")]
-        assert len(memos) == 2
-        for memo in memos:
-            assert not memo.compare and not memo.repr and not memo.hash
+        memo = next(f for f in dataclasses.fields(SubjectData) if f.name == "_svds")
+        assert not memo.compare and not memo.repr and not memo.hash
 
     def test_new_subjects_start_empty(self, rng):
         ds = random_dataset(rng, 2, 12, 5, 2)
         subj = ds.subjects[0]
         subj.thin_svd(np.arange(12))
-        subj.thin_svd(np.arange(4))  # wide rows: reduced first
-        assert subj._svds and subj._reduced
+        subj.thin_svd(np.arange(4))
+        assert len(subj._svds) == 2
         for fresh in (dataclasses.replace(subj), normalize(ds).subjects[0]):
-            assert fresh._svds == {} and fresh._reduced == {}
+            assert fresh._svds == {}
 
     def test_normalized_data_is_read_only(self, rng):
         subj = normalize(random_dataset(rng, 1, 12, 5, 2)).subjects[0]
@@ -331,66 +328,6 @@ class TestThinSvdMemo:
         data[0, 0] = 99.0
         assert subj.data[0, 0] != 99.0
         assert SubjectData("b", subj.data).data is subj.data  # read-only: shared
-
-
-def _matrix_of_rank(rng, rows, cols, rank):
-    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-
-
-class TestWideRowsReduced:
-    """Wide rows are factored through their triangular factor, tall ones whole."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(rows=st.integers(2, 12), voxels=st.integers(1, 30),
-           classes=st.none() | st.integers(1, 14), deficit=st.integers(0, 2),
-           seed=st.integers(0, 2**32 - 1))
-    def test_factors_match_the_full_svd(self, rows, voxels, classes, deficit, seed):
-        rng = np.random.default_rng(seed)
-        rank = max(1, min(rows, voxels) - deficit)
-        subj = SubjectData("s", _matrix_of_rank(rng, rows, voxels, rank))
-        take = np.arange(rows)
-        coupling = None if classes is None else rng.standard_normal((classes, rows))
-        full = subj.data if coupling is None else coupling @ subj.data
-        got = subj.thin_svd(take, coupling)
-        want = truncated_svd(full, min(full.shape))
-        assert got.rank_deficient == want.rank_deficient
-        if rows >= voxels or (classes or 0) > rows:  # factored whole: the same bits
-            assert not subj._reduced
-            np.testing.assert_array_equal(got.left, want.left)
-            np.testing.assert_array_equal(got.singular_values, want.singular_values)
-            return
-        assert subj._reduced[take.tobytes()].shape == (rows, rows)
-        np.testing.assert_allclose(got.singular_values, want.singular_values,
-                                   rtol=0, atol=1e-10)
-        # Directions of non-zero singular values match, signs included; the
-        # rest complete an orthonormal basis, which is not unique.
-        kept = want.singular_values > 1e-8 * want.singular_values[0]
-        np.testing.assert_allclose(got.left[:, kept], want.left[:, kept], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(got.left.T @ got.left, np.eye(got.left.shape[1]),
-                                   rtol=0, atol=1e-10)
-
-    def test_wide_rows_reduced_once_per_row_set(self, rng):
-        subj = SubjectData("s", rng.standard_normal((8, 20)))
-        rows = np.arange(1, 7)
-        plain = subj.thin_svd(rows)
-        reduced = subj._reduced[rows.tobytes()]
-        coupled = subj.thin_svd(rows, rng.standard_normal((3, 6)))
-        assert subj._reduced == {rows.tobytes(): reduced}
-        assert plain.left.shape == (6, 6) and coupled.left.shape == (3, 3)
-        np.testing.assert_allclose(reduced @ reduced.T, subj.data[rows] @ subj.data[rows].T,
-                                   rtol=0, atol=1e-10)
-
-    def test_rank_advisory_uses_the_full_matrix_cutoff(self, rng):
-        # s_min lies between the cutoffs of the 3 x 3 factor (3 s_0 eps) and
-        # of the 3 x 300 matrix (300 s_0 eps): deficient only by the latter.
-        left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        right = np.linalg.qr(rng.standard_normal((300, 3)))[0]
-        data = (left * [1.0, 0.5, 1e-14]) @ right.T
-        subj = SubjectData("s", data)
-        got = subj.thin_svd(np.arange(3))
-        assert truncated_svd(data, 3).rank_deficient
-        assert not truncated_svd(subj._reduced[np.arange(3).tobytes()], 3).rank_deficient
-        assert got.rank_deficient
 
 
 class TestManifestTypes:

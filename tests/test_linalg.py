@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multialign import (
     InvalidArgumentError,
@@ -13,6 +15,15 @@ from multialign import (
 )
 
 
+def _residual(m, svd):
+    """``||m - U U^T m||_F``: what the kept left directions leave of ``m``."""
+    return np.linalg.norm(m - svd.left @ (svd.left.T @ m))
+
+
+def _matrix_of_rank(rng, rows, cols, rank):
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
 class TestTruncatedSvd:
     def test_singular_values_match_gram_eigenvalues(self, rng):
         # independent oracle: eigenvalues of m.T @ m are squared singular values
@@ -20,31 +31,71 @@ class TestTruncatedSvd:
         svd = truncated_svd(m, 4)
         oracle = np.sqrt(np.clip(np.linalg.eigvalsh(m.T @ m), 0, None))[::-1]
         np.testing.assert_allclose(svd.singular_values, oracle, atol=1e-8, rtol=0)
-        np.testing.assert_allclose(svd.reconstruct(), m, atol=1e-8, rtol=0)
+        scaled = svd.left * svd.singular_values
+        np.testing.assert_allclose(scaled @ scaled.T, m @ m.T, atol=1e-8, rtol=0)
 
     def test_rank_reconstruction_error_matches_tail_mass(self, rng):
         m = rng.standard_normal((8, 5))
         full = np.linalg.svd(m, compute_uv=False)
         for rank in range(1, 6):
-            svd = truncated_svd(m, rank)
-            err = np.linalg.norm(m - svd.reconstruct())
+            err = _residual(m, truncated_svd(m, rank))
             expected = np.sqrt((full[rank:] ** 2).sum())
             assert abs(err - expected) <= 1e-8
 
     def test_error_non_increasing_in_rank(self, rng):
         m = rng.standard_normal((10, 7))
-        errors = [
-            np.linalg.norm(m - truncated_svd(m, r).reconstruct())
-            for r in range(1, 8)
-        ]
+        errors = [_residual(m, truncated_svd(m, r)) for r in range(1, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
 
     def test_orthonormal_factors(self, rng):
         m = rng.standard_normal((9, 6))
         svd = truncated_svd(m, 4)
         np.testing.assert_allclose(svd.left.T @ svd.left, np.eye(4), atol=1e-8)
-        np.testing.assert_allclose(svd.right.T @ svd.right, np.eye(4), atol=1e-8)
         assert svd.singular_values[0] >= svd.singular_values[-1] >= 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 14), cols=st.integers(1, 30), deficit=st.integers(0, 3),
+           keep=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+    def test_left_factor_matches_the_full_svd(self, rows, cols, deficit, keep, seed):
+        # Wide inputs are factored through their triangular QR factor, tall
+        # ones whole; either way the result is that of the input's own SVD.
+        rng = np.random.default_rng(seed)
+        m = _matrix_of_rank(rng, rows, cols, max(1, min(rows, cols) - deficit))
+        rank = min(keep, rows, cols)
+        got = truncated_svd(m, rank)
+        u, want, _ = np.linalg.svd(m, full_matrices=False)
+        np.testing.assert_allclose(got.singular_values, want[:rank], rtol=0,
+                                   atol=1e-10 * max(1.0, want[0]))
+        # Directions of non-zero singular values match, signs included; the
+        # rest complete an orthonormal basis, which is not unique.
+        kept = want[:rank] > 1e-8 * want[0]
+        u = u[:, :rank][:, kept]
+        u *= np.sign(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
+        np.testing.assert_allclose(got.left[:, kept], u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.left.T @ got.left, np.eye(rank), rtol=0, atol=1e-10)
+        # The rank flag takes the cutoff of the input's shape, not of the
+        # factor it came from; near the cutoff rounding may tip it either way.
+        cutoff = want[0] * max(rows, cols) * np.finfo(float).eps
+        if not cutoff / 4 < want[rank - 1] < 4 * cutoff:
+            assert got.rank_deficient == (want[rank - 1] <= cutoff)
+        # At full rank the factor carries m m^T; truncated, it leaves the tail.
+        scaled = got.left * got.singular_values
+        if rank == min(rows, cols):
+            np.testing.assert_allclose(scaled @ scaled.T, m @ m.T, rtol=0,
+                                       atol=1e-10 * max(1.0, want[0] ** 2))
+        tail = np.sqrt((want[rank:] ** 2).sum())
+        assert abs(_residual(m, got) - tail) <= 1e-9 * max(1.0, want[0])
+
+    def test_rank_flag_uses_the_full_shape_cutoff(self, rng):
+        # s_min lies between the cutoffs of the 3 x 3 triangular factor
+        # (3 s_0 eps) and of the 3 x 300 matrix (300 s_0 eps): deficient only
+        # by the latter, which is the matrix asked for.
+        left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        right = np.linalg.qr(rng.standard_normal((300, 3)))[0]
+        data = (left * [1.0, 0.5, 1e-14]) @ right.T
+        factor = np.linalg.qr(data.T, mode="r").T
+        assert not truncated_svd(factor, 3).rank_deficient
+        assert truncated_svd(data, 3).rank_deficient
 
     def test_sign_convention_largest_entry_positive(self, rng):
         for _ in range(20):
@@ -59,7 +110,7 @@ class TestTruncatedSvd:
         a = truncated_svd(m, 3)
         b = truncated_svd(m.copy(), 3)
         np.testing.assert_array_equal(a.left, b.left)
-        np.testing.assert_array_equal(a.right, b.right)
+        np.testing.assert_array_equal(a.singular_values, b.singular_values)
 
     def test_degenerate_rank_pads_and_flags(self):
         m = np.zeros((4, 3))
