@@ -1,21 +1,22 @@
 """Multi-subject functional alignment engines.
 
 All methods place subjects into a common space by comparing, per subject,
-the ridge-regularized projector onto the column space of the (optionally
-label-coupled) response matrix.  ``sha``, ``rha`` (its identity-kernel
-case) and ``sha_r`` share one fit pipeline and differ only in how they
-choose the shared space ``W``: the single-shot paths solve one symmetric
-eigenproblem over the summed projector complements, the iterative path
-(``sha_r``) alternates between per-subject ridge maps and a shared
-template.  ``none`` is the do-nothing baseline.
+the ridge-regularized projector onto the column space of the response
+matrix, label-coupled (``K_i X_i``) for the supervised methods.  ``sha``,
+``rha`` (its identity-kernel case) and ``sha_r`` share one fit pipeline and
+differ only in how they choose the shared space ``W``: the single-shot
+paths solve one symmetric eigenproblem over the summed projector
+complements, the iterative path (``sha_r``) alternates between per-subject
+ridge maps and a shared template.  ``none`` is the do-nothing baseline.
 
 The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
-each subject (validated kernels, ``k``, one projector factor per subject
-and, for leave-one-subject-out, each complement ``I - P_i``), stacked in
-subject order; :func:`_fit_terms` fits over any subset of those subjects by
-indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers run the two over every
-subject and add the diagnostics; leave-one-subject-out builds the terms
-once per run and fits each fold from them.
+each subject (validated kernels, ``k``, the data SVD, one projector factor
+per subject and, for leave-one-subject-out, each complement ``I - P_i``),
+stacked in subject order; :func:`_fit_terms` fits over any subset of those
+subjects by indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers
+run the two over every subject and add the diagnostics;
+leave-one-subject-out builds the terms once per run, fits each fold from
+them and maps through the data SVDs they hold.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
@@ -30,25 +31,36 @@ the fit's own complements instead: under the identity kernel the mapping
 projector is the fit projector ``P_i``, so the rows map as ``G - (I - P_i)
 G``, one stacked matmul.
 
-Each subject factors each matrix once: the SVDs of its data rows and of its
-label-coupled responses are memoized on the subject object (see
+Each subject is factored once: the SVD ``X_l = U diag(s) V^T`` of its data
+at the template's time points is memoized on the subject object (see
 :meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
-that needs them, and reused by every later method, fold, fit and mapping
-that is handed the same subject.
+that needs it, and reused by every later method, fold, fit and mapping that
+is handed the same subject.  The supervised projectors are read off it:
+``V`` has orthonormal columns, so ``K_i X_l`` shares its left singular
+vectors and values with the (classes x rank) ``K_i U diag(s)``
+(:func:`_coupled_svd`), and no label-coupled (classes x voxels) matrix is
+ever factored.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SubjectData, read_matrix_csv, write_json, write_matrix_csv
+from .data import (
+    Dataset,
+    SubjectData,
+    read_json_object,
+    read_matrix_csv,
+    write_json,
+    write_matrix_csv,
+)
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
 from .linalg import (
+    TruncatedSvd,
     _check_epsilon,
     _check_nonsingular,
     projector_from_svd,
@@ -100,7 +112,10 @@ class AlignmentModel:
     coupled time points (``rha``).  ``template`` has one row per coupled time
     point; mapping regresses a subject's responses onto it.  ``labeled`` holds
     the indices of those time points in the full time axis.  For the ``none``
-    baseline both factors are absent and mapping is the identity.
+    baseline both factors are absent and mapping is the identity.  Every
+    other model is refused without a template with one row per ``labeled``
+    index (:class:`InvalidDataError`), so mapping never meets an
+    inconsistent model.
     """
 
     method: str
@@ -116,6 +131,12 @@ class AlignmentModel:
         if self.method not in METHODS:
             raise InvalidArgumentError(
                 f"method must be one of {METHODS}, got {self.method!r}"
+            )
+        shape = None if self.template is None else self.template.shape
+        if self.method != "none" and (shape is None or np.shape(self.labeled) != shape[:1]):
+            raise InvalidDataError(
+                f"model for method {self.method!r} is inconsistent: a template of "
+                f"shape {shape} for labeled time points of shape {np.shape(self.labeled)}"
             )
 
 
@@ -149,17 +170,15 @@ def pairwise_objective(mapped, kernels=None) -> float:
         if kernels is not None:
             ker = kernels[idx]
             z = ker.matrix @ z[ker.labeled]
+        if mats and z.shape != mats[0].shape:
+            raise InvalidDataError(
+                f"mapped entry {idx} has shape {z.shape}, expected {mats[0].shape}"
+            )
         mats.append(z)
     if len(mats) < 2:
         raise InvalidArgumentError("need at least two subjects to compare")
-    shape = mats[0].shape
-    for idx, m in enumerate(mats):
-        if m.shape != shape:
-            raise InvalidDataError(
-                f"mapped entry {idx} has shape {m.shape}, expected {shape}"
-            )
     origin = mats[0]
-    mean = np.zeros(shape)
+    mean = np.zeros(origin.shape)
     for m in mats[1:]:
         mean += m - origin
     mean /= len(mats)
@@ -217,19 +236,23 @@ def _check_finite(name: str, *arrays) -> None:
 class _SubjectTerms:
     """What a fit needs of each subject, stacked along axis 0 in subject order.
 
-    ``factors[i]`` is the shrunken projector factor ``F_i`` of subject ``i``'s
-    label-coupled responses (``P_i = F_i F_i^T``), ``complements[i]`` is
-    ``I - P_i``, ``couplings[i]`` the kernel matrix (absent under the
-    identity kernel) and ``coupled[i]`` the coupled responses ``K_i X_i``
-    (``sha_r`` only, its default start).  A fit over a subset of the
-    subjects indexes these stacks.  ``complements`` is kept only when the
-    terms serve a fit per fold; a single fit adds each complement to ``U``
-    as it forms it, so a (time points x time points) ``U`` is never held
-    once per subject.
+    ``svds[i]`` is the memoized SVD of subject ``i``'s data at the coupled
+    time points (the one factorization a subject gets; mapping reads it
+    too), ``rank_deficient[i]`` the rank flag of the matrix its projector
+    comes from, ``factors[i]`` the shrunken projector factor ``F_i`` of its
+    label-coupled responses ``K_i X_i`` (``P_i = F_i F_i^T``),
+    ``complements[i]`` is ``I - P_i``, ``couplings[i]`` the kernel matrix
+    (absent under the identity kernel) and ``coupled[i]`` the coupled
+    responses ``K_i X_i`` (``sha_r`` only, its default start).  A fit over
+    a subset of the subjects indexes these stacks.  ``complements`` is kept
+    only when the terms serve a fit per fold; a single fit adds each
+    complement to ``U`` as it forms it, so a (time points x time points)
+    ``U`` is never held once per subject.
     """
 
     kernels: tuple[SupervisionKernel, ...]
-    svds: tuple
+    svds: tuple[TruncatedSvd, ...]
+    rank_deficient: tuple[bool, ...]
     k: int
     factors: np.ndarray
     complements: np.ndarray | None
@@ -237,13 +260,37 @@ class _SubjectTerms:
     coupled: np.ndarray | None
 
 
-def _subject_terms(method, dataset, kernels, epsilon, k, iterations,
+def _check_iterations(iterations) -> None:
+    if iterations < 1:
+        raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
+
+
+def _coupled_svd(coupling: np.ndarray, svd: TruncatedSvd, voxels: int) -> TruncatedSvd:
+    """The SVD of ``K X_l``, read off the SVD ``X_l = U diag(s) V^T`` of the data.
+
+    ``V`` has orthonormal columns, so ``K X_l = (K U diag(s)) V^T`` shares
+    its left singular vectors and singular values with the (classes x rank)
+    ``K U diag(s)``, which is factored instead of a matrix with one column
+    per voxel.  ``K X_l`` has ``min(classes, voxels)`` of them; when the
+    data has fewer rows than that, zero columns pad the product to that
+    width, so the missing values come back as zeros and both the rank flag
+    and the ``epsilon = 0`` check still see them.
+    """
+    product = coupling @ (svd.left * svd.singular_values)
+    short = max(min(coupling.shape[0], voxels) - product.shape[1], 0)
+    product = np.pad(product, ((0, 0), (0, short)))
+    return truncated_svd(product, min(product.shape))
+
+
+def _subject_terms(method, dataset, kernels, epsilon, k,
                    keep_complements=False) -> _SubjectTerms:
     """Validate a fit's inputs and build every subject's terms once.
 
-    One memoized SVD lookup and one :func:`projector_from_svd` per subject;
-    kept complements come from one stacked matmul.  The size advisory's
-    ``stacklevel`` names the line that called :func:`fit` or ``fit_*``.
+    One memoized data SVD lookup and one :func:`projector_from_svd` per
+    subject; a supervised kernel adds one (classes x rank) SVD
+    (:func:`_coupled_svd`).  Kept complements come from one stacked matmul.
+    The size advisory's ``stacklevel`` names the line that called
+    :func:`fit` or ``fit_*``.
     """
     if method == "rha":
         kernels = [identity_kernel(dataset.n_timepoints)] * dataset.n_subjects
@@ -262,12 +309,12 @@ def _subject_terms(method, dataset, kernels, epsilon, k, iterations,
             stacklevel=4,
         )
     k = _resolve_k(k, size, min(dataset.n_voxels, size) if method == "rha" else size)
-    if method == "sha_r" and iterations < 1:
-        raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
     identity = all(kernel.is_identity for kernel in kernels)
-    svds = tuple(subject.thin_svd(kernel.labeled, None if identity else kernel.matrix)
-                 for subject, kernel in zip(dataset.subjects, kernels))
-    factors = np.stack([projector_from_svd(svd, epsilon).factor for svd in svds])
+    svds = tuple(subject.thin_svd(kernels[0].labeled) for subject in dataset.subjects)
+    fitted = svds if identity else tuple(
+        _coupled_svd(kernel.matrix, svd, dataset.n_voxels)
+        for kernel, svd in zip(kernels, svds))
+    factors = np.stack([projector_from_svd(svd, epsilon).factor for svd in fitted])
     complements = coupled = None
     if method == "sha_r":
         coupled = np.stack([kernel.matrix @ subject.data[kernel.labeled]
@@ -278,6 +325,7 @@ def _subject_terms(method, dataset, kernels, epsilon, k, iterations,
     return _SubjectTerms(
         kernels=tuple(kernels),
         svds=svds,
+        rank_deficient=tuple(svd.rank_deficient for svd in fitted),
         k=k,
         factors=factors,
         complements=complements,
@@ -372,7 +420,7 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
         raise InvalidArgumentError(
             f"fitting {method!r} needs at least 2 subjects, got {train.n_subjects}"
         )
-    terms = _subject_terms(method, train, kernels, epsilon, k, iterations)
+    terms = _subject_terms(method, train, kernels, epsilon, k)
     w, template, trace, eigenvalues, history = _fit_terms(
         terms, slice(None), iterations, initial_shared, record_history=True)
     # Diagnostics: where each subject's projector carries the shared space.
@@ -388,7 +436,8 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
         objective_history=history,
         advisories=tuple(
             f"subject {subject.subject_id!r}: coupled matrix is rank deficient"
-            for subject, svd in zip(train.subjects, terms.svds) if svd.rank_deficient
+            for subject, deficient in zip(train.subjects, terms.rank_deficient)
+            if deficient
         ),
     )
     return AlignmentModel(
@@ -412,9 +461,10 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4,
     ``k`` eigenvectors with smallest eigenvalue of ``U = sum_i (I - P_i)``,
     i.e. the directions of label space every subject's responses can express.
     The time-point template is the kernel-average back-projection of ``W``.
-    ``U`` is accumulated subject by subject from each subject's memoized SVD
-    of ``K_i X_i``; no projector factor is retained, the fit diagnostics
-    re-derive each one from the same SVD.
+    Each ``P_i`` comes from the memoized SVD of the subject's data, the one
+    :func:`map_subject` reads, through a (classes x rank) SVD of
+    ``K_i U_i diag(s_i)``; the projector factors are stacked once and serve
+    both ``U`` and the fit diagnostics.
 
     Parameters
     ----------
@@ -458,7 +508,9 @@ def fit_sha_r(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = No
     ``initial_shared`` seeds the template (classes x columns); by default the
     mean coupled response is used.  The recorded ``objective_history`` holds
     the pairwise objective of the mapped responses after each round.
+    ``iterations`` must be at least 1.
     """
+    _check_iterations(iterations)
     return _fit("sha_r", train, kernels, epsilon, k, iterations, initial_shared)
 
 
@@ -480,10 +532,12 @@ def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
         k: int | None = None, iterations: int = 10) -> AlignmentModel:
     """Fit the model named by ``method``; ``rha`` ignores ``kernels``.
 
-    ``epsilon`` is checked for every method, ``none`` included, although
-    ``none`` does not use it.
+    ``epsilon`` and ``iterations`` (at least 1) are checked for every
+    method, ``none`` included, although only ``sha_r`` iterates and ``none``
+    uses neither.
     """
     _check_epsilon(epsilon)
+    _check_iterations(iterations)
     if method == "none":
         return fit_none(train)
     if method in METHODS:
@@ -532,22 +586,19 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     diag(1 / (s^2 + eps)) (U^T G)``, the same ridge map without ``V`` and
     without a division by ``s``.  Neither the (voxels x voxels) system nor
     the voxel-side factor ``V`` is ever formed.  The factors are memoized on
-    the subject, shared with the ``rha`` fit and with every other model
-    mapped through the same subject object.  Mapping needs no labels.
+    the subject, shared with every fit and every other model mapped through
+    the same subject object.  Mapping needs no labels.
     """
     x = subject.data
     if model.method == "none":
         return MappedFeatures(subject.subject_id, x.copy())
-    if model.template is None or model.labeled is None:
-        raise InvalidArgumentError(f"model for method {model.method!r} has no template")
     eps = model.epsilon if epsilon is None else float(epsilon)
     _check_epsilon(eps)
     labeled = model.labeled
-    if labeled.max() >= x.shape[0] or labeled.size != model.template.shape[0]:
+    if labeled.max() >= x.shape[0]:
         raise InvalidArgumentError(
             f"subject {subject.subject_id!r} has {x.shape[0]} time points; the "
-            f"model's template expects {model.template.shape[0]} coupled points "
-            f"within the time axis"
+            f"model's template couples time point {int(labeled.max())}"
         )
     svd = subject.thin_svd(labeled)
     mapped, projected = _map_rows(*_mapping_factors([svd], eps), model.template)
@@ -595,32 +646,46 @@ def save_model(model: AlignmentModel, out_dir) -> Path:
 
 
 def load_model(model_dir) -> AlignmentModel:
-    """Load a model serialized by :func:`save_model` (diagnostics not kept)."""
+    """Load a model serialized by :func:`save_model` (diagnostics not kept).
+
+    A ``model.json`` that does not parse, lacks a key :func:`save_model`
+    writes, names an unknown method, holds a value of the wrong type, or
+    disagrees with ``w.csv``/``g.csv`` raises :class:`InvalidDataError`: the matrices must have the shapes
+    ``dims`` records, and (see :class:`AlignmentModel`) a model other than
+    ``none`` needs them, with one ``labeled`` index per template row.
+    """
     model_dir = Path(model_dir)
-    with open(model_dir / "model.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    path = model_dir / "model.json"
+    meta = read_json_object(path)
+    missing = [key for key in ("method", "epsilon", "gamma", "k", "labeled")
+               if key not in meta]
+    if missing:
+        raise InvalidDataError(f"{path} lacks the keys {missing}")
+    if meta["method"] not in METHODS:
+        raise InvalidDataError(f"{path} names an unknown method {meta['method']!r}")
     shared = template = labeled = None
-    if meta.get("dims") is not None:
+    dims = meta.get("dims")
+    if isinstance(dims, dict):
         shared = read_matrix_csv(model_dir / "w.csv")
         template = read_matrix_csv(model_dir / "g.csv")
-        expected = meta["dims"]
-        if list(shared.shape) != expected["shared_space"]:
-            raise InvalidDataError(
-                f"w.csv has shape {list(shared.shape)}, model.json says "
-                f"{expected['shared_space']}"
-            )
-        if list(template.shape) != expected["template"]:
-            raise InvalidDataError(
-                f"g.csv has shape {list(template.shape)}, model.json says "
-                f"{expected['template']}"
-            )
-        labeled = np.asarray(meta["labeled"], dtype=int)
+        for name, m, key in (("w.csv", shared, "shared_space"), ("g.csv", template, "template")):
+            if list(m.shape) != dims.get(key):
+                raise InvalidDataError(
+                    f"{name} has shape {list(m.shape)}, model.json says {dims.get(key)}"
+                )
+    try:
+        if meta["labeled"] is not None:
+            labeled = np.asarray(meta["labeled"], dtype=int)
+        epsilon, k = float(meta["epsilon"]), int(meta["k"])
+        gamma = None if meta["gamma"] is None else float(meta["gamma"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidDataError(f"{path} holds a malformed value: {exc}") from exc
     return AlignmentModel(
         method=meta["method"],
         shared_space=shared,
         template=template,
-        epsilon=float(meta["epsilon"]),
-        gamma=None if meta["gamma"] is None else float(meta["gamma"]),
-        k=int(meta["k"]),
+        epsilon=epsilon,
+        gamma=gamma,
+        k=k,
         labeled=labeled,
     )

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .alignment import (
     METHODS,
     SUPERVISED_METHODS,
+    _check_iterations,
     _fit_terms,
     _map_rows,
     _mapping_factors,
@@ -206,12 +207,7 @@ class FoldResult:
     n_test: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "held_out": self.held_out,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "n_test": self.n_test,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -229,15 +225,9 @@ class LosoReport:
 
     def to_json_dict(self) -> dict:
         """JSON form of the report; timings deliberately excluded."""
-        return {
-            "method": self.method,
-            "params": self.params,
-            "folds": [f.to_json_dict() for f in self.folds],
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "auc_mean": self.auc_mean,
-            "auc_std": self.auc_std,
-        }
+        payload = {spec.name: getattr(self, spec.name) for spec in fields(self)
+                   if spec.name != "timings"}
+        return {**payload, "folds": [fold.to_json_dict() for fold in self.folds]}
 
 
 def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
@@ -271,16 +261,18 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     order: the kernels (validated once, against all subjects), one
     projector factor and one complement ``I - P_i`` per subject, the left
     factors and shrinks of each subject's data SVD at the template's time
-    points (not for ``rha``), and the class ids of the labeled rows.  Each
-    subject's SVDs are memoized on the subject (see
-    :meth:`SubjectData.thin_svd`), so later calls handed the same dataset
-    reuse them.  A fold then makes a constant number of stacked numpy
-    calls: it sums its training subjects' complements in subject order
-    (the same sum a fit on those subjects forms), solves one eigenproblem,
-    forms the template ``G``, maps every subject's rows at the template's
-    time points with one stacked matmul (rest rows outside the template
-    are never mapped), and forms the ridge system of its mapped training
-    rows (:func:`_ridge_system`, as :func:`train_classifier` forms it).
+    points (not for ``rha``), and the class ids of the labeled rows.  That
+    data SVD is the subject's one factorization: the fit terms derive the
+    projector factors from it and keep it for mapping, and it is memoized
+    on the subject (see :meth:`SubjectData.thin_svd`), so later calls
+    handed the same dataset reuse it.  A fold then makes a constant number
+    of stacked numpy calls: it sums its training subjects' complements in
+    subject order (the same sum a fit on those subjects forms), solves one
+    eigenproblem, forms the template ``G``, maps every subject's rows at
+    the template's time points with one stacked matmul (rest rows outside
+    the template are never mapped), and forms the ridge system of its
+    mapped training rows (:func:`_ridge_system`, as
+    :func:`train_classifier` forms it).
     ``rha`` maps as ``G - (I - P_i) G`` through the complements its fit
     keeps: under the identity kernel the mapping projector is the fit
     projector.  Per-fold memory is the (subjects, rows, rank + k) stack of
@@ -308,6 +300,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     """
     ridge = _check_ridge(ridge)
     _check_epsilon(epsilon)
+    _check_iterations(iterations)
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     subjects = normalized.n_subjects
@@ -326,7 +319,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         terms = None
         if method != "none":
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
-            terms = _subject_terms(method, normalized, kernels, epsilon, k, iterations,
+            terms = _subject_terms(method, normalized, kernels, epsilon, k,
                                    keep_complements=True)
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
@@ -336,11 +329,9 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         else:
             # Mapping covers the template's time points; the classifier reads
             # the labeled ones among them.
-            rows = terms.kernels[0].labeled
-            pick = np.searchsorted(rows, labeled)
+            pick = np.searchsorted(terms.kernels[0].labeled, labeled)
             if method != "rha":
-                svds = [subj.thin_svd(rows) for subj in normalized.subjects]
-                left, shrink = _mapping_factors(svds, epsilon)
+                left, shrink = _mapping_factors(terms.svds, epsilon)
         groups = _training_class_sets(class_ids)
         classes_of = {int(f): classes for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more

@@ -45,6 +45,7 @@ from .data import (
     SubjectData,
     load_dataset,
     normalize,
+    read_json_object,
     save_dataset,
     write_json,
     write_matrix_csv,
@@ -66,17 +67,11 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
+    """Header plus rows; ``None`` is an empty cell, a float its shortest repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
 def _arguments(args) -> dict:
@@ -246,12 +241,8 @@ def cmd_sweep(args, out: Path, stage: _Stages) -> None:
 
 def _replayed_argv(args) -> list[str]:
     """The command line a recorded ``run_config.json`` replays into ``--out``."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            recorded = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidDataError(f"{args.config} is not valid JSON: {exc}") from exc
-    if not isinstance(recorded, dict) or not isinstance(recorded.get("command"), str):
+    recorded = read_json_object(args.config)
+    if not isinstance(recorded.get("command"), str):
         raise InvalidDataError(f"{args.config} is not a run configuration")
     command = recorded["command"]
     if command == "rerun":

@@ -51,6 +51,22 @@ def write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def read_json_object(path) -> dict:
+    """Read a JSON document that must be an object.
+
+    A file that does not parse, or holds anything but an object, is
+    refused with :class:`InvalidDataError`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidDataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidDataError(f"{path} must hold a JSON object")
+    return payload
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a header-free CSV matrix written by :func:`write_matrix_csv`.
 
@@ -77,11 +93,12 @@ class SubjectData:
     and replaced with zeros (advisory bookkeeping, empty before
     normalization).
 
-    The thin SVDs that alignment asks of a subject are memoized on it (see
-    :meth:`thin_svd`), so ``data`` is stored read-only: a writable input is
-    copied, and a later write to the caller's array cannot reach the subject
-    or leave its memoized factors stale.  The memo takes no part in equality
-    or ``repr``, and :func:`normalize` and ``dataclasses.replace`` return
+    The thin SVD of the data rows, the one factorization alignment asks of
+    a subject, is memoized on it per row set (see :meth:`thin_svd`), so
+    ``data`` is stored read-only: a writable input is copied, and a later
+    write to the caller's array cannot reach the subject or leave its
+    memoized factors stale.  The memo takes no part in equality or
+    ``repr``, and :func:`normalize` and ``dataclasses.replace`` return
     subjects with an empty memo.
     """
 
@@ -109,19 +126,18 @@ class SubjectData:
     def n_voxels(self) -> int:
         return self.data.shape[1]
 
-    def thin_svd(self, rows: np.ndarray, coupling: np.ndarray | None = None) -> TruncatedSvd:
-        """Full-rank :func:`truncated_svd` of ``data[rows]``, or of ``coupling @ data[rows]``.
+    def thin_svd(self, rows: np.ndarray) -> TruncatedSvd:
+        """Full-rank :func:`truncated_svd` of ``data[rows]``.
 
-        Computed on the first request for a given ``rows`` and ``coupling``
-        and reused afterwards, so every method, fold, fit and mapping that
-        shares this subject object factors each matrix once.
+        Computed on the first request for a given ``rows`` and reused
+        afterwards, so every method, fold, fit and mapping that shares this
+        subject object factors its data once.
         """
         rows = np.asarray(rows, dtype=int)
-        key = (rows.tobytes(),
-               None if coupling is None else (coupling.shape, coupling.tobytes()))
+        key = rows.tobytes()
         svd = self._svds.get(key)
         if svd is None:
-            m = self.data[rows] if coupling is None else coupling @ self.data[rows]
+            m = self.data[rows]
             svd = self._svds[key] = truncated_svd(m, min(m.shape))
         return svd
 
@@ -267,13 +283,7 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     subjects must share an identical label matrix.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidDataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise InvalidDataError("manifest must be a JSON object")
+    manifest = read_json_object(manifest_path)
     for key in ("class_names", "subjects"):
         if key not in manifest:
             raise InvalidDataError(f"manifest is missing required key {key!r}")

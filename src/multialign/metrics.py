@@ -279,13 +279,9 @@ class CorrelationReport:
     advisories: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "rho1": self.rho1.to_json_dict(),
-            "rho2": self.rho2.to_json_dict(),
-            "rho3": self.rho3.to_json_dict(),
-            "rho4": self.rho4.to_json_dict(),
-            "advisories": list(self.advisories),
-        }
+        payload = {name: getattr(self, name).to_json_dict()
+                   for name in ("rho1", "rho2", "rho3", "rho4")}
+        return {**payload, "advisories": list(self.advisories)}
 
 
 def correlation_report(mapped, labels, rho1_labeled_only: bool = False) -> CorrelationReport:

@@ -46,18 +46,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.subjects < 2:
-            raise InvalidArgumentError(f"subjects must be >= 2, got {self.subjects}")
-        if self.classes < 2:
-            raise InvalidArgumentError(f"classes must be >= 2, got {self.classes}")
-        if self.instances_per_class < 1:
-            raise InvalidArgumentError(
-                f"instances_per_class must be >= 1, got {self.instances_per_class}"
-            )
-        if self.instance_length < 1:
-            raise InvalidArgumentError(
-                f"instance_length must be >= 1, got {self.instance_length}"
-            )
+        for name, floor in (("subjects", 2), ("classes", 2),
+                            ("instances_per_class", 1), ("instance_length", 1)):
+            if getattr(self, name) < floor:
+                raise InvalidArgumentError(
+                    f"{name} must be >= {floor}, got {getattr(self, name)}"
+                )
         if self.voxels < self.classes:
             raise InvalidArgumentError(
                 f"voxels ({self.voxels}) must be >= classes ({self.classes})"

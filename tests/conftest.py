@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from multialign import Dataset, LabelMatrix, SubjectData, SynthConfig, generate
+
+# CI sets HYPOTHESIS_PROFILE=ci: every run draws the same examples, and a
+# failure prints the blob that reproduces it.  Local runs stay randomized.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def align_signs(reference: np.ndarray, other: np.ndarray) -> np.ndarray:

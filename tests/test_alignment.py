@@ -1,6 +1,8 @@
 """Alignment engines: single-shot, iterative, unsupervised, and mapping."""
 
+import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multialign.alignment
+import multialign.cli
 from multialign import (
     AdvisoryWarning,
     Dataset,
     InvalidArgumentError,
+    InvalidDataError,
     LabelMatrix,
     NumericError,
     SubjectData,
@@ -27,10 +31,12 @@ from multialign import (
     normalize,
     pairwise_objective,
     rho1,
+    save_dataset,
     save_model,
     supervision_kernel,
 )
-from multialign.linalg import projector_from_svd
+from multialign.alignment import _coupled_svd
+from multialign.linalg import projector_from_svd, regularized_projector, truncated_svd
 from conftest import assert_close_up_to_sign, random_dataset
 
 
@@ -269,6 +275,77 @@ class TestFitRha:
             fit_rha(singular, epsilon=0.0)
 
 
+@st.composite
+def _coupled_inputs(draw):
+    """A data matrix, a coupling and a ridge, in one of five regimes.
+
+    ``wide`` and ``tall`` data, rank-deficient data, couplings with zero
+    rows (a class with no labeled point), and fewer rows than classes.
+    """
+    case = draw(st.sampled_from(["wide", "tall", "deficient", "zero_rows", "few_points"]))
+    classes = draw(st.integers(2, 6))
+    if case == "wide":
+        rows = draw(st.integers(1, 10))
+        cols = draw(st.integers(rows + 1, 4 * rows + 1))
+    elif case == "tall":
+        cols = draw(st.integers(1, 8))
+        rows = draw(st.integers(cols, 12))
+    elif case == "few_points":
+        rows = draw(st.integers(1, classes - 1))
+        cols = draw(st.integers(classes, 3 * classes))
+    else:
+        rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, cols))
+    if case == "deficient":
+        rank = draw(st.integers(1, min(rows, cols) - 1))
+        x = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    coupling = rng.standard_normal((classes, rows))
+    if case == "zero_rows":
+        coupling[rng.permutation(classes)[:draw(st.integers(1, classes - 1))]] = 0.0
+    return x, coupling, draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+
+
+class TestCoupledSvd:
+    """The supervised projector read off the data SVD equals the direct one."""
+
+    @given(_coupled_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_projector_equals_projector_of_coupled_matrix(self, inputs):
+        x, coupling, epsilon = inputs
+        svd = _coupled_svd(coupling, truncated_svd(x, min(x.shape)), x.shape[1])
+        assert svd.singular_values.shape == (min(coupling.shape[0], x.shape[1]),)
+        np.testing.assert_allclose(
+            projector_from_svd(svd, epsilon).matrix(),
+            regularized_projector(coupling @ x, epsilon).matrix(), atol=1e-10, rtol=0)
+
+    @staticmethod
+    def _few_labeled_points():
+        # Four classes, five time points, three of them labeled (one each of
+        # classes 0-2): every K X has rank 3 < min(classes, voxels) = 4.
+        onehot = np.zeros((4, 5))
+        onehot[[0, 1, 2], [0, 2, 4]] = 1.0
+        lab = LabelMatrix(onehot)
+        rng = np.random.default_rng(3)
+        subjects = tuple(SubjectData(f"s{i}", rng.standard_normal((5, 6))) for i in range(3))
+        return normalize(Dataset(subjects, (lab,) * 3, ("a", "b", "c", "d")))
+
+    def test_fewer_labeled_points_than_classes_is_rank_deficient(self):
+        ds = self._few_labeled_points()
+        model = fit("sha", ds, kernels_for(ds))
+        assert model.fit_report.advisories == tuple(
+            f"subject {s!r}: coupled matrix is rank deficient" for s in ds.subject_ids)
+        with pytest.raises(NumericError):
+            fit("sha", ds, kernels_for(ds), epsilon=0.0)
+
+    def test_fewer_labeled_points_than_classes_exits_4_without_ridge(self, tmp_path, capsys):
+        manifest = save_dataset(self._few_labeled_points(), tmp_path / "ds")
+        code = multialign.cli.main(["align", "--data", str(manifest), "--epsilon", "0",
+                                    "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
+
+
 class TestFactorReuse:
     """Fits and maps on one normalized dataset share its subjects' SVDs."""
 
@@ -367,10 +444,14 @@ class TestFitShaR:
         ds = normalize(random_dataset(rng, 4, 24, 15, 3))
         kernels = kernels_for(ds, gamma=0.01)
         epsilon, iterations = 1e-3, 6
-        factors = [
-            projector_from_svd(subj.thin_svd(ker.labeled, ker.matrix), epsilon).factor
-            for subj, ker in zip(ds.subjects, kernels)
-        ]
+        # Each factor is read off the data SVD X = U diag(s) V^T, as the fit
+        # reads it: K X and K U diag(s) share left singular vectors and values.
+        factors = []
+        for subj, ker in zip(ds.subjects, kernels):
+            svd = subj.thin_svd(ker.labeled)
+            coupled = ker.matrix @ (svd.left * svd.singular_values)
+            factors.append(projector_from_svd(truncated_svd(coupled, min(coupled.shape)),
+                                              epsilon).factor)
         template = np.stack([ker.matrix @ subj.data[ker.labeled]
                              for subj, ker in zip(ds.subjects, kernels)]).mean(axis=0)
         expected = []
@@ -562,6 +643,59 @@ class TestModelSerialization:
         assert back.method == "none" and back.shared_space is None
 
 
+class TestLoadModelValidation:
+    """Every malformed model directory is refused as invalid data."""
+
+    @staticmethod
+    def _saved(tmp_path, rng):
+        _, _, model = _fitted(rng)
+        save_model(model, tmp_path)
+        return json.loads((tmp_path / "model.json").read_text())
+
+    @pytest.mark.parametrize("key", ["method", "epsilon", "gamma", "k", "labeled"])
+    def test_missing_key(self, tmp_path, rng, key):
+        meta = self._saved(tmp_path, rng)
+        del meta[key]
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match=repr(key)):
+            load_model(tmp_path)
+
+    def test_unparseable_json(self, tmp_path, rng):
+        self._saved(tmp_path, rng)
+        (tmp_path / "model.json").write_text('{"method": "sha",')
+        with pytest.raises(InvalidDataError, match="not valid JSON"):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("epsilon", "small"), ("k", [2]),
+                                            ("labeled", [[0], [1, 2]])])
+    def test_malformed_value(self, tmp_path, rng, key, value):
+        meta = self._saved(tmp_path, rng)
+        meta[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="malformed value"):
+            load_model(tmp_path)
+
+    def test_supervised_model_without_dims(self, tmp_path, rng):
+        meta = self._saved(tmp_path, rng)
+        del meta["dims"]
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="'sha' is inconsistent"):
+            load_model(tmp_path)
+
+    def test_labeled_list_shorter_than_template(self, tmp_path, rng):
+        meta = self._saved(tmp_path, rng)
+        meta["labeled"] = meta["labeled"][:-1]
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="inconsistent"):
+            load_model(tmp_path)
+
+    def test_inconsistent_model_is_refused_before_mapping(self, rng):
+        # The model's fault, whatever subject it would have been handed.
+        _, _, model = _fitted(rng)
+        with pytest.raises(InvalidDataError, match="inconsistent"):
+            dataclasses.replace(model, labeled=model.labeled[:-1])
+
+
 class TestDispatcher:
     def test_all_methods(self, rng):
         ds = normalize(random_dataset(rng, 3, 16, 10, 2))
@@ -598,6 +732,12 @@ class TestDispatcher:
                                match=f"'{method}' needs at least 2 subjects, got 1"):
                 attempt()
         assert factored == []
+
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_zero_iterations_refused_for_every_method(self, rng, method):
+        ds = normalize(random_dataset(rng, 3, 10, 6, 2))
+        with pytest.raises(InvalidArgumentError, match="iterations must be >= 1, got 0"):
+            fit(method, ds, kernels_for(ds), iterations=0)
 
     def test_one_subject_baseline_still_fits(self, rng):
         ds = normalize(random_dataset(rng, 1, 10, 6, 2))

@@ -192,6 +192,11 @@ class TestRunLoso:
         report = run_loso(dataset, "sha")
         assert report.accuracy_mean > 0.8
 
+    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
+    def test_zero_iterations_refused_for_every_method(self, dataset, method):
+        with pytest.raises(InvalidArgumentError, match="iterations must be >= 1, got 0"):
+            run_loso(dataset, method, iterations=0)
+
     def test_params_recorded(self, dataset):
         report = run_loso(dataset, "sha", epsilon=0.01, gamma=0.02, k=2,
                           iterations=3, ridge=2.0)
@@ -487,8 +492,8 @@ class TestBatchedLoso:
         assert len(eigs) == (n if method in ("rha", "sha") else 0)
         assert maps == [] and splits == []
         if method == "sha":
-            # Each subject's label-coupled responses once, its data once.
-            assert len(lookups) == 2 * n
+            # Each subject's data once: the fit reads its projector off it.
+            assert len(lookups) == n
 
     def test_sha_r_folds_compute_no_objective_history(self, dataset, monkeypatch):
         calls = _count_calls(monkeypatch, multialign.alignment, "pairwise_objective")

@@ -400,6 +400,17 @@ class TestExitCodes:
         assert err == {"error": "InvalidArgumentError",
                        "message": f"fitting '{method}' needs at least 2 subjects, got 1"}
 
+    @pytest.mark.parametrize("argv", [("loso", "--method", m) for m in METHODS]
+                             + [("align", "--method", "sha"), ("corr",)])
+    def test_zero_iterations_is_usage_error(self, manifest, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--data", str(manifest), "--iters", "0",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "InvalidArgumentError",
+                       "message": "iterations must be >= 1, got 0"}
+        assert not (tmp_path / "out" / "run_config.json").exists()
+
     def test_bad_k_is_usage_error(self, manifest, tmp_path, capsys):
         code = run_cli("loso", "--data", str(manifest), "--k", "1.5",
                        "--out", str(tmp_path / "out"))

@@ -285,17 +285,12 @@ class TestThinSvdMemo:
     def test_factors_each_matrix_once(self, rng):
         subj = random_dataset(rng, 1, 12, 5, 2).subjects[0]
         rows = np.arange(2, 12)
-        coupling = rng.standard_normal((3, 10))
         plain = subj.thin_svd(rows)
-        coupled = subj.thin_svd(rows, coupling)
         assert subj.thin_svd(rows.copy()) is plain
-        assert subj.thin_svd(rows, coupling.copy()) is coupled
-        for got, m in ((plain, subj.data[rows]), (coupled, coupling @ subj.data[rows])):
-            want = truncated_svd(m, min(m.shape))
-            np.testing.assert_array_equal(got.left, want.left)
-            np.testing.assert_array_equal(got.singular_values, want.singular_values)
+        want = truncated_svd(subj.data[rows], 5)
+        np.testing.assert_array_equal(plain.left, want.left)
+        np.testing.assert_array_equal(plain.singular_values, want.singular_values)
         assert subj.thin_svd(np.arange(12)) is not plain
-        assert subj.thin_svd(rows, 2.0 * coupling) is not coupled
 
     def test_memo_invisible_to_equality_hash_and_repr(self, rng):
         subj = random_dataset(rng, 1, 12, 5, 2).subjects[0]
