@@ -10,13 +10,15 @@ complements, the iterative path (``sha_r``) alternates between per-subject
 ridge maps and a shared template.  ``none`` is the do-nothing baseline.
 
 The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
-each subject (validated kernels, ``k``, the data SVD, one projector factor
-per subject and, for leave-one-subject-out, each complement ``I - P_i``),
-stacked in subject order; :func:`_fit_terms` fits over any subset of those
-subjects by indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers
-run the two over every subject and add the diagnostics;
-leave-one-subject-out builds the terms once per run, fits each fold from
-them and maps through the data SVDs they hold.
+each subject (validated kernels, ``k``, the data SVD and one projector
+factor per subject; :func:`_with_complements` adds each complement
+``I - P_i`` for leave-one-subject-out folds that fit), stacked in subject
+order; :func:`_fit_terms` fits over any subset of those subjects by
+indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers run the two
+over every subject and add the diagnostics; leave-one-subject-out builds the terms once per run and maps through the
+data SVDs they hold.  It fits each fold from them only below full ``k``
+(:func:`_spans_whole_space`): at full ``k`` a fold's ``W`` only rotates
+the features, and the classifier it feeds ignores rotations.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
@@ -26,10 +28,10 @@ subject's data ``X_l`` at the template's time points.  Those rows map as
 rows outside the template map as ``X_rest X_l^T U diag(1 / (s^2 + eps))
 U^T G``.  The voxel-side factor ``V`` is never computed.  :func:`_map_rows`
 maps a stack of subjects this way in two stacked matmuls; :func:`map_subject`
-hands it a stack of one.  Leave-one-subject-out maps ``rha`` folds through
-the fit's own complements instead: under the identity kernel the mapping
+hands it a stack of one.  Leave-one-subject-out maps ``rha`` through the
+fit's own projectors instead: under the identity kernel the mapping
 projector is the fit projector ``P_i``, so the rows map as ``G - (I - P_i)
-G``, one stacked matmul.
+G``, one stacked matmul per fold, or as the rows of ``P_i`` at full ``k``.
 
 Each subject is factored once: the SVD ``X_l = U diag(s) V^T`` of its data
 at the template's time points is memoized on the subject object (see
@@ -45,7 +47,7 @@ ever factored.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +116,9 @@ class AlignmentModel:
     the indices of those time points in the full time axis.  For the ``none``
     baseline both factors are absent and mapping is the identity.  Every
     other model is refused without a template with one row per ``labeled``
-    index (:class:`InvalidDataError`), so mapping never meets an
+    index (:class:`InvalidDataError`), and ``labeled`` must be strictly
+    increasing and non-negative (numpy would otherwise read a negative
+    index from the end of the time axis), so mapping never meets an
     inconsistent model.
     """
 
@@ -138,6 +142,13 @@ class AlignmentModel:
                 f"model for method {self.method!r} is inconsistent: a template of "
                 f"shape {shape} for labeled time points of shape {np.shape(self.labeled)}"
             )
+        if self.labeled is not None:
+            labeled = np.asarray(self.labeled)
+            if labeled.size and (labeled.min() < 0 or (np.diff(labeled) <= 0).any()):
+                raise InvalidDataError(
+                    "the model's labeled time points must be strictly increasing "
+                    f"indices >= 0, got {labeled.tolist()}"
+                )
 
 
 @dataclass(frozen=True)
@@ -244,10 +255,11 @@ class _SubjectTerms:
     ``complements[i]`` is ``I - P_i``, ``couplings[i]`` the kernel matrix
     (absent under the identity kernel) and ``coupled[i]`` the coupled
     responses ``K_i X_i`` (``sha_r`` only, its default start).  A fit over
-    a subset of the subjects indexes these stacks.  ``complements`` is kept
-    only when the terms serve a fit per fold; a single fit adds each
-    complement to ``U`` as it forms it, so a (time points x time points)
-    ``U`` is never held once per subject.
+    a subset of the subjects indexes these stacks.  ``complements`` is
+    absent from what :func:`_subject_terms` builds and is added by
+    :func:`_with_complements` only when the terms serve an eigensolve per
+    fold; a single fit adds each complement to ``U`` as it forms it, so a
+    (time points x time points) ``U`` is never held once per subject.
     """
 
     kernels: tuple[SupervisionKernel, ...]
@@ -282,15 +294,13 @@ def _coupled_svd(coupling: np.ndarray, svd: TruncatedSvd, voxels: int) -> Trunca
     return truncated_svd(product, min(product.shape))
 
 
-def _subject_terms(method, dataset, kernels, epsilon, k,
-                   keep_complements=False) -> _SubjectTerms:
+def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
     """Validate a fit's inputs and build every subject's terms once.
 
     One memoized data SVD lookup and one :func:`projector_from_svd` per
     subject; a supervised kernel adds one (classes x rank) SVD
-    (:func:`_coupled_svd`).  Kept complements come from one stacked matmul.
-    The size advisory's ``stacklevel`` names the line that called
-    :func:`fit` or ``fit_*``.
+    (:func:`_coupled_svd`).  The size advisory's ``stacklevel`` names the
+    line that called :func:`fit` or ``fit_*``.
     """
     if method == "rha":
         kernels = [identity_kernel(dataset.n_timepoints)] * dataset.n_subjects
@@ -315,23 +325,41 @@ def _subject_terms(method, dataset, kernels, epsilon, k,
         _coupled_svd(kernel.matrix, svd, dataset.n_voxels)
         for kernel, svd in zip(kernels, svds))
     factors = np.stack([projector_from_svd(svd, epsilon).factor for svd in fitted])
-    complements = coupled = None
+    coupled = None
     if method == "sha_r":
         coupled = np.stack([kernel.matrix @ subject.data[kernel.labeled]
                             for subject, kernel in zip(dataset.subjects, kernels)])
-    elif keep_complements:
-        complements = factors @ factors.swapaxes(1, 2)
-        np.subtract(np.eye(size), complements, out=complements)
     return _SubjectTerms(
         kernels=tuple(kernels),
         svds=svds,
         rank_deficient=tuple(svd.rank_deficient for svd in fitted),
         k=k,
         factors=factors,
-        complements=complements,
+        complements=None,
         couplings=None if identity else np.stack([ker.matrix for ker in kernels]),
         coupled=coupled,
     )
+
+
+def _with_complements(terms: _SubjectTerms) -> _SubjectTerms:
+    """``terms`` with every complement ``I - P_i`` stacked, from one matmul."""
+    complements = terms.factors @ terms.factors.swapaxes(1, 2)
+    np.subtract(np.eye(complements.shape[1]), complements, out=complements)
+    return replace(terms, complements=complements)
+
+
+def _spans_whole_space(terms: _SubjectTerms) -> bool:
+    """Whether every fit over these terms takes a ``W`` that spans all of ``U``.
+
+    True when ``k`` is the size of ``U = sum_i (I - P_i)`` (the kernel's
+    class count: the time points under ``rha``'s identity kernel): ``W`` is
+    then square with orthonormal columns, a rotation that fixes no more than
+    a basis.  ``sha_r`` takes ``W`` from the SVD of a template with one
+    column per voxel, which has that many left singular vectors only when
+    there are at least as many voxels (with fewer, its fit refuses ``k``).
+    """
+    size = terms.factors.shape[1]
+    return terms.k == size and (terms.coupled is None or terms.coupled.shape[2] >= size)
 
 
 def _iterated_space(factors, coupled, k, iterations, initial_shared, record_history):

@@ -10,18 +10,32 @@ is mapped through that model, the classifier is trained on the mapped
 training rows, and the held-out subject is scored.  The held-out subject's
 labels are used only for scoring, never for fitting.  Everything that
 depends on one subject alone is built once per run and stacked in subject
-order: the supervision kernel, the projector factor and complement
-``I - P_i`` of the fit, the left factor and shrinks of the data SVD that
-mapping uses (``rha`` maps through its complements instead), and the class
-ids of the labeled rows.  Each fold then makes one stacked pass: it sums
-its training subjects' complements, solves one eigenproblem, forms the
-template, maps every subject with one stacked matmul, and forms the ridge
-system of its classifier: the Gram matrix and
-right-hand side of the mapped training rows.  The held-out subject's
-features are kept.  Once every fold is done, one stacked solve gives every
-fold's classifier, one stacked matmul scores every held-out subject, one
-argmax and one comparison give the accuracies, and one sort ranks every
-AUC column (per training class set; a ``synth`` layout has one).
+order: the supervision kernel, the projector factor ``F_i`` of the fit
+(``P_i = F_i F_i^T``), the left factor and shrinks of the data SVD that
+mapping uses, and the class ids of the labeled rows.
+
+At full ``k`` (``k`` the size of ``U = sum_i (I - P_i)``: the class count,
+or the time points under ``rha``) each fold's shared space ``W`` spans all
+of ``U``, so its eigensolve (or ``sha_r``'s iteration) only picks a
+rotation, and the ridge classifier, with its isotropic penalty and
+unpenalized intercept, predicts the same from rotated features.  The run
+then takes ``W = I`` and no fold fits: ``rha``'s features are rows of
+``P_i``, and ``sha``/``sha_r`` map through the mean of the training
+subjects' kernels, once per run when every subject has the same kernel.
+``sha_r`` at full ``k`` therefore gives ``sha``'s folds whatever its
+iteration count.  Below full ``k`` each fold makes one stacked pass: it
+sums its training subjects' complements ``I - P_i`` (stacked once per
+run), solves one eigenproblem (``sha_r`` iterates instead), forms the
+template and maps every subject with one stacked matmul (``rha`` through
+its complements).
+
+Either way each fold forms the ridge system of its classifier: the Gram
+matrix and right-hand side of the mapped training rows.  The held-out
+subject's features are kept.  Once every fold is done, one stacked solve
+gives every fold's classifier, one stacked matmul scores every held-out
+subject, one argmax and one comparison give the accuracies, and one sort
+ranks every AUC column (per training class set; a ``synth`` layout has
+one).
 """
 
 from __future__ import annotations
@@ -39,7 +53,9 @@ from .alignment import (
     _fit_terms,
     _map_rows,
     _mapping_factors,
+    _spans_whole_space,
     _subject_terms,
+    _with_complements,
 )
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
@@ -259,24 +275,46 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
 
     Every per-subject quantity is built once per run and stacked in subject
     order: the kernels (validated once, against all subjects), one
-    projector factor and one complement ``I - P_i`` per subject, the left
+    projector factor ``F_i`` per subject (``P_i = F_i F_i^T``), the left
     factors and shrinks of each subject's data SVD at the template's time
     points (not for ``rha``), and the class ids of the labeled rows.  That
     data SVD is the subject's one factorization: the fit terms derive the
     projector factors from it and keep it for mapping, and it is memoized
     on the subject (see :meth:`SubjectData.thin_svd`), so later calls
-    handed the same dataset reuse it.  A fold then makes a constant number
-    of stacked numpy calls: it sums its training subjects' complements in
-    subject order (the same sum a fit on those subjects forms), solves one
-    eigenproblem, forms the template ``G``, maps every subject's rows at
-    the template's time points with one stacked matmul (rest rows outside
-    the template are never mapped), and forms the ridge system of its
-    mapped training rows (:func:`_ridge_system`, as
-    :func:`train_classifier` forms it).
-    ``rha`` maps as ``G - (I - P_i) G`` through the complements its fit
-    keeps: under the identity kernel the mapping projector is the fit
-    projector.  Per-fold memory is the (subjects, rows, rank + k) stack of
-    one mapping.
+    handed the same dataset reuse it.  Mapping covers the template's time
+    points (rest rows outside it are never mapped), and the classifier
+    reads the labeled ones among them.
+
+    At full ``k``, when ``k`` is the size of ``U = sum_i (I - P_i)`` (the
+    class count of the kernels: the default of ``sha`` and ``sha_r``, and
+    ``T`` under ``rha``, its default when subjects have at least as many
+    voxels as time points), every fold's ``W`` is a rotation of all of
+    ``U``.  The ridge classifier's predictions do not change when its
+    features rotate (isotropic penalty, unpenalized intercept), so the run
+    takes ``W = I``: no fold calls :func:`_fit_terms`, solves an
+    eigenproblem or runs ``sha_r``'s iteration.  ``rha``'s features are the
+    rows of ``P_i``, one stacked matmul per run.  The ``sha``/``sha_r``
+    template is the mean of the training subjects' ``K_i^T``: when every
+    subject has the same kernel (strict labels) that is ``K^T`` in every
+    fold, and every subject is mapped once per run; with per-subject label
+    values each fold averages its training subjects' kernels alone and
+    maps every subject with one stacked matmul.  ``sha_r`` at full ``k``
+    thus gives ``sha``'s folds, and ``iterations`` has no effect there
+    (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, and
+    still does so per fold).
+
+    Below full ``k`` a fold makes a constant number of stacked numpy calls:
+    it sums its training subjects' complements ``I - P_i`` (stacked once
+    per run, only on this path) in subject order, the same sum a fit on
+    those subjects forms, solves one eigenproblem (``sha_r`` iterates
+    instead), forms the template ``G`` and maps every subject with one
+    stacked matmul.  ``rha`` maps as ``G - (I - P_i) G`` through the
+    complements: under the identity kernel the mapping projector is the
+    fit projector.  Per-fold memory is the (subjects, rows, rank + k) stack
+    of one mapping.
+
+    Either way each fold forms the ridge system of its mapped training rows
+    (:func:`_ridge_system`, as :func:`train_classifier` forms it).
 
     After the folds, the run trains and scores every classifier at once,
     per group of folds that train on the same classes (one group unless
@@ -294,7 +332,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method),
     and ``total`` their sums plus the run-level work: the per-run stacks
     count toward ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping
-    factors, class sets), the stacked solve toward ``train_ns`` and the
+    factors, the features mapped once per run, class sets), the stacked solve toward ``train_ns`` and the
     stacked scoring toward ``score_ns``.  They stay out of the JSON form so
     that reports are reproducible byte for byte.
     """
@@ -317,13 +355,18 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     run = _Stages()
     with run("fit_ns"):
         terms = None
+        full = False
         if method != "none":
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
-            terms = _subject_terms(method, normalized, kernels, epsilon, k,
-                                   keep_complements=True)
+            terms = _subject_terms(method, normalized, kernels, epsilon, k)
+            full = _spans_whole_space(terms)
+            if not full and method != "sha_r":
+                terms = _with_complements(terms)
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
+        # The template of each fold, or None where every fold has the same features.
+        fold_template = None
         if terms is None:
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
         else:
@@ -332,6 +375,19 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             pick = np.searchsorted(terms.kernels[0].labeled, labeled)
             if method != "rha":
                 left, shrink = _mapping_factors(terms.svds, epsilon)
+            if not full:
+                def fold_template(train):
+                    return _fit_terms(terms, train, iterations)[1]
+            elif method == "rha":
+                # W = I makes the template I: subject i's features are rows of P_i.
+                features = terms.factors[:, pick] @ terms.factors.swapaxes(1, 2)
+            elif (terms.couplings == terms.couplings[0]).all():
+                # Shared kernels: every fold's W = I template is K^T.
+                features = _map_rows(left, shrink, terms.couplings[0].T)[0][:, pick]
+            else:
+                def fold_template(train):
+                    # W = I: the mean of the training subjects' K_i^T alone.
+                    return terms.couplings[train].mean(axis=0).T
         groups = _training_class_sets(class_ids)
         classes_of = {int(f): classes for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
@@ -343,13 +399,13 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         train = np.delete(np.arange(subjects), held)
         fold = _Stages()
         with fold("fit_ns"):
-            if terms is not None:
-                template = _fit_terms(terms, train, iterations)[1]
+            if fold_template is not None:
+                template = fold_template(train)
         with fold("map_ns"):
-            if method == "rha":
+            if fold_template is not None and method == "rha":
                 # The mapping projector is the fit's: P_i G = G - (I - P_i) G.
                 features = (template - terms.complements @ template)[:, pick]
-            elif terms is not None:
+            elif fold_template is not None:
                 features = _map_rows(left, shrink, template)[0][:, pick]
         with fold("train_ns"):
             systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),

@@ -689,6 +689,20 @@ class TestLoadModelValidation:
         with pytest.raises(InvalidDataError, match="inconsistent"):
             load_model(tmp_path)
 
+    @pytest.mark.parametrize("defect", [
+        pytest.param(lambda labeled: [-1] + labeled[1:], id="negative"),
+        pytest.param(lambda labeled: labeled[1:2] + labeled[1:], id="repeated"),
+        pytest.param(lambda labeled: labeled[::-1], id="unsorted"),
+    ])
+    def test_labeled_not_strictly_increasing_and_non_negative(self, tmp_path, rng,
+                                                              defect):
+        # numpy would read -1 as the last time point and map without a word.
+        meta = self._saved(tmp_path, rng)
+        meta["labeled"] = defect(meta["labeled"])
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="strictly increasing"):
+            load_model(tmp_path)
+
     def test_inconsistent_model_is_refused_before_mapping(self, rng):
         # The model's fault, whatever subject it would have been handed.
         _, _, model = _fitted(rng)

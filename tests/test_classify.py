@@ -1,10 +1,11 @@
 """Ridge classifier and the leave-one-subject-out harness."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multialign.alignment
@@ -214,7 +215,8 @@ class TestRunLoso:
         json.dumps(d)  # must be serializable as-is
 
     def test_held_out_subject_never_enters_fitting(self, dataset, monkeypatch):
-        # The seam is each fold's fit over the per-run subject terms.
+        # The seam is each fold's fit over the per-run subject terms, which
+        # runs below full k (at full k no fold fits).
         seen = []
         real_fit = multialign.classify._fit_terms
 
@@ -223,7 +225,7 @@ class TestRunLoso:
             return real_fit(terms, subset, *args, **kw)
 
         monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
-        report = run_loso(dataset, "sha")
+        report = run_loso(dataset, "sha", k=2)
         assert len(seen) == 4
         for fold, train_ids in zip(report.folds, seen):
             assert fold.held_out not in train_ids
@@ -347,6 +349,7 @@ class TestLosoHoisting:
         assert len(calls) == dataset.n_subjects
 
     def test_folds_get_their_training_subjects_kernels(self, dataset, monkeypatch):
+        # Below full k, where each fold still fits.
         seen = []
         real_fit = multialign.classify._fit_terms
 
@@ -355,7 +358,7 @@ class TestLosoHoisting:
             return real_fit(terms, subset, *args, **kw)
 
         monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
-        run_loso(dataset, "sha", gamma=0.01)
+        run_loso(dataset, "sha", gamma=0.01, k=2)
         assert len(seen) == dataset.n_subjects
         for held, kernels in enumerate(seen):
             train, _ = split_loso(dataset, held)
@@ -474,10 +477,16 @@ class TestBatchedLoso:
             held_rows, scores = matches[0]
             assert np.array_equal(scores, clf.decision_function(held_rows))
 
-    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
-    def test_per_run_call_counts(self, dataset, monkeypatch, method):
+    @pytest.mark.parametrize("method, full", [
+        *(pytest.param(m, True, id=m) for m in ("none", "rha", "sha", "sha_r")),
+        *(pytest.param(m, False, id=f"{m}-below-full-k")
+          for m in ("none", "rha", "sha", "sha_r")),
+    ])
+    def test_per_run_call_counts(self, dataset, monkeypatch, method, full):
         normalized = normalize(dataset)
         n = normalized.n_subjects
+        # The size of U: the time points under rha's identity kernel, else the classes.
+        size = normalized.n_timepoints if method == "rha" else len(normalized.class_names)
         projectors = _count_calls(monkeypatch, multialign.linalg, "projector_from_svd",
                                   (multialign.alignment,))
         eigs = _count_calls(monkeypatch, multialign.linalg, "symmetric_eig",
@@ -487,9 +496,10 @@ class TestBatchedLoso:
         splits = _count_calls(monkeypatch, multialign.data, "split_loso",
                               (multialign.classify,))
         lookups = _count_calls(monkeypatch, multialign.data.SubjectData, "thin_svd")
-        run_loso_normalized(normalized, method)
+        run_loso_normalized(normalized, method, k=size if full else size - 1)
         assert len(projectors) == (0 if method == "none" else n)
-        assert len(eigs) == (n if method in ("rha", "sha") else 0)
+        # At full k no fold solves an eigenproblem; below it each rha/sha fold does.
+        assert len(eigs) == (n if method in ("rha", "sha") and not full else 0)
         assert maps == [] and splits == []
         if method == "sha":
             # Each subject's data once: the fit reads its projector off it.
@@ -525,3 +535,80 @@ class TestBatchedLoso:
                                     "--epsilon", "0", "--out", str(tmp_path / "out")])
         assert code == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
+
+
+class TestFullKLoso:
+    """At full k every fold's W spans U: W = I, no eigensolve, no per-fold fit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), subjects=st.integers(3, 5),
+           timepoints=st.integers(8, 18), n_classes=st.integers(2, 4),
+           wide=st.booleans(), rest=st.booleans(), per_subject=st.booleans(),
+           epsilon=st.sampled_from([1e-4, 0.1]),
+           method=st.sampled_from(["rha", "sha", "sha_r"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_fold_fit_reference(self, seed, subjects, timepoints, n_classes,
+                                           wide, rest, per_subject, epsilon, method):
+        # rha's default k is full only with at least as many voxels as time points.
+        gen = np.random.default_rng(seed)
+        voxels = (gen.integers(timepoints, 2 * timepoints + 1)
+                  if wide or method == "rha" else gen.integers(n_classes, timepoints))
+        ds = random_dataset(gen, subjects, timepoints, int(voxels), n_classes,
+                            rest_fraction=0.3 if rest else 0.0)
+        if per_subject:
+            ds = multialign.data.Dataset(ds.subjects, tuple(
+                multialign.data.LabelMatrix(ds.labels[0].onehot[gen.permutation(n_classes)])
+                for _ in ds.subjects), ds.class_names)
+        # Training labels that cancel out (say two subjects with swapped classes)
+        # give a template constant in time, which centered data maps to rounding
+        # noise: every basis of W then scores at random, the reference's too.
+        labeled = ds.labels[0].labeled_indices
+        onehots = np.stack([lab.onehot[:, labeled] for lab in ds.labels])
+        for held in range(subjects):
+            mean = np.delete(onehots, held, axis=0).mean(axis=0)
+            assume((mean != mean[:, :1]).any())
+        with mock.patch.object(multialign.classify, "_fit_terms",
+                               wraps=multialign.classify._fit_terms) as fold_fit:
+            report = run_loso(ds, method, epsilon=epsilon, ridge=0.5)
+        assert not fold_fit.called
+        assert report.folds == _reference_loso(ds, method, epsilon=epsilon, ridge=0.5)
+
+    @given(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 20),
+           per_subject=st.booleans(), gamma=st.sampled_from([None, 0.0, 0.01]))
+    @settings(max_examples=25, deadline=None)
+    def test_sha_r_gives_sha_folds_for_any_iterations(self, seed, iterations,
+                                                      per_subject, gamma):
+        ds = (_per_subject_labels(np.random.default_rng(seed), 4, 16, 9, 3) if per_subject
+              else random_dataset(np.random.default_rng(seed), 4, 16, 9, 3, 0.3))
+        sha = run_loso(ds, "sha", gamma=gamma)
+        sha_r = run_loso(ds, "sha_r", gamma=gamma, iterations=iterations)
+        assert sha_r.folds == sha.folds
+
+    @pytest.mark.parametrize("method, k", [("sha", None), ("sha_r", None), ("sha", 2)])
+    def test_held_out_labels_never_reach_their_folds_ridge_system(self, monkeypatch,
+                                                                  method, k):
+        base = _per_subject_labels(np.random.default_rng(6), 5, 18, 7, 3)
+        held = 2
+        # The held-out subject's class values cycled: same rest points, new labels.
+        labels = list(base.labels)
+        labels[held] = multialign.data.LabelMatrix(np.roll(labels[held].onehot, 1, axis=0))
+        relabeled = multialign.data.Dataset(base.subjects, tuple(labels), base.class_names)
+        assert not relabeled.labels_identical()
+        systems = []
+        real = multialign.classify._ridge_system
+
+        def recording(*args):
+            systems.append(real(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(multialign.classify, "_ridge_system", recording)
+        run_loso(base, method, k=k)
+        run_loso(relabeled, method, k=k)
+        (gram_a, rhs_a), (gram_b, rhs_b) = systems[held], systems[base.n_subjects + held]
+        assert np.array_equal(gram_a, gram_b) and np.array_equal(rhs_a, rhs_b)
+        # The change reaches the other folds, which train on the held-out subject.
+        assert not np.array_equal(systems[0][1], systems[base.n_subjects][1])
+
+    def test_sha_r_with_fewer_voxels_than_classes_is_refused(self, rng):
+        # Its template has fewer left singular vectors than k: the fold fit refuses.
+        with pytest.raises(InvalidArgumentError, match="cannot extract k=3"):
+            run_loso(random_dataset(rng, 3, 12, 2, 3), "sha_r")
