@@ -15,10 +15,11 @@ factor per subject; :func:`_with_complements` adds each complement
 ``I - P_i`` for leave-one-subject-out folds that fit), stacked in subject
 order; :func:`_fit_terms` fits over any subset of those subjects by
 indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers run the two
-over every subject and add the diagnostics; leave-one-subject-out builds the terms once per run and maps through the
-data SVDs they hold.  It fits each fold from them only below full ``k``
-(:func:`_spans_whole_space`): at full ``k`` a fold's ``W`` only rotates
-the features, and the classifier it feeds ignores rotations.
+over every subject and add the diagnostics; leave-one-subject-out builds
+the terms once per run and maps through the data SVDs they hold.  It fits
+a fold from them below full ``k`` (:func:`_spans_whole_space`), or when
+the fold's training kernels differ: at full ``k`` a fold's ``W`` only
+rotates the features, and the classifier it feeds ignores rotations.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge

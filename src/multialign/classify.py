@@ -18,16 +18,16 @@ At full ``k`` (``k`` the size of ``U = sum_i (I - P_i)``: the class count,
 or the time points under ``rha``) each fold's shared space ``W`` spans all
 of ``U``, so its eigensolve (or ``sha_r``'s iteration) only picks a
 rotation, and the ridge classifier, with its isotropic penalty and
-unpenalized intercept, predicts the same from rotated features.  The run
-then takes ``W = I`` and no fold fits: ``rha``'s features are rows of
-``P_i``, and ``sha``/``sha_r`` map through the mean of the training
-subjects' kernels, once per run when every subject has the same kernel.
-``sha_r`` at full ``k`` therefore gives ``sha``'s folds whatever its
-iteration count.  Below full ``k`` each fold makes one stacked pass: it
-sums its training subjects' complements ``I - P_i`` (stacked once per
-run), solves one eigenproblem (``sha_r`` iterates instead), forms the
-template and maps every subject with one stacked matmul (``rha`` through
-its complements).
+unpenalized intercept, predicts the same from rotated features.  A fold
+whose training subjects share one kernel ``K`` then takes ``W = I`` and
+does not fit: ``rha``'s features are rows of ``P_i``, mapped once per run,
+and ``sha``/``sha_r`` map through ``K^T``, once per run under strict
+labels.  Such a fold's ``sha_r`` gives ``sha``'s whatever its iteration
+count.  Every other fold (below full ``k``, or training on subjects whose
+label values differ) makes one stacked pass: it sums its training
+subjects' complements ``I - P_i`` (stacked once per run), solves one
+eigenproblem (``sha_r`` iterates instead), forms the template and maps
+every subject with one stacked matmul (``rha`` through its complements).
 
 Either way each fold forms the ridge system of its classifier: the Gram
 matrix and right-hand side of the mapped training rows.  The held-out
@@ -290,22 +290,23 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     ``T`` under ``rha``, its default when subjects have at least as many
     voxels as time points), every fold's ``W`` is a rotation of all of
     ``U``.  The ridge classifier's predictions do not change when its
-    features rotate (isotropic penalty, unpenalized intercept), so the run
-    takes ``W = I``: no fold calls :func:`_fit_terms`, solves an
-    eigenproblem or runs ``sha_r``'s iteration.  ``rha``'s features are the
-    rows of ``P_i``, one stacked matmul per run.  The ``sha``/``sha_r``
-    template is the mean of the training subjects' ``K_i^T``: when every
-    subject has the same kernel (strict labels) that is ``K^T`` in every
-    fold, and every subject is mapped once per run; with per-subject label
-    values each fold averages its training subjects' kernels alone and
-    maps every subject with one stacked matmul.  ``sha_r`` at full ``k``
-    thus gives ``sha``'s folds, and ``iterations`` has no effect there
+    features rotate (isotropic penalty, unpenalized intercept), so a fold
+    whose training subjects all have the same kernel ``K`` takes ``W = I``:
+    it calls no :func:`_fit_terms`, solves no eigenproblem and runs no
+    ``sha_r`` iteration.  ``rha``'s features (identity kernel) are the rows
+    of ``P_i``, one stacked matmul per run.  The ``sha``/``sha_r`` template
+    is ``K^T``, and the features it maps are kept per ``K``: under strict
+    labels every subject is mapped once per run.  Whether a fold takes
+    ``W = I`` depends on its training kernels alone, so the held-out
+    subject's labels never choose how its fold trains.  Such a fold's
+    ``sha_r`` gives ``sha``'s, and ``iterations`` has no effect on it
     (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, and
     still does so per fold).
 
-    Below full ``k`` a fold makes a constant number of stacked numpy calls:
-    it sums its training subjects' complements ``I - P_i`` (stacked once
-    per run, only on this path) in subject order, the same sum a fit on
+    Any other fold (below full ``k``, or training on subjects whose label
+    values differ) makes a constant number of stacked numpy calls: it sums
+    its training subjects' complements ``I - P_i`` (stacked once per run,
+    only when some fold needs them) in subject order, the same sum a fit on
     those subjects forms, solves one eigenproblem (``sha_r`` iterates
     instead), forms the template ``G`` and maps every subject with one
     stacked matmul.  ``rha`` maps as ``G - (I - P_i) G`` through the
@@ -332,9 +333,10 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method),
     and ``total`` their sums plus the run-level work: the per-run stacks
     count toward ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping
-    factors, the features mapped once per run, class sets), the stacked solve toward ``train_ns`` and the
-    stacked scoring toward ``score_ns``.  They stay out of the JSON form so
-    that reports are reproducible byte for byte.
+    factors, ``rha``'s full-``k`` features, class sets), the stacked solve
+    toward ``train_ns`` and the stacked scoring toward ``score_ns``.  They
+    stay out of the JSON form so that reports are reproducible byte for
+    byte.
     """
     ridge = _check_ridge(ridge)
     _check_epsilon(epsilon)
@@ -360,13 +362,16 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k)
             full = _spans_whole_space(terms)
-            if not full and method != "sha_r":
+            # Every subject has the same kernel: always under rha's identity kernel.
+            shared = terms.couplings is None or (terms.couplings == terms.couplings[0]).all()
+            if method != "sha_r" and not (full and shared):
                 terms = _with_complements(terms)
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
-        # The template of each fold, or None where every fold has the same features.
-        fold_template = None
+        # Whether the folds map at all; else every fold reads the run's features.
+        folds_map = terms is not None and not (full and method == "rha")
+        mapped = {}  # the W = I features of each training kernel, mapped once
         if terms is None:
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
         else:
@@ -375,19 +380,9 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             pick = np.searchsorted(terms.kernels[0].labeled, labeled)
             if method != "rha":
                 left, shrink = _mapping_factors(terms.svds, epsilon)
-            if not full:
-                def fold_template(train):
-                    return _fit_terms(terms, train, iterations)[1]
-            elif method == "rha":
+            elif full:
                 # W = I makes the template I: subject i's features are rows of P_i.
                 features = terms.factors[:, pick] @ terms.factors.swapaxes(1, 2)
-            elif (terms.couplings == terms.couplings[0]).all():
-                # Shared kernels: every fold's W = I template is K^T.
-                features = _map_rows(left, shrink, terms.couplings[0].T)[0][:, pick]
-            else:
-                def fold_template(train):
-                    # W = I: the mean of the training subjects' K_i^T alone.
-                    return terms.couplings[train].mean(axis=0).T
         groups = _training_class_sets(class_ids)
         classes_of = {int(f): classes for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
@@ -399,14 +394,25 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         train = np.delete(np.arange(subjects), held)
         fold = _Stages()
         with fold("fit_ns"):
-            if fold_template is not None:
-                template = fold_template(train)
+            template = key = None
+            own = terms.couplings[train[0]] if folds_map and full else None
+            if own is not None and (terms.couplings[train] == own).all():
+                # Training subjects that share one K take W = I: the template K^T.
+                key = own.tobytes()
+                if key not in mapped:
+                    template = own.T
+            elif folds_map:
+                template = _fit_terms(terms, train, iterations)[1]
         with fold("map_ns"):
-            if fold_template is not None and method == "rha":
+            if key in mapped:
+                features = mapped[key]
+            elif template is not None and method == "rha":
                 # The mapping projector is the fit's: P_i G = G - (I - P_i) G.
                 features = (template - terms.complements @ template)[:, pick]
-            elif fold_template is not None:
+            elif template is not None:
                 features = _map_rows(left, shrink, template)[0][:, pick]
+                if key is not None:
+                    mapped[key] = features
         with fold("train_ns"):
             systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),
                                          class_ids[train].ravel(), classes_of[held], ridge))

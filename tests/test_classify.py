@@ -272,14 +272,18 @@ class TestRunLoso:
 
 
 def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0,
-                    iterations=10):
-    """LOSO folds with each fold normalized on its own, so no factor carries over."""
+                    iterations=10, k=None):
+    """LOSO folds with each fold normalized on its own, so no factor carries over.
+
+    Every fold fits its own model at ``k``, eigensolve or ``sha_r`` iteration
+    included, whether or not ``k`` is full.
+    """
     folds = []
     for held in range(dataset.n_subjects):
         train_raw, test_raw = split_loso(dataset, held)
         train, test = normalize(train_raw), normalize(test_raw)
         kernels = kernels_for(train, gamma) if method in ("sha", "sha_r") else None
-        model = fit(method, train, kernels, epsilon=epsilon, iterations=iterations)
+        model = fit(method, train, kernels, epsilon=epsilon, k=k, iterations=iterations)
         x_rows, y_rows = [], []
         for subj, lab in zip(train.subjects, train.labels):
             idx = lab.labeled_indices
@@ -298,18 +302,29 @@ def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0,
     return tuple(folds)
 
 
-class TestLosoFactorReuse:
-    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
-    def test_equals_per_fold_reference(self, dataset, method):
-        assert run_loso(dataset, method).folds == _reference_loso(dataset, method)
+# Every method at its default k, and the supervised ones also one below full
+# k (the class count), where each fold still solves or iterates: 3 classes.
+METHODS_AND_K = [
+    *(pytest.param(m, None, id=m) for m in ("none", "rha", "sha", "sha_r")),
+    *(pytest.param(m, 2, id=f"{m}-below-full-k") for m in ("sha", "sha_r")),
+]
 
-    @pytest.mark.parametrize("method", ["rha", "sha"])
-    def test_equals_per_fold_reference_with_rest_points(self, method):
+
+class TestLosoFactorReuse:
+    @pytest.mark.parametrize("method, k", METHODS_AND_K)
+    def test_equals_per_fold_reference(self, dataset, method, k):
+        assert run_loso(dataset, method, k=k).folds == _reference_loso(dataset, method, k=k)
+
+    @pytest.mark.parametrize("method, k", [
+        *(pytest.param(m, None, id=m) for m in ("rha", "sha")),
+        *(pytest.param(m, 2, id=f"{m}-below-full-k") for m in ("sha", "sha_r")),
+    ])
+    def test_equals_per_fold_reference_with_rest_points(self, method, k):
         ds = random_dataset(np.random.default_rng(3), 4, 18, 10, 3, rest_fraction=0.3)
         for epsilon, gamma in ((1e-4, None), (0.1, 0.02)):
-            report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, ridge=0.5)
+            report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, k=k, ridge=0.5)
             assert report.folds == _reference_loso(ds, method, epsilon=epsilon,
-                                                   gamma=gamma, ridge=0.5)
+                                                   gamma=gamma, k=k, ridge=0.5)
 
     @pytest.mark.parametrize("method, per_subject", [("rha", 1), ("sha", 2)])
     def test_each_subject_factored_once(self, dataset, monkeypatch, method, per_subject):
@@ -418,29 +433,34 @@ def _rank_deficient_dataset(rng, deficient=0):
 class TestBatchedLoso:
     """The batched fold loop: per-run stacks, one stacked pass per fold."""
 
-    @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
-    def test_equals_reference_with_rest_points_and_per_subject_labels(self, method):
+    @pytest.mark.parametrize("method, k", METHODS_AND_K)
+    def test_equals_reference_with_rest_points_and_per_subject_labels(self, method, k):
         # Per-subject label values are what ``strict_labels=False`` admits.
         ds = _per_subject_labels(np.random.default_rng(8), 5, 18, 7, 3)
         assert not ds.labels_identical()
         for epsilon, gamma in ((1e-4, None), (0.1, 0.02)):
-            report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, ridge=0.5)
+            report = run_loso(ds, method, epsilon=epsilon, gamma=gamma, k=k, ridge=0.5)
             assert report.folds == _reference_loso(ds, method, epsilon=epsilon,
-                                                   gamma=gamma, ridge=0.5)
+                                                   gamma=gamma, k=k, ridge=0.5)
 
-    @pytest.mark.parametrize("method, layout", [
+    @pytest.mark.parametrize("method, layout, k", [
         # Subjects 1-3 label class 2 as class 0: subject 0's fold trains on
         # classes {0, 1}, every other fold on {0, 1, 2}.
-        *(pytest.param(m, dict(classes=3, held={}, rest={2: 0}), id=m)
+        *(pytest.param(m, dict(classes=3, held={}, rest={2: 0}), None, id=m)
           for m in ("none", "rha", "sha", "sha_r")),
         # Fold 0 trains on none of its held-out subject's classes: no AUC.
-        *(pytest.param(m, NO_TRAINING_CLASS, id=f"{m}-no-training-class")
+        *(pytest.param(m, NO_TRAINING_CLASS, None, id=f"{m}-no-training-class")
           for m in ("none", "rha", "sha", "sha_r")),
+        # The supervised methods one below full k (the class count).
+        *(pytest.param(m, dict(classes=3, held={}, rest={2: 0}), 2, id=f"{m}-below-full-k")
+          for m in ("sha", "sha_r")),
+        *(pytest.param(m, NO_TRAINING_CLASS, 3, id=f"{m}-no-training-class-below-full-k")
+          for m in ("sha", "sha_r")),
     ])
-    def test_class_only_the_held_out_subject_shows(self, method, layout):
+    def test_class_only_the_held_out_subject_shows(self, method, layout, k):
         ds = relabeled_dataset(**layout)
-        report = run_loso(ds, method)
-        assert report.folds == _reference_loso(ds, method)
+        report = run_loso(ds, method, k=k)
+        assert report.folds == _reference_loso(ds, method, k=k)
         aucs = [f.auc for f in report.folds if f.auc is not None]
         assert report.auc_mean == np.mean(aucs) and report.auc_std == np.std(aucs)
 
@@ -506,14 +526,16 @@ class TestBatchedLoso:
             assert len(lookups) == n
 
     def test_sha_r_folds_compute_no_objective_history(self, dataset, monkeypatch):
+        # Below full k, where every fold iterates.
         calls = _count_calls(monkeypatch, multialign.alignment, "pairwise_objective")
-        report = run_loso(dataset, "sha_r", iterations=4)
-        assert calls == []
+        iterated = _count_calls(monkeypatch, multialign.alignment, "_iterated_space")
+        report = run_loso(dataset, "sha_r", iterations=4, k=2)
+        assert calls == [] and len(iterated) == dataset.n_subjects
         # The counter sees the fit path: one call per round, one for the report.
         normalized = normalize(dataset)
-        fit("sha_r", normalized, kernels_for(normalized), iterations=4)
+        fit("sha_r", normalized, kernels_for(normalized), iterations=4, k=2)
         assert len(calls) == 4 + 1
-        assert report.folds == _reference_loso(dataset, "sha_r", iterations=4)
+        assert report.folds == _reference_loso(dataset, "sha_r", iterations=4, k=2)
 
     @pytest.mark.parametrize("method", ["none", "sha"])
     def test_two_subjects_warn_of_a_single_training_subject(self, rng, method):
@@ -537,8 +559,19 @@ class TestBatchedLoso:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
 
 
+def _folds_with_distinct_training_kernels(dataset):
+    """How many LOSO folds train on subjects that do not all share one kernel."""
+    matrices = np.stack([kernel.matrix for kernel in kernels_for(normalize(dataset))])
+    trains = (np.delete(matrices, held, axis=0) for held in range(len(matrices)))
+    return sum(not (train == train[0]).all() for train in trains)
+
+
 class TestFullKLoso:
-    """At full k every fold's W spans U: W = I, no eigensolve, no per-fold fit."""
+    """At full k a fold whose training subjects share one kernel takes W = I.
+
+    Its W would span all of U: no eigensolve and no sha_r iteration.  Folds
+    whose training kernels differ (per-subject label values) still fit.
+    """
 
     @given(seed=st.integers(0, 2**32 - 1), subjects=st.integers(3, 5),
            timepoints=st.integers(8, 18), n_classes=st.integers(2, 4),
@@ -569,7 +602,8 @@ class TestFullKLoso:
         with mock.patch.object(multialign.classify, "_fit_terms",
                                wraps=multialign.classify._fit_terms) as fold_fit:
             report = run_loso(ds, method, epsilon=epsilon, ridge=0.5)
-        assert not fold_fit.called
+        fitted = 0 if method == "rha" else _folds_with_distinct_training_kernels(ds)
+        assert fold_fit.call_count == fitted
         assert report.folds == _reference_loso(ds, method, epsilon=epsilon, ridge=0.5)
 
     @given(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 20),
@@ -584,9 +618,17 @@ class TestFullKLoso:
         assert sha_r.folds == sha.folds
 
     @pytest.mark.parametrize("method, k", [("sha", None), ("sha_r", None), ("sha", 2)])
+    @pytest.mark.parametrize("strict", [False, True], ids=["per-subject", "strict"])
     def test_held_out_labels_never_reach_their_folds_ridge_system(self, monkeypatch,
-                                                                  method, k):
-        base = _per_subject_labels(np.random.default_rng(6), 5, 18, 7, 3)
+                                                                  method, k, strict):
+        # From strict labels the relabeling makes only the held-out subject's
+        # kernel differ: its fold must still train as it did.  gamma = 0.01
+        # gives kernel entries with no exact binary form, and three of them
+        # need not average back to themselves: four subjects.
+        gen = np.random.default_rng(6)
+        base = (random_dataset(gen, 4, 18, 7, 3, rest_fraction=0.3) if strict
+                else _per_subject_labels(gen, 5, 18, 7, 3))
+        assert base.labels_identical() == strict
         held = 2
         # The held-out subject's class values cycled: same rest points, new labels.
         labels = list(base.labels)
@@ -601,8 +643,8 @@ class TestFullKLoso:
             return systems[-1]
 
         monkeypatch.setattr(multialign.classify, "_ridge_system", recording)
-        run_loso(base, method, k=k)
-        run_loso(relabeled, method, k=k)
+        run_loso(base, method, gamma=0.01, k=k)
+        run_loso(relabeled, method, gamma=0.01, k=k)
         (gram_a, rhs_a), (gram_b, rhs_b) = systems[held], systems[base.n_subjects + held]
         assert np.array_equal(gram_a, gram_b) and np.array_equal(rhs_a, rhs_b)
         # The change reaches the other folds, which train on the held-out subject.
