@@ -11,15 +11,15 @@ ridge maps and a shared template.  ``none`` is the do-nothing baseline.
 
 The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
 each subject (validated kernels, ``k``, the data SVD and one projector
-factor per subject; :func:`_with_complements` adds each complement
-``I - P_i`` for leave-one-subject-out folds that fit), stacked in subject
-order; :func:`_fit_terms` fits over any subset of those subjects by
-indexing the stacks.  :func:`fit` and the ``fit_*`` wrappers run the two
-over every subject and add the diagnostics; leave-one-subject-out builds
-the terms once per run and maps through the data SVDs they hold.  It fits
-a fold from them below full ``k`` (:func:`_spans_whole_space`), or when
-the fold's training kernels differ: at full ``k`` a fold's ``W`` only
-rotates the features, and the classifier it feeds ignores rotations.
+factor per subject), stacked in subject order; :func:`_fit_terms` fits over
+any subset of those subjects by indexing the stacks, summing each selected
+complement ``I - P_i`` into ``U`` as it forms it.  :func:`fit` and the
+``fit_*`` wrappers run the two over every subject and add the diagnostics;
+leave-one-subject-out builds the terms once per run and maps through the
+data SVDs they hold.  It fits a fold from them below full ``k``
+(:func:`_spans_whole_space`), or when the fold's training kernels differ:
+at full ``k`` a fold's ``W`` only rotates the features, and the classifier
+it feeds ignores rotations.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
@@ -29,10 +29,8 @@ subject's data ``X_l`` at the template's time points.  Those rows map as
 rows outside the template map as ``X_rest X_l^T U diag(1 / (s^2 + eps))
 U^T G``.  The voxel-side factor ``V`` is never computed.  :func:`_map_rows`
 maps a stack of subjects this way in two stacked matmuls; :func:`map_subject`
-hands it a stack of one.  Leave-one-subject-out maps ``rha`` through the
-fit's own projectors instead: under the identity kernel the mapping
-projector is the fit projector ``P_i``, so the rows map as ``G - (I - P_i)
-G``, one stacked matmul per fold, or as the rows of ``P_i`` at full ``k``.
+hands it a stack of one, and leave-one-subject-out maps every fold of
+every method through it.
 
 Each subject is factored once: the SVD ``X_l = U diag(s) V^T`` of its data
 at the template's time points is memoized on the subject object (see
@@ -48,7 +46,7 @@ ever factored.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +78,11 @@ SUPERVISED_METHODS = ("sha", "sha_r")
 # Above this many coupled time points the unsupervised path materializes an
 # uncomfortably large dense eigenproblem; warn rather than refuse.
 _LARGE_EIG_SIZE = 2000
+
+# A template whose every column varies over time by at most this fraction of
+# its largest entry counts as constant: centered data maps it to rounding
+# noise.
+_CONSTANT_TEMPLATE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -253,14 +256,12 @@ class _SubjectTerms:
     too), ``rank_deficient[i]`` the rank flag of the matrix its projector
     comes from, ``factors[i]`` the shrunken projector factor ``F_i`` of its
     label-coupled responses ``K_i X_i`` (``P_i = F_i F_i^T``),
-    ``complements[i]`` is ``I - P_i``, ``couplings[i]`` the kernel matrix
-    (absent under the identity kernel) and ``coupled[i]`` the coupled
-    responses ``K_i X_i`` (``sha_r`` only, its default start).  A fit over
-    a subset of the subjects indexes these stacks.  ``complements`` is
-    absent from what :func:`_subject_terms` builds and is added by
-    :func:`_with_complements` only when the terms serve an eigensolve per
-    fold; a single fit adds each complement to ``U`` as it forms it, so a
-    (time points x time points) ``U`` is never held once per subject.
+    ``couplings[i]`` the kernel matrix (absent under the identity kernel)
+    and ``coupled[i]`` the coupled responses ``K_i X_i`` (``sha_r`` only,
+    its default start).  A fit over a subset of the subjects indexes these
+    stacks.  No complement ``I - P_i`` is stacked: each fit adds them to
+    ``U`` one at a time, so a (time points x time points) matrix is never
+    held once per subject.
     """
 
     kernels: tuple[SupervisionKernel, ...]
@@ -268,7 +269,6 @@ class _SubjectTerms:
     rank_deficient: tuple[bool, ...]
     k: int
     factors: np.ndarray
-    complements: np.ndarray | None
     couplings: np.ndarray | None
     coupled: np.ndarray | None
 
@@ -336,17 +336,9 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
         rank_deficient=tuple(svd.rank_deficient for svd in fitted),
         k=k,
         factors=factors,
-        complements=None,
         couplings=None if identity else np.stack([ker.matrix for ker in kernels]),
         coupled=coupled,
     )
-
-
-def _with_complements(terms: _SubjectTerms) -> _SubjectTerms:
-    """``terms`` with every complement ``I - P_i`` stacked, from one matmul."""
-    complements = terms.factors @ terms.factors.swapaxes(1, 2)
-    np.subtract(np.eye(complements.shape[1]), complements, out=complements)
-    return replace(terms, complements=complements)
 
 
 def _spans_whole_space(terms: _SubjectTerms) -> bool:
@@ -392,40 +384,36 @@ def _iterated_space(factors, coupled, k, iterations, initial_shared, record_hist
     return truncated_svd(template, k).left, tuple(history) if record_history else None
 
 
-def _summed_complements(terms: _SubjectTerms, subset):
-    """``U = sum_i (I - P_i)`` over the selected subjects, and their count."""
-    if terms.complements is not None:
-        kept = terms.complements[subset]
-        return kept.sum(axis=0), len(kept)
-    factors = terms.factors[subset]
-    size = factors.shape[1]
-    u = np.zeros((size, size))
-    for f in factors:
-        u += np.eye(size) - f @ f.T
-    return u, len(factors)
-
-
 def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
                record_history=False):
     """The fit over the subjects ``subset`` selects: ``W``, template, objectives.
 
     Returns ``(W, template, trace, eigenvalues, history)``.  The single-shot
-    paths sum the selected complements in subject order into
-    ``U = sum_i (I - P_i)``, from zeros (the kept stack and the running
-    sum give the same bits), and keep the ``k`` eigenvectors of smallest
-    eigenvalue; ``sha_r`` iterates instead (``trace`` and ``eigenvalues``
-    are then ``None``, ``history`` its per-round pairwise objective when
-    ``record_history`` asks for it, else ``None``).  The template is the
-    kernel-average back-projection of ``W``.
+    paths add the selected complements ``I - P_i`` in subject order to a
+    running sum ``U``, from zeros, and keep the ``k`` eigenvectors of
+    smallest eigenvalue; ``sha_r`` iterates instead (``trace`` and
+    ``eigenvalues`` are then ``None``, ``history`` its per-round pairwise
+    objective when ``record_history`` asks for it, else ``None``).  The
+    template is the kernel-average back-projection of ``W``.
+
+    A template that does not vary over time (the selected kernels cancel
+    out, as when subjects hold swapped class labels) raises an
+    :class:`AdvisoryWarning`: centered data maps it to rounding noise.  Its
+    ``stacklevel`` names the line that called :func:`fit`, ``fit_*`` or
+    :func:`~multialign.classify.run_loso`.
     """
     trace = eigenvalues = history = None
+    factors = terms.factors[subset]
+    count = len(factors)
     if terms.coupled is not None:
-        factors = terms.factors[subset]
-        count = len(factors)
         w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
                                      iterations, initial_shared, record_history)
     else:
-        u, count = _summed_complements(terms, subset)
+        size = factors.shape[1]
+        identity = np.eye(size)
+        u = np.zeros((size, size))
+        for f in factors:
+            u += identity - f @ f.T
         eigenvalues, vectors = symmetric_eig(u)
         w = vectors[:, :terms.k]
         trace = float(np.trace(w.T @ (u @ w)))
@@ -435,6 +423,13 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
         contributions = w.T @ terms.couplings[subset]
     template = (contributions.sum(axis=0) / len(contributions)).T
     _check_finite("alignment fit", w, template)
+    if (np.ptp(template, axis=0) <= _CONSTANT_TEMPLATE_TOLERANCE * np.abs(template).max()).all():
+        warnings.warn(
+            "the fitted template is constant over time (the training kernels "
+            "cancel out); centered responses map it to rounding noise",
+            AdvisoryWarning,
+            stacklevel=4,
+        )
     return w, template, trace, eigenvalues, history
 
 
@@ -610,8 +605,8 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     full time series, in dual form through the left factor ``U`` and singular
     values ``s`` of the data ``X_l`` at those time points.  They map as
     ``U diag(s^2 / (s^2 + eps)) (U^T G)`` (:func:`_map_rows` on a stack of
-    one, the core leave-one-subject-out maps ``sha`` and ``sha_r`` folds
-    through); rest time points outside the template map as ``X_rest X_l^T U
+    one, the core every leave-one-subject-out fold maps through); rest
+    time points outside the template map as ``X_rest X_l^T U
     diag(1 / (s^2 + eps)) (U^T G)``, the same ridge map without ``V`` and
     without a division by ``s``.  Neither the (voxels x voxels) system nor
     the voxel-side factor ``V`` is ever formed.  The factors are memoized on

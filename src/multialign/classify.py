@@ -20,14 +20,17 @@ of ``U``, so its eigensolve (or ``sha_r``'s iteration) only picks a
 rotation, and the ridge classifier, with its isotropic penalty and
 unpenalized intercept, predicts the same from rotated features.  A fold
 whose training subjects share one kernel ``K`` then takes ``W = I`` and
-does not fit: ``rha``'s features are rows of ``P_i``, mapped once per run,
-and ``sha``/``sha_r`` map through ``K^T``, once per run under strict
-labels.  Such a fold's ``sha_r`` gives ``sha``'s whatever its iteration
-count.  Every other fold (below full ``k``, or training on subjects whose
-label values differ) makes one stacked pass: it sums its training
-subjects' complements ``I - P_i`` (stacked once per run), solves one
-eigenproblem (``sha_r`` iterates instead), forms the template and maps
-every subject with one stacked matmul (``rha`` through its complements).
+does not fit: its template is ``K^T`` (``I`` under ``rha``'s identity
+kernel), and the features it maps are kept per ``K``, so under strict
+labels, and always under ``rha``, every subject is mapped once per run.
+Such a fold's ``sha_r`` gives ``sha``'s whatever its iteration count.
+Every other fold (below full ``k``, or training on subjects whose label
+values differ) makes one stacked pass: it adds its training subjects'
+complements ``I - P_i`` to a running sum, solves one eigenproblem
+(``sha_r`` iterates instead) and forms the template.  Every method maps
+its templates the one way :func:`~multialign.alignment.map_subject` does,
+through the left factors and shrinks of the subjects' data SVDs, all
+subjects in one stacked matmul.
 
 Either way each fold forms the ridge system of its classifier: the Gram
 matrix and right-hand side of the mapped training rows.  The held-out
@@ -55,7 +58,6 @@ from .alignment import (
     _mapping_factors,
     _spans_whole_space,
     _subject_terms,
-    _with_complements,
 )
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
@@ -277,13 +279,15 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     order: the kernels (validated once, against all subjects), one
     projector factor ``F_i`` per subject (``P_i = F_i F_i^T``), the left
     factors and shrinks of each subject's data SVD at the template's time
-    points (not for ``rha``), and the class ids of the labeled rows.  That
-    data SVD is the subject's one factorization: the fit terms derive the
-    projector factors from it and keep it for mapping, and it is memoized
-    on the subject (see :meth:`SubjectData.thin_svd`), so later calls
-    handed the same dataset reuse it.  Mapping covers the template's time
-    points (rest rows outside it are never mapped), and the classifier
-    reads the labeled ones among them.
+    points, and the class ids of the labeled rows.  That data SVD is the
+    subject's one factorization: the fit terms derive the projector factors
+    from it and keep it for mapping, and it is memoized on the subject (see
+    :meth:`SubjectData.thin_svd`), so later calls handed the same dataset
+    reuse it.  Mapping covers the template's time points (rest rows outside
+    it are never mapped), and the classifier reads the labeled ones among
+    them.  Every fold of every method maps through the same core,
+    :func:`~multialign.alignment._map_rows`, that
+    :func:`~multialign.alignment.map_subject` uses.
 
     At full ``k``, when ``k`` is the size of ``U = sum_i (I - P_i)`` (the
     class count of the kernels: the default of ``sha`` and ``sha_r``, and
@@ -293,26 +297,24 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     features rotate (isotropic penalty, unpenalized intercept), so a fold
     whose training subjects all have the same kernel ``K`` takes ``W = I``:
     it calls no :func:`_fit_terms`, solves no eigenproblem and runs no
-    ``sha_r`` iteration.  ``rha``'s features (identity kernel) are the rows
-    of ``P_i``, one stacked matmul per run.  The ``sha``/``sha_r`` template
-    is ``K^T``, and the features it maps are kept per ``K``: under strict
-    labels every subject is mapped once per run.  Whether a fold takes
-    ``W = I`` depends on its training kernels alone, so the held-out
-    subject's labels never choose how its fold trains.  Such a fold's
-    ``sha_r`` gives ``sha``'s, and ``iterations`` has no effect on it
-    (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, and
-    still does so per fold).
+    ``sha_r`` iteration.  Its template is ``K^T`` (``I`` under ``rha``'s
+    identity kernel), and the features it maps are kept per ``K``: under
+    strict labels, and always under ``rha``, every subject is mapped once
+    per run.  Whether a fold takes ``W = I`` depends on its training
+    kernels alone, so the held-out subject's labels never choose how its
+    fold trains.  Such a fold's ``sha_r`` gives ``sha``'s, and
+    ``iterations`` has no effect on it (with fewer voxels than classes
+    ``sha_r``'s fit refuses full ``k``, and still does so per fold).
 
     Any other fold (below full ``k``, or training on subjects whose label
-    values differ) makes a constant number of stacked numpy calls: it sums
-    its training subjects' complements ``I - P_i`` (stacked once per run,
-    only when some fold needs them) in subject order, the same sum a fit on
-    those subjects forms, solves one eigenproblem (``sha_r`` iterates
-    instead), forms the template ``G`` and maps every subject with one
-    stacked matmul.  ``rha`` maps as ``G - (I - P_i) G`` through the
-    complements: under the identity kernel the mapping projector is the
-    fit projector.  Per-fold memory is the (subjects, rows, rank + k) stack
-    of one mapping.
+    values differ) makes a constant number of stacked numpy calls besides
+    its running sum: it adds its training subjects' complements
+    ``I - P_i`` to ``U`` in subject order, the sum a fit on those subjects
+    forms, solves one eigenproblem (``sha_r`` iterates instead), forms the
+    template ``G`` and maps every subject with one stacked matmul.  A fold
+    whose template does not vary over time (its training kernels cancel
+    out) raises an :class:`AdvisoryWarning`.  Per-fold memory is the
+    (subjects, rows, rank + k) stack of one mapping.
 
     Either way each fold forms the ridge system of its mapped training rows
     (:func:`_ridge_system`, as :func:`train_classifier` forms it).
@@ -333,10 +335,9 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method),
     and ``total`` their sums plus the run-level work: the per-run stacks
     count toward ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping
-    factors, ``rha``'s full-``k`` features, class sets), the stacked solve
-    toward ``train_ns`` and the stacked scoring toward ``score_ns``.  They
-    stay out of the JSON form so that reports are reproducible byte for
-    byte.
+    factors, class sets), the stacked solve toward ``train_ns`` and the
+    stacked scoring toward ``score_ns``.  They stay out of the JSON form so
+    that reports are reproducible byte for byte.
     """
     ridge = _check_ridge(ridge)
     _check_epsilon(epsilon)
@@ -362,15 +363,9 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k)
             full = _spans_whole_space(terms)
-            # Every subject has the same kernel: always under rha's identity kernel.
-            shared = terms.couplings is None or (terms.couplings == terms.couplings[0]).all()
-            if method != "sha_r" and not (full and shared):
-                terms = _with_complements(terms)
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
-        # Whether the folds map at all; else every fold reads the run's features.
-        folds_map = terms is not None and not (full and method == "rha")
         mapped = {}  # the W = I features of each training kernel, mapped once
         if terms is None:
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
@@ -378,11 +373,7 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             # Mapping covers the template's time points; the classifier reads
             # the labeled ones among them.
             pick = np.searchsorted(terms.kernels[0].labeled, labeled)
-            if method != "rha":
-                left, shrink = _mapping_factors(terms.svds, epsilon)
-            elif full:
-                # W = I makes the template I: subject i's features are rows of P_i.
-                features = terms.factors[:, pick] @ terms.factors.swapaxes(1, 2)
+            left, shrink = _mapping_factors(terms.svds, epsilon)
         groups = _training_class_sets(class_ids)
         classes_of = {int(f): classes for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
@@ -395,20 +386,19 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
         fold = _Stages()
         with fold("fit_ns"):
             template = key = None
-            own = terms.couplings[train[0]] if folds_map and full else None
-            if own is not None and (terms.couplings[train] == own).all():
-                # Training subjects that share one K take W = I: the template K^T.
-                key = own.tobytes()
+            if full and (terms.couplings is None
+                         or (terms.couplings[train] == terms.couplings[train[0]]).all()):
+                # Training subjects that share one K take W = I: the template
+                # K^T, under rha's identity kernel I, one key for every fold.
+                own = terms.kernels[train[0]].matrix
+                key = "identity" if terms.couplings is None else own.tobytes()
                 if key not in mapped:
                     template = own.T
-            elif folds_map:
+            elif terms is not None:
                 template = _fit_terms(terms, train, iterations)[1]
         with fold("map_ns"):
             if key in mapped:
                 features = mapped[key]
-            elif template is not None and method == "rha":
-                # The mapping projector is the fit's: P_i G = G - (I - P_i) G.
-                features = (template - terms.complements @ template)[:, pick]
             elif template is not None:
                 features = _map_rows(left, shrink, template)[0][:, pick]
                 if key is not None:

@@ -1,6 +1,7 @@
 """Ridge classifier and the leave-one-subject-out harness."""
 
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -516,8 +517,13 @@ class TestBatchedLoso:
         splits = _count_calls(monkeypatch, multialign.data, "split_loso",
                               (multialign.classify,))
         lookups = _count_calls(monkeypatch, multialign.data.SubjectData, "thin_svd")
+        rows = _count_calls(monkeypatch, multialign.alignment, "_map_rows",
+                            (multialign.classify,))
         run_loso_normalized(normalized, method, k=size if full else size - 1)
         assert len(projectors) == (0 if method == "none" else n)
+        # One mapping core for every method: at full k the folds share one
+        # W = I template (strict labels), below it each fold maps its own.
+        assert len(rows) == (0 if method == "none" else 1 if full else n)
         # At full k no fold solves an eigenproblem; below it each rha/sha fold does.
         assert len(eigs) == (n if method in ("rha", "sha") and not full else 0)
         assert maps == [] and splits == []
@@ -557,6 +563,28 @@ class TestBatchedLoso:
                                     "--epsilon", "0", "--out", str(tmp_path / "out")])
         assert code == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
+
+    @pytest.mark.parametrize("method", ["sha", "sha_r"])
+    def test_template_constant_in_time_warns(self, method):
+        # Subjects 0 and 2 hold swapped classes: fold 1's kernels cancel out.
+        ds = random_dataset(np.random.default_rng(0), 3, 8, 7, 2)
+        ids = np.array([1, 1, 0, 0, 0, 1, 1, 1])
+        labels = (multialign.data.LabelMatrix(np.eye(2)[:, ids]), ds.labels[1],
+                  multialign.data.LabelMatrix(np.eye(2)[:, 1 - ids]))
+        ds = multialign.data.Dataset(ds.subjects, labels, ds.class_names)
+        with pytest.warns(multialign.AdvisoryWarning, match="constant over time") as record:
+            run_loso(ds, method)
+        assert {w.filename for w in record} == {__file__}
+        train = normalize(split_loso(ds, 1)[0])
+        with pytest.warns(multialign.AdvisoryWarning, match="constant over time"):
+            fit(method, train, kernels_for(train))
+
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_strict_labels_raise_no_advisory(self, dataset, method, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", multialign.AdvisoryWarning)
+            run_loso(dataset, method, k=k)
 
 
 def _folds_with_distinct_training_kernels(dataset):
