@@ -15,11 +15,11 @@ factor per subject), stacked in subject order; :func:`_fit_terms` fits over
 any subset of those subjects by indexing the stacks, summing each selected
 complement ``I - P_i`` into ``U`` as it forms it.  :func:`fit` and the
 ``fit_*`` wrappers run the two over every subject and add the diagnostics;
-leave-one-subject-out builds the terms once per run and maps through the
-data SVDs they hold.  It fits a fold from them below full ``k``
-(:func:`_spans_whole_space`), or when the fold's training kernels differ:
-at full ``k`` a fold's ``W`` only rotates the features, and the classifier
-it feeds ignores rotations.
+leave-one-subject-out builds the terms once per run, fits every fold from
+them and maps through the data SVDs they hold.  At full ``k``
+(:func:`_spans_whole_space`) every fold takes ``W = I``, whatever its
+labels: a fold's ``W`` then only picks a basis of ``U``, and the
+classifier it feeds ignores the basis.  :func:`fit` keeps its eigenbasis.
 
 Mapping a held-out subject never materializes the (voxels x voxels) ridge
 system: it is phrased in the dual (time-point) form of the ridge
@@ -119,11 +119,12 @@ class AlignmentModel:
     point; mapping regresses a subject's responses onto it.  ``labeled`` holds
     the indices of those time points in the full time axis.  For the ``none``
     baseline both factors are absent and mapping is the identity.  Every
-    other model is refused without a template with one row per ``labeled``
-    index (:class:`InvalidDataError`), and ``labeled`` must be strictly
-    increasing and non-negative (numpy would otherwise read a negative
-    index from the end of the time axis), so mapping never meets an
-    inconsistent model.
+    other model is refused (:class:`InvalidDataError`) without a template
+    with one row per ``labeled`` index, with a ``k`` other than the column
+    count of its factors, or with an ``epsilon`` that is negative or not
+    finite; ``labeled`` must be strictly increasing and non-negative (numpy
+    would otherwise read a negative index from the end of the time axis),
+    so mapping never meets an inconsistent model.
     """
 
     method: str
@@ -140,12 +141,24 @@ class AlignmentModel:
             raise InvalidArgumentError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        shape = None if self.template is None else self.template.shape
-        if self.method != "none" and (shape is None or np.shape(self.labeled) != shape[:1]):
-            raise InvalidDataError(
-                f"model for method {self.method!r} is inconsistent: a template of "
-                f"shape {shape} for labeled time points of shape {np.shape(self.labeled)}"
-            )
+        if self.method != "none":
+            shape = None if self.template is None else self.template.shape
+            if shape is None or np.shape(self.labeled) != shape[:1]:
+                raise InvalidDataError(
+                    f"model for method {self.method!r} is inconsistent: a template of "
+                    f"shape {shape} for labeled time points of shape {np.shape(self.labeled)}"
+                )
+            widths = {np.shape(m)[1:] for m in (self.shared_space, self.template)
+                      if m is not None}
+            if widths != {(self.k,)}:
+                raise InvalidDataError(
+                    f"model for method {self.method!r} is inconsistent: k={self.k} "
+                    f"for factors of widths {sorted(widths)}"
+                )
+            if not np.isfinite(self.epsilon) or self.epsilon < 0:
+                raise InvalidDataError(
+                    f"model epsilon must be a finite value >= 0, got {self.epsilon}"
+                )
         if self.labeled is not None:
             labeled = np.asarray(self.labeled)
             if labeled.size and (labeled.min() < 0 or (np.diff(labeled) <= 0).any()):
@@ -385,7 +398,7 @@ def _iterated_space(factors, coupled, k, iterations, initial_shared, record_hist
 
 
 def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
-               record_history=False):
+               for_model=False):
     """The fit over the subjects ``subset`` selects: ``W``, template, objectives.
 
     Returns ``(W, template, trace, eigenvalues, history)``.  The single-shot
@@ -393,37 +406,51 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
     running sum ``U``, from zeros, and keep the ``k`` eigenvectors of
     smallest eigenvalue; ``sha_r`` iterates instead (``trace`` and
     ``eigenvalues`` are then ``None``, ``history`` its per-round pairwise
-    objective when ``record_history`` asks for it, else ``None``).  The
-    template is the kernel-average back-projection of ``W``.
+    objective under ``for_model``, else ``None``).  The template is the
+    kernel-average back-projection of ``W``.
+
+    ``for_model`` marks the fit a model keeps (:func:`fit`), whose outputs
+    read its basis of ``W``.  Any other fit (a leave-one-subject-out fold)
+    takes ``W = I`` at full ``k`` (:func:`_spans_whole_space`), whatever its
+    kernels, since its classifier ignores the basis: it returns ``W`` as
+    ``None``, and its template is the mean ``K_i^T`` (``I`` under ``rha``).
 
     A template that does not vary over time (the selected kernels cancel
     out, as when subjects hold swapped class labels) raises an
     :class:`AdvisoryWarning`: centered data maps it to rounding noise.  Its
-    ``stacklevel`` names the line that called :func:`fit`, ``fit_*`` or
-    :func:`~multialign.classify.run_loso`.
+    ``stacklevel`` names the line that called :func:`fit`, ``fit_*`` or a
+    ``multialign.classify.run_loso*`` entry point.
     """
-    trace = eigenvalues = history = None
-    factors = terms.factors[subset]
-    count = len(factors)
-    if terms.coupled is not None:
-        w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
-                                     iterations, initial_shared, record_history)
+    trace = eigenvalues = history = w = None  # None is W = I: its products are skipped
+    if for_model or not _spans_whole_space(terms):
+        factors = terms.factors[subset]
+        if terms.coupled is not None:
+            w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
+                                         iterations, initial_shared, for_model)
+        else:
+            size = factors.shape[1]
+            identity = np.eye(size)
+            u = np.zeros((size, size))
+            for f in factors:
+                u += identity - f @ f.T
+            eigenvalues, vectors = symmetric_eig(u)
+            w = vectors[:, :terms.k]
+            trace = float(np.trace(w.T @ (u @ w)))
+    if terms.couplings is None and w is None:
+        template = np.eye(terms.factors.shape[1])  # the mean of identity kernels
     else:
-        size = factors.shape[1]
-        identity = np.eye(size)
-        u = np.zeros((size, size))
-        for f in factors:
-            u += identity - f @ f.T
-        eigenvalues, vectors = symmetric_eig(u)
-        w = vectors[:, :terms.k]
-        trace = float(np.trace(w.T @ (u @ w)))
-    if terms.couplings is None:
-        contributions = np.broadcast_to(w.T, (count,) + w.T.shape)
-    else:
-        contributions = w.T @ terms.couplings[subset]
-    template = (contributions.sum(axis=0) / len(contributions)).T
+        if terms.couplings is None:
+            contributions = np.broadcast_to(w.T, (len(factors),) + w.T.shape)
+        else:
+            contributions = terms.couplings[subset] if w is None else w.T @ terms.couplings[subset]
+        template = (contributions.sum(axis=0) / len(contributions)).T
     _check_finite("alignment fit", w, template)
-    if (np.ptp(template, axis=0) <= _CONSTANT_TEMPLATE_TOLERANCE * np.abs(template).max()).all():
+    # No temporary the size of the template: a fold's would churn the heap
+    # between the classifier's large per-fold arrays.  The first test, on the
+    # first and last rows, is cheaper and implied by the second.
+    scale = _CONSTANT_TEMPLATE_TOLERANCE * max(template.max(), -template.min())
+    if (np.abs(template[-1] - template[0]).max() <= scale
+            and (template.max(axis=0) - template.min(axis=0) <= scale).all()):
         warnings.warn(
             "the fitted template is constant over time (the training kernels "
             "cancel out); centered responses map it to rounding noise",
@@ -446,7 +473,7 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
         )
     terms = _subject_terms(method, train, kernels, epsilon, k)
     w, template, trace, eigenvalues, history = _fit_terms(
-        terms, slice(None), iterations, initial_shared, record_history=True)
+        terms, slice(None), iterations, initial_shared, for_model=True)
     # Diagnostics: where each subject's projector carries the shared space.
     projected = terms.factors @ (terms.factors.swapaxes(1, 2) @ w)
     residual = float(sum(((p - w) ** 2).sum() for p in projected))

@@ -14,25 +14,13 @@ order: the supervision kernel, the projector factor ``F_i`` of the fit
 (``P_i = F_i F_i^T``), the left factor and shrinks of the data SVD that
 mapping uses, and the class ids of the labeled rows.
 
-At full ``k`` (``k`` the size of ``U = sum_i (I - P_i)``: the class count,
-or the time points under ``rha``) each fold's shared space ``W`` spans all
-of ``U``, so its eigensolve (or ``sha_r``'s iteration) only picks a
-rotation, and the ridge classifier, with its isotropic penalty and
-unpenalized intercept, predicts the same from rotated features.  A fold
-whose training subjects share one kernel ``K`` then takes ``W = I`` and
-does not fit: its template is ``K^T`` (``I`` under ``rha``'s identity
-kernel), and the features it maps are kept per ``K``, so under strict
-labels, and always under ``rha``, every subject is mapped once per run.
-Such a fold's ``sha_r`` gives ``sha``'s whatever its iteration count.
-Every other fold (below full ``k``, or training on subjects whose label
-values differ) makes one stacked pass: it adds its training subjects'
-complements ``I - P_i`` to a running sum, solves one eigenproblem
-(``sha_r`` iterates instead) and forms the template.  Every method maps
-its templates the one way :func:`~multialign.alignment.map_subject` does,
-through the left factors and shrinks of the subjects' data SVDs, all
-subjects in one stacked matmul.
+Every fold fits over its training subjects and maps every subject through
+its template the one way :func:`~multialign.alignment.map_subject` does,
+all subjects in one stacked matmul.  At full ``k`` every fold takes
+``W = I``, whatever its labels: no eigensolve and no ``sha_r`` iteration
+(see :func:`run_loso_normalized`).
 
-Either way each fold forms the ridge system of its classifier: the Gram
+Each fold then forms the ridge system of its classifier: the Gram
 matrix and right-hand side of the mapped training rows.  The held-out
 subject's features are kept.  Once every fold is done, one stacked solve
 gives every fold's classifier, one stacked matmul scores every held-out
@@ -56,7 +44,6 @@ from .alignment import (
     _fit_terms,
     _map_rows,
     _mapping_factors,
-    _spans_whole_space,
     _subject_terms,
 )
 from .data import Dataset, normalize
@@ -258,9 +245,7 @@ def run_loso(dataset: Dataset, method: str, *, epsilon: float = 1e-4,
     training and held-out subjects independently.  The folds are those of
     :func:`run_loso_normalized` on the normalized dataset.
     """
-    return run_loso_normalized(normalize(dataset), method, epsilon=epsilon,
-                               gamma=gamma, k=k, iterations=iterations,
-                               ridge=ridge)
+    return _loso(normalize(dataset), method, epsilon, gamma, k, iterations, ridge)
 
 
 def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e-4,
@@ -289,34 +274,29 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     :func:`~multialign.alignment._map_rows`, that
     :func:`~multialign.alignment.map_subject` uses.
 
-    At full ``k``, when ``k`` is the size of ``U = sum_i (I - P_i)`` (the
-    class count of the kernels: the default of ``sha`` and ``sha_r``, and
-    ``T`` under ``rha``, its default when subjects have at least as many
-    voxels as time points), every fold's ``W`` is a rotation of all of
-    ``U``.  The ridge classifier's predictions do not change when its
-    features rotate (isotropic penalty, unpenalized intercept), so a fold
-    whose training subjects all have the same kernel ``K`` takes ``W = I``:
-    it calls no :func:`_fit_terms`, solves no eigenproblem and runs no
-    ``sha_r`` iteration.  Its template is ``K^T`` (``I`` under ``rha``'s
-    identity kernel), and the features it maps are kept per ``K``: under
-    strict labels, and always under ``rha``, every subject is mapped once
-    per run.  Whether a fold takes ``W = I`` depends on its training
-    kernels alone, so the held-out subject's labels never choose how its
-    fold trains.  Such a fold's ``sha_r`` gives ``sha``'s, and
-    ``iterations`` has no effect on it (with fewer voxels than classes
-    ``sha_r``'s fit refuses full ``k``, and still does so per fold).
+    Every fold fits through :func:`~multialign.alignment._fit_terms` over
+    its training subjects and maps every subject with one stacked matmul;
+    a fold whose template equals the previous fold's keeps that fold's
+    features.  At full ``k`` (``k`` the size of ``U = sum_i (I -
+    P_i)``: the class count, the default of ``sha`` and ``sha_r``, or ``T``
+    under ``rha``, its default with at least as many voxels as time
+    points) every fold takes ``W = I``, whatever its labels: the ridge
+    classifier (isotropic penalty, unpenalized intercept) predicts the same
+    from any basis of ``U``.  No fold then solves an eigenproblem or runs a
+    ``sha_r`` iteration, and its template is the mean ``K_i^T`` of its
+    training kernels (``I`` under ``rha``).  Under strict labels, and
+    always under ``rha``, every subject is mapped once per run; ``sha_r``
+    gives ``sha``'s folds for any labels, and ``iterations`` has no effect
+    (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, per
+    fold too).  Below full ``k`` a fold adds its training subjects'
+    complements ``I - P_i`` to ``U`` in subject order, the sum a fit on
+    those subjects forms, solves one eigenproblem (``sha_r`` iterates
+    instead) and forms the template ``G``.  A fold whose template does not
+    vary over time (its training kernels cancel out) raises an
+    :class:`AdvisoryWarning`.  Per-fold memory is the (subjects, rows,
+    rank + k) stack of one mapping.
 
-    Any other fold (below full ``k``, or training on subjects whose label
-    values differ) makes a constant number of stacked numpy calls besides
-    its running sum: it adds its training subjects' complements
-    ``I - P_i`` to ``U`` in subject order, the sum a fit on those subjects
-    forms, solves one eigenproblem (``sha_r`` iterates instead), forms the
-    template ``G`` and maps every subject with one stacked matmul.  A fold
-    whose template does not vary over time (its training kernels cancel
-    out) raises an :class:`AdvisoryWarning`.  Per-fold memory is the
-    (subjects, rows, rank + k) stack of one mapping.
-
-    Either way each fold forms the ridge system of its mapped training rows
+    Each fold then forms the ridge system of its mapped training rows
     (:func:`_ridge_system`, as :func:`train_classifier` forms it).
 
     After the folds, the run trains and scores every classifier at once,
@@ -339,6 +319,11 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     stacked scoring toward ``score_ns``.  They stay out of the JSON form so
     that reports are reproducible byte for byte.
     """
+    return _loso(normalized, method, epsilon, gamma, k, iterations, ridge)
+
+
+def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoReport:
+    """Both entry points' body, one call deep in each: advisories name their caller."""
     ridge = _check_ridge(ridge)
     _check_epsilon(epsilon)
     _check_iterations(iterations)
@@ -352,21 +337,18 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
             "training split has a single subject; alignment degenerates to a "
             "self-template",
             AdvisoryWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     run = _Stages()
     with run("fit_ns"):
         terms = None
-        full = False
         if method != "none":
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k)
-            full = _spans_whole_space(terms)
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
-        mapped = {}  # the W = I features of each training kernel, mapped once
         if terms is None:
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
         else:
@@ -381,28 +363,19 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     systems = []
     held_rows = []
     per_fold = []
+    mapped_from = None  # the template ``features`` were mapped from
+    order = np.arange(subjects)
     for held in range(subjects):
-        train = np.delete(np.arange(subjects), held)
+        train = order[order != held]
         fold = _Stages()
         with fold("fit_ns"):
-            template = key = None
-            if full and (terms.couplings is None
-                         or (terms.couplings[train] == terms.couplings[train[0]]).all()):
-                # Training subjects that share one K take W = I: the template
-                # K^T, under rha's identity kernel I, one key for every fold.
-                own = terms.kernels[train[0]].matrix
-                key = "identity" if terms.couplings is None else own.tobytes()
-                if key not in mapped:
-                    template = own.T
-            elif terms is not None:
-                template = _fit_terms(terms, train, iterations)[1]
+            template = None if terms is None else _fit_terms(terms, train, iterations)[1]
         with fold("map_ns"):
-            if key in mapped:
-                features = mapped[key]
-            elif template is not None:
+            # Compared in place: a copy per fold (tobytes) would churn the heap
+            # between the large arrays of the folds' ridge systems.
+            if template is not None and not np.array_equal(template, mapped_from):
                 features = _map_rows(left, shrink, template)[0][:, pick]
-                if key is not None:
-                    mapped[key] = features
+                mapped_from = template
         with fold("train_ns"):
             systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),
                                          class_ids[train].ravel(), classes_of[held], ridge))

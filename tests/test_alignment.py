@@ -703,6 +703,19 @@ class TestLoadModelValidation:
         with pytest.raises(InvalidDataError, match="strictly increasing"):
             load_model(tmp_path)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("k", 999, "k=999"),
+        ("epsilon", -1.0, "epsilon must be"),
+        ("epsilon", "inf", "epsilon must be"),
+    ])
+    def test_k_or_epsilon_that_cannot_be_right(self, tmp_path, rng, key, value, match):
+        # Refused on load, not at mapping (epsilon) or never (k).
+        meta = self._saved(tmp_path, rng)
+        meta[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match=match):
+            load_model(tmp_path)
+
     def test_inconsistent_model_is_refused_before_mapping(self, rng):
         # The model's fault, whatever subject it would have been handed.
         _, _, model = _fitted(rng)

@@ -215,9 +215,10 @@ class TestRunLoso:
         assert "timings" not in d
         json.dumps(d)  # must be serializable as-is
 
-    def test_held_out_subject_never_enters_fitting(self, dataset, monkeypatch):
+    @pytest.mark.parametrize("k", [None, 2], ids=["full-k", "below-full-k"])
+    def test_held_out_subject_never_enters_fitting(self, dataset, monkeypatch, k):
         # The seam is each fold's fit over the per-run subject terms, which
-        # runs below full k (at full k no fold fits).
+        # every fold runs, at full k (W = I) as below it.
         seen = []
         real_fit = multialign.classify._fit_terms
 
@@ -226,7 +227,7 @@ class TestRunLoso:
             return real_fit(terms, subset, *args, **kw)
 
         monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
-        report = run_loso(dataset, "sha", k=2)
+        report = run_loso(dataset, "sha", k=k)
         assert len(seen) == 4
         for fold, train_ids in zip(report.folds, seen):
             assert fold.held_out not in train_ids
@@ -543,12 +544,16 @@ class TestBatchedLoso:
         assert len(calls) == 4 + 1
         assert report.folds == _reference_loso(dataset, "sha_r", iterations=4, k=2)
 
+    @pytest.mark.parametrize("entry", ["run_loso", "run_loso_normalized"])
     @pytest.mark.parametrize("method", ["none", "sha"])
-    def test_two_subjects_warn_of_a_single_training_subject(self, rng, method):
+    def test_two_subjects_warn_of_a_single_training_subject(self, rng, method, entry):
         ds = random_dataset(rng, 2, 12, 6, 2)
-        with pytest.warns(multialign.AdvisoryWarning, match="single subject"):
-            report = run_loso(ds, method)
+        run = run_loso if entry == "run_loso" else run_loso_normalized
+        with pytest.warns(multialign.AdvisoryWarning, match="single subject") as record:
+            report = run(ds if entry == "run_loso" else normalize(ds), method)
         assert len(report.folds) == 2
+        # The advisory names the caller's line, from either entry point.
+        assert {w.filename for w in record} == {__file__}
 
     @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
     @pytest.mark.parametrize("deficient", [0, 2])
@@ -564,16 +569,18 @@ class TestBatchedLoso:
         assert code == 4
         assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
 
+    @pytest.mark.parametrize("entry", ["run_loso", "run_loso_normalized"])
     @pytest.mark.parametrize("method", ["sha", "sha_r"])
-    def test_template_constant_in_time_warns(self, method):
+    def test_template_constant_in_time_warns(self, method, entry):
         # Subjects 0 and 2 hold swapped classes: fold 1's kernels cancel out.
         ds = random_dataset(np.random.default_rng(0), 3, 8, 7, 2)
         ids = np.array([1, 1, 0, 0, 0, 1, 1, 1])
         labels = (multialign.data.LabelMatrix(np.eye(2)[:, ids]), ds.labels[1],
                   multialign.data.LabelMatrix(np.eye(2)[:, 1 - ids]))
         ds = multialign.data.Dataset(ds.subjects, labels, ds.class_names)
+        run = run_loso if entry == "run_loso" else run_loso_normalized
         with pytest.warns(multialign.AdvisoryWarning, match="constant over time") as record:
-            run_loso(ds, method)
+            run(ds if entry == "run_loso" else normalize(ds), method)
         assert {w.filename for w in record} == {__file__}
         train = normalize(split_loso(ds, 1)[0])
         with pytest.warns(multialign.AdvisoryWarning, match="constant over time"):
@@ -587,19 +594,23 @@ class TestBatchedLoso:
             run_loso(dataset, method, k=k)
 
 
-def _folds_with_distinct_training_kernels(dataset):
-    """How many LOSO folds train on subjects that do not all share one kernel."""
-    matrices = np.stack([kernel.matrix for kernel in kernels_for(normalize(dataset))])
-    trains = (np.delete(matrices, held, axis=0) for held in range(len(matrices)))
-    return sum(not (train == train[0]).all() for train in trains)
-
-
 class TestFullKLoso:
-    """At full k a fold whose training subjects share one kernel takes W = I.
+    """At full k every fold takes W = I, whatever its labels.
 
-    Its W would span all of U: no eigensolve and no sha_r iteration.  Folds
-    whose training kernels differ (per-subject label values) still fit.
+    Its W would span all of U: no eigensolve and no sha_r iteration.
     """
+
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    def test_per_subject_labels_solve_nothing(self, monkeypatch, method):
+        # Every fold's training kernels differ, and none fits a basis of U.
+        ds = _per_subject_labels(np.random.default_rng(8), 5, 18, 18, 3)
+        eigs = _count_calls(monkeypatch, multialign.linalg, "symmetric_eig",
+                            (multialign.alignment,))
+        iterated = _count_calls(monkeypatch, multialign.alignment, "_iterated_space")
+        report = run_loso(ds, method)
+        assert eigs == [] and iterated == []
+        monkeypatch.undo()
+        assert report.folds == _reference_loso(ds, method)
 
     @given(seed=st.integers(0, 2**32 - 1), subjects=st.integers(3, 5),
            timepoints=st.integers(8, 18), n_classes=st.integers(2, 4),
@@ -627,11 +638,12 @@ class TestFullKLoso:
         for held in range(subjects):
             mean = np.delete(onehots, held, axis=0).mean(axis=0)
             assume((mean != mean[:, :1]).any())
-        with mock.patch.object(multialign.classify, "_fit_terms",
-                               wraps=multialign.classify._fit_terms) as fold_fit:
+        with mock.patch.object(multialign.alignment, "symmetric_eig",
+                               wraps=multialign.alignment.symmetric_eig) as eig, \
+             mock.patch.object(multialign.alignment, "_iterated_space",
+                               wraps=multialign.alignment._iterated_space) as iterated:
             report = run_loso(ds, method, epsilon=epsilon, ridge=0.5)
-        fitted = 0 if method == "rha" else _folds_with_distinct_training_kernels(ds)
-        assert fold_fit.call_count == fitted
+        assert eig.call_count == 0 and iterated.call_count == 0
         assert report.folds == _reference_loso(ds, method, epsilon=epsilon, ridge=0.5)
 
     @given(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 20),
