@@ -41,7 +41,6 @@ from .data import (
     normalize,
     read_matrix_csv,
     save_dataset,
-    split_loso,
     write_matrix_csv,
 )
 from .errors import (
@@ -60,16 +59,13 @@ from .linalg import (
     truncated_svd,
 )
 from .metrics import (
-    ClassificationScores,
     CorrelationReport,
     InstanceRun,
     MetricSummary,
     accuracy,
     class_instances,
-    classification_scores,
     correlation_report,
     one_vs_rest_auc,
-    pearson,
     rho1,
     rho2,
     rho3,
@@ -87,7 +83,6 @@ from .supervision import (
 from .synth import (
     GroundTruth,
     SynthConfig,
-    config_as_dict,
     generate,
     save_ground_truth,
     substream,
@@ -99,7 +94,6 @@ __all__ = [
     "METHODS",
     "AdvisoryWarning",
     "AlignmentModel",
-    "ClassificationScores",
     "CorrelationReport",
     "Dataset",
     "FitReport",
@@ -122,8 +116,6 @@ __all__ = [
     "TruncatedSvd",
     "accuracy",
     "class_instances",
-    "classification_scores",
-    "config_as_dict",
     "correlation_report",
     "coupling_determinant",
     "coupling_matrix",
@@ -143,7 +135,6 @@ __all__ = [
     "normalize",
     "one_vs_rest_auc",
     "pairwise_objective",
-    "pearson",
     "projector_from_svd",
     "read_matrix_csv",
     "regularized_projector",
@@ -156,7 +147,6 @@ __all__ = [
     "save_dataset",
     "save_ground_truth",
     "save_model",
-    "split_loso",
     "substream",
     "supervision_kernel",
     "symmetric_eig",

@@ -21,16 +21,18 @@ them and maps through the data SVDs they hold.  At full ``k``
 labels: a fold's ``W`` then only picks a basis of ``U``, and the
 classifier it feeds ignores the basis.  :func:`fit` keeps its eigenbasis.
 
-Mapping a held-out subject never materializes the (voxels x voxels) ridge
-system: it is phrased in the dual (time-point) form of the ridge
-regression, through the left factor ``U`` and singular values ``s`` of the
-subject's data ``X_l`` at the template's time points.  Those rows map as
-``U diag(s^2 / (s^2 + eps)) U^T G`` with no voxel-side product at all; rest
-rows outside the template map as ``X_rest X_l^T U diag(1 / (s^2 + eps))
-U^T G``.  The voxel-side factor ``V`` is never computed.  :func:`_map_rows`
-maps a stack of subjects this way in two stacked matmuls; :func:`map_subject`
-hands it a stack of one, and leave-one-subject-out maps every fold of
-every method through it.
+Mapping never materializes the (voxels x voxels) ridge system: it is
+phrased in the dual (time-point) form of the ridge regression, through the
+left factor ``U`` and singular values ``s`` of the subject's data ``X_l``
+at the template's time points.  Those rows map as ``U diag(s^2 / (s^2 +
+eps)) U^T G`` with no voxel-side product at all; rest rows outside the
+template map as ``B U^T G`` through the rest-row factor ``B = X_rest X_l^T
+U diag(1 / (s^2 + eps))``.  The voxel-side factor ``V`` is never computed.
+That formula exists once, in :func:`_map_rows`, which maps a stack of
+subjects onto the full time axis from the factors
+:func:`_mapping_factors` builds; :func:`map_dataset` maps a whole dataset
+in one call, :func:`map_subject` a stack of one, and leave-one-subject-out
+maps every fold of every method through it.
 
 Each subject is factored once: the SVD ``X_l = U diag(s) V^T`` of its data
 at the template's time points is memoized on the subject object (see
@@ -124,7 +126,10 @@ class AlignmentModel:
     count of its factors, or with an ``epsilon`` that is negative or not
     finite; ``labeled`` must be strictly increasing and non-negative (numpy
     would otherwise read a negative index from the end of the time axis),
-    so mapping never meets an inconsistent model.
+    so mapping never meets an inconsistent model.  The factors are stored
+    as float arrays and ``labeled`` as an integer array, whatever
+    array-likes they are handed; ``labeled`` values that are not whole
+    numbers are refused.
     """
 
     method: str
@@ -141,6 +146,15 @@ class AlignmentModel:
             raise InvalidArgumentError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
+        try:
+            for name in ("shared_space", "template"):
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            if self.labeled is not None:
+                object.__setattr__(self, "labeled", _time_indices(self.labeled))
+        except (TypeError, ValueError) as exc:
+            raise InvalidDataError(f"model for method {self.method!r} holds a malformed "
+                                   f"value: {exc}") from exc
         if self.method != "none":
             shape = None if self.template is None else self.template.shape
             if shape is None or np.shape(self.labeled) != shape[:1]:
@@ -159,13 +173,29 @@ class AlignmentModel:
                 raise InvalidDataError(
                     f"model epsilon must be a finite value >= 0, got {self.epsilon}"
                 )
-        if self.labeled is not None:
-            labeled = np.asarray(self.labeled)
-            if labeled.size and (labeled.min() < 0 or (np.diff(labeled) <= 0).any()):
-                raise InvalidDataError(
-                    "the model's labeled time points must be strictly increasing "
-                    f"indices >= 0, got {labeled.tolist()}"
-                )
+
+
+def _time_indices(values) -> np.ndarray:
+    """``values`` as an integer array of strictly increasing time indices >= 0.
+
+    Anything else is refused with :class:`InvalidDataError`: numpy would
+    truncate a fraction, read a negative index from the end of the time
+    axis, or fail later with an ``IndexError`` on a boolean mask.
+    """
+    indices = np.asarray(values)
+    if indices.dtype.kind == "f" and (np.isfinite(indices)
+                                      & (indices == np.round(indices))).all():
+        indices = indices.astype(int)
+    if indices.dtype.kind not in "iu":
+        raise InvalidDataError(
+            f"the model's labeled time points must be whole numbers, got {indices.tolist()}"
+        )
+    if indices.size and (indices.min() < 0 or (np.diff(indices) <= 0).any()):
+        raise InvalidDataError(
+            "the model's labeled time points must be strictly increasing "
+            f"indices >= 0, got {indices.tolist()}"
+        )
+    return indices.astype(int, copy=False)
 
 
 @dataclass(frozen=True)
@@ -596,31 +626,94 @@ def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
     raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def _mapping_factors(svds, epsilon):
-    """Stacked left factors and shrinks ``s^2 / (s^2 + eps)`` of data SVDs.
+@dataclass(frozen=True)
+class _MappingFactors:
+    """What :func:`_map_rows` needs of a stack of subjects, for any template.
 
-    The inputs of :func:`_map_rows`, one entry per SVD, all of one shape.
+    ``left`` (subjects, rows, rank) and ``shrink`` (subjects, rank) are the
+    left factors and shrinks ``s^2 / (s^2 + eps)`` of the subjects' data
+    SVDs at the template's time points ``labeled``; ``rest`` (subjects,
+    rest rows, rank) holds each subject's rest-row factor ``X_rest X_l^T U
+    diag(1 / (s^2 + eps))`` for the time points ``rest_rows`` outside
+    them, or is ``None`` when the template covers the whole time axis.
     """
-    shrinks = []
+
+    left: np.ndarray
+    shrink: np.ndarray
+    rest: np.ndarray | None
+    labeled: np.ndarray
+    rest_rows: np.ndarray
+
+
+def _mapping_factors(subjects, svds, labeled, epsilon) -> _MappingFactors:
+    """The mapping factors of ``subjects`` from their SVDs ``svds`` at ``labeled``.
+
+    Every subject must have as many time points as the first; the SVDs are
+    handed in, so building the factors looks up no SVD.
+    """
+    rest_rows = np.setdiff1d(np.arange(subjects[0].n_timepoints), labeled)
+    squares = []
     for svd in svds:
         s = svd.singular_values
         _check_nonsingular(s, epsilon, "mapping")
-        s2 = s * s
-        shrinks.append(s2 / (s2 + epsilon))
-    return np.stack([svd.left for svd in svds]), np.stack(shrinks)
+        squares.append(s * s)
+    squares = np.stack(squares)
+    rest = None
+    if rest_rows.size:
+        rest = np.stack([(subject.data[rest_rows] @ subject.data[labeled].T) @ svd.left
+                         for subject, svd in zip(subjects, svds)])
+        rest /= squares[:, None] + epsilon
+    return _MappingFactors(
+        left=np.stack([svd.left for svd in svds]),
+        shrink=squares / (squares + epsilon),
+        rest=rest,
+        labeled=labeled,
+        rest_rows=rest_rows,
+    )
 
 
-def _map_rows(left, shrink, template):
-    """A stack of subjects' rows at the template's time points, mapped.
+def _map_rows(factors: _MappingFactors, template) -> np.ndarray:
+    """Every subject of a stack mapped onto ``template``, on the full time axis.
 
-    With ``left`` (subjects, rows, rank) and ``shrink`` (subjects, rank) from
-    :func:`_mapping_factors`, subject ``i`` maps as ``U_i diag(shrink_i)
-    (U_i^T G)``: two stacked matmuls for the whole stack.  Returns the
-    mapped rows and the projections ``U_i^T G``.
+    The one mapping formula of the package.  With ``P_i = U_i^T G``, the
+    template's rows of subject ``i`` map as ``U_i diag(shrink_i) P_i`` and
+    its rest rows as ``B_i P_i`` (``B_i`` its rest-row factor): two stacked
+    matmuls for the template's rows of the whole stack, a third for the
+    rest rows.  Returns (subjects, time points, k) in time order; without
+    rest rows that is the stacked product itself, with no copy.
     """
-    projected = np.matmul(left.swapaxes(1, 2), template)
+    projected = np.matmul(factors.left.swapaxes(1, 2), template)
     # Shrinking the (rank x k) projection is cheaper than scaling U or V.
-    return np.matmul(left, shrink[..., None] * projected), projected
+    mapped = np.matmul(factors.left, factors.shrink[..., None] * projected)
+    if factors.rest is None:
+        return mapped
+    z = np.empty((len(mapped), mapped.shape[1] + factors.rest_rows.size, mapped.shape[2]))
+    z[:, factors.labeled] = mapped
+    z[:, factors.rest_rows] = np.matmul(factors.rest, projected)
+    return z
+
+
+def _map_subjects(model: AlignmentModel, subjects, epsilon) -> list[MappedFeatures]:
+    """:func:`map_subject` and :func:`map_dataset` for subjects of one length.
+
+    ``epsilon`` is checked first, for every method, ``none`` included.
+    """
+    eps = model.epsilon if epsilon is None else float(epsilon)
+    _check_epsilon(eps)
+    if model.method == "none":
+        return [MappedFeatures(subject.subject_id, subject.data.copy()) for subject in subjects]
+    labeled = model.labeled
+    n_timepoints = subjects[0].n_timepoints
+    if labeled.max() >= n_timepoints:
+        raise InvalidArgumentError(
+            f"subject {subjects[0].subject_id!r} has {n_timepoints} time points; the "
+            f"model's template couples time point {int(labeled.max())}"
+        )
+    svds = [subject.thin_svd(labeled) for subject in subjects]
+    z = _map_rows(_mapping_factors(subjects, svds, labeled, eps), model.template)
+    _check_finite("mapping", z)
+    return [MappedFeatures(subject.subject_id, features)
+            for subject, features in zip(subjects, z)]
 
 
 def map_subject(model: AlignmentModel, subject: SubjectData,
@@ -630,44 +723,23 @@ def map_subject(model: AlignmentModel, subject: SubjectData,
     Solves the ridge regression of the subject's responses (at the template's
     time points) onto the template and applies the resulting voxel map to the
     full time series, in dual form through the left factor ``U`` and singular
-    values ``s`` of the data ``X_l`` at those time points.  They map as
-    ``U diag(s^2 / (s^2 + eps)) (U^T G)`` (:func:`_map_rows` on a stack of
-    one, the core every leave-one-subject-out fold maps through); rest
-    time points outside the template map as ``X_rest X_l^T U
-    diag(1 / (s^2 + eps)) (U^T G)``, the same ridge map without ``V`` and
-    without a division by ``s``.  Neither the (voxels x voxels) system nor
-    the voxel-side factor ``V`` is ever formed.  The factors are memoized on
-    the subject, shared with every fit and every other model mapped through
-    the same subject object.  Mapping needs no labels.
+    values ``s`` of the data ``X_l`` at those time points (see
+    :func:`_map_rows`, the one mapping formula, here on a stack of one).
+    Neither the (voxels x voxels) system nor the voxel-side factor ``V`` is
+    ever formed.  The factors are memoized on the subject, shared with every
+    fit and every other model mapped through the same subject object.
+    ``epsilon`` overrides the model's ridge term.  Mapping needs no labels.
     """
-    x = subject.data
-    if model.method == "none":
-        return MappedFeatures(subject.subject_id, x.copy())
-    eps = model.epsilon if epsilon is None else float(epsilon)
-    _check_epsilon(eps)
-    labeled = model.labeled
-    if labeled.max() >= x.shape[0]:
-        raise InvalidArgumentError(
-            f"subject {subject.subject_id!r} has {x.shape[0]} time points; the "
-            f"model's template couples time point {int(labeled.max())}"
-        )
-    svd = subject.thin_svd(labeled)
-    mapped, projected = _map_rows(*_mapping_factors([svd], eps), model.template)
-    z = np.empty((x.shape[0], model.template.shape[1]))
-    z[labeled] = mapped[0]
-    rest = np.ones(x.shape[0], dtype=bool)
-    rest[labeled] = False
-    if rest.any():
-        s = svd.singular_values
-        ridge = svd.left @ ((1.0 / (s * s + eps))[:, None] * projected[0])
-        z[rest] = x[rest] @ (x[labeled].T @ ridge)
-    _check_finite("mapping", z)
-    return MappedFeatures(subject.subject_id, z)
+    return _map_subjects(model, (subject,), epsilon)[0]
 
 
 def map_dataset(model: AlignmentModel, dataset: Dataset) -> list[MappedFeatures]:
-    """Map every subject of a dataset; order follows the dataset."""
-    return [map_subject(model, subj) for subj in dataset.subjects]
+    """Map every subject of a dataset; order follows the dataset.
+
+    One stacked :func:`_map_rows` call maps every subject, with the bits
+    :func:`map_subject` gives each one.
+    """
+    return _map_subjects(model, dataset.subjects, None)
 
 
 def save_model(model: AlignmentModel, out_dir) -> Path:
@@ -714,7 +786,7 @@ def load_model(model_dir) -> AlignmentModel:
         raise InvalidDataError(f"{path} lacks the keys {missing}")
     if meta["method"] not in METHODS:
         raise InvalidDataError(f"{path} names an unknown method {meta['method']!r}")
-    shared = template = labeled = None
+    shared = template = None
     dims = meta.get("dims")
     if isinstance(dims, dict):
         shared = read_matrix_csv(model_dir / "w.csv")
@@ -725,8 +797,6 @@ def load_model(model_dir) -> AlignmentModel:
                     f"{name} has shape {list(m.shape)}, model.json says {dims.get(key)}"
                 )
     try:
-        if meta["labeled"] is not None:
-            labeled = np.asarray(meta["labeled"], dtype=int)
         epsilon, k = float(meta["epsilon"]), int(meta["k"])
         gamma = None if meta["gamma"] is None else float(meta["gamma"])
     except (TypeError, ValueError) as exc:
@@ -738,5 +808,5 @@ def load_model(model_dir) -> AlignmentModel:
         epsilon=epsilon,
         gamma=gamma,
         k=k,
-        labeled=labeled,
+        labeled=meta["labeled"],
     )

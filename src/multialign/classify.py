@@ -11,14 +11,18 @@ training rows, and the held-out subject is scored.  The held-out subject's
 labels are used only for scoring, never for fitting.  Everything that
 depends on one subject alone is built once per run and stacked in subject
 order: the supervision kernel, the projector factor ``F_i`` of the fit
-(``P_i = F_i F_i^T``), the left factor and shrinks of the data SVD that
-mapping uses, and the class ids of the labeled rows.
+(``P_i = F_i F_i^T``), the mapping factors read off the data SVD (left
+factor, shrinks and rest-row factor), and the class ids of the labeled
+rows.
 
 Every fold fits over its training subjects and maps every subject through
-its template the one way :func:`~multialign.alignment.map_subject` does,
-all subjects in one stacked matmul.  At full ``k`` every fold takes
-``W = I``, whatever its labels: no eigensolve and no ``sha_r`` iteration
-(see :func:`run_loso_normalized`).
+its template with :func:`~multialign.alignment._map_rows`, the one
+mapping formula, which :func:`~multialign.alignment.map_subject` and
+:func:`~multialign.alignment.map_dataset` also use: all subjects in one
+stacked call, on the full time axis, from which the classifier reads the
+labeled rows.  At full ``k`` every fold takes ``W = I``, whatever its
+labels: no eigensolve and no ``sha_r`` iteration (see
+:func:`run_loso_normalized`).
 
 Each fold then forms the ridge system of its classifier: the Gram
 matrix and right-hand side of the mapped training rows.  The held-out
@@ -262,17 +266,18 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
 
     Every per-subject quantity is built once per run and stacked in subject
     order: the kernels (validated once, against all subjects), one
-    projector factor ``F_i`` per subject (``P_i = F_i F_i^T``), the left
-    factors and shrinks of each subject's data SVD at the template's time
-    points, and the class ids of the labeled rows.  That data SVD is the
-    subject's one factorization: the fit terms derive the projector factors
-    from it and keep it for mapping, and it is memoized on the subject (see
-    :meth:`SubjectData.thin_svd`), so later calls handed the same dataset
-    reuse it.  Mapping covers the template's time points (rest rows outside
-    it are never mapped), and the classifier reads the labeled ones among
-    them.  Every fold of every method maps through the same core,
+    projector factor ``F_i`` per subject (``P_i = F_i F_i^T``), the mapping
+    factors of each subject's data SVD at the template's time points (left
+    factor, shrinks and rest-row factor), and the class ids of the labeled
+    rows.  That data SVD is the subject's one factorization: the fit terms
+    derive the projector factors from it and keep it for mapping, and it is
+    memoized on the subject (see :meth:`SubjectData.thin_svd`), so later
+    calls handed the same dataset reuse it.  Every fold of every method maps every subject's whole time
+    axis, rest rows included, through the one mapping formula,
     :func:`~multialign.alignment._map_rows`, that
-    :func:`~multialign.alignment.map_subject` uses.
+    :func:`~multialign.alignment.map_subject` and
+    :func:`~multialign.alignment.map_dataset` use, and the classifier reads
+    the labeled rows off it.
 
     Every fold fits through :func:`~multialign.alignment._fit_terms` over
     its training subjects and maps every subject with one stacked matmul;
@@ -352,10 +357,8 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         if terms is None:
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
         else:
-            # Mapping covers the template's time points; the classifier reads
-            # the labeled ones among them.
-            pick = np.searchsorted(terms.kernels[0].labeled, labeled)
-            left, shrink = _mapping_factors(terms.svds, epsilon)
+            factors = _mapping_factors(normalized.subjects, terms.svds,
+                                       terms.kernels[0].labeled, epsilon)
         groups = _training_class_sets(class_ids)
         classes_of = {int(f): classes for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
@@ -374,7 +377,7 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
             # Compared in place: a copy per fold (tobytes) would churn the heap
             # between the large arrays of the folds' ridge systems.
             if template is not None and not np.array_equal(template, mapped_from):
-                features = _map_rows(left, shrink, template)[0][:, pick]
+                features = _map_rows(factors, template)[:, labeled]
                 mapped_from = template
         with fold("train_ns"):
             systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import METHODS, SUPERVISED_METHODS, fit, map_subject, save_model
+from .alignment import METHODS, SUPERVISED_METHODS, fit, map_dataset, save_model
 from .classify import _Stages, run_loso, run_loso_normalized
 from .data import (
     Dataset,
@@ -126,9 +126,8 @@ def cmd_align(args, out: Path, stage: _Stages) -> None:
                     iterations=args.iters)
     with stage("map_ns"):
         save_model(model, out)
-        for subject in dataset.subjects:
-            mapped = map_subject(model, subject)
-            write_matrix_csv(out / f"z_{subject.subject_id}.csv", mapped.features)
+        for mapped in map_dataset(model, dataset):
+            write_matrix_csv(out / f"z_{mapped.subject_id}.csv", mapped.features)
 
 
 def cmd_corr(args, out: Path, stage: _Stages) -> None:
@@ -152,8 +151,7 @@ def cmd_corr(args, out: Path, stage: _Stages) -> None:
             kernels = kernels_for(dataset, gamma) if method in SUPERVISED_METHODS else None
             model = fit(method, dataset, kernels, epsilon=args.epsilon, k=k,
                         iterations=args.iters)
-            mapped = [map_subject(model, subj).features for subj in dataset.subjects]
-            report = correlation_report(mapped, dataset.labels,
+            report = correlation_report(map_dataset(model, dataset), dataset.labels,
                                         rho1_labeled_only=args.rho1_labeled_only)
         write_json(out / f"corr_{method}.json", {
             "method": method,

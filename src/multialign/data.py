@@ -1,4 +1,4 @@
-"""Dataset containers, manifest IO, normalization, and leave-one-out splits.
+"""Dataset containers, manifest IO and normalization.
 
 A dataset bundles per-subject time-by-voxel matrices with per-subject label
 matrices (classes x time points, one-hot columns).  On disk a dataset is a
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError
+from .errors import InvalidDataError
 from .linalg import TruncatedSvd, as_matrix, truncated_svd
 
 # Columns whose sample standard deviation falls at or below this are treated
@@ -352,30 +352,3 @@ def normalize(dataset: Dataset) -> Dataset:
         data, zeroed = _normalize_columns(subj.data)
         subjects.append(replace(subj, data=data, zeroed_columns=zeroed))
     return Dataset(tuple(subjects), dataset.labels, dataset.class_names)
-
-
-def split_loso(dataset: Dataset, held_out: int) -> tuple[Dataset, Dataset]:
-    """Split into (training subjects, held-out subject) by subject index."""
-    if not 0 <= held_out < dataset.n_subjects:
-        raise InvalidArgumentError(
-            f"held_out must be in [0, {dataset.n_subjects - 1}], got {held_out}"
-        )
-    if dataset.n_subjects < 2:
-        raise InvalidArgumentError("need at least 2 subjects to split")
-    train_idx = [i for i in range(dataset.n_subjects) if i != held_out]
-    train = Dataset(
-        tuple(dataset.subjects[i] for i in train_idx),
-        tuple(dataset.labels[i] for i in train_idx),
-        dataset.class_names,
-    )
-    test = Dataset(
-        (dataset.subjects[held_out],), (dataset.labels[held_out],), dataset.class_names
-    )
-    if train.n_subjects == 1:
-        warnings.warn(
-            "training split has a single subject; alignment degenerates to a "
-            "self-template",
-            AdvisoryWarning,
-            stacklevel=2,
-        )
-    return train, test

@@ -175,6 +175,12 @@ def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjecto
 def regularized_projector(x, epsilon: float, rank: int | None = None) -> RegularizedProjector:
     """Ridge-regularized projector onto the column space of ``x``.
 
+    No command calls it: the alignment builds its projectors with
+    :func:`projector_from_svd` from SVDs it already holds.  It stays public
+    as the dense entry point the acceptance suite checks the projector
+    against its closed form through (``regularized_projector(x,
+    eps).matrix()``).
+
     Parameters
     ----------
     x : array_like, shape (rows, cols)

@@ -1,4 +1,4 @@
-"""Between-subject correlation profiles and classification scores.
+"""Between-subject correlation profiles, accuracy and one-vs-rest AUC.
 
 The four correlation statistics compare mapped subjects pairwise: whole
 time series (``rho1``), matching stimulus instances (``rho2``), distinct
@@ -48,16 +48,6 @@ def _unit_rows(m) -> np.ndarray:
     if (norms == 0.0).any():
         raise NumericError("correlation undefined: an input has zero variance")
     return centered / norms[:, None]
-
-
-def pearson(a, b) -> float:
-    """Pearson correlation of two equally sized arrays, flattened."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size:
-        raise InvalidDataError(f"size mismatch: {a.size} vs {b.size}")
-    units = _unit_rows(np.stack([a, b]))
-    return float(np.clip(units[0] @ units[1], -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -419,45 +409,3 @@ def one_vs_rest_auc(truth, scores, classes=None) -> float:
     if not np.isin(present, classes).any():
         raise NumericError("AUC undefined: truth contains none of the scored classes")
     return float(_macro_aucs(truth[None], scores[None], classes)[0])
-
-
-@dataclass(frozen=True)
-class ClassificationScores:
-    """Accuracy plus (when defined) macro one-vs-rest AUC."""
-
-    accuracy: float
-    auc: float | None
-    advisories: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "advisories": list(self.advisories),
-        }
-
-
-def classification_scores(truth, predicted, scores=None, classes=None) -> ClassificationScores:
-    """Bundle accuracy and AUC for one evaluation.
-
-    ``predicted`` holds hard labels; ``scores`` (optional) holds the graded
-    decision values the AUC needs.  Without scores, binary 0/1 predictions
-    are used as degenerate scores; otherwise — and whenever the truth has a
-    single class — the AUC is reported as absent with an advisory rather
-    than failing the whole evaluation.
-    """
-    acc = accuracy(truth, predicted)
-    advisories = []
-    auc = None
-    n_present = np.unique(np.asarray(truth).ravel()).size
-    if n_present < 2:
-        advisories.append("AUC undefined: truth contains a single class")
-    else:
-        if scores is None:
-            if n_present == 2:
-                scores = np.asarray(predicted, dtype=float)
-            else:
-                advisories.append("AUC unavailable: no decision scores provided")
-        if scores is not None:
-            auc = one_vs_rest_auc(truth, scores, classes=classes)
-    return ClassificationScores(acc, auc, tuple(advisories))

@@ -12,7 +12,7 @@ dataset bit for bit.
 from __future__ import annotations
 
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +142,3 @@ def save_ground_truth(truth: GroundTruth, path) -> Path:
     }
     write_json(path, payload)
     return path
-
-
-def config_as_dict(config: SynthConfig) -> dict:
-    """Plain-dict form of a configuration (JSON-friendly)."""
-    return asdict(config)

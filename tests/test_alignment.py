@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multialign.alignment
@@ -502,6 +502,14 @@ class TestMapSubject:
         z = map_subject(model, ds.subjects[0]).features
         np.testing.assert_array_equal(z, ds.subjects[0].data)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_epsilon_checked_for_every_method(self, rng, epsilon):
+        # As fit checks it, none included, although none maps as the identity.
+        ds = normalize(random_dataset(rng, 2, 10, 6, 2))
+        for model in (fit("none", ds), fit("sha", ds, kernels_for(ds))):
+            with pytest.raises(InvalidArgumentError, match="epsilon"):
+                map_subject(model, ds.subjects[0], epsilon=epsilon)
+
     def test_timepoint_mismatch_rejected(self, rng):
         ds, kernels, model = _fitted(rng, n_t=24)
         short = SubjectData("odd", rng.standard_normal((12, 15)))
@@ -544,6 +552,22 @@ def _primal_ridge_map(x, labeled, template, epsilon):
     x_l = x[labeled]
     return x @ np.linalg.solve(x_l.T @ x_l + epsilon * np.eye(x.shape[1]),
                                x_l.T @ template)
+
+
+def _augmented_ridge_map(x, labeled, template, epsilon):
+    """The map of :func:`_primal_ridge_map`, solved as a least-squares problem.
+
+    ``min ||X_l W - G||^2 + eps ||W||^2`` is the least-squares problem of
+    ``[X_l; sqrt(eps) I] W = [G; 0]`` (minimum norm at ``eps = 0``), whose
+    condition number is the square root of the normal equations': it keeps
+    1e-10 where a small ``eps`` on data with a (near) null direction leaves
+    the normal equations without those digits.
+    """
+    x_l = x[labeled]
+    voxels = x.shape[1]
+    system = np.vstack([x_l, np.sqrt(epsilon) * np.eye(voxels)])
+    target = np.vstack([template, np.zeros((voxels, template.shape[1]))])
+    return x @ np.linalg.lstsq(system, target, rcond=None)[0]
 
 
 class TestMapSubjectDualForm:
@@ -611,6 +635,39 @@ class TestMapSubjectDualForm:
         dup[:, 2] = dup[:, 1]  # exactly collinear voxels
         with pytest.raises(NumericError):
             map_subject(model, SubjectData("dup", dup), epsilon=0.0)
+
+
+class TestStackedMapping:
+    """``map_dataset`` maps a whole dataset in one call through the one formula."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_t=st.integers(8, 24),
+           voxel_ratio=st.sampled_from([0.5, 0.8, 1.5, 3.0]),
+           rest_fraction=st.floats(0.0, 0.5), epsilon=st.sampled_from([0.0, 1e-4, 0.3]),
+           method=st.sampled_from(["rha", "sha", "sha_r"]))
+    def test_equals_map_subject_and_dense_ridge(self, seed, n_t, voxel_ratio,
+                                                rest_fraction, epsilon, method):
+        rng = np.random.default_rng(seed)
+        n_v = max(2, round(voxel_ratio * n_t))
+        ds = normalize(random_dataset(rng, 3, n_t, n_v, 2, rest_fraction=rest_fraction))
+        assume(ds.labels[0].onehot.any(axis=1).all())  # rest rows left every class
+        kernels = kernels_for(ds) if method != "rha" else None
+        model = dataclasses.replace(fit(method, ds, kernels), epsilon=epsilon)
+        try:
+            stacked = map_dataset(model, ds)
+        except NumericError:
+            # epsilon = 0 with a zero singular value: refused either way.
+            with pytest.raises(NumericError):
+                for subj in ds.subjects:
+                    map_subject(model, subj)
+            assume(False)
+        for subj, mapped in zip(ds.subjects, stacked):
+            assert mapped.subject_id == subj.subject_id
+            single = map_subject(model, subj).features
+            assert np.array_equal(mapped.features, single)
+            dense = _augmented_ridge_map(subj.data, model.labeled, model.template, epsilon)
+            np.testing.assert_allclose(single, dense, rtol=1e-10,
+                                       atol=1e-10 * np.abs(dense).max())
 
 
 class TestModelSerialization:
@@ -721,6 +778,44 @@ class TestLoadModelValidation:
         _, _, model = _fitted(rng)
         with pytest.raises(InvalidDataError, match="inconsistent"):
             dataclasses.replace(model, labeled=model.labeled[:-1])
+
+    @pytest.mark.parametrize("field, convert", [
+        pytest.param("labeled", lambda a: a.tolist(), id="labeled-list"),
+        pytest.param("labeled", lambda a: a.astype(float), id="labeled-float"),
+        pytest.param("template", lambda a: a.tolist(), id="template-list"),
+        pytest.param("shared_space", lambda a: a.tolist(), id="shared-space-list"),
+    ])
+    def test_array_likes_are_coerced(self, rng, field, convert):
+        ds, _, model = _fitted(rng)
+        other = dataclasses.replace(model, **{field: convert(getattr(model, field))})
+        assert other.labeled.dtype.kind == "i"
+        assert other.template.dtype == other.shared_space.dtype == float
+        np.testing.assert_array_equal(map_subject(other, ds.subjects[0]).features,
+                                      map_subject(model, ds.subjects[0]).features)
+
+    @pytest.mark.parametrize("labeled", [
+        pytest.param(lambda a: a + 0.5, id="fractional"),
+        pytest.param(lambda a: np.where(a == a[0], np.nan, a), id="nan"),
+        pytest.param(lambda a: a.astype(str), id="text"),
+        pytest.param(lambda a: np.ones(a.size, dtype=bool), id="mask"),
+    ])
+    def test_labeled_that_are_not_whole_numbers(self, rng, labeled):
+        _, _, model = _fitted(rng)
+        with pytest.raises(InvalidDataError, match="whole numbers"):
+            dataclasses.replace(model, labeled=labeled(model.labeled))
+
+    def test_ragged_template_is_malformed(self, rng):
+        _, _, model = _fitted(rng)
+        with pytest.raises(InvalidDataError, match="malformed value"):
+            dataclasses.replace(model, template=[[0.0], [1.0, 2.0]])
+
+    def test_fractional_labeled_on_load(self, tmp_path, rng):
+        # numpy would truncate 0.5 to 0 and map from the wrong time point.
+        meta = self._saved(tmp_path, rng)
+        meta["labeled"] = [i + 0.5 for i in meta["labeled"]]
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="whole numbers"):
+            load_model(tmp_path)
 
 
 class TestDispatcher:

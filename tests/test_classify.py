@@ -31,7 +31,6 @@ from multialign import (
     one_vs_rest_auc,
     run_loso,
     run_loso_normalized,
-    split_loso,
     train_classifier,
 )
 from conftest import NO_TRAINING_CLASS, random_dataset, relabeled_dataset
@@ -273,6 +272,19 @@ class TestRunLoso:
         assert aligned > unaligned
 
 
+def _subset(dataset, indices):
+    """The subjects of ``dataset`` at ``indices``, with their labels."""
+    return multialign.data.Dataset(tuple(dataset.subjects[i] for i in indices),
+                                   tuple(dataset.labels[i] for i in indices),
+                                   dataset.class_names)
+
+
+def _split(dataset, held):
+    """(training subjects, held-out subject) of one leave-one-subject-out fold."""
+    train = [i for i in range(dataset.n_subjects) if i != held]
+    return _subset(dataset, train), _subset(dataset, [held])
+
+
 def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0,
                     iterations=10, k=None):
     """LOSO folds with each fold normalized on its own, so no factor carries over.
@@ -282,7 +294,7 @@ def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0,
     """
     folds = []
     for held in range(dataset.n_subjects):
-        train_raw, test_raw = split_loso(dataset, held)
+        train_raw, test_raw = _split(dataset, held)
         train, test = normalize(train_raw), normalize(test_raw)
         kernels = kernels_for(train, gamma) if method in ("sha", "sha_r") else None
         model = fit(method, train, kernels, epsilon=epsilon, k=k, iterations=iterations)
@@ -378,7 +390,7 @@ class TestLosoHoisting:
         run_loso(dataset, "sha", gamma=0.01, k=2)
         assert len(seen) == dataset.n_subjects
         for held, kernels in enumerate(seen):
-            train, _ = split_loso(dataset, held)
+            train, _ = _split(dataset, held)
             expected = kernels_for(train, 0.01)
             assert len(kernels) == len(expected)
             for got, want in zip(kernels, expected):
@@ -515,8 +527,6 @@ class TestBatchedLoso:
                             (multialign.alignment,))
         maps = _count_calls(monkeypatch, multialign.alignment, "map_subject",
                             (multialign.classify,))
-        splits = _count_calls(monkeypatch, multialign.data, "split_loso",
-                              (multialign.classify,))
         lookups = _count_calls(monkeypatch, multialign.data.SubjectData, "thin_svd")
         rows = _count_calls(monkeypatch, multialign.alignment, "_map_rows",
                             (multialign.classify,))
@@ -527,7 +537,7 @@ class TestBatchedLoso:
         assert len(rows) == (0 if method == "none" else 1 if full else n)
         # At full k no fold solves an eigenproblem; below it each rha/sha fold does.
         assert len(eigs) == (n if method in ("rha", "sha") and not full else 0)
-        assert maps == [] and splits == []
+        assert maps == []
         if method == "sha":
             # Each subject's data once: the fit reads its projector off it.
             assert len(lookups) == n
@@ -582,7 +592,7 @@ class TestBatchedLoso:
         with pytest.warns(multialign.AdvisoryWarning, match="constant over time") as record:
             run(ds if entry == "run_loso" else normalize(ds), method)
         assert {w.filename for w in record} == {__file__}
-        train = normalize(split_loso(ds, 1)[0])
+        train = normalize(_split(ds, 1)[0])
         with pytest.warns(multialign.AdvisoryWarning, match="constant over time"):
             fit(method, train, kernels_for(train))
 

@@ -1,6 +1,7 @@
 """Command line interface: outputs, determinism, replay, exit codes."""
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -26,7 +27,7 @@ from multialign import (
 )
 from multialign.alignment import METHODS
 from multialign.cli import build_parser, main
-from multialign.synth import SynthConfig, config_as_dict
+from multialign.synth import SynthConfig
 from conftest import NO_TRAINING_CLASS, random_dataset, relabeled_dataset
 
 
@@ -130,6 +131,32 @@ class TestAlign:
         assert run_cli("rerun", str(first / "run_config.json"),
                        "--out", str(second)) == 0
         assert _tree_bytes(second) == _tree_bytes(first)
+
+
+class TestOneMappingCall:
+    """``align`` and ``corr`` map each fitted model's subjects in one stacked call."""
+
+    @pytest.mark.parametrize("argv, models, rows", [
+        pytest.param(("align", "--method", "rha"), 1, 1, id="align-rha"),
+        pytest.param(("align", "--method", "none"), 1, 0, id="align-none"),
+        # none maps as the identity, through no formula.
+        pytest.param(("corr",), 4, 3, id="corr"),
+    ])
+    def test_calls(self, manifest, tmp_path, monkeypatch, argv, models, rows):
+        counts = {name: 0 for name in ("map_dataset", "map_subject", "_map_rows")}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            real = getattr(multialign.alignment, name)
+            for owner in (multialign.alignment, multialign.cli):
+                monkeypatch.setattr(owner, name, counting(name, real), raising=False)
+        assert run_cli(*argv, "--data", str(manifest), "--out", str(tmp_path)) == 0
+        assert counts == {"map_dataset": models, "map_subject": 0, "_map_rows": rows}
 
 
 @pytest.fixture(scope="module")
@@ -548,7 +575,7 @@ class TestRunRecords:
         assert arguments["instances_per_class"] == 3
         assert arguments["noise_sigma"] == 0.4
         assert "instances" not in arguments and "noise" not in arguments
-        assert arguments == config_as_dict(SynthConfig(**arguments))
+        assert arguments == dataclasses.asdict(SynthConfig(**arguments))
 
 
 class TestRerunReplays:

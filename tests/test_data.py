@@ -1,4 +1,4 @@
-"""Dataset containers, CSV/manifest IO, normalization, LOSO splitting."""
+"""Dataset containers, CSV/manifest IO, normalization."""
 
 import dataclasses
 import json
@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from multialign import (
-    AdvisoryWarning,
     Dataset,
-    InvalidArgumentError,
     InvalidDataError,
     LabelMatrix,
     SubjectData,
@@ -22,7 +20,6 @@ from multialign import (
     normalize,
     read_matrix_csv,
     save_dataset,
-    split_loso,
     truncated_svd,
     write_matrix_csv,
 )
@@ -257,28 +254,6 @@ class TestNormalize:
         a = normalize(ds).subjects[0].data
         b = normalize(scaled).subjects[0].data
         np.testing.assert_allclose(a, b, atol=1e-10)
-
-
-class TestSplitLoso:
-    def test_partition(self, rng):
-        ds = random_dataset(rng, 4, 12, 5, 3)
-        train, test = split_loso(ds, 2)
-        assert train.subject_ids == ("s0", "s1", "s3")
-        assert test.subject_ids == ("s2",)
-        assert train.n_subjects + test.n_subjects == ds.n_subjects
-
-    def test_two_subject_split_warns(self, rng):
-        ds = random_dataset(rng, 2, 10, 4, 2)
-        with pytest.warns(AdvisoryWarning):
-            train, _ = split_loso(ds, 0)
-        assert train.n_subjects == 1
-
-    def test_bad_index_rejected(self, rng):
-        ds = random_dataset(rng, 3, 10, 4, 2)
-        with pytest.raises(InvalidArgumentError):
-            split_loso(ds, 3)
-        with pytest.raises(InvalidArgumentError):
-            split_loso(ds, -1)
 
 
 class TestThinSvdMemo:

@@ -22,10 +22,8 @@ from multialign import (
     NumericError,
     accuracy,
     class_instances,
-    classification_scores,
     correlation_report,
     one_vs_rest_auc,
-    pearson,
     rho1,
     rho2,
     rho3,
@@ -53,30 +51,6 @@ def warnings_as_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AdvisoryWarning)
         yield
-
-
-class TestPearson:
-    def test_hand_example(self):
-        assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-        assert pearson([1, 2, 3], [6, 4, 2]) == pytest.approx(-1.0)
-        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_matches_corrcoef(self, rng):
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal((6, 4))
-        assert pearson(a, b) == pytest.approx(_corr(a, b), abs=1e-12)
-
-    def test_clamped_to_unit_interval(self):
-        a = np.array([1.0, 1.0 + 1e-16, 3.0])
-        assert -1.0 <= pearson(a, a) <= 1.0
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(NumericError):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(InvalidDataError):
-            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestClassInstances:
@@ -589,38 +563,3 @@ class TestColumnAucs:
         expected = float(np.mean(per_column))
         # TestBinaryAucRanks pins _binary_auc itself to the pair count.
         assert got == expected or (np.isnan(got) and np.isnan(expected))
-
-
-class TestClassificationScores:
-    def test_binary_with_scores(self):
-        truth = [0, 0, 1, 1]
-        result = classification_scores(truth, [0, 1, 1, 1],
-                                       scores=[0.1, 0.6, 0.7, 0.9])
-        assert result.accuracy == pytest.approx(0.75)
-        assert result.auc == 1.0
-        assert result.advisories == ()
-
-    def test_binary_without_scores_uses_predictions(self):
-        truth = [0, 0, 1, 1]
-        predicted = [0, 1, 1, 1]
-        result = classification_scores(truth, predicted)
-        assert result.auc == pytest.approx(
-            one_vs_rest_auc(truth, np.asarray(predicted, dtype=float))
-        )
-
-    def test_multiclass_without_scores_reports_absent_auc(self):
-        result = classification_scores([0, 1, 2], [0, 1, 2])
-        assert result.accuracy == 1.0
-        assert result.auc is None
-        assert any("scores" in a for a in result.advisories)
-
-    def test_single_class_truth_reports_absent_auc(self):
-        result = classification_scores([1, 1, 1], [1, 1, 0],
-                                       scores=[0.5, 0.5, 0.5])
-        assert result.accuracy == pytest.approx(2 / 3)
-        assert result.auc is None
-        assert any("single class" in a for a in result.advisories)
-
-    def test_json_dict(self):
-        d = classification_scores([0, 1], [0, 1], scores=[0.1, 0.9]).to_json_dict()
-        assert d == {"accuracy": 1.0, "auc": 1.0, "advisories": []}

@@ -1,12 +1,13 @@
 """Synthetic data generator: determinism, planted structure, recovery."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from multialign import (
     InvalidArgumentError,
     SynthConfig,
-    config_as_dict,
     correlation_report,
     fit_sha,
     generate,
@@ -36,7 +37,7 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         ds_a, _ = generate(SMALL)
-        ds_b, _ = generate(SynthConfig(**{**config_as_dict(SMALL), "seed": 10}))
+        ds_b, _ = generate(SynthConfig(**{**asdict(SMALL), "seed": 10}))
         assert not np.array_equal(ds_a.subjects[0].data, ds_b.subjects[0].data)
 
     def test_substreams_are_independent_of_each_other(self):
@@ -48,7 +49,7 @@ class TestDeterminism:
     def test_subject_streams_stable_under_subject_count(self):
         # adding a subject must not reshuffle the existing ones
         ds_small, _ = generate(SMALL)
-        bigger = SynthConfig(**{**config_as_dict(SMALL), "subjects": 4})
+        bigger = SynthConfig(**{**asdict(SMALL), "subjects": 4})
         ds_big, _ = generate(bigger)
         for sa, sb in zip(ds_small.subjects, ds_big.subjects):
             np.testing.assert_array_equal(sa.data, sb.data)
@@ -90,13 +91,13 @@ class TestStructure:
             np.testing.assert_allclose(rot.T @ rot, np.eye(2), atol=1e-12)
 
     def test_noiseless_data_is_rotated_latent(self):
-        cfg = SynthConfig(**{**config_as_dict(SMALL), "noise_sigma": 0.0})
+        cfg = SynthConfig(**{**asdict(SMALL), "noise_sigma": 0.0})
         ds, truth = generate(cfg)
         for subj, rot in zip(ds.subjects, truth.rotations):
             np.testing.assert_allclose(subj.data, truth.latent @ rot.T, atol=1e-14)
 
     def test_identity_rotation_embeds_leading_voxels(self):
-        cfg = SynthConfig(**{**config_as_dict(SMALL), "rotation": "identity",
+        cfg = SynthConfig(**{**asdict(SMALL), "rotation": "identity",
                              "noise_sigma": 0.0})
         ds, truth = generate(cfg)
         np.testing.assert_allclose(ds.subjects[0].data[:, :2], truth.latent)
@@ -123,15 +124,12 @@ class TestValidation:
     ])
     def test_bad_settings_rejected(self, field, value):
         with pytest.raises(InvalidArgumentError):
-            SynthConfig(**{**config_as_dict(SMALL), field: value})
-
-    def test_config_as_dict_round_trips(self):
-        assert SynthConfig(**config_as_dict(SMALL)) == SMALL
+            SynthConfig(**{**asdict(SMALL), field: value})
 
 
 class TestRecovery:
     def test_identity_rotation_zero_noise_gives_identical_subjects(self):
-        cfg = SynthConfig(**{**config_as_dict(SMALL), "rotation": "identity",
+        cfg = SynthConfig(**{**asdict(SMALL), "rotation": "identity",
                              "noise_sigma": 0.0})
         ds, _ = generate(cfg)
         zs = [s.data[:, :2] for s in ds.subjects]
