@@ -15,7 +15,8 @@ command and every parsed option under its ``dest`` (e.g.
 ``rerun`` maps each recorded name back to its option and hands the
 replayed command line to :func:`main`.  ``timings.json`` holds ``command``,
 ``stages_ns`` (monotonic nanoseconds per stage, such as ``load_ns``;
-``sweep`` has none) and ``total_ns``.  Timings are the only
+``sweep`` sums its LOSO runs' stages over the grid values) and
+``total_ns``.  Timings are the only
 non-deterministic output: rerunning a command with the same arguments and
 seed reproduces every other file byte for byte.
 
@@ -210,23 +211,27 @@ def cmd_sweep(args, out: Path, stage: _Stages) -> None:
         raise InvalidArgumentError(f"--data is required for --kind {args.kind}")
     gamma, k = _gamma_and_k(args)
 
-    base = None if args.kind == "noise" else load_dataset(args.data)
-    if args.kind == "gamma":
-        # Only the supervision kernels change with gamma: every value's folds
-        # share one normalized dataset, hence each subject's data-side SVD.
-        base = normalize(base)
+    with stage("load_ns"):
+        base = None if args.kind == "noise" else load_dataset(args.data)
+        if args.kind == "gamma":
+            # Only the supervision kernels change with gamma: every value's folds
+            # share one normalized dataset, hence each subject's data-side SVD.
+            base = normalize(base)
     rows = []
     for v in values:
-        if args.kind == "gamma":
-            dataset, gamma = base, v
-        elif args.kind == "trs":
-            dataset = normalize(_truncate_dataset(base, v))
-        elif args.kind == "noise":
-            dataset = normalize(generate(SynthConfig(noise_sigma=v, seed=args.seed))[0])
+        with stage("load_ns"):
+            if args.kind == "gamma":
+                dataset, gamma = base, v
+            elif args.kind == "trs":
+                dataset = normalize(_truncate_dataset(base, v))
+            elif args.kind == "noise":
+                dataset = normalize(generate(SynthConfig(noise_sigma=v, seed=args.seed))[0])
         if args.kind != "det":
             report = run_loso_normalized(dataset, args.method, epsilon=args.epsilon,
                                          gamma=gamma, k=k, iterations=args.iters,
                                          ridge=args.ridge)
+            for key, ns in report.timings["total"].items():
+                stage[key] = stage.get(key, 0) + ns
         if args.kind in ("det", "gamma"):
             t = int(base.labels[0].labeled_indices.size)
             rows.append([args.kind, v, "coupling_det", coupling_determinant(t, v), 0.0])

@@ -5,11 +5,20 @@ matrices (classes x time points, one-hot columns).  On disk a dataset is a
 JSON manifest pointing at header-free CSV files; floats are written with
 Python's shortest round-trip representation so that save -> load is
 bit-identical.
+
+The CSVs are the source of truth.  :func:`save_dataset` also writes a
+binary twin of the data CSVs, one ``.npy`` stack of every subject's matrix,
+and records the sha256 of each data CSV next to it in the manifest.
+:func:`load_dataset` takes a subject's matrix from the twin only while its
+CSV still has the recorded digest, and parses the CSV otherwise, so the
+twin saves the parse and never changes what is loaded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,6 +31,13 @@ from .linalg import TruncatedSvd, as_matrix, truncated_svd
 # Columns whose sample standard deviation falls at or below this are treated
 # as constant and zeroed during normalization.
 _CONSTANT_STD = 1e-12
+
+# A manifest's ``data_sha256`` entries: sha256 digests as hex text.
+_SHA256_HEX = re.compile(r"[0-9a-fA-F]{64}")
+
+# Characters that would let a subject id, which names its files, leave the
+# dataset's directory or be cut short by the operating system.
+_ID_FORBIDDEN = ("/", "\\", "\0")
 
 
 def write_matrix_csv(path, m) -> None:
@@ -100,6 +116,10 @@ class SubjectData:
     memoized factors stale.  The memo takes no part in equality or
     ``repr``, and :func:`normalize` and ``dataclasses.replace`` return
     subjects with an empty memo.
+
+    ``subject_id`` names the subject's files (``<id>_data.csv``,
+    ``z_<id>.csv``), so an id that is empty, ``.`` or ``..``, or that holds
+    ``/``, ``\\`` or NUL is refused.
     """
 
     subject_id: str
@@ -108,6 +128,12 @@ class SubjectData:
     _svds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if (self.subject_id in ("", ".", "..")
+                or any(c in self.subject_id for c in _ID_FORBIDDEN)):
+            raise InvalidDataError(
+                f"subject id {self.subject_id!r} cannot name a file: it must not be "
+                "empty, '.' or '..', or hold '/', '\\' or NUL"
+            )
         m = as_matrix(self.data, f"data for subject {self.subject_id!r}")
         if m.shape[0] < 2:
             raise InvalidDataError(
@@ -274,6 +300,51 @@ def _check_strict_labels(dataset: Dataset) -> None:
         )
 
 
+def _digest_field(entry: dict):
+    """The subject entry's ``data_sha256`` in lower case, or None without one."""
+    if "data_sha256" not in entry:
+        return None
+    digest = entry["data_sha256"]
+    if not (isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)):
+        raise InvalidDataError(
+            f"subject entry 'data_sha256' must be 64 hex characters, got {digest!r}"
+        )
+    return digest.lower()
+
+
+def _read_twin(path: Path, n_subjects: int):
+    """The read-only float64 (subjects x T x V) stack in ``path``, or None.
+
+    A twin that is missing, unreadable, holds pickled objects, or is not a
+    3-D float64 array with one slice per subject cannot serve and is
+    ignored: the CSVs are parsed instead.
+    """
+    try:
+        with open(path, "rb") as fh:
+            twin = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (isinstance(twin, np.ndarray) and twin.dtype == np.float64
+            and twin.ndim == 3 and twin.shape[0] == n_subjects):
+        return None
+    twin.flags.writeable = False
+    return twin
+
+
+def _matrix_from_twin(twin, i: int, raw: bytes, digest: str):
+    """``twin[i]`` if it stands for the CSV bytes ``raw``, else None.
+
+    The CSV must still have the digest the manifest recorded, and hold as
+    many lines and fields as the slice has rows and columns.
+    """
+    t, v = twin.shape[1:]
+    if raw.count(b"\n") != t or raw.count(b",") != t * (v - 1):
+        return None
+    if hashlib.sha256(raw).hexdigest() != digest:
+        return None
+    return twin[i]
+
+
 def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     """Load a dataset from a JSON manifest.
 
@@ -281,6 +352,16 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     ``{"id", "data", "labels"}`` entries whose paths are resolved relative to
     the manifest's directory.  With ``strict_labels`` (the default) all
     subjects must share an identical label matrix.
+
+    A manifest written by :func:`save_dataset` also names the binary twin of
+    its data CSVs (top-level ``data_twin``) and gives each subject's
+    ``data_sha256``.  A subject's matrix is then read from the twin, loaded
+    once, whenever its data CSV still has that digest and the twin's
+    slices match the CSV's line and field counts; otherwise, or when the
+    twin is missing or unusable, the CSV is parsed.  Every data CSV is
+    read either way, and nothing is written.  A manifest without these
+    keys is loaded from its CSVs alone; a key present with the wrong type
+    or form is invalid data.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path)
@@ -291,10 +372,16 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
             raise InvalidDataError(f"manifest key {key!r} must be a list")
     if not manifest["subjects"]:
         raise InvalidDataError("manifest lists no subjects")
+    twin_name = manifest.get("data_twin")
+    if "data_twin" in manifest and not isinstance(twin_name, str):
+        raise InvalidDataError(f"manifest key 'data_twin' must be a file name, "
+                               f"got {twin_name!r}")
 
     base = manifest_path.parent
+    twin = None if twin_name is None else _read_twin(base / twin_name,
+                                                     len(manifest["subjects"]))
     subjects, labels = [], []
-    for entry in manifest["subjects"]:
+    for i, entry in enumerate(manifest["subjects"]):
         if not isinstance(entry, dict):
             raise InvalidDataError(f"subject entry must be a JSON object, got {entry!r}")
         for key in ("id", "data", "labels"):
@@ -304,7 +391,14 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
             if not isinstance(entry[key], str):
                 raise InvalidDataError(f"subject entry {key!r} must be a file name, "
                                        f"got {entry[key]!r}")
-        subjects.append(SubjectData(str(entry["id"]), read_matrix_csv(base / entry["data"])))
+        digest = _digest_field(entry)
+        data_path = base / entry["data"]
+        data = None
+        if twin is not None and digest is not None:
+            data = _matrix_from_twin(twin, i, data_path.read_bytes(), digest)
+        if data is None:
+            data = read_matrix_csv(data_path)
+        subjects.append(SubjectData(str(entry["id"]), data))
         labels.append(LabelMatrix(read_matrix_csv(base / entry["labels"])))
     dataset = Dataset(tuple(subjects), tuple(labels), tuple(manifest["class_names"]))
     if strict_labels:
@@ -313,7 +407,16 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json") -> Path:
-    """Write a dataset as manifest + CSV files; returns the manifest path."""
+    """Write a dataset as manifest + CSV files; returns the manifest path.
+
+    Each subject gets ``<id>_data.csv`` and ``<id>_labels.csv``.  The data
+    matrices are also stacked in manifest order into one ``.npy`` twin,
+    ``data.npy`` beside the default manifest (``<manifest_name>.data.npy``
+    beside any other, so that two manifests in one directory never share a
+    twin), and the manifest records the twin as ``data_twin`` and each
+    data CSV's sha256 as ``data_sha256`` (see :func:`load_dataset`).
+    Label CSVs get no twin: they are small.  The manifest is written last.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -322,8 +425,14 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
         label_name = f"{subj.subject_id}_labels.csv"
         write_matrix_csv(out_dir / data_name, subj.data)
         write_matrix_csv(out_dir / label_name, lab.onehot)
-        entries.append({"id": subj.subject_id, "data": data_name, "labels": label_name})
-    manifest = {"class_names": list(dataset.class_names), "subjects": entries}
+        entries.append({"id": subj.subject_id, "data": data_name, "labels": label_name,
+                        "data_sha256": hashlib.sha256(
+                            (out_dir / data_name).read_bytes()).hexdigest()})
+    twin_name = ("data.npy" if manifest_name == "manifest.json"
+                 else f"{manifest_name}.data.npy")
+    np.save(out_dir / twin_name, np.stack([subj.data for subj in dataset.subjects]))
+    manifest = {"class_names": list(dataset.class_names), "data_twin": twin_name,
+                "subjects": entries}
     manifest_path = out_dir / manifest_name
     write_json(manifest_path, manifest)
     return manifest_path

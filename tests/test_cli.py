@@ -63,7 +63,7 @@ def _tree_bytes(root: Path, exclude=("timings.json",)) -> dict:
 class TestSynth:
     def test_expected_files(self, synth_dir):
         names = {p.name for p in synth_dir.iterdir()}
-        assert {"manifest.json", "ground_truth.json", "run_config.json",
+        assert {"manifest.json", "data.npy", "ground_truth.json", "run_config.json",
                 "timings.json"} <= names
         for i in range(3):
             assert f"sub{i:02d}_data.csv" in names
@@ -339,6 +339,31 @@ class TestGammaSweepSharesSubjects:
         assert len(calls) == n + len(self.VALUES) * n
 
 
+class TestDatasetStaysUntouched:
+    """Commands that read a dataset write nothing into its directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ("align", "--method", "rha"), ("corr", "--methods", "none,sha"),
+        ("loso", "--method", "sha"), ("sweep", "--kind", "gamma", "--values", "0,0.01"),
+        ("sweep", "--kind", "trs", "--values", "6,9"),
+        ("sweep", "--kind", "det", "--values", "0.01"),
+    ], ids=["align", "corr", "loso", "sweep-gamma", "sweep-trs", "sweep-det"])
+    @pytest.mark.parametrize("twin", [True, False], ids=["twin", "no-twin"])
+    def test_no_write(self, manifest, tmp_path, argv, twin):
+        data = tmp_path / "ds"
+        shutil.copytree(manifest.parent, data)
+        if not twin:
+            (data / "data.npy").unlink()
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in data.iterdir()}
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--data", str(data / "manifest.json"), "--out", str(out)) == 0
+        assert run_cli("rerun", str(out / "run_config.json"),
+                       "--out", str(tmp_path / "replay")) == 0
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in data.iterdir()}
+        assert after == before
+        assert _tree_bytes(out) == _tree_bytes(tmp_path / "replay")
+
+
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(multialign.__file__).resolve().parents[1])
@@ -406,6 +431,30 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "InvalidDataError"
+
+    def test_subject_id_that_is_a_path_exits_3_before_any_output(self, manifest,
+                                                                  tmp_path, capsys):
+        shutil.copytree(manifest.parent, tmp_path / "ds")
+        payload = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        payload["subjects"][1]["id"] = "a/b"
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run_cli("align", "--data", str(tmp_path / "ds" / "manifest.json"),
+                       "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidDataError" and "'a/b'" in err["message"]
+        assert list(out.rglob("*")) == []
+
+    @pytest.mark.parametrize("key, value", [("data_twin", 3), ("data_sha256", "abc")])
+    def test_malformed_twin_key_exits_3(self, manifest, tmp_path, capsys, key, value):
+        shutil.copytree(manifest.parent, tmp_path / "ds")
+        payload = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        (payload if key == "data_twin" else payload["subjects"][0])[key] = value
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(payload))
+        assert run_cli("loso", "--data", str(tmp_path / "ds" / "manifest.json"),
+                       "--out", str(tmp_path / "out")) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InvalidDataError" and key in err["message"]
 
     def test_wrong_typed_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -624,8 +673,11 @@ class TestTimingsContract:
         (("corr", "--methods", "none,sha"), {"load_ns", "none_ns", "sha_ns"}),
         (("loso", "--method", "none"), {"load_ns"} | LOSO_STAGES),
         (("loso", "--method", "sha"), {"load_ns"} | LOSO_STAGES),
-        (("sweep", "--kind", "gamma", "--values", "0,0.01"), set()),
-    ], ids=["synth", "align", "corr", "loso-none", "loso-sha", "sweep"])
+        (("sweep", "--kind", "gamma", "--values", "0,0.01"), {"load_ns"} | LOSO_STAGES),
+        (("sweep", "--kind", "trs", "--values", "6,9"), {"load_ns"} | LOSO_STAGES),
+        (("sweep", "--kind", "det", "--values", "0,0.01"), {"load_ns"}),
+    ], ids=["synth", "align", "corr", "loso-none", "loso-sha", "sweep", "sweep-trs",
+            "sweep-det"])
     def test_stage_keys_of_every_command_and_its_rerun(self, manifest, tmp_path,
                                                       argv, stages):
         data = () if argv[0] == "synth" else ("--data", str(manifest))

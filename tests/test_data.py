@@ -1,9 +1,11 @@
 """Dataset containers, CSV/manifest IO, normalization."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import multialign.data
 from multialign import (
     Dataset,
     InvalidDataError,
@@ -161,6 +164,27 @@ class TestDatasetValidation:
         subs = tuple(SubjectData("a", rng.standard_normal((2, 3))) for _ in range(2))
         with pytest.raises(InvalidDataError):
             Dataset(subs, (lab, lab), ("x", "y"))
+
+
+class TestSubjectIds:
+    """A subject id names its files, so it must stay one plain file name part."""
+
+    @pytest.mark.parametrize("subject_id", ["", ".", "..", "a/b", "../escaped", "a\\b",
+                                            "a\0b", "/abs"])
+    def test_refused(self, rng, subject_id):
+        with pytest.raises(InvalidDataError, match="cannot name a file"):
+            SubjectData(subject_id, rng.standard_normal((3, 2)))
+
+    @pytest.mark.parametrize("subject_id", ["sub-01", "sub.01", "...", "..a", " s ", "é"])
+    def test_accepted(self, rng, subject_id):
+        assert SubjectData(subject_id, rng.standard_normal((3, 2))).subject_id == subject_id
+
+    def test_no_dataset_can_save_outside_its_directory(self, tmp_path, rng):
+        ds = random_dataset(rng, 2, 6, 3, 2)
+        with pytest.raises(InvalidDataError):
+            dataclasses.replace(ds.subjects[0], subject_id="../escaped")
+        save_dataset(ds, tmp_path / "out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 class TestManifestIO:
@@ -324,3 +348,221 @@ class TestManifestTypes:
         path.write_bytes(b'{"class_names": ["\xff"]}')
         with pytest.raises(InvalidDataError):
             load_dataset(path)
+
+
+def _two_class_labels(t: int) -> LabelMatrix:
+    onehot = np.zeros((2, t))
+    onehot[np.arange(t) % 2, np.arange(t)] = 1.0
+    return LabelMatrix(onehot)
+
+
+def _dataset_of(stack: np.ndarray) -> Dataset:
+    lab = _two_class_labels(stack.shape[1])
+    subjects = tuple(SubjectData(f"s{i}", m) for i, m in enumerate(stack))
+    return Dataset(subjects, tuple(lab for _ in subjects), ("x", "y"))
+
+
+def _counted_csv_reads(monkeypatch) -> list:
+    """Record every path handed to the CSV parser from now on."""
+    paths = []
+    parse = multialign.data.read_matrix_csv
+
+    def counted(path):
+        paths.append(Path(path).name)
+        return parse(path)
+
+    monkeypatch.setattr(multialign.data, "read_matrix_csv", counted)
+    return paths
+
+
+# Values whose text form is delicate: signed zero, subnormals, the extremes,
+# and magnitudes around 1e16, where repr switches to exponent notation.
+_TWIN_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+               9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16, 0.1]
+
+
+class TestDataTwin:
+    """``data.npy`` stands in for parsing the data CSVs, and changes nothing."""
+
+    @given(stack=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(2, 5), st.integers(1, 5)),
+        elements=st.one_of(st.sampled_from(_TWIN_EDGES),
+                           st.floats(allow_nan=False, allow_infinity=False))))
+    @settings(max_examples=60, deadline=None)
+    def test_twin_loads_the_bits_the_csvs_parse_to(self, tmp_path_factory, stack):
+        manifest = save_dataset(_dataset_of(stack), tmp_path_factory.mktemp("twin"))
+        with pytest.MonkeyPatch.context() as patch:
+            parsed = _counted_csv_reads(patch)
+            with_twin = load_dataset(manifest)
+        assert not any(name.endswith("_data.csv") for name in parsed)
+        (manifest.parent / "data.npy").unlink()
+        without = load_dataset(manifest)
+        for a, b, m in zip(with_twin.subjects, without.subjects, stack):
+            assert a.data.tobytes() == b.data.tobytes() == m.tobytes()
+            assert not a.data.flags.writeable
+
+    def test_manifest_records_twin_and_digests_and_is_written_last(self, tmp_path, rng,
+                                                                    monkeypatch):
+        ds = random_dataset(rng, 3, 10, 6, 2)
+        write = multialign.data.write_json
+
+        def write_after_twin(path, payload):
+            assert (tmp_path / "d" / "data.npy").exists()
+            write(path, payload)
+
+        monkeypatch.setattr(multialign.data, "write_json", write_after_twin)
+        manifest = save_dataset(ds, tmp_path / "d")
+        payload = json.loads(manifest.read_text())
+        assert payload["data_twin"] == "data.npy"
+        for entry in payload["subjects"]:
+            csv = (tmp_path / "d" / entry["data"]).read_bytes()
+            assert entry["data_sha256"] == hashlib.sha256(csv).hexdigest()
+            assert "labels_sha256" not in entry
+        twin = np.load(tmp_path / "d" / "data.npy", allow_pickle=False)
+        assert twin.tobytes() == np.stack([s.data for s in ds.subjects]).tobytes()
+        assert sorted(p.name for p in (tmp_path / "d").iterdir() if p.suffix == ".npy") \
+            == ["data.npy"]
+
+    def test_edited_csv_is_parsed_and_the_rest_come_from_the_twin(self, tmp_path, rng,
+                                                                  monkeypatch):
+        ds = random_dataset(rng, 3, 8, 4, 2)
+        manifest = save_dataset(ds, tmp_path / "d")
+        edited = np.array(ds.subjects[1].data)
+        edited[2, 3] = 1234.5
+        write_matrix_csv(tmp_path / "d" / "s1_data.csv", edited)
+        parsed = _counted_csv_reads(monkeypatch)
+        back = load_dataset(manifest)
+        assert [n for n in parsed if n.endswith("_data.csv")] == ["s1_data.csv"]
+        assert back.subjects[1].data.tobytes() == edited.tobytes()
+        for i in (0, 2):
+            assert back.subjects[i].data.tobytes() == ds.subjects[i].data.tobytes()
+
+    @pytest.mark.parametrize("spoil", [
+        "missing", "truncated", "garbage", "directory", "extra-row", "extra-column",
+        "fewer-subjects", "2-D", "float32", "big-endian", "object", "npz",
+    ])
+    def test_unusable_twin_is_ignored(self, tmp_path, rng, spoil):
+        ds = random_dataset(rng, 3, 8, 4, 2)
+        manifest = save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / "data.npy"
+        stack = np.stack([s.data for s in ds.subjects])
+        path.unlink()
+        if spoil == "truncated":
+            np.save(path, stack)
+            path.write_bytes(path.read_bytes()[:-8])
+        elif spoil == "garbage":
+            path.write_bytes(b"not an array\n")
+        elif spoil == "directory":
+            path.mkdir()
+        elif spoil == "object":
+            np.save(path, np.array([None, 1.0], dtype=object), allow_pickle=True)
+        elif spoil == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, stack)
+        elif spoil != "missing":
+            np.save(path, {
+                "extra-row": lambda: np.concatenate([stack, stack[:, :1]], axis=1),
+                "extra-column": lambda: np.concatenate([stack, stack[:, :, :1]], axis=2),
+                "fewer-subjects": lambda: stack[:2],
+                "2-D": lambda: stack.reshape(3, -1),
+                "float32": lambda: stack.astype(np.float32),
+                "big-endian": lambda: stack.astype(">f8"),
+            }[spoil]())
+        back = load_dataset(manifest)
+        for a, b in zip(back.subjects, ds.subjects):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_each_subject_follows_its_own_digest(self, tmp_path, rng):
+        ds = random_dataset(rng, 2, 8, 4, 2)
+        manifest = save_dataset(ds, tmp_path / "d")
+        payload = json.loads(manifest.read_text())
+        payload["subjects"][0]["data_sha256"] = "0" * 64
+        manifest.write_text(json.dumps(payload))
+        np.save(tmp_path / "d" / "data.npy", np.zeros((2, 8, 4)))
+        back = load_dataset(manifest)
+        assert back.subjects[0].data.tobytes() == ds.subjects[0].data.tobytes()
+        np.testing.assert_array_equal(back.subjects[1].data, 0.0)
+
+    def test_two_manifests_in_one_directory_keep_their_own_twins(self, tmp_path, rng):
+        first = random_dataset(rng, 2, 8, 4, 2)
+        second = Dataset(tuple(SubjectData(f"t{i}", -s.data)
+                               for i, s in enumerate(first.subjects)),
+                         first.labels, first.class_names)
+        a = save_dataset(first, tmp_path, "a.json")
+        b = save_dataset(second, tmp_path, "b.json")
+        assert json.loads(a.read_text())["data_twin"] == "a.json.data.npy"
+        for manifest, ds in ((a, first), (b, second)):
+            for x, y in zip(load_dataset(manifest).subjects, ds.subjects):
+                assert x.data.tobytes() == y.data.tobytes()
+
+    @pytest.mark.parametrize("where, value", [
+        ("data_twin", 5), ("data_twin", None), ("data_twin", ["data.npy"]),
+        ("data_sha256", None), ("data_sha256", 7), ("data_sha256", "ab" * 31 + "a"),
+        ("data_sha256", "ab" * 32 + "a"), ("data_sha256", "g" * 64),
+        ("data_sha256", " " + "ab" * 31 + "a"),
+    ])
+    def test_malformed_key_is_invalid_data(self, tmp_path, rng, where, value):
+        manifest = save_dataset(random_dataset(rng, 2, 8, 4, 2), tmp_path / "d")
+        payload = json.loads(manifest.read_text())
+        if where == "data_twin":
+            payload["data_twin"] = value
+        else:
+            payload["subjects"][1]["data_sha256"] = value
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(InvalidDataError, match=where):
+            load_dataset(manifest)
+
+    def test_upper_case_digest_is_accepted(self, tmp_path, rng, monkeypatch):
+        ds = random_dataset(rng, 2, 8, 4, 2)
+        manifest = save_dataset(ds, tmp_path / "d")
+        payload = json.loads(manifest.read_text())
+        for entry in payload["subjects"]:
+            entry["data_sha256"] = entry["data_sha256"].upper()
+        manifest.write_text(json.dumps(payload))
+        parsed = _counted_csv_reads(monkeypatch)
+        load_dataset(manifest)
+        assert not any(name.endswith("_data.csv") for name in parsed)
+
+    def test_missing_csv_still_fails_with_a_twin(self, tmp_path, rng):
+        manifest = save_dataset(random_dataset(rng, 2, 8, 4, 2), tmp_path / "d")
+        (tmp_path / "d" / "s1_data.csv").unlink()
+        with pytest.raises(FileNotFoundError):
+            load_dataset(manifest)
+
+    def test_key_free_manifest_neither_hashes_nor_loads_a_twin(self, tmp_path, rng,
+                                                               monkeypatch):
+        ds = random_dataset(rng, 2, 8, 4, 2)
+        manifest = save_dataset(ds, tmp_path / "d")
+        payload = json.loads(manifest.read_text())
+        del payload["data_twin"]
+        for entry in payload["subjects"]:
+            del entry["data_sha256"]
+        manifest.write_text(json.dumps(payload))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("called on a manifest without twin keys")
+
+        monkeypatch.setattr(hashlib, "sha256", refused)
+        monkeypatch.setattr(np, "load", refused)
+        monkeypatch.setattr(Path, "read_bytes", refused)
+        back = load_dataset(manifest)
+        for a, b in zip(back.subjects, ds.subjects):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_loading_writes_nothing(self, tmp_path, rng):
+        ds = random_dataset(rng, 2, 8, 4, 2)
+        manifest = save_dataset(ds, tmp_path / "d")
+        for edit in (False, True):  # from the twin, then a CSV that no longer matches it
+            if edit:
+                write_matrix_csv(tmp_path / "d" / "s0_data.csv", -ds.subjects[0].data)
+            before = _snapshot(tmp_path / "d")
+            load_dataset(manifest)
+            assert _snapshot(tmp_path / "d") == before
+
+
+def _snapshot(root: Path) -> dict:
+    """Every path under ``root`` with its bytes and modification time."""
+    return {p.relative_to(root).as_posix():
+            (p.read_bytes() if p.is_file() else None, p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*"))}
