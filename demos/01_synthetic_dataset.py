@@ -47,9 +47,10 @@ print(f"\nraw between-subject correlation: {raw_corr:+.3f} (near zero)")
 
 # ---------------------------------------------------------------------------
 # Datasets round-trip through a JSON manifest plus one CSV per subject's
-# data and labels.  data.npy holds the same data matrices in binary; it is
-# read instead of parsing a data CSV only while that CSV still has the
-# sha256 the manifest records.  Loading gives back exactly the same numbers.
+# data and labels.  data-<digest>.npy holds the same data matrices in
+# binary; it is read instead of parsing a data CSV only while that CSV still
+# has the sha256 the manifest records.  Loading gives back exactly the same
+# numbers.
 out = Path(mkdtemp(prefix="multialign_demo_"))
 manifest = save_dataset(dataset, out)
 print("\nwrote", manifest)

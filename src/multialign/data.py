@@ -8,10 +8,13 @@ bit-identical.
 
 The CSVs are the source of truth.  :func:`save_dataset` also writes a
 binary twin of the data CSVs, one ``.npy`` stack of every subject's matrix,
-and records the sha256 of each data CSV next to it in the manifest.
-:func:`load_dataset` takes a subject's matrix from the twin only while its
-CSV still has the recorded digest, and parses the CSV otherwise, so the
-twin saves the parse and never changes what is loaded.
+records the sha256 of each data CSV in the manifest, and names the twin
+after those digests in manifest order.  :func:`load_dataset` works the name
+out again from the manifest it reads, so a twin is found only for the CSVs,
+in the order, that it was written from; it takes a subject's matrix from
+the twin only while the CSV still has the recorded digest, and parses the
+CSV otherwise, so the twin saves the parse and never changes what is
+loaded.
 """
 
 from __future__ import annotations
@@ -300,6 +303,19 @@ def _check_strict_labels(dataset: Dataset) -> None:
         )
 
 
+def _check_entry(entry) -> None:
+    """Refuse a manifest subject entry of the wrong form."""
+    if not isinstance(entry, dict):
+        raise InvalidDataError(f"subject entry must be a JSON object, got {entry!r}")
+    for key in ("id", "data", "labels"):
+        if key not in entry:
+            raise InvalidDataError(f"subject entry is missing required key {key!r}")
+    for key in ("data", "labels"):
+        if not isinstance(entry[key], str):
+            raise InvalidDataError(f"subject entry {key!r} must be a file name, "
+                                   f"got {entry[key]!r}")
+
+
 def _digest_field(entry: dict):
     """The subject entry's ``data_sha256`` in lower case, or None without one."""
     if "data_sha256" not in entry:
@@ -310,6 +326,17 @@ def _digest_field(entry: dict):
             f"subject entry 'data_sha256' must be 64 hex characters, got {digest!r}"
         )
     return digest.lower()
+
+
+def _twin_name(digests) -> str:
+    """The twin's file name: ``data-`` and the sha256 of the subjects' data
+    digests joined in manifest order.
+
+    Reordering, dropping or replacing a manifest entry, or editing a
+    recorded digest, changes the name, so the twin written for other CSVs
+    is not found.
+    """
+    return f"data-{hashlib.sha256(''.join(digests).encode('ascii')).hexdigest()}.npy"
 
 
 def _read_twin(path: Path, n_subjects: int):
@@ -351,17 +378,18 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     The manifest holds ``class_names`` and a ``subjects`` list of
     ``{"id", "data", "labels"}`` entries whose paths are resolved relative to
     the manifest's directory.  With ``strict_labels`` (the default) all
-    subjects must share an identical label matrix.
+    subjects must share an identical label matrix.  Every entry is checked
+    before any CSV is read.
 
-    A manifest written by :func:`save_dataset` also names the binary twin of
-    its data CSVs (top-level ``data_twin``) and gives each subject's
-    ``data_sha256``.  A subject's matrix is then read from the twin, loaded
-    once, whenever its data CSV still has that digest and the twin's
-    slices match the CSV's line and field counts; otherwise, or when the
-    twin is missing or unusable, the CSV is parsed.  Every data CSV is
-    read either way, and nothing is written.  A manifest without these
-    keys is loaded from its CSVs alone; a key present with the wrong type
-    or form is invalid data.
+    A manifest written by :func:`save_dataset` also gives each subject's
+    ``data_sha256``.  When every subject has one, the binary twin named
+    after these digests in manifest order is loaded once, and a subject's
+    matrix is read from it whenever its data CSV still has that digest and
+    the twin's slices match the CSV's line and field counts; otherwise, or
+    when the twin is missing or unusable, the CSV is parsed.  Every data
+    CSV is read either way, and nothing is written.  A manifest without
+    the digests is loaded from its CSVs alone; a digest that is not 64 hex
+    characters is invalid data.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path)
@@ -370,31 +398,22 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
             raise InvalidDataError(f"manifest is missing required key {key!r}")
         if not isinstance(manifest[key], list):
             raise InvalidDataError(f"manifest key {key!r} must be a list")
-    if not manifest["subjects"]:
+    entries = manifest["subjects"]
+    if not entries:
         raise InvalidDataError("manifest lists no subjects")
-    twin_name = manifest.get("data_twin")
-    if "data_twin" in manifest and not isinstance(twin_name, str):
-        raise InvalidDataError(f"manifest key 'data_twin' must be a file name, "
-                               f"got {twin_name!r}")
+    for entry in entries:
+        _check_entry(entry)
+    digests = [_digest_field(entry) for entry in entries]
 
     base = manifest_path.parent
-    twin = None if twin_name is None else _read_twin(base / twin_name,
-                                                     len(manifest["subjects"]))
+    twin = None
+    if None not in digests:
+        twin = _read_twin(base / _twin_name(digests), len(entries))
     subjects, labels = [], []
-    for i, entry in enumerate(manifest["subjects"]):
-        if not isinstance(entry, dict):
-            raise InvalidDataError(f"subject entry must be a JSON object, got {entry!r}")
-        for key in ("id", "data", "labels"):
-            if key not in entry:
-                raise InvalidDataError(f"subject entry is missing required key {key!r}")
-        for key in ("data", "labels"):
-            if not isinstance(entry[key], str):
-                raise InvalidDataError(f"subject entry {key!r} must be a file name, "
-                                       f"got {entry[key]!r}")
-        digest = _digest_field(entry)
+    for i, (entry, digest) in enumerate(zip(entries, digests)):
         data_path = base / entry["data"]
         data = None
-        if twin is not None and digest is not None:
+        if twin is not None:
             data = _matrix_from_twin(twin, i, data_path.read_bytes(), digest)
         if data is None:
             data = read_matrix_csv(data_path)
@@ -409,13 +428,15 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
 def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json") -> Path:
     """Write a dataset as manifest + CSV files; returns the manifest path.
 
-    Each subject gets ``<id>_data.csv`` and ``<id>_labels.csv``.  The data
-    matrices are also stacked in manifest order into one ``.npy`` twin,
-    ``data.npy`` beside the default manifest (``<manifest_name>.data.npy``
-    beside any other, so that two manifests in one directory never share a
-    twin), and the manifest records the twin as ``data_twin`` and each
-    data CSV's sha256 as ``data_sha256`` (see :func:`load_dataset`).
-    Label CSVs get no twin: they are small.  The manifest is written last.
+    Each subject gets ``<id>_data.csv`` and ``<id>_labels.csv``, and its
+    manifest entry records the data CSV's sha256 as ``data_sha256``.  The
+    data matrices are also stacked in manifest order into one ``.npy``
+    twin named after those digests (``data-<sha256 of the joined
+    digests>.npy``, see :func:`load_dataset`), so manifests in one
+    directory share a twin only when they list the same CSV bytes in the
+    same order.  Label CSVs get no twin: they are small.  The manifest is
+    written last.  A twin left by an earlier save of other data into the
+    same directory is not removed; no manifest names it any more.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -428,11 +449,9 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
         entries.append({"id": subj.subject_id, "data": data_name, "labels": label_name,
                         "data_sha256": hashlib.sha256(
                             (out_dir / data_name).read_bytes()).hexdigest()})
-    twin_name = ("data.npy" if manifest_name == "manifest.json"
-                 else f"{manifest_name}.data.npy")
+    twin_name = _twin_name(entry["data_sha256"] for entry in entries)
     np.save(out_dir / twin_name, np.stack([subj.data for subj in dataset.subjects]))
-    manifest = {"class_names": list(dataset.class_names), "data_twin": twin_name,
-                "subjects": entries}
+    manifest = {"class_names": list(dataset.class_names), "subjects": entries}
     manifest_path = out_dir / manifest_name
     write_json(manifest_path, manifest)
     return manifest_path

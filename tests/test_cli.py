@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -63,8 +64,9 @@ def _tree_bytes(root: Path, exclude=("timings.json",)) -> dict:
 class TestSynth:
     def test_expected_files(self, synth_dir):
         names = {p.name for p in synth_dir.iterdir()}
-        assert {"manifest.json", "data.npy", "ground_truth.json", "run_config.json",
+        assert {"manifest.json", "ground_truth.json", "run_config.json",
                 "timings.json"} <= names
+        assert len([n for n in names if re.fullmatch(r"data-[0-9a-f]{64}\.npy", n)]) == 1
         for i in range(3):
             assert f"sub{i:02d}_data.csv" in names
             assert f"sub{i:02d}_labels.csv" in names
@@ -353,7 +355,8 @@ class TestDatasetStaysUntouched:
         data = tmp_path / "ds"
         shutil.copytree(manifest.parent, data)
         if not twin:
-            (data / "data.npy").unlink()
+            for twin_file in data.glob("data-*.npy"):
+                twin_file.unlink()
         before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in data.iterdir()}
         out = tmp_path / "out"
         assert run_cli(*argv, "--data", str(data / "manifest.json"), "--out", str(out)) == 0
@@ -445,16 +448,15 @@ class TestExitCodes:
         assert err["error"] == "InvalidDataError" and "'a/b'" in err["message"]
         assert list(out.rglob("*")) == []
 
-    @pytest.mark.parametrize("key, value", [("data_twin", 3), ("data_sha256", "abc")])
-    def test_malformed_twin_key_exits_3(self, manifest, tmp_path, capsys, key, value):
+    def test_malformed_digest_exits_3(self, manifest, tmp_path, capsys):
         shutil.copytree(manifest.parent, tmp_path / "ds")
         payload = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        (payload if key == "data_twin" else payload["subjects"][0])[key] = value
+        payload["subjects"][0]["data_sha256"] = "abc"
         (tmp_path / "ds" / "manifest.json").write_text(json.dumps(payload))
         assert run_cli("loso", "--data", str(tmp_path / "ds" / "manifest.json"),
                        "--out", str(tmp_path / "out")) == 3
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "InvalidDataError" and key in err["message"]
+        assert err["error"] == "InvalidDataError" and "data_sha256" in err["message"]
 
     def test_wrong_typed_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

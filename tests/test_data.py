@@ -375,6 +375,12 @@ def _counted_csv_reads(monkeypatch) -> list:
     return paths
 
 
+def _twin_path(manifest: Path) -> Path:
+    """The one binary twin ``save_dataset`` wrote beside ``manifest``."""
+    (path,) = manifest.parent.glob("data-*.npy")
+    return path
+
+
 # Values whose text form is delicate: signed zero, subnormals, the extremes,
 # and magnitudes around 1e16, where repr switches to exponent notation.
 _TWIN_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
@@ -382,7 +388,7 @@ _TWIN_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e30
 
 
 class TestDataTwin:
-    """``data.npy`` stands in for parsing the data CSVs, and changes nothing."""
+    """The binary twin stands in for parsing the data CSVs, and changes nothing."""
 
     @given(stack=hnp.arrays(
         np.float64,
@@ -396,33 +402,37 @@ class TestDataTwin:
             parsed = _counted_csv_reads(patch)
             with_twin = load_dataset(manifest)
         assert not any(name.endswith("_data.csv") for name in parsed)
-        (manifest.parent / "data.npy").unlink()
+        _twin_path(manifest).unlink()
         without = load_dataset(manifest)
         for a, b, m in zip(with_twin.subjects, without.subjects, stack):
             assert a.data.tobytes() == b.data.tobytes() == m.tobytes()
             assert not a.data.flags.writeable
 
-    def test_manifest_records_twin_and_digests_and_is_written_last(self, tmp_path, rng,
-                                                                    monkeypatch):
+    def test_twin_is_named_after_the_ordered_digests_and_written_before_the_manifest(
+            self, tmp_path, rng, monkeypatch):
         ds = random_dataset(rng, 3, 10, 6, 2)
         write = multialign.data.write_json
 
         def write_after_twin(path, payload):
-            assert (tmp_path / "d" / "data.npy").exists()
+            assert len(list((tmp_path / "d").glob("data-*.npy"))) == 1
             write(path, payload)
 
         monkeypatch.setattr(multialign.data, "write_json", write_after_twin)
         manifest = save_dataset(ds, tmp_path / "d")
         payload = json.loads(manifest.read_text())
-        assert payload["data_twin"] == "data.npy"
+        assert sorted(payload) == ["class_names", "subjects"]
+        digests = []
         for entry in payload["subjects"]:
             csv = (tmp_path / "d" / entry["data"]).read_bytes()
             assert entry["data_sha256"] == hashlib.sha256(csv).hexdigest()
             assert "labels_sha256" not in entry
-        twin = np.load(tmp_path / "d" / "data.npy", allow_pickle=False)
+            digests.append(entry["data_sha256"])
+        joined = hashlib.sha256("".join(digests).encode()).hexdigest()
+        assert _twin_path(manifest).name == f"data-{joined}.npy"
+        twin = np.load(_twin_path(manifest), allow_pickle=False)
         assert twin.tobytes() == np.stack([s.data for s in ds.subjects]).tobytes()
-        assert sorted(p.name for p in (tmp_path / "d").iterdir() if p.suffix == ".npy") \
-            == ["data.npy"]
+        assert [p.name for p in (tmp_path / "d").iterdir() if p.suffix == ".npy"] \
+            == [_twin_path(manifest).name]
 
     def test_edited_csv_is_parsed_and_the_rest_come_from_the_twin(self, tmp_path, rng,
                                                                   monkeypatch):
@@ -445,7 +455,7 @@ class TestDataTwin:
     def test_unusable_twin_is_ignored(self, tmp_path, rng, spoil):
         ds = random_dataset(rng, 3, 8, 4, 2)
         manifest = save_dataset(ds, tmp_path / "d")
-        path = tmp_path / "d" / "data.npy"
+        path = _twin_path(manifest)
         stack = np.stack([s.data for s in ds.subjects])
         path.unlink()
         if spoil == "truncated":
@@ -473,44 +483,59 @@ class TestDataTwin:
         for a, b in zip(back.subjects, ds.subjects):
             assert a.data.tobytes() == b.data.tobytes()
 
-    def test_each_subject_follows_its_own_digest(self, tmp_path, rng):
-        ds = random_dataset(rng, 2, 8, 4, 2)
+    @pytest.mark.parametrize("edit", ["swap", "splice", "digest"])
+    def test_edited_manifest_finds_no_twin(self, tmp_path, rng, monkeypatch, edit):
+        """Every subject gets its own CSV's values after the manifest's entries
+        are reordered, replaced by one from another dataset (digest included),
+        or given another digest, even with a twin of the right shape beside it."""
+        ds = random_dataset(rng, 3, 8, 4, 2)
         manifest = save_dataset(ds, tmp_path / "d")
+        other = save_dataset(random_dataset(rng, 3, 8, 4, 2), tmp_path / "other")
         payload = json.loads(manifest.read_text())
-        payload["subjects"][0]["data_sha256"] = "0" * 64
+        if edit == "swap":
+            payload["subjects"][0], payload["subjects"][1] = \
+                payload["subjects"][1], payload["subjects"][0]
+        elif edit == "splice":
+            spliced = json.loads(other.read_text())["subjects"][1]
+            (tmp_path / "d" / "s1_data.csv").write_bytes(
+                (tmp_path / "other" / spliced["data"]).read_bytes())
+            payload["subjects"][1] = spliced
+        else:
+            payload["subjects"][0]["data_sha256"] = "0" * 64
         manifest.write_text(json.dumps(payload))
-        np.save(tmp_path / "d" / "data.npy", np.zeros((2, 8, 4)))
+        expected = {entry["id"]: read_matrix_csv(tmp_path / "d" / entry["data"])
+                    for entry in payload["subjects"]}
+        parsed = _counted_csv_reads(monkeypatch)
         back = load_dataset(manifest)
-        assert back.subjects[0].data.tobytes() == ds.subjects[0].data.tobytes()
-        np.testing.assert_array_equal(back.subjects[1].data, 0.0)
+        assert sorted(n for n in parsed if n.endswith("_data.csv")) \
+            == ["s0_data.csv", "s1_data.csv", "s2_data.csv"]
+        for subj in back.subjects:
+            assert subj.data.tobytes() == expected[subj.subject_id].tobytes()
 
-    def test_two_manifests_in_one_directory_keep_their_own_twins(self, tmp_path, rng):
+    def test_two_manifests_in_one_directory_keep_their_own_twins(self, tmp_path, rng,
+                                                                 monkeypatch):
         first = random_dataset(rng, 2, 8, 4, 2)
         second = Dataset(tuple(SubjectData(f"t{i}", -s.data)
                                for i, s in enumerate(first.subjects)),
                          first.labels, first.class_names)
         a = save_dataset(first, tmp_path, "a.json")
         b = save_dataset(second, tmp_path, "b.json")
-        assert json.loads(a.read_text())["data_twin"] == "a.json.data.npy"
+        assert len(list(tmp_path.glob("data-*.npy"))) == 2
+        parsed = _counted_csv_reads(monkeypatch)
         for manifest, ds in ((a, first), (b, second)):
             for x, y in zip(load_dataset(manifest).subjects, ds.subjects):
                 assert x.data.tobytes() == y.data.tobytes()
+        assert not any(name.endswith("_data.csv") for name in parsed)
 
-    @pytest.mark.parametrize("where, value", [
-        ("data_twin", 5), ("data_twin", None), ("data_twin", ["data.npy"]),
-        ("data_sha256", None), ("data_sha256", 7), ("data_sha256", "ab" * 31 + "a"),
-        ("data_sha256", "ab" * 32 + "a"), ("data_sha256", "g" * 64),
-        ("data_sha256", " " + "ab" * 31 + "a"),
+    @pytest.mark.parametrize("value", [
+        None, 7, "ab" * 31 + "a", "ab" * 32 + "a", "g" * 64, " " + "ab" * 31 + "a",
     ])
-    def test_malformed_key_is_invalid_data(self, tmp_path, rng, where, value):
+    def test_malformed_digest_is_invalid_data(self, tmp_path, rng, value):
         manifest = save_dataset(random_dataset(rng, 2, 8, 4, 2), tmp_path / "d")
         payload = json.loads(manifest.read_text())
-        if where == "data_twin":
-            payload["data_twin"] = value
-        else:
-            payload["subjects"][1]["data_sha256"] = value
+        payload["subjects"][1]["data_sha256"] = value
         manifest.write_text(json.dumps(payload))
-        with pytest.raises(InvalidDataError, match=where):
+        with pytest.raises(InvalidDataError, match="data_sha256"):
             load_dataset(manifest)
 
     def test_upper_case_digest_is_accepted(self, tmp_path, rng, monkeypatch):
@@ -530,18 +555,18 @@ class TestDataTwin:
         with pytest.raises(FileNotFoundError):
             load_dataset(manifest)
 
-    def test_key_free_manifest_neither_hashes_nor_loads_a_twin(self, tmp_path, rng,
-                                                               monkeypatch):
+    @pytest.mark.parametrize("dropped", [slice(None), slice(1, 2)], ids=["all", "one"])
+    def test_manifest_without_every_digest_neither_hashes_nor_loads_a_twin(
+            self, tmp_path, rng, monkeypatch, dropped):
         ds = random_dataset(rng, 2, 8, 4, 2)
         manifest = save_dataset(ds, tmp_path / "d")
         payload = json.loads(manifest.read_text())
-        del payload["data_twin"]
-        for entry in payload["subjects"]:
+        for entry in payload["subjects"][dropped]:
             del entry["data_sha256"]
         manifest.write_text(json.dumps(payload))
 
         def refused(*args, **kwargs):
-            raise AssertionError("called on a manifest without twin keys")
+            raise AssertionError("called on a manifest without every digest")
 
         monkeypatch.setattr(hashlib, "sha256", refused)
         monkeypatch.setattr(np, "load", refused)
