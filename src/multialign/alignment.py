@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,17 @@ class _SubjectTerms:
     couplings: np.ndarray | None
     coupled: np.ndarray | None
 
+    @cached_property
+    def identity_template(self) -> np.ndarray:
+        """``I``, the template of every ``W = I`` fit under identity kernels.
+
+        Built on first use and shared, read-only, by every such fit of these
+        terms (each fold of a full-``k`` ``rha`` run).
+        """
+        template = np.eye(self.factors.shape[1])
+        template.flags.writeable = False
+        return template
+
 
 def _check_iterations(iterations) -> None:
     if iterations < 1:
@@ -443,7 +455,9 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
     read its basis of ``W``.  Any other fit (a leave-one-subject-out fold)
     takes ``W = I`` at full ``k`` (:func:`_spans_whole_space`), whatever its
     kernels, since its classifier ignores the basis: it returns ``W`` as
-    ``None``, and its template is the mean ``K_i^T`` (``I`` under ``rha``).
+    ``None``, and its template is the mean ``K_i^T``; under ``rha`` that is
+    ``I``, built once per terms object and shared by every such fit
+    (:attr:`_SubjectTerms.identity_template`).
 
     A template that does not vary over time (the selected kernels cancel
     out, as when subjects hold swapped class labels) raises an
@@ -467,17 +481,17 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
             w = vectors[:, :terms.k]
             trace = float(np.trace(w.T @ (u @ w)))
     if terms.couplings is None and w is None:
-        template = np.eye(terms.factors.shape[1])  # the mean of identity kernels
+        # The mean of identity kernels: finite, and never constant over its
+        # two or more time points, so it needs none of the checks below.
+        return w, terms.identity_template, trace, eigenvalues, history
+    if terms.couplings is None:
+        contributions = np.broadcast_to(w.T, (len(factors),) + w.T.shape)
     else:
-        if terms.couplings is None:
-            contributions = np.broadcast_to(w.T, (len(factors),) + w.T.shape)
-        else:
-            contributions = terms.couplings[subset] if w is None else w.T @ terms.couplings[subset]
-        template = (contributions.sum(axis=0) / len(contributions)).T
+        contributions = terms.couplings[subset] if w is None else w.T @ terms.couplings[subset]
+    template = (contributions.sum(axis=0) / len(contributions)).T
     _check_finite("alignment fit", w, template)
-    # No temporary the size of the template: a fold's would churn the heap
-    # between the classifier's large per-fold arrays.  The first test, on the
-    # first and last rows, is cheaper and implied by the second.
+    # The first test, on the first and last rows, is cheaper and implied by
+    # the second.
     scale = _CONSTANT_TEMPLATE_TOLERANCE * max(template.max(), -template.min())
     if (np.abs(template[-1] - template[0]).max() <= scale
             and (template.max(axis=0) - template.min(axis=0) <= scale).all()):

@@ -24,13 +24,14 @@ labeled rows.  At full ``k`` every fold takes ``W = I``, whatever its
 labels: no eigensolve and no ``sha_r`` iteration (see
 :func:`run_loso_normalized`).
 
-Each fold then forms the ridge system of its classifier: the Gram
-matrix and right-hand side of the mapped training rows.  The held-out
-subject's features are kept.  Once every fold is done, one stacked solve
-gives every fold's classifier, one stacked matmul scores every held-out
-subject, one argmax and one comparison give the accuracies, and one sort
-ranks every AUC column (per training class set; a ``synth`` layout has
-one).
+Each fold then forms the ridge system of its classifier, the sum of its
+training subjects' blocks of the normal equations.  The blocks are formed
+in one stacked matmul whenever the features change: once per run at full
+``k``.  The held-out subject's features are kept.  Once every fold is
+done, one stacked solve gives every fold's classifier, one stacked matmul
+scores every held-out subject, one argmax and one comparison give the
+accuracies, and one sort ranks every AUC column (per training class set;
+a ``synth`` layout has one).
 """
 
 from __future__ import annotations
@@ -119,24 +120,46 @@ def _check_ridge(ridge) -> float:
     return float(ridge)
 
 
-def _ridge_system(x: np.ndarray, y: np.ndarray, classes: np.ndarray,
-                  ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """The normal equations ``(gram, rhs)`` of the one-vs-rest ridge fit.
+def _ridge_blocks(features: np.ndarray, class_ids: np.ndarray,
+                 ids: np.ndarray) -> np.ndarray:
+    """Every subject's block of the one-vs-rest ridge normal equations.
 
-    ``gram`` is ``aug^T aug`` plus the ridge on the feature coefficients
-    (the intercept is not penalized), ``rhs`` is ``aug^T targets``, with
-    ``aug`` the features plus a column of ones and ``targets`` +1 on the
-    row's class among ``classes`` and -1 elsewhere.
+    ``features`` is (subjects, rows, k) and ``class_ids`` (subjects, rows);
+    ``ids`` are the ascending class ids to form targets for.  With ``aug_i``
+    subject ``i``'s features plus a column of ones and ``t_i`` its targets
+    (+1 on the row's class, -1 elsewhere, one column per id), block ``i``
+    is ``aug_i^T [aug_i, t_i]``: (subjects, k + 1, k + 1 + ids), all
+    formed in one stacked matmul.  Every subject's features are checked
+    here, once.
     """
-    if not np.isfinite(x).all():
+    if not np.isfinite(features).all():
         raise InvalidDataError("features contain non-finite entries")
-    targets = np.where(y[:, None] == classes[None, :], 1.0, -1.0)
-    aug = np.hstack([x, np.ones((x.shape[0], 1))])
-    gram = aug.T @ aug
-    penalty = np.full(aug.shape[1], ridge)
-    penalty[-1] = 0.0  # intercept
-    gram += np.diag(penalty)
-    return gram, aug.T @ targets
+    k = features.shape[2]
+    aug = np.empty(features.shape[:2] + (k + 1 + ids.size,))
+    aug[..., :k] = features
+    aug[..., k] = 1.0
+    aug[..., k + 1:] = np.where(class_ids[..., None] == ids, 1.0, -1.0)
+    return np.matmul(aug[..., :k + 1].swapaxes(1, 2), aug)
+
+
+def _ridge_system(blocks: np.ndarray, train, columns: np.ndarray,
+                  ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """The normal equations ``(gram, rhs)`` of the ridge fit over ``train``'s rows.
+
+    The blocks of the subjects ``train`` lists (see :func:`_ridge_blocks`)
+    are added in that order, so no other subject's block enters the sum,
+    not even through rounding.  ``gram`` is ``aug^T aug`` plus the ridge
+    on the feature coefficients (the intercept is not penalized); ``rhs``
+    is ``aug^T targets`` for the class ids at ``columns``.
+    """
+    system = blocks[train[0]].copy()
+    for i in train[1:]:
+        system += blocks[i]
+    width = blocks.shape[1]
+    gram = system[:, :width]
+    penalized = np.arange(width - 1)  # not the intercept, the last
+    gram[penalized, penalized] += ridge
+    return gram, system[:, width + columns]
 
 
 def _solve_ridge(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -166,8 +189,9 @@ def train_classifier(features, labels, ridge: float = 1.0) -> LinearClassifier:
         is not penalized).
 
     Leave-one-subject-out trains every fold through the same cores: it
-    stacks the folds' :func:`_ridge_system` outputs into one
-    :func:`_solve_ridge`, where this solves a stack of one.
+    forms one :func:`_ridge_blocks` block per subject and stacks the folds'
+    :func:`_ridge_system` sums into one :func:`_solve_ridge`, where this
+    treats every row as one subject's and solves a stack of one.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels).ravel()
@@ -179,7 +203,8 @@ def train_classifier(features, labels, ridge: float = 1.0) -> LinearClassifier:
     classes = np.unique(y)
     if classes.size < 2:
         raise InvalidDataError(f"need at least 2 classes, got {classes.size}")
-    gram, rhs = _ridge_system(x, y, classes, ridge)
+    blocks = _ridge_blocks(x[None], y[None], classes)
+    gram, rhs = _ridge_system(blocks, [0], np.arange(classes.size), ridge)
     coef = _solve_ridge(gram[None], rhs[None])[0]
     return LinearClassifier(coef[:-1], coef[-1], ridge, classes)
 
@@ -301,28 +326,35 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     :class:`AdvisoryWarning`.  Per-fold memory is the (subjects, rows,
     rank + k) stack of one mapping.
 
-    Each fold then forms the ridge system of its mapped training rows
-    (:func:`_ridge_system`, as :func:`train_classifier` forms it).
+    The classifier's normal equations come in per-subject blocks
+    (:func:`_ridge_blocks`), formed in one stacked matmul over every
+    subject whenever the features change: once per run when every fold
+    maps to the same features, once per fold otherwise.  Every subject's
+    features are checked for finiteness there.  Each fold adds its
+    training subjects' blocks in subject order (:func:`_ridge_system`), so
+    the held-out subject's labels never enter its system.
 
     After the folds, the run trains and scores every classifier at once,
     per group of folds that train on the same classes (one group unless
     some class is shown by a single subject): one stacked solve, one
     stacked matmul over the held-out subjects' rows, one argmax and one
     comparison for the accuracies, and one :func:`_macro_aucs` sort for
-    the AUCs.  Each fold's scores are bit-identical to those of
-    :func:`train_classifier` on its training rows.  A held-out subject
-    whose labeled rows show a single class, or none of the classes its
-    fold trains on, has no AUC (``None``); ``auc_mean`` and ``auc_std``
-    cover the folds that have one.
+    the AUCs.  Each fold's scores are bit-identical to those of a solve of
+    its system alone.  :func:`train_classifier` on the fold's
+    concatenated rows adds them in another order, so its scores agree to
+    rounding only.  A held-out subject whose labeled rows show a single
+    class, or none of the classes its fold trains on, has no AUC
+    (``None``); ``auc_mean`` and ``auc_std`` cover the folds that have one.
 
     Stage wall-clock totals (nanoseconds) are collected on the report's
     ``timings`` attribute: ``per_fold`` holds each fold's ``fit_ns``,
-    ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method),
-    and ``total`` their sums plus the run-level work: the per-run stacks
-    count toward ``fit_ns`` (kernels, fit terms) and ``map_ns`` (mapping
-    factors, class sets), the stacked solve toward ``train_ns`` and the
-    stacked scoring toward ``score_ns``.  They stay out of the JSON form so
-    that reports are reproducible byte for byte.
+    ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method;
+    a fold's ``train_ns`` includes forming the blocks when its features
+    are new), and ``total`` their sums plus the run-level work: the
+    per-run stacks count toward ``fit_ns`` (kernels, fit terms) and
+    ``map_ns`` (mapping factors, class sets), the stacked solve toward
+    ``train_ns`` and the stacked scoring toward ``score_ns``.  They stay
+    out of the JSON form so that reports are reproducible byte for byte.
     """
     return _loso(normalized, method, epsilon, gamma, k, iterations, ridge)
 
@@ -359,14 +391,17 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         else:
             factors = _mapping_factors(normalized.subjects, terms.svds,
                                        terms.kernels[0].labeled, epsilon)
+        ids = np.unique(class_ids)
         groups = _training_class_sets(class_ids)
-        classes_of = {int(f): classes for classes, members in groups for f in members}
+        columns_of = {int(f): np.searchsorted(ids, classes)
+                      for classes, members in groups for f in members}
         scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
 
     systems = []
     held_rows = []
     per_fold = []
     mapped_from = None  # the template ``features`` were mapped from
+    blocks = None  # the ridge blocks of ``features``
     order = np.arange(subjects)
     for held in range(subjects):
         train = order[order != held]
@@ -374,14 +409,15 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         with fold("fit_ns"):
             template = None if terms is None else _fit_terms(terms, train, iterations)[1]
         with fold("map_ns"):
-            # Compared in place: a copy per fold (tobytes) would churn the heap
-            # between the large arrays of the folds' ridge systems.
-            if template is not None and not np.array_equal(template, mapped_from):
+            if template is not None and not (template is mapped_from
+                                             or np.array_equal(template, mapped_from)):
                 features = _map_rows(factors, template)[:, labeled]
                 mapped_from = template
+                blocks = None
         with fold("train_ns"):
-            systems.append(_ridge_system(features[train].reshape(-1, features.shape[2]),
-                                         class_ids[train].ravel(), classes_of[held], ridge))
+            if blocks is None:
+                blocks = _ridge_blocks(features, class_ids, ids)
+            systems.append(_ridge_system(blocks, train, columns_of[held], ridge))
         with fold("score_ns"):
             held_rows.append(features[held].copy())
         per_fold.append(fold)

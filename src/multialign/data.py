@@ -365,11 +365,46 @@ def _matrix_from_twin(twin, i: int, raw: bytes, digest: str):
     many lines and fields as the slice has rows and columns.
     """
     t, v = twin.shape[1:]
-    if raw.count(b"\n") != t or raw.count(b",") != t * (v - 1):
+    octets = np.frombuffer(raw, np.uint8)
+    if (np.count_nonzero(octets == ord("\n")) != t
+            or np.count_nonzero(octets == ord(",")) != t * (v - 1)):
         return None
     if hashlib.sha256(raw).hexdigest() != digest:
         return None
     return twin[i]
+
+
+def _read_manifest(manifest_path: Path) -> tuple[dict, list]:
+    """The checked manifest at ``manifest_path`` and its subjects' digests.
+
+    A digest is None for an entry without ``data_sha256``.  Nothing but the
+    manifest is read.
+    """
+    manifest = read_json_object(manifest_path)
+    for key in ("class_names", "subjects"):
+        if key not in manifest:
+            raise InvalidDataError(f"manifest is missing required key {key!r}")
+        if not isinstance(manifest[key], list):
+            raise InvalidDataError(f"manifest key {key!r} must be a list")
+    entries = manifest["subjects"]
+    if not entries:
+        raise InvalidDataError("manifest lists no subjects")
+    for entry in entries:
+        _check_entry(entry)
+    return manifest, [_digest_field(entry) for entry in entries]
+
+
+def _named_twin(manifest_path: Path):
+    """The twin file name the manifest at ``manifest_path`` names, or None.
+
+    A manifest that is missing, malformed or without a digest for every
+    subject names no twin.
+    """
+    try:
+        digests = _read_manifest(manifest_path)[1]
+    except (OSError, InvalidDataError):
+        return None
+    return None if None in digests else _twin_name(digests)
 
 
 def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
@@ -392,19 +427,8 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     characters is invalid data.
     """
     manifest_path = Path(manifest_path)
-    manifest = read_json_object(manifest_path)
-    for key in ("class_names", "subjects"):
-        if key not in manifest:
-            raise InvalidDataError(f"manifest is missing required key {key!r}")
-        if not isinstance(manifest[key], list):
-            raise InvalidDataError(f"manifest key {key!r} must be a list")
+    manifest, digests = _read_manifest(manifest_path)
     entries = manifest["subjects"]
-    if not entries:
-        raise InvalidDataError("manifest lists no subjects")
-    for entry in entries:
-        _check_entry(entry)
-    digests = [_digest_field(entry) for entry in entries]
-
     base = manifest_path.parent
     twin = None
     if None not in digests:
@@ -435,11 +459,14 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
     digests>.npy``, see :func:`load_dataset`), so manifests in one
     directory share a twin only when they list the same CSV bytes in the
     same order.  Label CSVs get no twin: they are small.  The manifest is
-    written last.  A twin left by an earlier save of other data into the
-    same directory is not removed; no manifest names it any more.
+    written last.  When it replaces a manifest that named another twin,
+    that twin is then removed: another manifest in the directory that
+    still names it parses its CSVs instead.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / manifest_name
+    replaced = _named_twin(manifest_path)
     entries = []
     for subj, lab in zip(dataset.subjects, dataset.labels):
         data_name = f"{subj.subject_id}_data.csv"
@@ -452,8 +479,9 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
     twin_name = _twin_name(entry["data_sha256"] for entry in entries)
     np.save(out_dir / twin_name, np.stack([subj.data for subj in dataset.subjects]))
     manifest = {"class_names": list(dataset.class_names), "subjects": entries}
-    manifest_path = out_dir / manifest_name
     write_json(manifest_path, manifest)
+    if replaced not in (None, twin_name):
+        (out_dir / replaced).unlink(missing_ok=True)
     return manifest_path
 
 

@@ -66,17 +66,20 @@ def random_dataset(rng: np.random.Generator, n_subjects: int, n_timepoints: int,
                    tuple(f"c{m}" for m in range(n_classes)))
 
 
-def relabeled_dataset(classes: int, held: dict, rest: dict) -> Dataset:
+def relabeled_dataset(classes: int, held: dict, rest: dict,
+                      unlabeled: tuple = ()) -> Dataset:
     """A four-subject ``synth`` set with per-subject label values.
 
     Subject 0 shows each class ``c`` in ``held`` as class ``held[c]``; the
-    other subjects show each class ``c`` in ``rest`` as ``rest[c]``.
+    other subjects show each class ``c`` in ``rest`` as ``rest[c]``.  The
+    time points ``unlabeled`` are rest points in every subject.
     """
     ds, _ = generate(SynthConfig(subjects=4, classes=classes, instances_per_class=2,
                                  instance_length=3, voxels=12, noise_sigma=0.4, seed=9))
     labels = []
     for i, lab in enumerate(ds.labels):
         onehot = np.array(lab.onehot)
+        onehot[:, list(unlabeled)] = 0.0
         for source, target in (held if i == 0 else rest).items():
             onehot[target] += onehot[source]
             onehot[source] = 0.0

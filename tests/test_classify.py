@@ -306,14 +306,19 @@ def _reference_loso(dataset, method, *, epsilon=1e-4, gamma=None, ridge=1.0,
         clf = train_classifier(np.vstack(x_rows), np.concatenate(y_rows), ridge=ridge)
         idx = test.labels[0].labeled_indices
         scores = clf.decision_function(map_subject(model, test.subjects[0]).features[idx])
-        y_test = test.labels[0].class_of()[idx]
-        try:
-            auc = one_vs_rest_auc(y_test, scores, classes=clf.classes)
-        except NumericError:
-            auc = None
-        acc = accuracy(y_test, clf.classes[scores.argmax(axis=1)])
-        folds.append(FoldResult(test.subjects[0].subject_id, acc, auc, int(y_test.size)))
+        folds.append(_fold_result(test.subjects[0].subject_id,
+                                  test.labels[0].class_of()[idx], scores, clf.classes))
     return tuple(folds)
+
+
+def _fold_result(subject_id, y_test, scores, classes):
+    """The fold's result from one classifier's held-out ``scores``."""
+    try:
+        auc = one_vs_rest_auc(y_test, scores, classes=classes)
+    except NumericError:
+        auc = None
+    acc = accuracy(y_test, classes[scores.argmax(axis=1)])
+    return FoldResult(subject_id, acc, auc, int(y_test.size))
 
 
 # Every method at its default k, and the supervised ones also one below full
@@ -470,6 +475,12 @@ class TestBatchedLoso:
           for m in ("sha", "sha_r")),
         *(pytest.param(m, NO_TRAINING_CLASS, 3, id=f"{m}-no-training-class-below-full-k")
           for m in ("sha", "sha_r")),
+        # The first layout with every third time point a rest point, at full k
+        # (rha's is the 18 time points) and below it.
+        *(pytest.param(m, dict(classes=3, held={}, rest={2: 0}, unlabeled=range(1, 18, 3)),
+                       k, id=f"{m}-rest-points{'' if k is None else f'-k{k}'}")
+          for m, k in (("none", None), ("rha", 18), ("rha", None), ("sha", None),
+                       ("sha_r", None), ("sha", 2), ("sha_r", 2))),
     ])
     def test_class_only_the_held_out_subject_shows(self, method, layout, k):
         ds = relabeled_dataset(**layout)
@@ -480,36 +491,76 @@ class TestBatchedLoso:
 
     @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
     def test_stacked_scores_equal_single_fold_classifier(self, monkeypatch, method):
-        # Each fold's training rows (from its ridge system) and the stacked
+        # Every subject's ridge blocks, each fold's system and the stacked
         # classifiers and scores, recorded at the private seams.
         ds = _per_subject_labels(np.random.default_rng(4), 5, 18, 7, 3)
-        systems, decisions = [], []
+        formed, systems, decisions = [], [], []
+        real_blocks = multialign.classify._ridge_blocks
         real_system = multialign.classify._ridge_system
         real_decide = multialign.classify._decide
 
-        def recording_system(x, y, classes, ridge):
-            systems.append((x, y, ridge))
-            return real_system(x, y, classes, ridge)
+        def recording_blocks(features, class_ids, ids):
+            formed.append((features, class_ids, ids))
+            return real_blocks(features, class_ids, ids)
+
+        def recording_system(blocks, train, columns, ridge):
+            gram, rhs = real_system(blocks, train, columns, ridge)
+            systems.append((formed[-1], blocks, train, columns, gram, rhs))
+            return gram, rhs
 
         def recording_decide(features, weights, bias):
             scores = real_decide(features, weights, bias)
             decisions.append((features, weights, scores))
             return scores
 
+        monkeypatch.setattr(multialign.classify, "_ridge_blocks", recording_blocks)
         monkeypatch.setattr(multialign.classify, "_ridge_system", recording_system)
         monkeypatch.setattr(multialign.classify, "_decide", recording_decide)
-        run_loso(ds, method, ridge=0.5)
+        report = run_loso(ds, method, ridge=0.5)
         monkeypatch.undo()
         assert len(systems) == ds.n_subjects
         stacked = [(f, w, s) for features, weights, scores in decisions
                    for f, w, s in zip(features, weights, scores)]
         assert len(stacked) == ds.n_subjects
-        for x, y, ridge in systems:
-            clf = train_classifier(x, y, ridge=ridge)
-            matches = [(f, s) for f, w, s in stacked if np.array_equal(w, clf.weights)]
+        for held, ((features, class_ids, ids), blocks, train, columns, gram, rhs) \
+                in enumerate(systems):
+            assert held not in train
+            width = features.shape[2] + 1
+            # Each block is its subject's share of the normal equations.
+            for i, block in enumerate(blocks):
+                aug = np.hstack([features[i], np.ones((len(features[i]), 1))])
+                targets = np.where(class_ids[i][:, None] == ids, 1.0, -1.0)
+                np.testing.assert_allclose(block, aug.T @ np.hstack([aug, targets]),
+                                           rtol=1e-13, atol=1e-13 * np.abs(block).max())
+            # The fold's system is its training blocks added in subject order.
+            total = blocks[train[0]].copy()
+            for i in train[1:]:
+                total += blocks[i]
+            total[np.arange(width - 1), np.arange(width - 1)] += 0.5
+            assert np.array_equal(gram, total[:, :width])
+            assert np.array_equal(rhs, total[:, width + columns])
+            # The stacked solve and scoring give the bits of that system alone.
+            coef = multialign.classify._solve_ridge(gram[None], rhs[None])[0]
+            matches = [(f, s) for f, w, s in stacked if np.array_equal(w, coef[:-1])]
             assert len(matches) == 1
             held_rows, scores = matches[0]
-            assert np.array_equal(scores, clf.decision_function(held_rows))
+            assert np.array_equal(held_rows, features[held])
+            assert np.array_equal(scores, multialign.classify._decide(held_rows, coef[:-1],
+                                                                      coef[-1]))
+            # A classifier trained on the fold's concatenated rows sums them in
+            # another order: its scores agree to 1e-12 of their scale (rounding
+            # gives about 2e-15), its predictions and the fold's result exactly.
+            clf = train_classifier(features[train].reshape(-1, width - 1),
+                                   class_ids[train].ravel(), ridge=0.5)
+            assert np.array_equal(clf.classes, ids[columns])
+            reference = clf.decision_function(held_rows)
+            np.testing.assert_allclose(scores, reference, rtol=0,
+                                       atol=1e-12 * np.abs(reference).max())
+            assert np.array_equal(ids[columns][scores.argmax(axis=1)],
+                                  clf.predict(held_rows))
+            assert report.folds[held] == _fold_result(ds.subjects[held].subject_id,
+                                                      class_ids[held], reference,
+                                                      clf.classes)
 
     @pytest.mark.parametrize("method, full", [
         *(pytest.param(m, True, id=m) for m in ("none", "rha", "sha", "sha_r")),
@@ -688,17 +739,22 @@ class TestFullKLoso:
         systems = []
         real = multialign.classify._ridge_system
 
-        def recording(*args):
-            systems.append(real(*args))
-            return systems[-1]
+        def recording(blocks, train, columns, ridge):
+            systems.append((blocks, train, *real(blocks, train, columns, ridge)))
+            return systems[-1][2:]
 
         monkeypatch.setattr(multialign.classify, "_ridge_system", recording)
         run_loso(base, method, gamma=0.01, k=k)
         run_loso(relabeled, method, gamma=0.01, k=k)
-        (gram_a, rhs_a), (gram_b, rhs_b) = systems[held], systems[base.n_subjects + held]
+        (blocks_a, train, gram_a, rhs_a), (blocks_b, _, gram_b, rhs_b) = \
+            systems[held], systems[base.n_subjects + held]
+        assert held not in train
+        # The held-out subject's own block carries its new labels; its fold's
+        # system does not, bit for bit.
+        assert not np.array_equal(blocks_a[held], blocks_b[held])
         assert np.array_equal(gram_a, gram_b) and np.array_equal(rhs_a, rhs_b)
         # The change reaches the other folds, which train on the held-out subject.
-        assert not np.array_equal(systems[0][1], systems[base.n_subjects][1])
+        assert not np.array_equal(systems[0][3], systems[base.n_subjects][3])
 
     def test_sha_r_with_fewer_voxels_than_classes_is_refused(self, rng):
         # Its template has fewer left singular vectors than k: the fold fit refuses.

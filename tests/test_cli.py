@@ -71,6 +71,15 @@ class TestSynth:
             assert f"sub{i:02d}_data.csv" in names
             assert f"sub{i:02d}_labels.csv" in names
 
+    def test_synth_over_another_seed_leaves_one_twin(self, tmp_path):
+        args = SYNTH_ARGS[:-1]  # without the seed's value
+        assert run_cli(*args, "1", "--out", str(tmp_path / "over")) == 0
+        assert run_cli(*args, "2", "--out", str(tmp_path / "over")) == 0
+        assert len(list((tmp_path / "over").glob("data-*.npy"))) == 1
+        # What is left is what a first save of seed 2 writes.
+        assert run_cli(*args, "2", "--out", str(tmp_path / "fresh")) == 0
+        assert _tree_bytes(tmp_path / "over") == _tree_bytes(tmp_path / "fresh")
+
     def test_dataset_loads_with_expected_shape(self, manifest):
         ds = load_dataset(manifest)
         assert ds.n_subjects == 3

@@ -527,6 +527,39 @@ class TestDataTwin:
                 assert x.data.tobytes() == y.data.tobytes()
         assert not any(name.endswith("_data.csv") for name in parsed)
 
+    def test_saving_over_a_manifest_removes_the_twin_it_named(self, tmp_path, rng,
+                                                              monkeypatch):
+        first = random_dataset(rng, 2, 8, 4, 2)
+        second = Dataset(tuple(SubjectData(f"t{i}", -s.data)
+                               for i, s in enumerate(first.subjects)),
+                         first.labels, first.class_names)
+        manifest = save_dataset(first, tmp_path)
+        kept = tmp_path / "kept.json"
+        kept.write_bytes(manifest.read_bytes())
+        old_twin = _twin_path(manifest)
+        save_dataset(second, tmp_path)
+        assert _twin_path(manifest) != old_twin and not old_twin.exists()
+        # The second manifest named the removed twin: its CSVs are parsed.
+        parsed = _counted_csv_reads(monkeypatch)
+        for x, y in zip(load_dataset(kept).subjects, first.subjects):
+            assert x.data.tobytes() == y.data.tobytes()
+        assert sorted(n for n in parsed if n.endswith("_data.csv")) \
+            == ["s0_data.csv", "s1_data.csv"]
+
+    def test_saving_the_same_data_again_keeps_its_twin(self, tmp_path, rng):
+        ds = random_dataset(rng, 2, 8, 4, 2)
+        twin = _twin_path(save_dataset(ds, tmp_path))
+        assert _twin_path(save_dataset(ds, tmp_path)) == twin
+
+    @pytest.mark.parametrize("old", [b"not json", b"[]", b'{"subjects": []}',
+                                     b'{"class_names": [], "subjects": [{"id": "s0"}]}'])
+    def test_saving_over_a_manifest_that_names_no_twin_removes_nothing(self, tmp_path,
+                                                                        rng, old):
+        (tmp_path / "data-stale.npy").write_bytes(b"kept")
+        (tmp_path / "manifest.json").write_bytes(old)
+        save_dataset(random_dataset(rng, 2, 8, 4, 2), tmp_path)
+        assert len(list(tmp_path.glob("data-*.npy"))) == 2
+
     @pytest.mark.parametrize("value", [
         None, 7, "ab" * 31 + "a", "ab" * 32 + "a", "g" * 64, " " + "ab" * 31 + "a",
     ])
