@@ -11,7 +11,8 @@ ridge maps and a shared template.  ``none`` is the do-nothing baseline.
 
 The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
 each subject (validated kernels, ``k``, the data SVD and one projector
-factor per subject), stacked in subject order; :func:`_fit_terms` fits over
+factor per subject), stacked in subject order and built as stacks, one
+array operation for every subject at once; :func:`_fit_terms` fits over
 any subset of those subjects by indexing the stacks, summing each selected
 complement ``I - P_i`` into ``U`` as it forms it.  :func:`fit` and the
 ``fit_*`` wrappers run the two over every subject and add the diagnostics;
@@ -29,20 +30,24 @@ eps)) U^T G`` with no voxel-side product at all; rest rows outside the
 template map as ``B U^T G`` through the rest-row factor ``B = X_rest X_l^T
 U diag(1 / (s^2 + eps))``.  The voxel-side factor ``V`` is never computed.
 That formula exists once, in :func:`_map_rows`, which maps a stack of
-subjects onto the full time axis from the factors
-:func:`_mapping_factors` builds; :func:`map_dataset` maps a whole dataset
-in one call, :func:`map_subject` a stack of one, and leave-one-subject-out
-maps every fold of every method through it.
+subjects at the time points :func:`_mapping_factors` was handed;
+:func:`map_dataset` maps a whole dataset onto the full time axis in one
+call, :func:`map_subject` a stack of one, and leave-one-subject-out maps
+every fold of every method through it at the labeled time points only,
+so it builds no rest-row factor.
 
 Each subject is factored once: the SVD ``X_l = U diag(s) V^T`` of its data
 at the template's time points is memoized on the subject object (see
 :meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
 that needs it, and reused by every later method, fold, fit and mapping that
-is handed the same subject.  The supervised projectors are read off it:
-``V`` has orthonormal columns, so ``K_i X_l`` shares its left singular
-vectors and values with the (classes x rank) ``K_i U diag(s)``
-(:func:`_coupled_svd`), and no label-coupled (classes x voxels) matrix is
-ever factored.
+is handed the same subject.  The data SVDs are made per subject: stacked
+into one LAPACK call they measured slower, once the stack no longer fits
+in cache.  The supervised projectors are read off them: ``V`` has
+orthonormal columns, so ``K_i X_l`` shares its left singular vectors and
+values with the (classes x rank) ``K_i U diag(s)``, and no label-coupled
+(classes x voxels) matrix is ever factored.  :func:`_coupled_svd` forms
+every subject's product in one stacked matmul and factors the whole
+(subjects x classes x rank) stack in one :func:`truncated_svd` call.
 """
 
 from __future__ import annotations
@@ -295,10 +300,11 @@ def _check_finite(name: str, *arrays) -> None:
 class _SubjectTerms:
     """What a fit needs of each subject, stacked along axis 0 in subject order.
 
-    ``svds[i]`` is the memoized SVD of subject ``i``'s data at the coupled
-    time points (the one factorization a subject gets; mapping reads it
-    too), ``rank_deficient[i]`` the rank flag of the matrix its projector
-    comes from, ``factors[i]`` the shrunken projector factor ``F_i`` of its
+    ``svds`` stacks the memoized SVDs of the subjects' data at the coupled
+    time points (:func:`_data_svds`; the one factorization a subject gets,
+    which mapping reads too), ``rank_deficient[i]`` is the rank flag of the
+    matrix subject ``i``'s projector comes from, ``factors[i]`` the
+    shrunken projector factor ``F_i`` of its
     label-coupled responses ``K_i X_i`` (``P_i = F_i F_i^T``),
     ``couplings[i]`` the kernel matrix (absent under the identity kernel)
     and ``coupled[i]`` the coupled responses ``K_i X_i`` (``sha_r`` only,
@@ -309,8 +315,8 @@ class _SubjectTerms:
     """
 
     kernels: tuple[SupervisionKernel, ...]
-    svds: tuple[TruncatedSvd, ...]
-    rank_deficient: tuple[bool, ...]
+    svds: TruncatedSvd
+    rank_deficient: np.ndarray
     k: int
     factors: np.ndarray
     couplings: np.ndarray | None
@@ -333,30 +339,49 @@ def _check_iterations(iterations) -> None:
         raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
 
 
-def _coupled_svd(coupling: np.ndarray, svd: TruncatedSvd, voxels: int) -> TruncatedSvd:
-    """The SVD of ``K X_l``, read off the SVD ``X_l = U diag(s) V^T`` of the data.
+def _data_svds(subjects, rows) -> TruncatedSvd:
+    """The memoized SVDs of the subjects' data at ``rows``, stacked in subject order.
 
-    ``V`` has orthonormal columns, so ``K X_l = (K U diag(s)) V^T`` shares
-    its left singular vectors and singular values with the (classes x rank)
-    ``K U diag(s)``, which is factored instead of a matrix with one column
-    per voxel.  ``K X_l`` has ``min(classes, voxels)`` of them; when the
-    data has fewer rows than that, zero columns pad the product to that
-    width, so the missing values come back as zeros and both the rank flag
-    and the ``epsilon = 0`` check still see them.
+    One :meth:`SubjectData.thin_svd` lookup per subject; the subjects share
+    a shape, so their SVDs do.
     """
-    product = coupling @ (svd.left * svd.singular_values)
-    short = max(min(coupling.shape[0], voxels) - product.shape[1], 0)
-    product = np.pad(product, ((0, 0), (0, short)))
-    return truncated_svd(product, min(product.shape))
+    svds = [subject.thin_svd(rows) for subject in subjects]
+    return TruncatedSvd(np.stack([svd.left for svd in svds]),
+                        np.stack([svd.singular_values for svd in svds]),
+                        np.array([svd.rank_deficient for svd in svds]))
+
+
+def _coupled_svd(couplings: np.ndarray, svds: TruncatedSvd, voxels: int) -> TruncatedSvd:
+    """The SVDs of ``K_i X_i``, read off the SVDs ``X_i = U_i diag(s_i) V_i^T``.
+
+    ``V_i`` has orthonormal columns, so ``K_i X_i = (K_i U_i diag(s_i))
+    V_i^T`` shares its left singular vectors and singular values with the
+    (classes x rank) ``K_i U_i diag(s_i)``, which is factored instead of a
+    matrix with one column per voxel.  ``couplings`` and ``svds`` are
+    stacks (or a single kernel and SVD): one matmul forms every product and
+    one :func:`truncated_svd` call factors them all.  ``K_i X_i`` has
+    ``min(classes, voxels)`` singular values; when the data has fewer rows
+    than that, zero columns pad the products to that width, so the missing
+    values come back as zeros and both the rank flags and the ``epsilon =
+    0`` check still see them.
+    """
+    product = np.matmul(couplings, svds.left * svds.singular_values[..., None, :])
+    short = min(couplings.shape[-2], voxels) - product.shape[-1]
+    if short > 0:
+        product = np.pad(product, [(0, 0)] * (product.ndim - 1) + [(0, short)])
+    return truncated_svd(product, min(product.shape[-2:]))
 
 
 def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
     """Validate a fit's inputs and build every subject's terms once.
 
-    One memoized data SVD lookup and one :func:`projector_from_svd` per
-    subject; a supervised kernel adds one (classes x rank) SVD
-    (:func:`_coupled_svd`).  The size advisory's ``stacklevel`` names the
-    line that called :func:`fit` or ``fit_*``.
+    One memoized data SVD lookup per subject; everything else is one array
+    operation over the subjects' stack: a supervised kernel adds the
+    stacked (classes x rank) SVDs of :func:`_coupled_svd`, and one
+    :func:`projector_from_svd` call shrinks every factor, checks ``epsilon =
+    0`` against every subject and carries the rank flags.  The size
+    advisory's ``stacklevel`` names the line that called :func:`fit` or
+    ``fit_*``.
     """
     if method == "rha":
         kernels = [identity_kernel(dataset.n_timepoints)] * dataset.n_subjects
@@ -375,23 +400,24 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
             stacklevel=4,
         )
     k = _resolve_k(k, size, min(dataset.n_voxels, size) if method == "rha" else size)
-    identity = all(kernel.is_identity for kernel in kernels)
-    svds = tuple(subject.thin_svd(kernels[0].labeled) for subject in dataset.subjects)
-    fitted = svds if identity else tuple(
-        _coupled_svd(kernel.matrix, svd, dataset.n_voxels)
-        for kernel, svd in zip(kernels, svds))
-    factors = np.stack([projector_from_svd(svd, epsilon).factor for svd in fitted])
+    labeled = kernels[0].labeled
+    svds = _data_svds(dataset.subjects, labeled)
+    couplings = None
+    fitted = svds
+    if not all(kernel.is_identity for kernel in kernels):
+        couplings = np.stack([kernel.matrix for kernel in kernels])
+        fitted = _coupled_svd(couplings, svds, dataset.n_voxels)
     coupled = None
     if method == "sha_r":
-        coupled = np.stack([kernel.matrix @ subject.data[kernel.labeled]
-                            for subject, kernel in zip(dataset.subjects, kernels)])
+        data = np.stack([subject.data[labeled] for subject in dataset.subjects])
+        coupled = data if couplings is None else np.matmul(couplings, data)
     return _SubjectTerms(
         kernels=tuple(kernels),
         svds=svds,
-        rank_deficient=tuple(svd.rank_deficient for svd in fitted),
+        rank_deficient=fitted.rank_deficient,
         k=k,
-        factors=factors,
-        couplings=None if identity else np.stack([ker.matrix for ker in kernels]),
+        factors=projector_from_svd(fitted, epsilon).factor,
+        couplings=couplings,
         coupled=coupled,
     )
 
@@ -558,8 +584,9 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4,
     The time-point template is the kernel-average back-projection of ``W``.
     Each ``P_i`` comes from the memoized SVD of the subject's data, the one
     :func:`map_subject` reads, through a (classes x rank) SVD of
-    ``K_i U_i diag(s_i)``; the projector factors are stacked once and serve
-    both ``U`` and the fit diagnostics.
+    ``K_i U_i diag(s_i)``, all subjects' in one stacked call; the projector
+    factors are built as one stack and serve both ``U`` and the fit
+    diagnostics.
 
     Parameters
     ----------
@@ -644,66 +671,71 @@ def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
 class _MappingFactors:
     """What :func:`_map_rows` needs of a stack of subjects, for any template.
 
-    ``left`` (subjects, rows, rank) and ``shrink`` (subjects, rank) are the
-    left factors and shrinks ``s^2 / (s^2 + eps)`` of the subjects' data
-    SVDs at the template's time points ``labeled``; ``rest`` (subjects,
-    rest rows, rank) holds each subject's rest-row factor ``X_rest X_l^T U
-    diag(1 / (s^2 + eps))`` for the time points ``rest_rows`` outside
-    them, or is ``None`` when the template covers the whole time axis.
+    ``left`` (subjects, template rows, rank) and ``shrink`` (subjects,
+    rank) are the left factors and shrinks ``s^2 / (s^2 + eps)`` of the
+    subjects' data SVDs at the template's time points.  ``fitted`` marks
+    which of the mapped time points are template rows, and ``fitted_left``
+    holds those rows of ``left`` (``left`` itself when every template row
+    is mapped).  ``rest`` (subjects, rest rows, rank) holds each subject's
+    rest-row factor ``X_rest X_l^T U diag(1 / (s^2 + eps))`` for the other
+    mapped time points, or is ``None`` when there are none.
     """
 
     left: np.ndarray
+    fitted_left: np.ndarray
     shrink: np.ndarray
     rest: np.ndarray | None
-    labeled: np.ndarray
-    rest_rows: np.ndarray
+    fitted: np.ndarray
 
 
-def _mapping_factors(subjects, svds, labeled, epsilon) -> _MappingFactors:
-    """The mapping factors of ``subjects`` from their SVDs ``svds`` at ``labeled``.
+def _mapping_factors(subjects, svds, labeled, epsilon, rows) -> _MappingFactors:
+    """The factors that map ``subjects`` at the ascending time points ``rows``.
 
-    Every subject must have as many time points as the first; the SVDs are
-    handed in, so building the factors looks up no SVD.
+    ``svds`` stacks the subjects' data SVDs at the template's time points
+    ``labeled`` (:func:`_data_svds`), so building the factors looks up no
+    SVD.  Every subject must have as many time points as the first.  A
+    rest-row factor is built only for the ``rows`` outside ``labeled``:
+    mapping the template's own rows builds none.
     """
-    rest_rows = np.setdiff1d(np.arange(subjects[0].n_timepoints), labeled)
-    squares = []
-    for svd in svds:
-        s = svd.singular_values
-        _check_nonsingular(s, epsilon, "mapping")
-        squares.append(s * s)
-    squares = np.stack(squares)
+    s = svds.singular_values
+    _check_nonsingular(s, epsilon, "mapping")
+    squares = s * s
+    fitted = np.isin(rows, labeled)
+    rest_rows = rows[~fitted]
     rest = None
     if rest_rows.size:
-        rest = np.stack([(subject.data[rest_rows] @ subject.data[labeled].T) @ svd.left
-                         for subject, svd in zip(subjects, svds)])
+        rest = np.stack([(subject.data[rest_rows] @ subject.data[labeled].T) @ left
+                         for subject, left in zip(subjects, svds.left)])
         rest /= squares[:, None] + epsilon
+    kept = np.searchsorted(labeled, rows[fitted])
     return _MappingFactors(
-        left=np.stack([svd.left for svd in svds]),
+        left=svds.left,
+        fitted_left=svds.left if kept.size == labeled.size else svds.left[:, kept],
         shrink=squares / (squares + epsilon),
         rest=rest,
-        labeled=labeled,
-        rest_rows=rest_rows,
+        fitted=fitted,
     )
 
 
 def _map_rows(factors: _MappingFactors, template) -> np.ndarray:
-    """Every subject of a stack mapped onto ``template``, on the full time axis.
+    """Every subject of a stack mapped onto ``template`` at the factors' time points.
 
     The one mapping formula of the package.  With ``P_i = U_i^T G``, the
     template's rows of subject ``i`` map as ``U_i diag(shrink_i) P_i`` and
     its rest rows as ``B_i P_i`` (``B_i`` its rest-row factor): two stacked
     matmuls for the template's rows of the whole stack, a third for the
-    rest rows.  Returns (subjects, time points, k) in time order; without
-    rest rows that is the stacked product itself, with no copy.
+    rest rows.  Returns (subjects, mapped time points, k) in time order;
+    when no mapped time point is a rest row, that is the stacked product
+    itself, with no copy.
     """
     projected = np.matmul(factors.left.swapaxes(1, 2), template)
     # Shrinking the (rank x k) projection is cheaper than scaling U or V.
-    mapped = np.matmul(factors.left, factors.shrink[..., None] * projected)
+    mapped = np.matmul(factors.fitted_left, factors.shrink[..., None] * projected)
     if factors.rest is None:
         return mapped
-    z = np.empty((len(mapped), mapped.shape[1] + factors.rest_rows.size, mapped.shape[2]))
-    z[:, factors.labeled] = mapped
-    z[:, factors.rest_rows] = np.matmul(factors.rest, projected)
+    z = np.empty((len(mapped), factors.fitted.size, mapped.shape[2]))
+    z[:, factors.fitted] = mapped
+    z[:, ~factors.fitted] = np.matmul(factors.rest, projected)
     return z
 
 
@@ -723,8 +755,9 @@ def _map_subjects(model: AlignmentModel, subjects, epsilon) -> list[MappedFeatur
             f"subject {subjects[0].subject_id!r} has {n_timepoints} time points; the "
             f"model's template couples time point {int(labeled.max())}"
         )
-    svds = [subject.thin_svd(labeled) for subject in subjects]
-    z = _map_rows(_mapping_factors(subjects, svds, labeled, eps), model.template)
+    factors = _mapping_factors(subjects, _data_svds(subjects, labeled), labeled, eps,
+                               np.arange(n_timepoints))
+    z = _map_rows(factors, model.template)
     _check_finite("mapping", z)
     return [MappedFeatures(subject.subject_id, features)
             for subject, features in zip(subjects, z)]

@@ -12,16 +12,15 @@ labels are used only for scoring, never for fitting.  Everything that
 depends on one subject alone is built once per run and stacked in subject
 order: the supervision kernel, the projector factor ``F_i`` of the fit
 (``P_i = F_i F_i^T``), the mapping factors read off the data SVD (left
-factor, shrinks and rest-row factor), and the class ids of the labeled
-rows.
+factor and shrinks), and the class ids of the labeled rows.
 
 Every fold fits over its training subjects and maps every subject through
 its template with :func:`~multialign.alignment._map_rows`, the one
 mapping formula, which :func:`~multialign.alignment.map_subject` and
 :func:`~multialign.alignment.map_dataset` also use: all subjects in one
-stacked call, on the full time axis, from which the classifier reads the
-labeled rows.  At full ``k`` every fold takes ``W = I``, whatever its
-labels: no eigensolve and no ``sha_r`` iteration (see
+stacked call, at the labeled rows only, the ones the classifier reads, so
+no rest-row factor is built.  At full ``k`` every fold takes ``W = I``,
+whatever its labels: no eigensolve and no ``sha_r`` iteration (see
 :func:`run_loso_normalized`).
 
 Each fold then forms the ridge system of its classifier, the sum of its
@@ -290,19 +289,21 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     the report's ``params`` record it as ``None`` for the other methods.
 
     Every per-subject quantity is built once per run and stacked in subject
-    order: the kernels (validated once, against all subjects), one
-    projector factor ``F_i`` per subject (``P_i = F_i F_i^T``), the mapping
-    factors of each subject's data SVD at the template's time points (left
-    factor, shrinks and rest-row factor), and the class ids of the labeled
+    order: the kernels (one pass over every subject), one projector factor
+    ``F_i`` per subject (``P_i = F_i F_i^T``; one stacked
+    (classes x rank) SVD for every subject under ``sha`` and ``sha_r``),
+    the mapping factors of each subject's data SVD at the template's time
+    points (left factor and shrinks), and the class ids of the labeled
     rows.  That data SVD is the subject's one factorization: the fit terms
     derive the projector factors from it and keep it for mapping, and it is
     memoized on the subject (see :meth:`SubjectData.thin_svd`), so later
-    calls handed the same dataset reuse it.  Every fold of every method maps every subject's whole time
-    axis, rest rows included, through the one mapping formula,
+    calls handed the same dataset reuse it.  Every fold of every method maps
+    every subject's labeled rows, the only ones the classifier reads,
+    through the one mapping formula,
     :func:`~multialign.alignment._map_rows`, that
     :func:`~multialign.alignment.map_subject` and
-    :func:`~multialign.alignment.map_dataset` use, and the classifier reads
-    the labeled rows off it.
+    :func:`~multialign.alignment.map_dataset` use; rest rows are not
+    mapped, so no rest-row factor is built.
 
     Every fold fits through :func:`~multialign.alignment._fit_terms` over
     its training subjects and maps every subject with one stacked matmul;
@@ -389,8 +390,9 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         if terms is None:
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
         else:
+            # Only the labeled rows are classified: no rest-row factor.
             factors = _mapping_factors(normalized.subjects, terms.svds,
-                                       terms.kernels[0].labeled, epsilon)
+                                       terms.kernels[0].labeled, epsilon, labeled)
         ids = np.unique(class_ids)
         groups = _training_class_sets(class_ids)
         columns_of = {int(f): np.searchsorted(ids, classes)
@@ -411,7 +413,7 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         with fold("map_ns"):
             if template is not None and not (template is mapped_from
                                              or np.array_equal(template, mapped_from)):
-                features = _map_rows(factors, template)[:, labeled]
+                features = _map_rows(factors, template)
                 mapped_from = template
                 blocks = None
         with fold("train_ns"):

@@ -10,6 +10,13 @@ conventions are fixed once, in this module.
 The SVD keeps only the left factor and the singular values, and it reduces
 a wide matrix (fewer rows than columns) to its triangular QR factor before
 factoring it, so no SVD ever runs on a matrix with one column per voxel.
+
+The SVD, its sign convention and the projector built from it also take a
+stack of equally shaped matrices (leading axes), in one LAPACK call each
+for the QR and the SVD.  A single matrix takes the same code with no
+leading axes, and each member of a stack gets the bits a call on it alone
+gives.  The fit factors every subject's (classes x rank) label-coupled
+matrix that way, in one call.
 """
 
 from __future__ import annotations
@@ -29,12 +36,18 @@ _ZERO_SINGULAR_VALUE = 1e-12
 _SYMMETRY_TOLERANCE = 1e-10
 
 
-def as_matrix(values, name: str = "input") -> np.ndarray:
-    """Validate and return ``values`` as a finite 2-D float array."""
+def as_matrix(values, name: str = "input", *, stack: bool = False) -> np.ndarray:
+    """Validate and return ``values`` as a finite 2-D float array.
+
+    With ``stack`` leading axes are accepted too: a stack of matrices.
+    """
     m = np.asarray(values, dtype=float)
-    if m.ndim != 2:
-        raise InvalidDataError(f"{name} must be a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
+        raise InvalidDataError(
+            f"{name} must be a 2-D matrix{' or a stack of them' if stack else ''}, "
+            f"got ndim={m.ndim}"
+        )
+    if 0 in m.shape:
         raise InvalidDataError(f"{name} must be non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidDataError(f"{name} contains non-finite entries")
@@ -44,13 +57,14 @@ def as_matrix(values, name: str = "input") -> np.ndarray:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is positive.
 
-    Ties resolve to the first maximal index, which makes the convention
+    Columns are those of the last two axes; leading axes are a stack.  Ties
+    resolve to the first maximal index, which makes the convention
     deterministic.
     """
-    if vectors.shape[1] == 0:
+    if vectors.shape[-1] == 0:
         return vectors
-    anchor = np.abs(vectors).argmax(axis=0)
-    signs = np.sign(vectors[anchor, np.arange(vectors.shape[1])])
+    anchor = np.abs(vectors).argmax(axis=-2, keepdims=True)
+    signs = np.sign(np.take_along_axis(vectors, anchor, axis=-2))
     signs[signs == 0] = 1.0
     return vectors * signs
 
@@ -65,12 +79,14 @@ class TruncatedSvd:
     of a matrix.  ``rank_deficient`` flags that the numerical rank of the
     input fell below the requested rank, in which case the trailing
     singular values are (numerically) zero and the corresponding vectors are
-    an orthonormal completion.
+    an orthonormal completion.  The SVD of a stack of matrices carries the
+    stack's leading axes on all three: ``rank_deficient`` is then a boolean
+    array, one flag per member.
     """
 
     left: np.ndarray
     singular_values: np.ndarray
-    rank_deficient: bool = False
+    rank_deficient: bool | np.ndarray = False
 
 
 def truncated_svd(m, rank: int) -> TruncatedSvd:
@@ -86,8 +102,10 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
 
     Parameters
     ----------
-    m : array_like, shape (rows, cols)
-        Matrix to decompose; must be finite.
+    m : array_like, shape (rows, cols) or (..., rows, cols)
+        Matrix to decompose, or a stack of them; must be finite.  A stack is
+        factored in one QR and one SVD call, each member to the bits of a
+        call on it alone.
     rank : int
         Number of singular pairs to keep, ``1 <= rank <= min(rows, cols)``.
 
@@ -96,18 +114,22 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
     TruncatedSvd
         Orthonormal left factor under a fixed sign convention: the
         largest-magnitude entry of every left singular vector is positive.
+        For a stack, every field has the stack's leading axes.
     """
-    m = as_matrix(m, "matrix")
-    max_rank = min(m.shape)
-    if not 1 <= rank <= max_rank:
+    m = as_matrix(m, "matrix", stack=True)
+    rows, cols = m.shape[-2:]
+    if not 1 <= rank <= min(rows, cols):
         raise InvalidArgumentError(
-            f"rank must be in [1, {max_rank}] for shape {m.shape}, got {rank}"
+            f"rank must be in [1, {min(rows, cols)}] for shape {m.shape}, got {rank}"
         )
-    factored = np.linalg.qr(m.T, mode="r").T if m.shape[0] < m.shape[1] else m
+    factored = m
+    if rows < cols:
+        factored = np.linalg.qr(m.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
     left, s, _ = np.linalg.svd(factored, full_matrices=False)
-    s = s[:rank]
-    deficient = bool(s[-1] <= s[0] * max(m.shape) * np.finfo(float).eps)
-    return TruncatedSvd(_fix_signs(left[:, :rank]), s, rank_deficient=deficient)
+    s = s[..., :rank]
+    deficient = s[..., -1] <= s[..., 0] * max(rows, cols) * np.finfo(float).eps
+    return TruncatedSvd(_fix_signs(left[..., :rank]), s,
+                        rank_deficient=deficient if m.ndim > 2 else bool(deficient))
 
 
 @dataclass(frozen=True)
@@ -117,7 +139,9 @@ class RegularizedProjector:
     With ``x = A S B^T`` the factor is ``A @ diag(s_i / sqrt(s_i^2 + eps))``,
     so ``P = x (x^T x + eps I)^{-1} x^T`` without ever forming the
     (cols x cols) Gram inverse.  Eigenvalues of ``P`` are
-    ``s_i^2 / (s_i^2 + eps)``, hence lie in [0, 1].
+    ``s_i^2 / (s_i^2 + eps)``, hence lie in [0, 1].  Built from the SVD of
+    a stack, ``factor`` and ``rank_deficient`` carry the stack's leading
+    axes, and ``matrix`` and ``apply`` act on every member.
     """
 
     factor: np.ndarray
@@ -126,16 +150,16 @@ class RegularizedProjector:
 
     @property
     def size(self) -> int:
-        return int(self.factor.shape[0])
+        return int(self.factor.shape[-2])
 
     def matrix(self) -> np.ndarray:
         """Materialize the dense (size x size) projector."""
-        return self.factor @ self.factor.T
+        return self.factor @ self.factor.swapaxes(-1, -2)
 
     def apply(self, m) -> np.ndarray:
         """Apply the projector to ``m`` without materializing it."""
         m = np.asarray(m, dtype=float)
-        return self.factor @ (self.factor.T @ m)
+        return self.factor @ (self.factor.swapaxes(-1, -2) @ m)
 
 
 def _check_epsilon(epsilon) -> None:
@@ -161,14 +185,15 @@ def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjecto
     Shrinks each left singular vector of ``svd`` by ``s_i / sqrt(s_i^2 + eps)``.
     With ``epsilon = 0`` every retained singular value must exceed ``1e-12``
     or a :class:`NumericError` is raised (the unregularized projector would
-    be singular).
+    be singular).  The SVD of a stack gives the stack of projectors, in one
+    pass; one singular member is enough for the refusal.
     """
     _check_epsilon(epsilon)
     s = svd.singular_values
     _check_nonsingular(s, epsilon, "projector")
     shrink = s / np.sqrt(s * s + epsilon)
     return RegularizedProjector(
-        svd.left * shrink, float(epsilon), rank_deficient=svd.rank_deficient
+        svd.left * shrink[..., None, :], float(epsilon), rank_deficient=svd.rank_deficient
     )
 
 

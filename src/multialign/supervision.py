@@ -115,20 +115,31 @@ def supervision_kernel(labels: LabelMatrix, gamma: float | None = None) -> Super
     labeled time points only.  ``gamma=None`` selects the default
     ``1/(2t)``.  Row ``m`` of the result carries ``1 - gamma * c_m`` at the
     columns of class ``m`` (``c_m`` = class size) and ``-gamma * c_m``
-    elsewhere.
+    elsewhere.  :func:`kernels_for` builds a dataset's kernels through the
+    same formula (:func:`_kernels`), one pass for every subject.
     """
-    labeled = labels.labeled_indices
+    return _kernels((labels,), gamma)[0]
+
+
+def _kernels(labels, gamma: float | None) -> list[SupervisionKernel]:
+    """The kernels of label matrices sharing one rest mask, in one pass.
+
+    The labeled time points, the default ``gamma`` and its check come from
+    the first matrix; the kernels share them (one ``labeled`` array).  All
+    ``Y (I - gamma * J)`` are formed in one stacked expression.
+    """
+    labeled = labels[0].labeled_indices
     t = labeled.size
     if t < 1:
         raise InvalidArgumentError("labels contain no labeled time points")
     if gamma is None:
         gamma = default_gamma(t)
     gamma = _check_gamma(gamma, t)
-    y = labels.onehot[:, labeled]
-    counts = y.sum(axis=1)
+    y = np.stack([lab.onehot for lab in labels])[:, :, labeled]
+    counts = y.sum(axis=2)
     # y @ (I - gamma*J) expanded: row m loses gamma * c_m everywhere.
-    k = y - gamma * counts[:, None]
-    return SupervisionKernel(k, gamma, labeled)
+    matrices = y - gamma * counts[..., None]
+    return [SupervisionKernel(m, gamma, labeled) for m in matrices]
 
 
 def identity_kernel(n_points: int) -> SupervisionKernel:
@@ -145,5 +156,11 @@ def identity_kernel(n_points: int) -> SupervisionKernel:
 
 
 def kernels_for(dataset: Dataset, gamma: float | None = None) -> list[SupervisionKernel]:
-    """Supervision kernels for every subject of a dataset (shared ``gamma``)."""
-    return [supervision_kernel(lab, gamma) for lab in dataset.labels]
+    """Supervision kernels for every subject of a dataset (shared ``gamma``).
+
+    A dataset's subjects share their rest mask (see :class:`Dataset`), so
+    the labeled time points are found once and every subject's
+    ``Y (I - gamma * J)`` is formed in one pass, with the bits
+    :func:`supervision_kernel` gives it alone.
+    """
+    return _kernels(dataset.labels, gamma)

@@ -319,6 +319,26 @@ class TestCoupledSvd:
             projector_from_svd(svd, epsilon).matrix(),
             regularized_projector(coupling @ x, epsilon).matrix(), atol=1e-10, rtol=0)
 
+    @given(_coupled_inputs(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_subjects_equal_one_call_each(self, inputs, n, seed):
+        # One subject in the drawn regime among random ones of its shape.
+        x, coupling, epsilon = inputs
+        rng = np.random.default_rng(seed)
+        at = int(rng.integers(n))
+        xs = [x if i == at else rng.standard_normal(x.shape) for i in range(n)]
+        couplings = [coupling if i == at else rng.standard_normal(coupling.shape)
+                     for i in range(n)]
+        rank = min(x.shape)
+        got = _coupled_svd(np.stack(couplings), truncated_svd(np.stack(xs), rank), x.shape[1])
+        for i, (data, kernel) in enumerate(zip(xs, couplings)):
+            want = _coupled_svd(kernel, truncated_svd(data, rank), x.shape[1])
+            assert got.left[i].tobytes() == want.left.tobytes()
+            assert got.singular_values[i].tobytes() == want.singular_values.tobytes()
+            assert got.rank_deficient[i] == want.rank_deficient
+            factor = projector_from_svd(want, epsilon).factor
+            assert projector_from_svd(got, epsilon).factor[i].tobytes() == factor.tobytes()
+
     @staticmethod
     def _few_labeled_points():
         # Four classes, five time points, three of them labeled (one each of

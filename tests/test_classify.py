@@ -357,8 +357,44 @@ class TestLosoFactorReuse:
         for module in (multialign.linalg, multialign.data, multialign.alignment):
             monkeypatch.setattr(module, "truncated_svd", counting, raising=False)
         run_loso(dataset, method)
-        # rha: each subject's data; sha: its data and its label-coupled responses.
-        assert len(calls) == per_subject * dataset.n_subjects
+        n = dataset.n_subjects
+        # rha: each subject's data; sha: its data and its label-coupled
+        # responses, the latter all in one stacked call.
+        assert _matrices(calls) == per_subject * n
+        assert calls.count(dataset.subjects[0].data.shape) == n
+        assert [c[0] for c in calls if len(c) > 2] == [n] * (per_subject - 1)
+
+    def test_rest_rows_build_no_rest_factor(self, monkeypatch):
+        # LOSO classifies the labeled rows only, so it maps nothing else.
+        ds = random_dataset(np.random.default_rng(3), 4, 18, 10, 3, rest_fraction=0.3)
+        labeled = ds.labels[0].labeled_indices
+        assert labeled.size < ds.n_timepoints
+        built = []
+        real = multialign.alignment._mapping_factors
+
+        def recording(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(multialign.classify, "_mapping_factors", recording)
+        for method in ("rha", "sha", "sha_r"):
+            run_loso(ds, method)
+        assert len(built) == 3
+        for factors in built:
+            assert factors.rest is None
+            assert factors.fitted.all() and factors.fitted.size == labeled.size
+        # Mapping the whole time axis through sha's template, which couples
+        # the labeled rows only, builds one for the rest rows.
+        normalized = normalize(ds)
+        monkeypatch.setattr(multialign.alignment, "_mapping_factors", recording)
+        multialign.alignment.map_dataset(fit("sha", normalized, kernels_for(normalized)),
+                                         normalized)
+        assert built[-1].rest.shape[:2] == (ds.n_subjects, ds.n_timepoints - labeled.size)
+
+
+def _matrices(shapes) -> int:
+    """Matrices in calls of these argument shapes: a stack counts its members."""
+    return sum(int(np.prod(shape[:-2])) for shape in shapes)
 
 
 def _count_calls(monkeypatch, module, name, modules=()):
@@ -377,10 +413,21 @@ def _count_calls(monkeypatch, module, name, modules=()):
 class TestLosoHoisting:
     @pytest.mark.parametrize("method", ["sha", "sha_r"])
     def test_kernels_built_once_per_subject(self, dataset, monkeypatch, method):
-        calls = _count_calls(monkeypatch, multialign.supervision, "supervision_kernel")
+        built = []
+        real = multialign.supervision._kernels
+
+        def recording(labels, gamma):
+            built.append(real(labels, gamma))
+            return built[-1]
+
+        monkeypatch.setattr(multialign.supervision, "_kernels", recording)
+        singles = _count_calls(monkeypatch, multialign.supervision, "supervision_kernel")
         run_loso(dataset, method)
-        # One kernel per subject, not one per training subject per fold.
-        assert len(calls) == dataset.n_subjects
+        # One pass builds one kernel per subject, not one per training
+        # subject per fold; the kernels share one labeled array.
+        assert len(built) == 1 and singles == []
+        assert len(built[0]) == dataset.n_subjects
+        assert all(ker.labeled is built[0][0].labeled for ker in built[0])
 
     def test_folds_get_their_training_subjects_kernels(self, dataset, monkeypatch):
         # Below full k, where each fold still fits.
@@ -415,11 +462,13 @@ class TestLosoHoisting:
         normalized = normalize(dataset)
         gammas = (0.0, 0.005, 0.01)
         reports = [run_loso_normalized(normalized, "sha", gamma=g) for g in gammas]
-        data_shape = normalized.subjects[0].data.shape
-        data_calls = [c for c in calls if np.shape(c[0]) == data_shape]
-        # Each subject's data once; its label-coupled responses once per gamma.
-        assert len(data_calls) == dataset.n_subjects
-        assert len(calls) == dataset.n_subjects * (1 + len(gammas))
+        n = dataset.n_subjects
+        shapes = [np.shape(c[0]) for c in calls]
+        # Each subject's data once; its label-coupled responses once per
+        # gamma, every subject's in one stacked call.
+        assert shapes.count(normalized.subjects[0].data.shape) == n
+        assert [shape[0] for shape in shapes if len(shape) > 2] == [n] * len(gammas)
+        assert _matrices(shapes) == n * (1 + len(gammas))
         for g, report in zip(gammas, reports):
             assert report.folds == run_loso(dataset, "sha", gamma=g).folds
 
@@ -436,17 +485,28 @@ def _per_subject_labels(rng, n_subjects, n_timepoints, n_voxels, n_classes):
     return multialign.data.Dataset(base.subjects, labels, base.class_names)
 
 
-def _rank_deficient_dataset(rng, deficient=0):
+def _rank_deficient_dataset(rng, deficient=0, subjects=3, rank=4, rest=0):
+    """Subjects of 12 time points x 5 voxels over 3 classes.
+
+    The subjects ``deficient`` names (an index or several) have data of
+    rank ``rank``.  The last ``rest`` time points are rest points.  With
+    every point labeled, the centered data's class sums add up to zero, so
+    every subject's label-coupled matrix is deficient; with rest points
+    only a deficient subject's is, when ``rank`` is below 3.
+    """
     onehot = np.zeros((3, 12))
     onehot[np.arange(12) % 3, np.arange(12)] = 1.0
-    subjects = []
-    for i in range(3):
+    onehot[:, 12 - rest:] = 0.0
+    data_of = []
+    for i in range(subjects):
         data = rng.standard_normal((12, 5))
-        if i == deficient:
-            data[:, 1] = data[:, 0]  # collinear voxels: exact rank deficiency
-        subjects.append(multialign.data.SubjectData(f"s{i}", data))
-    labels = (multialign.data.LabelMatrix(onehot),) * 3
-    return multialign.data.Dataset(tuple(subjects), labels, ("a", "b", "c"))
+        if i in np.atleast_1d(deficient):
+            # collinear voxels: exact rank deficiency
+            data[:, 1:6 - rank] = data[:, :1]
+        data_of.append(multialign.data.SubjectData(f"s{i}", data))
+    subjects = tuple(data_of)
+    labels = (multialign.data.LabelMatrix(onehot),) * len(subjects)
+    return multialign.data.Dataset(subjects, labels, ("a", "b", "c"))
 
 
 class TestBatchedLoso:
@@ -574,6 +634,8 @@ class TestBatchedLoso:
         size = normalized.n_timepoints if method == "rha" else len(normalized.class_names)
         projectors = _count_calls(monkeypatch, multialign.linalg, "projector_from_svd",
                                   (multialign.alignment,))
+        svds = _count_calls(monkeypatch, multialign.linalg, "truncated_svd",
+                            (multialign.data, multialign.alignment))
         eigs = _count_calls(monkeypatch, multialign.linalg, "symmetric_eig",
                             (multialign.alignment,))
         maps = _count_calls(monkeypatch, multialign.alignment, "map_subject",
@@ -582,7 +644,11 @@ class TestBatchedLoso:
         rows = _count_calls(monkeypatch, multialign.alignment, "_map_rows",
                             (multialign.classify,))
         run_loso_normalized(normalized, method, k=size if full else size - 1)
-        assert len(projectors) == (0 if method == "none" else n)
+        # One projector call for every subject's factor; a supervised run
+        # factors every subject's label-coupled matrix in one stacked call.
+        assert [len(args[0].left) for args in projectors] == ([] if method == "none" else [n])
+        stacked = [len(args[0]) for args in svds if np.ndim(args[0]) > 2]
+        assert stacked == ([n] if method in ("sha", "sha_r") else [])
         # One mapping core for every method: at full k the folds share one
         # W = I template (strict labels), below it each fold maps its own.
         assert len(rows) == (0 if method == "none" else 1 if full else n)
@@ -621,6 +687,47 @@ class TestBatchedLoso:
     def test_zero_epsilon_on_rank_deficient_subject_raises(self, rng, method, deficient):
         with pytest.raises(NumericError):
             run_loso(_rank_deficient_dataset(rng, deficient), method, epsilon=0.0)
+
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    @pytest.mark.parametrize("entry", ["fit", "loso", "sweep"])
+    def test_zero_epsilon_refused_for_one_deficient_subject_among_several(
+            self, rng, tmp_path, capsys, method, entry):
+        # Subject 3 of 5 is singular: the stacked projector call refuses
+        # epsilon = 0 for it alone, in a fit, a LOSO run and a gamma sweep.
+        ds = _rank_deficient_dataset(rng, deficient=3, subjects=5, rank=2, rest=3)
+        if entry == "fit":
+            normalized = normalize(ds)
+            with pytest.raises(NumericError, match="projector is singular"):
+                fit(method, normalized, kernels_for(normalized), epsilon=0.0)
+        elif entry == "loso":
+            with pytest.raises(NumericError):
+                run_loso(ds, method, epsilon=0.0)
+        else:
+            manifest = multialign.data.save_dataset(ds, tmp_path / "ds")
+            code = multialign.cli.main(["sweep", "--kind", "gamma", "--values", "0,0.01",
+                                        "--method", method, "--epsilon", "0",
+                                        "--data", str(manifest), "--out", str(tmp_path / "out")])
+            assert code == 4
+            assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
+        # With a ridge the fit goes through, and only subject 3 is flagged.
+        normalized = normalize(ds)
+        model = fit(method, normalized, kernels_for(normalized))
+        assert model.fit_report.advisories == ("subject 's3': coupled matrix is rank deficient",)
+
+    @pytest.mark.parametrize("method", ["rha", "sha", "sha_r"])
+    def test_rank_advisory_names_the_deficient_subjects_in_order(self, rng, method):
+        ds = normalize(_rank_deficient_dataset(rng, deficient=(4, 1), subjects=6, rank=2,
+                                               rest=3))
+        model = fit(method, ds, kernels_for(ds))
+        assert model.fit_report.advisories == tuple(
+            f"subject 's{i}': coupled matrix is rank deficient" for i in (1, 4))
+        # Each flag is that of the subject's coupled matrix factored alone.
+        labeled = ds.labels[0].labeled_indices
+        for i, (subject, kernel) in enumerate(zip(ds.subjects, kernels_for(ds))):
+            # rha couples every time point, rest points included.
+            coupled = subject.data if method == "rha" else kernel.matrix @ subject.data[labeled]
+            single = multialign.linalg.truncated_svd(coupled, min(coupled.shape))
+            assert single.rank_deficient == (i in (1, 4))
 
     def test_zero_epsilon_on_rank_deficient_subject_exits_4(self, rng, tmp_path, capsys):
         manifest = multialign.data.save_dataset(_rank_deficient_dataset(rng),

@@ -344,10 +344,11 @@ class TestGammaSweepSharesSubjects:
         assert self._sweep(manifest, tmp_path / "sweep") == 0
         dataset = load_dataset(manifest)
         n = dataset.n_subjects
-        data_calls = [c for c in calls if c == dataset.subjects[0].data.shape]
-        assert len(data_calls) == n
-        # Plus each subject's label-coupled responses once per value.
-        assert len(calls) == n + len(self.VALUES) * n
+        assert calls.count(dataset.subjects[0].data.shape) == n
+        # Plus each subject's label-coupled responses once per value, every
+        # subject's in one stacked call.
+        assert [c[0] for c in calls if len(c) > 2] == [n] * len(self.VALUES)
+        assert sum(int(np.prod(c[:-2])) for c in calls) == n + len(self.VALUES) * n
 
 
 class TestDatasetStaysUntouched:

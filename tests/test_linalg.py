@@ -9,6 +9,7 @@ from multialign import (
     InvalidArgumentError,
     InvalidDataError,
     NumericError,
+    projector_from_svd,
     regularized_projector,
     symmetric_eig,
     truncated_svd,
@@ -134,6 +135,102 @@ class TestTruncatedSvd:
             truncated_svd(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
         with pytest.raises(InvalidDataError):
             truncated_svd(np.array([1.0, 2.0]), 1)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _refuses(svd, epsilon) -> bool:
+    try:
+        projector_from_svd(svd, epsilon)
+    except NumericError:
+        return True
+    return False
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of wide, tall or square matrices, and a rank to keep.
+
+    Members are random, rank-deficient (down to all zeros) or zero-padded
+    like a label-coupled product of a subject with fewer labeled rows than
+    classes: a (classes x rank) product with zero columns up to the width
+    of ``K X``.
+    """
+    shape = draw(st.sampled_from(["wide", "tall", "square"]))
+    if shape == "wide":
+        rows = draw(st.integers(1, 10))
+        cols = draw(st.integers(rows + 1, rows + 20))
+    elif shape == "tall":
+        cols = draw(st.integers(1, 10))
+        rows = draw(st.integers(cols + 1, cols + 20))
+    else:
+        rows = cols = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["random", "deficient", "padded"]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in kinds:
+        m = rng.standard_normal((rows, cols))
+        if kind == "deficient":
+            m = _matrix_of_rank(rng, rows, cols, int(rng.integers(0, min(rows, cols))))
+        elif kind == "padded" and cols > 1:
+            m[:, int(rng.integers(1, cols)):] = 0.0
+        members.append(m)
+    return np.stack(members), draw(st.integers(1, min(rows, cols)))
+
+
+class TestStackedSvd:
+    """A stack is factored in one call, to the bits of one call per member."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_stack_equals_per_matrix_calls(self, case):
+        stack, rank = case
+        got = truncated_svd(stack, rank)
+        assert got.left.shape == stack.shape[:2] + (rank,)
+        assert got.rank_deficient.shape == (len(stack),)
+        for i, m in enumerate(stack):
+            single = truncated_svd(m, rank)
+            assert _same_bits(got.left[i], single.left)
+            assert _same_bits(got.singular_values[i], single.singular_values)
+            assert type(single.rank_deficient) is bool
+            assert got.rank_deficient[i] == single.rank_deficient
+        # The sign convention holds member by member.
+        anchors = np.take_along_axis(got.left, np.abs(got.left).argmax(axis=1)[:, None], 1)
+        assert (anchors > 0).all()
+        # More leading axes are more of the same stack.
+        nested = truncated_svd(stack[None], rank)
+        assert _same_bits(nested.left[0], got.left)
+        assert _same_bits(nested.rank_deficient[0], got.rank_deficient)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(), st.sampled_from([0.0, 1e-4, 1.0]))
+    def test_projector_of_a_stack_equals_per_matrix_calls(self, case, epsilon):
+        stack, rank = case
+        svd = truncated_svd(stack, rank)
+        singles = [truncated_svd(m, rank) for m in stack]
+        if any(_refuses(single, epsilon) for single in singles):
+            # One singular member refuses the whole stack.
+            assert epsilon == 0.0
+            with pytest.raises(NumericError):
+                projector_from_svd(svd, epsilon)
+            return
+        got = projector_from_svd(svd, epsilon)
+        assert got.epsilon == epsilon and got.size == stack.shape[1]
+        for i, single in enumerate(singles):
+            want = projector_from_svd(single, epsilon)
+            assert _same_bits(got.factor[i], want.factor)
+            assert got.rank_deficient[i] == want.rank_deficient
+            np.testing.assert_allclose(got.matrix()[i], want.matrix(), rtol=0, atol=1e-12)
+
+    def test_empty_or_flat_stack_rejected(self):
+        with pytest.raises(InvalidDataError):
+            truncated_svd(np.zeros((0, 3, 2)), 1)
+        with pytest.raises(InvalidArgumentError):
+            truncated_svd(np.ones((2, 3, 2)), 3)
 
 
 class TestRegularizedProjector:
