@@ -52,6 +52,7 @@ every subject's product in one stacked matmul and factors the whole
 
 from __future__ import annotations
 
+import shutil
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,10 +98,11 @@ _CONSTANT_TEMPLATE_TOLERANCE = 1e-10
 class FitReport:
     """Diagnostics recorded while fitting an alignment model.
 
-    ``trace_objective`` is ``tr(W^T U W)`` for the single-shot paths (the
-    eigenvalue mass of the selected shared directions).  ``pairwise_objective``
-    is the summed squared Frobenius distance between the subjects' projected
-    shared spaces over unordered subject pairs.  ``residual_objective`` is
+    ``trace_objective`` is ``tr(W^T U W)`` for the single-shot paths, taken
+    as the sum of the ``k`` smallest eigenvalues of ``U``, those of the
+    selected shared directions.  ``pairwise_objective`` is the summed
+    squared Frobenius distance between the subjects' projected shared
+    spaces over unordered subject pairs.  ``residual_objective`` is
     ``sum_i ||P_i W - W||_F^2``; with no ridge it equals the trace objective
     exactly, with ridge the (non-negative) difference is ``projection_gap``.
     ``objective_history`` holds the per-iteration pairwise objective of the
@@ -135,7 +137,8 @@ class AlignmentModel:
     so mapping never meets an inconsistent model.  The factors are stored
     as float arrays and ``labeled`` as an integer array, whatever
     array-likes they are handed; ``labeled`` values that are not whole
-    numbers are refused.
+    numbers are refused.  The two factors never share memory: a template
+    handed in as (a view of) the shared space is stored as a copy.
     """
 
     method: str
@@ -158,6 +161,11 @@ class AlignmentModel:
                     object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             if self.labeled is not None:
                 object.__setattr__(self, "labeled", _time_indices(self.labeled))
+            if (self.template is not None and self.shared_space is not None
+                    and np.may_share_memory(self.template, self.shared_space)):
+                # An rha fit's template is its W: hold it apart, so that
+                # writing to one factor never changes the other.
+                object.__setattr__(self, "template", self.template.copy())
         except (TypeError, ValueError) as exc:
             raise InvalidDataError(f"model for method {self.method!r} holds a malformed "
                                    f"value: {exc}") from exc
@@ -474,8 +482,10 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
     running sum ``U``, from zeros, and keep the ``k`` eigenvectors of
     smallest eigenvalue; ``sha_r`` iterates instead (``trace`` and
     ``eigenvalues`` are then ``None``, ``history`` its per-round pairwise
-    objective under ``for_model``, else ``None``).  The template is the
-    kernel-average back-projection of ``W``.
+    objective under ``for_model``, else ``None``).  ``trace`` is the sum of
+    the ``k`` kept eigenvalues, which is ``tr(W^T U W)``.  The template is
+    the kernel-average back-projection of ``W``; under identity kernels
+    that is ``W`` itself, returned as it is (no average is formed).
 
     ``for_model`` marks the fit a model keeps (:func:`fit`), whose outputs
     read its basis of ``W``.  Any other fit (a leave-one-subject-out fold)
@@ -505,16 +515,17 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
                 u += identity - f @ f.T
             eigenvalues, vectors = symmetric_eig(u)
             w = vectors[:, :terms.k]
-            trace = float(np.trace(w.T @ (u @ w)))
+            trace = float(eigenvalues[:terms.k].sum())
     if terms.couplings is None and w is None:
         # The mean of identity kernels: finite, and never constant over its
         # two or more time points, so it needs none of the checks below.
         return w, terms.identity_template, trace, eigenvalues, history
     if terms.couplings is None:
-        contributions = np.broadcast_to(w.T, (len(factors),) + w.T.shape)
+        # The mean of S identical back-projections W^T I is W itself.
+        template = w
     else:
         contributions = terms.couplings[subset] if w is None else w.T @ terms.couplings[subset]
-    template = (contributions.sum(axis=0) / len(contributions)).T
+        template = (contributions.sum(axis=0) / len(contributions)).T
     _check_finite("alignment fit", w, template)
     # The first test, on the first and last rows, is cheaper and implied by
     # the second.
@@ -790,7 +801,13 @@ def map_dataset(model: AlignmentModel, dataset: Dataset) -> list[MappedFeatures]
 
 
 def save_model(model: AlignmentModel, out_dir) -> Path:
-    """Serialize a model to a directory: model.json plus w.csv / g.csv."""
+    """Serialize a model to a directory: model.json plus w.csv / g.csv.
+
+    A template that is bit for bit the shared space (``rha``'s) formats to
+    the same text, so ``g.csv`` is copied from ``w.csv`` instead of being
+    formatted again.  Bits, not values, are compared: ``-0.0`` and ``0.0``
+    are equal but format differently.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = None
@@ -811,7 +828,11 @@ def save_model(model: AlignmentModel, out_dir) -> Path:
     write_json(path, meta)
     if model.shared_space is not None:
         write_matrix_csv(out_dir / "w.csv", model.shared_space)
-        write_matrix_csv(out_dir / "g.csv", model.template)
+        if (model.template.shape == model.shared_space.shape
+                and model.template.tobytes() == model.shared_space.tobytes()):
+            shutil.copyfile(out_dir / "w.csv", out_dir / "g.csv")
+        else:
+            write_matrix_csv(out_dir / "g.csv", model.template)
     return path
 
 

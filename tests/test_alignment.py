@@ -34,6 +34,7 @@ from multialign import (
     save_dataset,
     save_model,
     supervision_kernel,
+    write_matrix_csv,
 )
 from multialign.alignment import _coupled_svd
 from multialign.linalg import projector_from_svd, regularized_projector, truncated_svd
@@ -242,13 +243,23 @@ class TestFitRha:
             assert_close_up_to_sign(supervised.template, unsupervised.template, 1e-8)
 
     def test_template_equals_shared_space(self, rng):
-        # back-projecting through identity kernels averages S copies of the
-        # shared space, identical up to the rounding of that mean
+        # back-projecting through identity kernels averages S identical
+        # copies of the shared space, so the template is W itself, bit for bit
         ds = normalize(random_dataset(rng, 3, 14, 20, 2))
         model = fit_rha(ds)
-        np.testing.assert_allclose(model.template, model.shared_space,
-                                   atol=1e-14, rtol=0)
+        np.testing.assert_array_equal(model.template, model.shared_space)
         assert model.k == 14  # min(voxels=20, t=14)
+
+    def test_template_and_shared_space_are_held_apart(self, rng):
+        # equal values, but writing to one factor leaves the other alone
+        model = fit_rha(normalize(random_dataset(rng, 3, 14, 20, 2)))
+        shared = model.shared_space.copy()
+        model.template[0, 0] += 1.0
+        np.testing.assert_array_equal(model.shared_space, shared)
+        handed_one_array = dataclasses.replace(model, template=model.shared_space)
+        assert not np.may_share_memory(handed_one_array.template,
+                                       handed_one_array.shared_space)
+        np.testing.assert_array_equal(handed_one_array.template, shared)
 
     def test_trace_matches_dense_assembly(self, rng):
         ds = normalize(random_dataset(rng, 3, 12, 9, 2))
@@ -711,6 +722,55 @@ class TestModelSerialization:
         assert (tmp_path / "model.json").exists()
         assert (tmp_path / "w.csv").exists()
         assert (tmp_path / "g.csv").exists()
+
+    @staticmethod
+    def _rha(rng):
+        ds = normalize(random_dataset(rng, 3, 14, 20, 2))
+        return ds, fit_rha(ds)
+
+    def test_rha_template_file_is_the_shared_space_file(self, tmp_path, rng):
+        _, model = self._rha(rng)
+        save_model(model, tmp_path)
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+    def test_rha_model_with_a_template_file_of_its_own_loads(self, tmp_path, rng):
+        # Models saved while the rha template was a mean of copies of W hold a
+        # g.csv a few ulps off w.csv; they load and map through that g.csv.
+        ds, model = self._rha(rng)
+        save_model(model, tmp_path)
+        template = np.nextafter(model.shared_space, np.inf)
+        write_matrix_csv(tmp_path / "g.csv", template)
+        back = load_model(tmp_path)
+        np.testing.assert_array_equal(back.shared_space, model.shared_space)
+        np.testing.assert_array_equal(back.template, template)
+        written = dataclasses.replace(model, template=template)
+        for got, want, fitted in zip(map_dataset(back, ds), map_dataset(written, ds),
+                                     map_dataset(model, ds)):
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_allclose(got.features, fitted.features, rtol=0, atol=1e-14)
+
+    def test_resaving_a_loaded_rha_model(self, tmp_path, rng):
+        _, model = self._rha(rng)
+        save_model(model, tmp_path / "first")
+        save_model(load_model(tmp_path / "first"), tmp_path / "again")
+        for name in ("w.csv", "g.csv"):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (tmp_path / "first" / name).read_bytes()
+                    == (tmp_path / "first" / "w.csv").read_bytes())
+
+    def test_template_equal_to_shared_space_but_for_a_zero_sign(self, tmp_path, rng):
+        # -0.0 == 0.0, but the two print differently: g.csv keeps the
+        # template's sign rather than copying w.csv's
+        _, model = self._rha(rng)
+        shared = model.shared_space.copy()
+        shared[0, 0] = 0.0
+        template = shared.copy()
+        template[0, 0] = -0.0
+        save_model(dataclasses.replace(model, shared_space=shared, template=template),
+                   tmp_path)
+        back = load_model(tmp_path)
+        assert not np.signbit(back.shared_space[0, 0])
+        assert np.signbit(back.template[0, 0])
 
     def test_none_model_has_no_factors(self, tmp_path, rng):
         ds = normalize(random_dataset(rng, 2, 10, 6, 2))

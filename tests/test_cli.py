@@ -116,6 +116,23 @@ class TestAlign:
         assert model["method"] == "sha"
         assert model["dims"]["shared_space"] == [2, 2]
 
+    def test_rha_writes_g_csv_as_w_csv(self, manifest, tmp_path):
+        out = tmp_path / "rha"
+        assert run_cli("align", "--data", str(manifest), "--method", "rha",
+                       "--out", str(out)) == 0
+        assert (out / "g.csv").read_bytes() == (out / "w.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["sha", "sha_r"])
+    def test_supervised_g_csv_holds_the_template(self, manifest, tmp_path, method):
+        out = tmp_path / method
+        assert run_cli("align", "--data", str(manifest), "--method", method,
+                       "--out", str(out)) == 0
+        dataset = normalize(load_dataset(manifest))
+        model = multialign.fit(method, dataset, multialign.kernels_for(dataset))
+        g = read_matrix_csv(out / "g.csv")
+        assert g.shape == (18, 2) and read_matrix_csv(out / "w.csv").shape == (2, 2)
+        np.testing.assert_array_equal(g, model.template)
+
     def test_none_method_maps_to_normalized_input(self, manifest, tmp_path):
         out = tmp_path / "none"
         assert run_cli("align", "--data", str(manifest), "--method", "none",
