@@ -514,7 +514,9 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
             for f in factors:
                 u += identity - f @ f.T
             eigenvalues, vectors = symmetric_eig(u)
-            w = vectors[:, :terms.k]
+            # A copy of the kept columns: a view would hold all T x T
+            # eigenvectors alive in the model, non-contiguous.
+            w = vectors[:, :terms.k].copy()
             trace = float(eigenvalues[:terms.k].sum())
     if terms.couplings is None and w is None:
         # The mean of identity kernels: finite, and never constant over its

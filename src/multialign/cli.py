@@ -31,7 +31,9 @@ Exit codes: 0 success, 2 usage/configuration (including missing files),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -288,12 +290,19 @@ def _add_common(parser, data_required=True, with_method=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse's own default width, read once: every parser it would
+    # otherwise build a formatter for asks the terminal again.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Supervised and unsupervised functional alignment of "
                     "multi-subject time series.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--subjects", type=int, default=6)

@@ -42,6 +42,10 @@ _SHA256_HEX = re.compile(r"[0-9a-fA-F]{64}")
 # dataset's directory or be cut short by the operating system.
 _ID_FORBIDDEN = ("/", "\\", "\0")
 
+# File name endings numpy's loader decompresses; :func:`read_matrix_csv`
+# hands such names to numpy instead of opening them itself.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def write_matrix_csv(path, m) -> None:
     """Write a matrix as header-free CSV (LF newlines, shortest float repr).
@@ -89,14 +93,21 @@ def read_json_object(path) -> dict:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a header-free CSV matrix written by :func:`write_matrix_csv`.
 
-    A file without a single value (empty, or blank lines only) is refused
-    with :class:`InvalidDataError`; numpy's warning about it is not passed on.
+    The file is opened here and its handle parsed, which skips numpy's
+    path lookup; a name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``
+    is still handed to numpy by name, which decompresses it.  A file
+    without a single value (empty, or blank lines only) is refused with
+    :class:`InvalidDataError`; numpy's warning about it is not passed on.
     """
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                     UserWarning)
-            m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+            if str(path).endswith(_COMPRESSED_SUFFIXES):
+                m = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+            else:
+                with open(path, "r", encoding="utf-8") as fh:
+                    m = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise InvalidDataError(f"cannot parse CSV matrix {path}: {exc}") from exc
     if m.size == 0:
@@ -177,23 +188,41 @@ class LabelMatrix:
 
     Every column sums to exactly 1 (a labeled time point) or 0 (an unlabeled
     rest point).  At least two classes are required.
+
+    The layout (:attr:`labeled_mask`, :attr:`labeled_indices` and
+    :meth:`class_of`) is derived once, from the column sums the check
+    takes, and every array the matrix holds or returns is read-only: like
+    :class:`SubjectData`, a writable ``onehot`` is copied, so a later write
+    to the caller's array cannot reach the labels or leave their layout
+    stale.  ``dataclasses.replace`` derives the layout anew.
     """
 
     onehot: np.ndarray
+    _mask: np.ndarray = field(init=False, compare=False, repr=False)
+    _indices: np.ndarray = field(init=False, compare=False, repr=False)
+    _classes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.onehot, "label matrix")
-        if not np.isin(m, (0.0, 1.0)).all():
+        if not ((m == 0.0) | (m == 1.0)).all():
             raise InvalidDataError("label matrix entries must be 0 or 1")
         sums = m.sum(axis=0)
-        if not np.isin(sums, (0.0, 1.0)).all():
-            bad = int(np.flatnonzero(~np.isin(sums, (0.0, 1.0)))[0])
+        mask = sums == 1.0
+        if not (mask | (sums == 0.0)).all():
+            bad = int(np.flatnonzero(~mask & (sums != 0.0))[0])
             raise InvalidDataError(
                 f"label column {bad} sums to {sums[bad]:g}; columns must be one-hot or all-zero"
             )
         if m.shape[0] < 2:
             raise InvalidDataError(f"need at least 2 classes, got {m.shape[0]}")
-        object.__setattr__(self, "onehot", m)
+        if m.flags.writeable:
+            m = m.copy()
+        classes = np.where(mask, m.argmax(axis=0), -1)
+        indices = np.flatnonzero(mask)
+        for name, a in (("onehot", m), ("_mask", mask), ("_indices", indices),
+                        ("_classes", classes)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_classes(self) -> int:
@@ -206,18 +235,15 @@ class LabelMatrix:
     @property
     def labeled_mask(self) -> np.ndarray:
         """Boolean mask over time points that carry a class label."""
-        return self.onehot.sum(axis=0) == 1.0
+        return self._mask
 
     @property
     def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labeled_mask)
+        return self._indices
 
     def class_of(self) -> np.ndarray:
         """Class index per time point, -1 for unlabeled points."""
-        out = np.full(self.n_timepoints, -1, dtype=int)
-        mask = self.labeled_mask
-        out[mask] = self.onehot[:, mask].argmax(axis=0)
-        return out
+        return self._classes
 
 
 @dataclass(frozen=True)
@@ -486,13 +512,18 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
 
 
 def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Standardized columns of ``m``, read-only, and the indices of constant ones.
+
+    The standard deviation is taken from the centered matrix, which is bit
+    for bit ``m.std(axis=0, ddof=1)``: the same mean, squares and sum.
+    """
     centered = m - m.mean(axis=0)
-    std = m.std(axis=0, ddof=1)
+    std = np.sqrt(np.square(centered).sum(axis=0) / (m.shape[0] - 1))
     constant = std <= _CONSTANT_STD
-    safe = np.where(constant, 1.0, std)
-    out = centered / safe
-    out[:, constant] = 0.0
-    return out, tuple(int(i) for i in np.flatnonzero(constant))
+    centered /= np.where(constant, 1.0, std)
+    centered[:, constant] = 0.0
+    centered.flags.writeable = False
+    return centered, tuple(int(i) for i in np.flatnonzero(constant))
 
 
 def normalize(dataset: Dataset) -> Dataset:

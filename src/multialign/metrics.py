@@ -85,24 +85,25 @@ def class_instances(labels: LabelMatrix) -> list[InstanceRun]:
     """Stimulus instances of a label matrix, in temporal order.
 
     Unlabeled (rest) points break runs: a class run cannot span a rest gap.
+    Runs start where the class id changes; those of class -1 are rest.
     """
     classes = labels.class_of()
-    runs = []
-    start = None
-    current = -1
-    for t, c in enumerate(classes):
-        if c != current:
-            if current >= 0:
-                runs.append(InstanceRun(current, start, t))
-            start = t if c >= 0 else None
-            current = c
-    if current >= 0:
-        runs.append(InstanceRun(current, start, len(classes)))
-    return runs
+    bounds = np.concatenate(([0], np.flatnonzero(classes[1:] != classes[:-1]) + 1,
+                             [classes.size])).tolist()
+    return [InstanceRun(c, start, stop)
+            for c, start, stop in zip(classes[bounds[:-1]].tolist(), bounds, bounds[1:])
+            if c >= 0]
 
 
 def _stacked(mapped) -> np.ndarray:
-    """Mapped subjects as one (subjects, time points, features) array."""
+    """Mapped subjects as one (subjects, time points, features) array.
+
+    Such an array, as this function returns it, is passed through as it
+    is, so a caller that stacked the subjects once can hand them on.
+    """
+    if (isinstance(mapped, np.ndarray) and mapped.ndim == 3 and mapped.dtype == float
+            and len(mapped) > 1):
+        return mapped
     arrays = []
     for idx, z in enumerate(mapped):
         z = np.asarray(getattr(z, "features", z), dtype=float)
@@ -119,21 +120,27 @@ def _stacked(mapped) -> np.ndarray:
 
 
 def _shared_runs(labels, n_subjects: int, n_timepoints: int) -> list[InstanceRun]:
+    """The stimulus instances every subject's labels share.
+
+    Runs follow from the class id per time point, so subjects whose class
+    ids are equal share their runs; the list is built once.
+    """
     labels = list(labels)
     if len(labels) != n_subjects:
         raise InvalidDataError(f"{len(labels)} label matrices for {n_subjects} subjects")
-    runs = class_instances(labels[0])
+    first = labels[0].class_of()
     for idx, lab in enumerate(labels):
         if lab.n_timepoints != n_timepoints:
             raise InvalidDataError(
                 f"label matrix {idx} covers {lab.n_timepoints} time points, the "
                 f"mapped data has {n_timepoints}"
             )
-        if idx and class_instances(lab) != runs:
+        if idx and not np.array_equal(lab.class_of(), first):
             raise InvalidDataError(
                 f"subject {idx} has a different stimulus-instance layout than "
                 "subject 0; instance metrics need a shared layout"
             )
+    runs = class_instances(labels[0])
     if not runs:
         raise InvalidDataError("labels contain no stimulus instances")
     return runs
@@ -289,8 +296,9 @@ def correlation_report(mapped, labels, rho1_labeled_only: bool = False) -> Corre
     advisories: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AdvisoryWarning)
-        r1 = rho1(mapped, mask=mask)
-        z, runs = _instances(mapped, labels)
+        z = _stacked(mapped)
+        r1 = rho1(z, mask=mask)
+        runs = _shared_runs(labels, z.shape[0], z.shape[1])
         masks = _instance_masks(runs)
         union = np.logical_or.reduce(masks)
         correlations = _instance_correlations(z, runs, union)

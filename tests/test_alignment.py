@@ -286,6 +286,19 @@ class TestFitRha:
             fit_rha(singular, epsilon=0.0)
 
 
+class TestSharedSpaceStorage:
+    @pytest.mark.parametrize("method, k", [("rha", 5), ("sha", 2)])
+    def test_below_full_k_holds_only_the_kept_columns(self, rng, method, k):
+        # W is the first k eigenvectors of U: held as an array of its own,
+        # not a strided view that keeps every eigenvector alive
+        ds = normalize(random_dataset(rng, 3, 14, 20, 3))
+        kernels = kernels_for(ds) if method == "sha" else None
+        model = fit(method, ds, kernels, k=k)
+        w = model.shared_space
+        assert w.shape[1] == k < w.shape[0]
+        assert w.flags.c_contiguous and w.base is None
+
+
 @st.composite
 def _coupled_inputs(draw):
     """A data matrix, a coupling and a ridge, in one of five regimes.

@@ -407,6 +407,35 @@ class TestImportCost:
         assert result.stdout.strip() == "False"
 
 
+class TestParserWidth:
+    """The help width comes from one terminal query per parser build."""
+
+    def test_terminal_queried_once(self, monkeypatch):
+        calls = []
+        query = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        parser = build_parser()
+        assert len(calls) == 1
+        parser.format_help()
+        for sub in _subparsers(parser).values():
+            sub.format_help()
+        assert len(calls) == 1
+
+    def test_every_parser_formats_at_the_terminal_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "57")
+        parser = build_parser()
+        assert parser._get_formatter()._width == 55
+        subparsers = _subparsers(parser)
+        assert set(subparsers) == {"synth", "align", "corr", "loso", "sweep", "rerun"}
+        for sub in subparsers.values():
+            assert sub._get_formatter()._width == 55
+
+
 class TestExitCodes:
     def test_empty_data_csv_exits_3_with_only_the_error_line(self, tmp_path, rng):
         manifest = multialign.data.save_dataset(random_dataset(rng, 3, 12, 6, 2),
@@ -434,6 +463,24 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "FileNotFoundError"
         assert "message" in err
+
+    @pytest.mark.parametrize("kind", ["data", "labels"])
+    @pytest.mark.parametrize("digests", [True, False], ids=["digests", "nodigest"])
+    def test_missing_csv_is_usage_error(self, tmp_path, rng, capsys, kind, digests):
+        manifest = multialign.data.save_dataset(random_dataset(rng, 3, 12, 6, 2),
+                                                tmp_path / "ds")
+        if not digests:
+            payload = json.loads(manifest.read_text())
+            for entry in payload["subjects"]:
+                del entry["data_sha256"]
+            manifest.write_text(json.dumps(payload))
+        (tmp_path / "ds" / f"s1_{kind}.csv").unlink()
+        code = run_cli("loso", "--data", str(manifest), "--method", "none",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "FileNotFoundError"
+        assert f"s1_{kind}.csv" in err["message"]
 
     def test_unknown_method_is_usage_error(self, manifest, tmp_path, capsys):
         code = run_cli("align", "--data", str(manifest), "--method", "srm",
@@ -617,8 +664,8 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-def _subparsers() -> dict:
-    (action,) = [a for a in build_parser()._actions
+def _subparsers(parser=None) -> dict:
+    (action,) = [a for a in (parser or build_parser())._actions
                  if isinstance(a, argparse._SubParsersAction)]
     return action.choices
 

@@ -1,8 +1,12 @@
 """Dataset containers, CSV/manifest IO, normalization."""
 
+import bz2
 import dataclasses
+import functools
+import gzip
 import hashlib
 import json
+import lzma
 import re
 import warnings
 from pathlib import Path
@@ -55,6 +59,18 @@ def test_csv_without_values_refused_without_a_numpy_warning(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(InvalidDataError, match=re.escape(str(path))):
             read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("suffix, opener", [
+    (".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open),
+    (".lzma", functools.partial(lzma.open, format=lzma.FORMAT_ALONE)),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_csv_compressed_names_still_load(tmp_path, suffix, opener):
+    path = tmp_path / f"m.csv{suffix}"
+    with opener(path, "wt") as fh:
+        fh.write("1.0,2.5\n-3.0,4.0\n")
+    for name in (path, str(path)):
+        np.testing.assert_array_equal(read_matrix_csv(name), [[1.0, 2.5], [-3.0, 4.0]])
 
 
 def _reference_csv_bytes(m) -> bytes:
@@ -136,6 +152,36 @@ class TestLabelMatrix:
         lab = LabelMatrix(onehot)
         np.testing.assert_array_equal(lab.labeled_indices, [0, 2])
         np.testing.assert_array_equal(lab.class_of(), [0, -1, 1])
+
+    def test_arrays_are_read_only(self):
+        lab = LabelMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        for a in (lab.onehot, lab.labeled_mask, lab.labeled_indices, lab.class_of()):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_writable_input_is_copied_read_only(self):
+        onehot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        lab = LabelMatrix(onehot)
+        assert lab.onehot is not onehot and onehot.flags.writeable
+        onehot[:, 0] = 0.0
+        onehot[0, 1] = 1.0
+        np.testing.assert_array_equal(lab.onehot, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(lab.class_of(), [0, -1, 1])
+        assert LabelMatrix(lab.onehot).onehot is lab.onehot  # read-only: shared
+
+    def test_replace_derives_the_layout_anew(self):
+        lab = LabelMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        moved = dataclasses.replace(lab, onehot=np.array([[0.0, 1.0, 0.0],
+                                                          [1.0, 0.0, 0.0]]))
+        np.testing.assert_array_equal(moved.labeled_mask, [True, True, False])
+        np.testing.assert_array_equal(moved.labeled_indices, [0, 1])
+        np.testing.assert_array_equal(moved.class_of(), [1, 0, -1])
+        np.testing.assert_array_equal(lab.class_of(), [0, -1, 1])
+
+    def test_layout_invisible_to_repr(self):
+        lab = LabelMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert repr(lab) == f"LabelMatrix(onehot={lab.onehot!r})"
 
 
 class TestDatasetValidation:
@@ -278,6 +324,52 @@ class TestNormalize:
         a = normalize(ds).subjects[0].data
         b = normalize(scaled).subjects[0].data
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def _reference_normalize(m):
+    """Column standardization as the textbook formula writes it."""
+    std = m.std(axis=0, ddof=1)
+    constant = std <= 1e-12
+    out = (m - m.mean(axis=0)) / np.where(constant, 1.0, std)
+    out[:, constant] = 0.0
+    return out, tuple(int(i) for i in np.flatnonzero(constant))
+
+
+@st.composite
+def _normalize_inputs(draw):
+    """A (T x V) matrix, T >= 2, with some columns constant and some offset."""
+    t = draw(st.integers(2, 9))
+    v = draw(st.integers(1, 5))
+    m = draw(hnp.arrays(np.float64, (t, v),
+                        elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    constant = draw(hnp.arrays(bool, v))
+    m[:, constant] = m[0, constant]
+    offsets = draw(hnp.arrays(np.float64, v, elements=st.sampled_from([0.0, 1e8, -1e8])))
+    return m + offsets
+
+
+class TestNormalizeMatchesTheFormula:
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, 5.0], [3.0, 5.0]]),                  # T = 2, a constant column
+        np.array([[1e8, 0.1], [1e8 + 1.0, 0.2], [1e8 + 3.0, 0.4]]),
+        np.array([[1e8, 7.0], [1e8, 7.0], [1e8, 7.0]]),      # every column constant
+    ])
+    def test_bit_for_bit_on_edge_cases(self, m):
+        self._check(m)
+
+    @given(m=_normalize_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit(self, m):
+        self._check(m)
+
+    @staticmethod
+    def _check(m):
+        lab = LabelMatrix(np.zeros((2, m.shape[0])))
+        subj = normalize(Dataset((SubjectData("a", m),), (lab,), ("x", "y"))).subjects[0]
+        want, zeroed = _reference_normalize(m)
+        assert subj.data.tobytes() == want.tobytes()
+        assert subj.zeroed_columns == zeroed
+        assert not subj.data.flags.writeable
 
 
 class TestThinSvdMemo:

@@ -17,6 +17,7 @@ from multialign import (
     AdvisoryWarning,
     InvalidArgumentError,
     InvalidDataError,
+    InstanceRun,
     LabelMatrix,
     MetricSummary,
     NumericError,
@@ -68,6 +69,38 @@ class TestClassInstances:
         labels = _labels_from_classes([1, 1, 1], 2)
         runs = class_instances(labels)
         assert len(runs) == 1 and runs[0].stop == 3 and runs[0].length == 3
+
+    @pytest.mark.parametrize("classes", [
+        [-1, 0, 0, 1, -1],          # rest at both ends
+        [1, 1, -1, 1, 1, 1],        # one class twice, split by rest
+        [-1, -1, -1],               # all rest
+        [0],
+    ])
+    def test_matches_the_reference_loop_on_edge_layouts(self, classes):
+        labels = _labels_from_classes(classes, 2)
+        assert class_instances(labels) == _reference_instances(labels.class_of())
+
+    @given(st.lists(st.integers(-1, 2), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_loop(self, classes):
+        labels = _labels_from_classes(classes, 3)
+        assert class_instances(labels) == _reference_instances(labels.class_of())
+
+
+def _reference_instances(classes):
+    """Runs found one time point at a time, as a plain loop."""
+    runs = []
+    start = None
+    current = -1
+    for t, c in enumerate(classes):
+        if c != current:
+            if current >= 0:
+                runs.append(InstanceRun(current, start, t))
+            start = t if c >= 0 else None
+            current = c
+    if current >= 0:
+        runs.append(InstanceRun(current, start, len(classes)))
+    return runs
 
 
 class TestRho1:
@@ -389,6 +422,23 @@ class TestInstanceCounts:
         zs = [rng.standard_normal((4, 3)) for _ in range(2)]
         with pytest.raises(InvalidDataError):
             rho2(zs, [la, lb])
+
+    @pytest.mark.parametrize("layouts, named", [
+        ((0, 1, 1, 0), 1),
+        ((0, 0, 1, 1), 2),
+        ((0, 0, 0, 2), 3),
+    ])
+    def test_mismatch_names_the_first_subject_that_differs(self, rng, layouts, named):
+        # layout 0 is the first subject's; 1 moves a class boundary, 2
+        # swaps the classes, which leaves the run boundaries in place
+        layout = ([0, 0, 1, 1, -1, 0], [0, 1, 1, 1, -1, 0], [1, 1, 0, 0, -1, 1])
+        labels = [_labels_from_classes(layout[i], 2) for i in layouts]
+        zs = [rng.standard_normal((6, 3)) for _ in labels]
+        message = (f"subject {named} has a different stimulus-instance layout than "
+                   "subject 0")
+        for statistic in (rho2, rho3, rho4, correlation_report):
+            with pytest.raises(InvalidDataError, match=message):
+                statistic(zs, labels)
 
     def test_equal_lengths_do_not_warn(self, rng):
         classes = np.repeat([0, 1, 0, 1], 3)
