@@ -19,6 +19,7 @@ loaded.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -47,22 +48,186 @@ _ID_FORBIDDEN = ("/", "\\", "\0")
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def write_matrix_csv(path, m) -> None:
+# Values :func:`write_matrix_csv` formats and writes at a time.
+_CSV_BLOCK = 1 << 12
+
+_U64 = np.uint64
+_FRACTION = _U64((1 << 52) - 1)
+
+
+@functools.cache
+def _csv_tables():
+    """Lookup tables of the block formatter, indexed by the decimal scale s.
+
+    A value with ``|x|`` in [1e-4, 1e16) is written from the 17-digit
+    integer ``x * 10**s`` (s in 0..21), so its decimal point falls after
+    digit ``dp = 17 - s``.  The tables give ``5**s`` and ``10.0**s``, the
+    record's first word (``"0."`` and ``-dp`` zeros when dp <= 0), and for
+    each of the three digit words the mask of the digits before the point
+    and the point itself.
+    """
+    scales = range(22)
+    pow5 = np.array([5 ** s for s in scales], dtype=_U64)
+    pow10 = np.array([float(10 ** s) for s in scales])
+    lead = np.zeros(22, _U64)
+    before = np.full((3, 22), ~_U64(0))
+    point = np.zeros((3, 22), _U64)
+    for s in scales:
+        dp = 17 - s
+        if dp <= 0:
+            lead[s] = int.from_bytes(b"\0" + b"0." + b"0" * -dp, "little")
+            continue
+        for w in range(3):
+            at = dp - 8 * w
+            before[w, s] = (1 << (8 * min(max(at, 0), 8))) - 1
+            if 0 <= at < 8:
+                point[w, s] = ord(".") << (8 * at)
+    return pow5, pow10, lead, before, point
+
+
+def _ascii8(v):
+    """The eight decimal digits of each ``v < 10**8`` as ASCII bytes of a
+    uint64, first digit in the lowest byte.
+
+    The number is split in 4-digit halves, the halves in 2-digit lanes and
+    those in digits, every lane divided by a multiply and shift at once.
+    """
+    hi = v // _U64(10000)
+    x = hi | ((v - hi * _U64(10000)) << _U64(32))
+    y = ((x * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)
+    x = y | ((x - y * _U64(100)) << _U64(16))
+    y = ((x * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    x = y | ((x - y * _U64(10)) << _U64(8))
+    return x | _U64(0x3030303030303030)
+
+
+def _format_block(x: np.ndarray, row_len: int, start: int) -> bytes:
+    """CSV text of the contiguous float64 values ``x``: each value's
+    ``repr``, then ``"\\n"`` after the last value of a row and ``","`` after
+    the others, where ``x[0]`` has flat index ``start`` in a matrix of
+    ``row_len`` columns.
+
+    Values with ``|x|`` in [1e-4, 2**53) that are not powers of two are
+    formatted here, exactly, by the shortest round-trip rule ``repr``
+    follows (Ryu, Schubfach): ``x = m * 2**e`` is scaled to the 17-digit
+    ``y = x * 10**s``, exact in 64-bit integers, and the rounding interval
+    of ``x`` is ``y`` plus or minus ``h = 5**s * 2**(e+s-1)``.  The fewest
+    digits, 15 to 17, whose nearest candidate lies strictly inside the
+    interval are kept.  Every value this cannot settle exactly goes through
+    ``repr`` itself: zeros, subnormals, NaN, infinities and powers of two
+    (whose interval is lopsided), magnitudes ``repr`` writes in exponent
+    form and those from 2**53 on, an interval end or a rounding tie that
+    lands on a candidate, and values that need 14 digits or fewer, round
+    up into a new digit or are integral.  So the bytes are ``repr``'s by
+    construction.
+
+    Each value becomes a 32-byte record of four uint64 words, built across
+    the whole block one word at a time; its text is the record's bytes
+    with the NUL padding dropped.
+    """
+    pow5, pow10, lead, before, point = _csv_tables()
+    n = x.size
+    ax = np.abs(x)
+    bits = ax.view(_U64)
+    fast = (ax >= 1e-4) & (ax < 2.0 ** 53) & ((bits & _FRACTION) != _U64(0))
+    if not fast.all():
+        # A stand-in keeps the arithmetic below in range and quiet.
+        ax = np.where(fast, ax, 1.5)
+        bits = ax.view(_U64)
+    s = 16 - np.floor(np.log10(ax)).astype(np.intp)
+    # In units of 2**-k, y is ``4 * m * 5**s`` and h is ``2 * 5**s``.
+    k = (1077 - (bits >> _U64(52)).astype(np.intp) - s).astype(_U64)
+    f = pow5[s]
+    low = (((bits & _FRACTION) | _U64(1 << 52)) << _U64(2)) * f
+    mask = (_U64(1) << k) - _U64(1)
+    frac = low & mask
+    # The integer part of y: its low 64 - k bits are ``low >> k``, and the
+    # float product, within 8 of it, gives the rest.
+    near = (ax * pow10[s]).astype(_U64)
+    whole = low >> k
+    whole += (near - whole + (_U64(1 << 63) >> k)) & (~_U64(0) << (_U64(64) - k))
+    half = f << _U64(1)
+    top = whole + ((frac + half) >> k)          # floor(y + h)
+    bottom = whole - ((half + mask - frac) >> k)  # floor(y - h)
+    settled = fast & (whole >= _U64(10 ** 16)) & (whole < _U64(10 ** 17))
+    settled &= ((frac + half) & mask != _U64(0)) & ((half - frac) & mask != _U64(0))
+    # Drop as many as three trailing digits while a multiple of 10**q
+    # stays inside the interval.
+    dropped = np.zeros(n, np.intp)
+    for p in (_U64(10), _U64(100), _U64(1000)):
+        dropped += top // p > bottom // p
+    # The nearest candidate: one integer or multiple of ten among several,
+    # or the one multiple of a hundred the interval holds.
+    tens = whole // _U64(10)
+    unit = mask + _U64(1)
+    twice = frac << _U64(1)
+    past = ((whole - tens * _U64(10)) << k) + frac
+    half_ten = unit * _U64(5)
+    digits = np.where(dropped == 0, whole + (twice > unit),
+                      np.where(dropped == 1, (tens + (past > half_ten)) * _U64(10),
+                               top // _U64(100) * _U64(100)))
+    tie = np.where(dropped == 0, twice == unit, (dropped == 1) & (past == half_ten))
+    settled &= ~tie & (dropped < 3) & (dropped < s) & (digits < _U64(10 ** 17))
+    # The 17 digits as text in three words, the digits dropped set to NUL.
+    first = digits // _U64(10 ** 16)
+    rest = digits - first * _U64(10 ** 16)
+    upper = rest // _U64(10 ** 8)
+    hi8 = _ascii8(upper)
+    lo8 = _ascii8(rest - upper * _U64(10 ** 8))
+    words = ((first | _U64(0x30)) | (hi8 << _U64(8)),
+             ((hi8 >> _U64(56)) | (lo8 << _U64(8)))
+             & np.where(dropped == 2, _U64((1 << 56) - 1), ~_U64(0)),
+             (lo8 >> _U64(56)) * (dropped == 0))
+    record = np.empty((n, 4), _U64)
+    record[:, 0] = lead[s] | ((x.view(_U64) >> _U64(63)) * _U64(ord("-")))
+    # Shift the digits after the point up one byte, through the words.
+    carry = _U64(0)
+    for w, word in enumerate(words):
+        kept = word & before[w][s]
+        moved = word ^ kept
+        record[:, w + 1] = kept | (moved << _U64(8)) | carry | point[w][s]
+        carry = moved >> _U64(56)
+    sep = np.full(n, ord(","), _U64)
+    sep[(row_len - 1 - start % row_len)::row_len] = ord("\n")
+    record[:, 3] |= sep << _U64(16)
+    loose = np.flatnonzero(~settled)
+    if loose.size:
+        # One repr per distinct bit pattern: label matrices repeat two values.
+        keys, which = np.unique(x[loose].view(_U64), return_inverse=True)
+        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S24")
+        record[loose, :3] = text.view(_U64).reshape(-1, 3)[which.reshape(-1)]
+        record[loose, 3] = sep[loose]
+    return record.tobytes().translate(None, b"\0")
+
+
+def write_matrix_csv(path, m, *, sha256=None) -> None:
     """Write a matrix as header-free CSV (LF newlines, shortest float repr).
 
-    Each row is converted to Python floats in one ``tolist()`` and formatted
-    with ``repr``, so memory stays at one row and the cost per value is the
-    ``repr`` itself.  Anything but a non-empty 2-D matrix is refused before
-    the file is opened: CSV cannot hold a zero-length dimension.
+    Every value is written as ``repr`` writes it, and the bytes equal
+    ``",".join(map(repr, row)) + "\\n"`` per row.  The matrix is formatted
+    and written in blocks of up to 4,096 values (or one row, if longer),
+    so memory stays at one block: see :func:`_format_block`, which settles
+    most values with exact integer arithmetic over the block and leaves
+    the rest to ``repr``.  A ``hashlib`` object passed as ``sha256`` is
+    updated with every block written.  Anything but a non-empty 2-D matrix
+    is refused before the file is opened: CSV cannot hold a zero-length
+    dimension.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise InvalidDataError(
             f"can only write a non-empty 2-D matrix as CSV, got shape {m.shape}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in m:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    cols = m.shape[1]
+    step = max(1, _CSV_BLOCK // cols)
+    with open(path, "wb") as fh:
+        for r in range(0, m.shape[0], step):
+            flat = m[r:r + step].ravel()
+            for i in range(0, flat.size, _CSV_BLOCK):
+                block = _format_block(flat[i:i + _CSV_BLOCK], cols, i)
+                fh.write(block)
+                if sha256 is not None:
+                    sha256.update(block)
 
 
 def write_json(path, payload) -> None:
@@ -479,7 +644,8 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
     """Write a dataset as manifest + CSV files; returns the manifest path.
 
     Each subject gets ``<id>_data.csv`` and ``<id>_labels.csv``, and its
-    manifest entry records the data CSV's sha256 as ``data_sha256``.  The
+    manifest entry records the data CSV's sha256 as ``data_sha256``, hashed
+    from the blocks as they are written rather than read back.  The
     data matrices are also stacked in manifest order into one ``.npy``
     twin named after those digests (``data-<sha256 of the joined
     digests>.npy``, see :func:`load_dataset`), so manifests in one
@@ -497,11 +663,11 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
     for subj, lab in zip(dataset.subjects, dataset.labels):
         data_name = f"{subj.subject_id}_data.csv"
         label_name = f"{subj.subject_id}_labels.csv"
-        write_matrix_csv(out_dir / data_name, subj.data)
+        digest = hashlib.sha256()
+        write_matrix_csv(out_dir / data_name, subj.data, sha256=digest)
         write_matrix_csv(out_dir / label_name, lab.onehot)
         entries.append({"id": subj.subject_id, "data": data_name, "labels": label_name,
-                        "data_sha256": hashlib.sha256(
-                            (out_dir / data_name).read_bytes()).hexdigest()})
+                        "data_sha256": digest.hexdigest()})
     twin_name = _twin_name(entry["data_sha256"] for entry in entries)
     np.save(out_dir / twin_name, np.stack([subj.data for subj in dataset.subjects]))
     manifest = {"class_names": list(dataset.class_names), "subjects": entries}

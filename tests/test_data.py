@@ -80,7 +80,34 @@ def _reference_csv_bytes(m) -> bytes:
 
 
 _EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5, 1e22,
-                1e15, 1e-4, 0.1, 3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308]
+                1e15, 1e-4, 0.1, 3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308,
+                # The block formatter's decision edges: both sides of its
+                # range, 17 nines before a new decade, a power of two, an
+                # integral 15-digit value and a tie at 17 digits.
+                np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+                np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+                np.nextafter(1.0, 0.0), np.nextafter(0.1, 0.0), -np.nextafter(1e-3, 0.0),
+                2.0 ** -14, 0.1, 123456789012345.0, 1e15 + 0.5]
+
+
+def _bulk_values(rng) -> np.ndarray:
+    """About a million seeded floats aimed at the block formatter's edges.
+
+    Uniform bit patterns across the exponents it formats itself, 3000 ulps
+    on each side of every power of ten from 1e-6 to 1e17 and of two from
+    2**-16 to 2**55, and short decimals ``k / 10**j``; signs at random.
+    """
+    n = 400_000
+    biased = rng.integers(1023 - 15, 1023 + 54, n).astype(np.uint64)
+    patterns = (biased << np.uint64(52)) | rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+    ulps = np.arange(-3000, 3001)
+    centres = np.array([float(f"1e{p}") for p in range(-6, 18)]
+                       + [2.0 ** p for p in range(-16, 56)])
+    around = (centres.view(np.int64)[:, None] + ulps).ravel().view(np.float64)
+    n = 29_904  # brings the total to 1,006,000 values, 4,024 rows of 250
+    short = rng.integers(0, 10 ** 9, n) / 10.0 ** rng.integers(0, 12, n)
+    values = np.concatenate([patterns.view(np.float64), around, short])
+    return np.where(rng.integers(0, 2, values.size) == 1, -values, values)
 
 
 class TestWriteMatrixCsv:
@@ -114,6 +141,58 @@ class TestWriteMatrixCsv:
         write_matrix_csv(path, m)
         assert path.read_bytes() == _reference_csv_bytes(m)
         assert read_matrix_csv(path).tobytes() == m.tobytes()
+
+    @given(m=hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                        elements=st.integers(0, 2 ** 64 - 1)).map(lambda a: a.view(np.float64)))
+    @settings(max_examples=200, deadline=None)
+    def test_raw_bit_patterns_equal_the_reference(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == _reference_csv_bytes(m)
+
+    @given(m=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                        elements=st.floats(width=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_floats_equal_the_reference(self, tmp_path_factory, m):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == _reference_csv_bytes(m)
+
+    @pytest.mark.parametrize("shape", [
+        (3, multialign.data._CSV_BLOCK // 2 + 7),   # blocks of two rows, then one
+        (multialign.data._CSV_BLOCK // 5 + 3, 5),   # blocks of whole short rows
+        (2, multialign.data._CSV_BLOCK * 2 + 5),    # each row longer than a block
+    ])
+    def test_blocks_join_into_the_reference(self, tmp_path, rng, shape):
+        m = rng.choice(np.array(_EDGE_VALUES), size=shape)
+        drawn = rng.random(shape) < 0.5
+        m[drawn] = rng.standard_normal(np.count_nonzero(drawn))
+        path = tmp_path / "m.csv"
+        digest = hashlib.sha256()
+        write_matrix_csv(path, m, sha256=digest)
+        assert path.read_bytes() == _reference_csv_bytes(m)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "int64"])
+    def test_any_layout_or_dtype_equals_the_reference(self, tmp_path, rng, layout):
+        base = rng.standard_normal((30, 40)) * 10.0 ** rng.integers(-6, 18, (30, 40))
+        m = {"fortran": np.asfortranarray(base), "strided": base[::3, ::2],
+             "float32": base.astype(np.float32),
+             "int64": (base * 1e3).clip(-2 ** 62, 2 ** 62).astype(np.int64)}[layout]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == _reference_csv_bytes(m)
+
+    def test_edge_values_raise_no_numeric_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_matrix_csv(tmp_path / "edge.csv", np.array([_EDGE_VALUES, _EDGE_VALUES[::-1]]))
+
+    def test_a_million_seeded_edge_values_equal_the_reference(self, tmp_path):
+        m = _bulk_values(np.random.default_rng(20180618)).reshape(-1, 250)
+        path = tmp_path / "bulk.csv"
+        write_matrix_csv(path, m)
+        assert path.read_bytes() == _reference_csv_bytes(m)
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (3, 0), (0, 3), (0, 0)])
     def test_non_matrix_refused_before_the_file_is_opened(self, tmp_path, shape):
