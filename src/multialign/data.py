@@ -48,41 +48,48 @@ _ID_FORBIDDEN = ("/", "\\", "\0")
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-# Values :func:`write_matrix_csv` formats and writes at a time.
+# Values :func:`write_matrix_csv` formats and writes at a time: few enough
+# that the formatter's temporaries stay in cache and are reused.
 _CSV_BLOCK = 1 << 12
 
 _U64 = np.uint64
 _FRACTION = _U64((1 << 52) - 1)
+_POW10 = np.array([1, 10, 100, 1000], dtype=_U64)
+# Per count of dropped digits, the bytes of a record's last word that keep
+# their digit (see :func:`_format_block`).
+_KEPT_DIGITS = np.array([2 ** 64 - 1, 2 ** 40 - 1, 2 ** 32 - 1, 2 ** 32 - 1], dtype=_U64)
 
 
 @functools.cache
 def _csv_tables():
-    """Lookup tables of the block formatter, indexed by the decimal scale s.
+    """The block formatter's lookup tables, indexed by the decimal scale s.
 
-    A value with ``|x|`` in [1e-4, 1e16) is written from the 17-digit
-    integer ``x * 10**s`` (s in 0..21), so its decimal point falls after
-    digit ``dp = 17 - s``.  The tables give ``5**s`` and ``10.0**s``, the
-    record's first word (``"0."`` and ``-dp`` zeros when dp <= 0), and for
-    each of the three digit words the mask of the digits before the point
-    and the point itself.
+    A value with ``|x|`` in [1e-4, 2**53) is written from a 17-digit
+    integer near ``|x| * 10**s`` (s in 0..21), so its decimal point falls
+    after digit ``dp = 17 - s``.  The tables give ``5**s`` and ``10.0**s``;
+    the leading text of a record (``"0."`` and ``-dp`` zeros when dp <= 0,
+    all but its last character, right-aligned in bytes 1-4); and, for each
+    of the record's three words, the mask of the bytes before byte
+    ``5 + max(dp, 0)`` and the byte inserted there: the point, or the last
+    leading character.
     """
     scales = range(22)
     pow5 = np.array([5 ** s for s in scales], dtype=_U64)
     pow10 = np.array([float(10 ** s) for s in scales])
     lead = np.zeros(22, _U64)
-    before = np.full((3, 22), ~_U64(0))
-    point = np.zeros((3, 22), _U64)
+    below = np.zeros((3, 22), _U64)
+    insert = np.zeros((3, 22), _U64)
     for s in scales:
         dp = 17 - s
-        if dp <= 0:
-            lead[s] = int.from_bytes(b"\0" + b"0." + b"0" * -dp, "little")
-            continue
+        text = b"0." + b"0" * -dp if dp <= 0 else b"."
+        lead[s] = int.from_bytes(b"\0" + text[:-1].rjust(4, b"\0"), "little")
+        at = 5 + max(dp, 0)
         for w in range(3):
-            at = dp - 8 * w
-            before[w, s] = (1 << (8 * min(max(at, 0), 8))) - 1
-            if 0 <= at < 8:
-                point[w, s] = ord(".") << (8 * at)
-    return pow5, pow10, lead, before, point
+            local = at - 8 * w
+            below[w, s] = (1 << (8 * min(max(local, 0), 8))) - 1
+            if 0 <= local < 8:
+                insert[w, s] = text[-1] << (8 * local)
+    return pow5, pow10, lead, below, insert
 
 
 def _ascii8(v):
@@ -110,22 +117,26 @@ def _format_block(x: np.ndarray, row_len: int, start: int) -> bytes:
     Values with ``|x|`` in [1e-4, 2**53) that are not powers of two are
     formatted here, exactly, by the shortest round-trip rule ``repr``
     follows (Ryu, Schubfach): ``x = m * 2**e`` is scaled to the 17-digit
-    ``y = x * 10**s``, exact in 64-bit integers, and the rounding interval
-    of ``x`` is ``y`` plus or minus ``h = 5**s * 2**(e+s-1)``.  The fewest
-    digits, 15 to 17, whose nearest candidate lies strictly inside the
-    interval are kept.  Every value this cannot settle exactly goes through
-    ``repr`` itself: zeros, subnormals, NaN, infinities and powers of two
-    (whose interval is lopsided), magnitudes ``repr`` writes in exponent
-    form and those from 2**53 on, an interval end or a rounding tie that
-    lands on a candidate, and values that need 14 digits or fewer, round
-    up into a new digit or are integral.  So the bytes are ``repr``'s by
+    ``y = |x| * 10**s``, exact in 64-bit integers, and the rounding
+    interval of ``x`` is ``y`` plus or minus ``h = 5**s * 2**(e+s-1)``.
+    The fewest digits, 15 to 17, whose nearest candidate lies strictly
+    inside the interval are kept.  Every value this cannot settle exactly
+    goes through ``repr`` itself: zeros, subnormals, NaN, infinities and
+    powers of two (whose interval is lopsided), magnitudes ``repr`` writes
+    in exponent form and those from 2**53 on, a rounding tie between two
+    candidates, and values that need 14 digits or fewer, round up into a
+    new digit or are integral.  So the bytes are ``repr``'s by
     construction.
 
-    Each value becomes a 32-byte record of four uint64 words, built across
-    the whole block one word at a time; its text is the record's bytes
-    with the NUL padding dropped.
+    Each value becomes a 24-byte record of three uint64 words, built
+    across the whole block one word at a time: the sign in byte 0, the
+    text before the digits in bytes 1-4, the digits from byte 5 with the
+    point inserted, and the separator in byte 23.  Its text is the
+    record's bytes with the NUL padding dropped.  A ``repr`` of 24
+    characters leaves no room for the separator, so a block holding one is
+    written by ``repr`` alone.
     """
-    pow5, pow10, lead, before, point = _csv_tables()
+    pow5, pow10, lead, below, insert = _csv_tables()
     n = x.size
     ax = np.abs(x)
     bits = ax.view(_U64)
@@ -135,68 +146,68 @@ def _format_block(x: np.ndarray, row_len: int, start: int) -> bytes:
         ax = np.where(fast, ax, 1.5)
         bits = ax.view(_U64)
     s = 16 - np.floor(np.log10(ax)).astype(np.intp)
-    # In units of 2**-k, y is ``4 * m * 5**s`` and h is ``2 * 5**s``.
+    # In units of 2**-k (k in 1..48), y is ``4 * m * 5**s`` and h is
+    # ``2 * 5**s``.
     k = (1077 - (bits >> _U64(52)).astype(np.intp) - s).astype(_U64)
     f = pow5[s]
     low = (((bits & _FRACTION) | _U64(1 << 52)) << _U64(2)) * f
     mask = (_U64(1) << k) - _U64(1)
     frac = low & mask
-    # The integer part of y: its low 64 - k bits are ``low >> k``, and the
+    # The integer part of y: ``low >> k`` is its low 64 - k bits, and the
     # float product, within 8 of it, gives the rest.
-    near = (ax * pow10[s]).astype(_U64)
     whole = low >> k
+    near = (ax * pow10[s]).astype(_U64)
     whole += (near - whole + (_U64(1 << 63) >> k)) & (~_U64(0) << (_U64(64) - k))
+    # The interval ends ``y -+ h``, ``(2m -+ 1) * 5**s / 2**(k-1)``, are
+    # integers only when k is 1, and then odd: never a candidate that
+    # counts.  So the interval is taken as open, whatever the parity of m.
     half = f << _U64(1)
-    top = whole + ((frac + half) >> k)          # floor(y + h)
+    top = whole + ((frac + half) >> k)            # floor(y + h)
     bottom = whole - ((half + mask - frac) >> k)  # floor(y - h)
+    # log10 rounded across a power of ten leaves y outside its decade.
     settled = fast & (whole >= _U64(10 ** 16)) & (whole < _U64(10 ** 17))
-    settled &= ((frac + half) & mask != _U64(0)) & ((half - frac) & mask != _U64(0))
-    # Drop as many as three trailing digits while a multiple of 10**q
-    # stays inside the interval.
+    # Drop trailing digits while a multiple of 10**dropped stays inside the
+    # interval, and take the multiple nearest y.
     dropped = np.zeros(n, np.intp)
-    for p in (_U64(10), _U64(100), _U64(1000)):
+    for p in _POW10[1:]:
         dropped += top // p > bottom // p
-    # The nearest candidate: one integer or multiple of ten among several,
-    # or the one multiple of a hundred the interval holds.
-    tens = whole // _U64(10)
-    unit = mask + _U64(1)
-    twice = frac << _U64(1)
-    past = ((whole - tens * _U64(10)) << k) + frac
-    half_ten = unit * _U64(5)
-    digits = np.where(dropped == 0, whole + (twice > unit),
-                      np.where(dropped == 1, (tens + (past > half_ten)) * _U64(10),
-                               top // _U64(100) * _U64(100)))
-    tie = np.where(dropped == 0, twice == unit, (dropped == 1) & (past == half_ten))
-    settled &= ~tie & (dropped < 3) & (dropped < s) & (digits < _U64(10 ** 17))
-    # The 17 digits as text in three words, the digits dropped set to NUL.
+    p = _POW10[dropped]
+    q = whole // p
+    under = ((whole - q * p) << k) + frac
+    over = (p << k) - under
+    digits = (q + (over < under)) * p
+    settled &= (over != under) & (dropped < 3) & (dropped < s) & (digits < _U64(10 ** 17))
     first = digits // _U64(10 ** 16)
     rest = digits - first * _U64(10 ** 16)
     upper = rest // _U64(10 ** 8)
     hi8 = _ascii8(upper)
     lo8 = _ascii8(rest - upper * _U64(10 ** 8))
-    words = ((first | _U64(0x30)) | (hi8 << _U64(8)),
-             ((hi8 >> _U64(56)) | (lo8 << _U64(8)))
-             & np.where(dropped == 2, _U64((1 << 56) - 1), ~_U64(0)),
-             (lo8 >> _U64(56)) * (dropped == 0))
-    record = np.empty((n, 4), _U64)
-    record[:, 0] = lead[s] | ((x.view(_U64) >> _U64(63)) * _U64(ord("-")))
-    # Shift the digits after the point up one byte, through the words.
+    words = (lead[s] | ((x.view(_U64) >> _U64(63)) * _U64(ord("-")))
+             | ((first | _U64(ord("0"))) << _U64(40)) | (hi8 << _U64(48)),
+             (hi8 >> _U64(16)) | (lo8 << _U64(48)),
+             (lo8 >> _U64(16)) & _KEPT_DIGITS[dropped])
+    # Insert the point, moving the bytes from it on up by one.
+    record = np.empty((n, 3), _U64)
     carry = _U64(0)
     for w, word in enumerate(words):
-        kept = word & before[w][s]
+        kept = word & below[w][s]
         moved = word ^ kept
-        record[:, w + 1] = kept | (moved << _U64(8)) | carry | point[w][s]
+        record[:, w] = kept | (moved << _U64(8)) | carry | insert[w][s]
         carry = moved >> _U64(56)
     sep = np.full(n, ord(","), _U64)
     sep[(row_len - 1 - start % row_len)::row_len] = ord("\n")
-    record[:, 3] |= sep << _U64(16)
+    sep <<= _U64(56)
+    record[:, 2] |= sep
     loose = np.flatnonzero(~settled)
     if loose.size:
         # One repr per distinct bit pattern: label matrices repeat two values.
         keys, which = np.unique(x[loose].view(_U64), return_inverse=True)
-        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S24")
-        record[loose, :3] = text.view(_U64).reshape(-1, 3)[which.reshape(-1)]
-        record[loose, 3] = sep[loose]
+        text = [repr(v) for v in keys.view(np.float64).tolist()]
+        if max(map(len, text)) > 23:
+            ends = (sep >> _U64(56)).astype(np.uint8).tobytes().decode()
+            return "".join(map(str.__add__, map(repr, x.tolist()), ends)).encode()
+        record[loose] = np.array(text, dtype="S24").view(_U64).reshape(-1, 3)[which.reshape(-1)]
+        record[loose, 2] |= sep[loose]
     return record.tobytes().translate(None, b"\0")
 
 

@@ -83,11 +83,12 @@ _EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5,
                 1e15, 1e-4, 0.1, 3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308,
                 # The block formatter's decision edges: both sides of its
                 # range, 17 nines before a new decade, a power of two, an
-                # integral 15-digit value and a tie at 17 digits.
+                # integral 15-digit value, a tie at 17 digits and a repr of
+                # 24 characters.
                 np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
                 np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
                 np.nextafter(1.0, 0.0), np.nextafter(0.1, 0.0), -np.nextafter(1e-3, 0.0),
-                2.0 ** -14, 0.1, 123456789012345.0, 1e15 + 0.5]
+                2.0 ** -14, 0.1, 123456789012345.0, 1e15 + 0.5, -2.2250738585072014e-308]
 
 
 def _bulk_values(rng) -> np.ndarray:
