@@ -48,8 +48,9 @@ _ID_FORBIDDEN = ("/", "\\", "\0")
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-# Values :func:`write_matrix_csv` formats and writes at a time: few enough
-# that the formatter's temporaries stay in cache and are reused.
+# Values :func:`write_matrix_csv` formats and writes at a time.  Larger
+# blocks measured slower: their temporaries outgrow the cache, and the
+# allocator maps fresh pages for them on every block.
 _CSV_BLOCK = 1 << 12
 
 _U64 = np.uint64
@@ -89,7 +90,10 @@ def _csv_tables():
             below[w, s] = (1 << (8 * min(max(local, 0), 8))) - 1
             if 0 <= local < 8:
                 insert[w, s] = text[-1] << (8 * local)
-    return pow5, pow10, lead, below, insert
+    tables = (pow5, pow10, lead, below, insert)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _ascii8(v):
@@ -141,10 +145,9 @@ def _format_block(x: np.ndarray, row_len: int, start: int) -> bytes:
     ax = np.abs(x)
     bits = ax.view(_U64)
     fast = (ax >= 1e-4) & (ax < 2.0 ** 53) & ((bits & _FRACTION) != _U64(0))
-    if not fast.all():
-        # A stand-in keeps the arithmetic below in range and quiet.
-        ax = np.where(fast, ax, 1.5)
-        bits = ax.view(_U64)
+    # A stand-in for the rest keeps the arithmetic below in range and quiet.
+    ax = np.where(fast, ax, 1.5)
+    bits = ax.view(_U64)
     s = 16 - np.floor(np.log10(ax)).astype(np.intp)
     # In units of 2**-k (k in 1..48), y is ``4 * m * 5**s`` and h is
     # ``2 * 5**s``.
@@ -159,8 +162,9 @@ def _format_block(x: np.ndarray, row_len: int, start: int) -> bytes:
     near = (ax * pow10[s]).astype(_U64)
     whole += (near - whole + (_U64(1 << 63) >> k)) & (~_U64(0) << (_U64(64) - k))
     # The interval ends ``y -+ h``, ``(2m -+ 1) * 5**s / 2**(k-1)``, are
-    # integers only when k is 1, and then odd: never a candidate that
-    # counts.  So the interval is taken as open, whatever the parity of m.
+    # integers only when k is 1, and then odd: never a multiple of ten, and
+    # farther from y than the nearest integer.  So the interval is taken as
+    # open, whatever the parity of m.
     half = f << _U64(1)
     top = whole + ((frac + half) >> k)            # floor(y + h)
     bottom = whole - ((half + mask - frac) >> k)  # floor(y - h)
@@ -216,7 +220,7 @@ def write_matrix_csv(path, m, *, sha256=None) -> None:
 
     Every value is written as ``repr`` writes it, and the bytes equal
     ``",".join(map(repr, row)) + "\\n"`` per row.  The matrix is formatted
-    and written in blocks of up to 4,096 values (or one row, if longer),
+    and written in blocks of up to 4,096 values, a longer row in several,
     so memory stays at one block: see :func:`_format_block`, which settles
     most values with exact integer arithmetic over the block and leaves
     the rest to ``repr``.  A ``hashlib`` object passed as ``sha256`` is

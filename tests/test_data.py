@@ -82,13 +82,15 @@ def _reference_csv_bytes(m) -> bytes:
 _EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5, 1e22,
                 1e15, 1e-4, 0.1, 3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308,
                 # The block formatter's decision edges: both sides of its
-                # range, 17 nines before a new decade, a power of two, an
-                # integral 15-digit value, a tie at 17 digits and a repr of
-                # 24 characters.
+                # range, the doubles below 1, 0.1 and 1e-3 (all nines up to
+                # a new decade), a power of two, an integral 15-digit value,
+                # a half above 1e15, a tie at 17 digits and a repr of 24
+                # characters.
                 np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
                 np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
                 np.nextafter(1.0, 0.0), np.nextafter(0.1, 0.0), -np.nextafter(1e-3, 0.0),
-                2.0 ** -14, 0.1, 123456789012345.0, 1e15 + 0.5, -2.2250738585072014e-308]
+                2.0 ** -14, 0.1, 123456789012345.0, 1e15 + 0.5, 220637527.521484375,
+                -2.2250738585072014e-308]
 
 
 def _bulk_values(rng) -> np.ndarray:
@@ -105,8 +107,8 @@ def _bulk_values(rng) -> np.ndarray:
     centres = np.array([float(f"1e{p}") for p in range(-6, 18)]
                        + [2.0 ** p for p in range(-16, 56)])
     around = (centres.view(np.int64)[:, None] + ulps).ravel().view(np.float64)
-    n = 29_904  # brings the total to 1,006,000 values, 4,024 rows of 250
-    short = rng.integers(0, 10 ** 9, n) / 10.0 ** rng.integers(0, 12, n)
+    m = 29_904  # brings the total to 1,006,000 values, 4,024 rows of 250
+    short = rng.integers(0, 10 ** 9, m) / 10.0 ** rng.integers(0, 12, m)
     values = np.concatenate([patterns.view(np.float64), around, short])
     return np.where(rng.integers(0, 2, values.size) == 1, -values, values)
 
@@ -160,7 +162,7 @@ class TestWriteMatrixCsv:
         assert path.read_bytes() == _reference_csv_bytes(m)
 
     @pytest.mark.parametrize("shape", [
-        (3, multialign.data._CSV_BLOCK // 2 + 7),   # blocks of two rows, then one
+        (5, multialign.data._CSV_BLOCK // 3 + 7),   # blocks of two rows, then one
         (multialign.data._CSV_BLOCK // 5 + 3, 5),   # blocks of whole short rows
         (2, multialign.data._CSV_BLOCK * 2 + 5),    # each row longer than a block
     ])
