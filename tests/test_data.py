@@ -176,11 +176,11 @@ class TestWriteMatrixCsv:
         assert path.read_bytes() == _reference_csv_bytes(m)
         assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "int64"])
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "big-endian", "float32", "int64"])
     def test_any_layout_or_dtype_equals_the_reference(self, tmp_path, rng, layout):
         base = rng.standard_normal((30, 40)) * 10.0 ** rng.integers(-6, 18, (30, 40))
         m = {"fortran": np.asfortranarray(base), "strided": base[::3, ::2],
-             "float32": base.astype(np.float32),
+             "big-endian": base.astype(">f8"), "float32": base.astype(np.float32),
              "int64": (base * 1e3).clip(-2 ** 62, 2 ** 62).astype(np.int64)}[layout]
         path = tmp_path / "m.csv"
         write_matrix_csv(path, m)
