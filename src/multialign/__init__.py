@@ -76,7 +76,6 @@ from .supervision import (
     coupling_determinant,
     coupling_matrix,
     default_gamma,
-    identity_kernel,
     kernels_for,
     supervision_kernel,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "fit_sha",
     "fit_sha_r",
     "generate",
-    "identity_kernel",
     "kernels_for",
     "load_dataset",
     "load_model",

@@ -3,16 +3,18 @@
 All methods place subjects into a common space by comparing, per subject,
 the ridge-regularized projector onto the column space of the response
 matrix, label-coupled (``K_i X_i``) for the supervised methods.  ``sha``,
-``rha`` (its identity-kernel case) and ``sha_r`` share one fit pipeline and
-differ only in how they choose the shared space ``W``: the single-shot
-paths solve one symmetric eigenproblem over the summed projector
-complements, the iterative path (``sha_r``) alternates between per-subject
-ridge maps and a shared template.  ``none`` is the do-nothing baseline.
+``rha`` (its coupling-free case: no kernel, every time point) and ``sha_r``
+share one fit pipeline and differ only in how they choose the shared space
+``W``: the single-shot paths solve one symmetric eigenproblem over the
+summed projector complements, the iterative path (``sha_r``) alternates
+between per-subject ridge maps and a shared template.  ``none`` is the
+do-nothing baseline.
 
 The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
-each subject (validated kernels, ``k``, the data SVD and one projector
-factor per subject), stacked in subject order and built as stacks, one
-array operation for every subject at once; :func:`_fit_terms` fits over
+each subject (the fitted time points, the validated kernels' ``gamma`` and
+coupling matrices, ``k``, the data SVD and one projector factor per
+subject), stacked in subject order and built as stacks, one array
+operation for every subject at once; :func:`_fit_terms` fits over
 any subset of those subjects by indexing the stacks, summing each selected
 complement ``I - P_i`` into ``U`` as it forms it.  :func:`fit` and the
 ``fit_*`` wrappers run the two over every subject and add the diagnostics;
@@ -55,7 +57,6 @@ from __future__ import annotations
 import shutil
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +78,15 @@ from .linalg import (
     symmetric_eig,
     truncated_svd,
 )
-from .supervision import SupervisionKernel, identity_kernel
+from .supervision import SupervisionKernel
 
 METHODS = ("none", "rha", "sha", "sha_r")
 # The methods that fit through supervision kernels; the others take no kernel
 # and no gamma.
 SUPERVISED_METHODS = ("sha", "sha_r")
 
-# Above this many coupled time points the unsupervised path materializes an
-# uncomfortably large dense eigenproblem; warn rather than refuse.
+# Above this size (classes, or time points under rha) a single-shot fit
+# materializes an uncomfortably large dense eigenproblem; warn rather than refuse.
 _LARGE_EIG_SIZE = 2000
 
 # A template whose every column varies over time by at most this fraction of
@@ -125,10 +126,11 @@ class AlignmentModel:
 
     ``shared_space`` has orthonormal columns (one per shared dimension) and as
     many rows as the supervision kernel has classes (``sha``/``sha_r``) or
-    coupled time points (``rha``).  ``template`` has one row per coupled time
-    point; mapping regresses a subject's responses onto it.  ``labeled`` holds
-    the indices of those time points in the full time axis.  For the ``none``
-    baseline both factors are absent and mapping is the identity.  Every
+    the subjects have time points (``rha``).  ``template`` has one row per
+    fitted time point; mapping regresses a subject's responses onto it.
+    ``labeled`` holds the indices of those time points in the full time
+    axis.  For the ``none`` baseline both factors are absent and mapping is
+    the identity.  Every
     other model is refused (:class:`InvalidDataError`) without a template
     with one row per ``labeled`` index, with a ``k`` other than the column
     count of its factors, or with an ``epsilon`` that is negative or not
@@ -308,38 +310,30 @@ def _check_finite(name: str, *arrays) -> None:
 class _SubjectTerms:
     """What a fit needs of each subject, stacked along axis 0 in subject order.
 
-    ``svds`` stacks the memoized SVDs of the subjects' data at the coupled
-    time points (:func:`_data_svds`; the one factorization a subject gets,
-    which mapping reads too), ``rank_deficient[i]`` is the rank flag of the
+    ``labeled`` holds the fitted time points (every one under ``rha``) and
+    ``gamma`` the kernels' coupling strength (``None`` under ``rha``).
+    ``svds`` stacks the memoized SVDs of the subjects' data at ``labeled``
+    (:func:`_data_svds`; the one factorization a subject gets, which
+    mapping reads too), ``rank_deficient[i]`` is the rank flag of the
     matrix subject ``i``'s projector comes from, ``factors[i]`` the
-    shrunken projector factor ``F_i`` of its
-    label-coupled responses ``K_i X_i`` (``P_i = F_i F_i^T``),
-    ``couplings[i]`` the kernel matrix (absent under the identity kernel)
-    and ``coupled[i]`` the coupled responses ``K_i X_i`` (``sha_r`` only,
-    its default start).  A fit over a subset of the subjects indexes these
-    stacks.  No complement ``I - P_i`` is stacked: each fit adds them to
-    ``U`` one at a time, so a (time points x time points) matrix is never
-    held once per subject.
+    shrunken projector factor ``F_i`` of its label-coupled responses
+    ``K_i X_i`` (``X_i`` itself under ``rha``; ``P_i = F_i F_i^T``),
+    ``couplings[i]`` the kernel matrix ``K_i`` (``None`` under ``rha``,
+    which couples nothing) and ``coupled[i]`` the coupled responses ``K_i
+    X_i`` (``sha_r`` only, its default start).  A fit over a subset of the
+    subjects indexes these stacks.  No complement ``I - P_i`` is stacked:
+    each fit adds them to ``U`` one at a time, so a (time points x time
+    points) matrix is never held once per subject.
     """
 
-    kernels: tuple[SupervisionKernel, ...]
+    labeled: np.ndarray
+    gamma: float | None
     svds: TruncatedSvd
     rank_deficient: np.ndarray
     k: int
     factors: np.ndarray
     couplings: np.ndarray | None
     coupled: np.ndarray | None
-
-    @cached_property
-    def identity_template(self) -> np.ndarray:
-        """``I``, the template of every ``W = I`` fit under identity kernels.
-
-        Built on first use and shared, read-only, by every such fit of these
-        terms (each fold of a full-``k`` ``rha`` run).
-        """
-        template = np.eye(self.factors.shape[1])
-        template.flags.writeable = False
-        return template
 
 
 def _check_iterations(iterations) -> None:
@@ -383,23 +377,28 @@ def _coupled_svd(couplings: np.ndarray, svds: TruncatedSvd, voxels: int) -> Trun
 def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
     """Validate a fit's inputs and build every subject's terms once.
 
-    One memoized data SVD lookup per subject; everything else is one array
-    operation over the subjects' stack: a supervised kernel adds the
-    stacked (classes x rank) SVDs of :func:`_coupled_svd`, and one
-    :func:`projector_from_svd` call shrinks every factor, checks ``epsilon =
-    0`` against every subject and carries the rank flags.  The size
+    ``rha`` fits every time point and couples none; a supervised fit
+    unpacks its validated kernels into their shared time points and
+    ``gamma`` and the stack of their matrices.  One memoized data SVD
+    lookup per subject; everything else is one array operation over the
+    subjects' stack: the kernels add the stacked (classes x rank) SVDs of
+    :func:`_coupled_svd`, and one :func:`projector_from_svd` call shrinks
+    every factor, checks ``epsilon = 0`` against every subject and carries
+    the rank flags.  The size
     advisory's ``stacklevel`` names the line that called :func:`fit` or
     ``fit_*``.
     """
     if method == "rha":
-        kernels = [identity_kernel(dataset.n_timepoints)] * dataset.n_subjects
+        labeled, gamma, couplings = np.arange(dataset.n_timepoints), None, None
     elif kernels is None:
         raise InvalidArgumentError(
             f"fitting {method!r} needs one supervision kernel per subject, got None"
         )
     else:
         kernels = _validate_kernels(dataset, kernels)
-    size = kernels[0].n_classes
+        labeled, gamma = kernels[0].labeled, kernels[0].gamma
+        couplings = np.stack([kernel.matrix for kernel in kernels])
+    size = labeled.size if couplings is None else couplings.shape[1]
     if method != "sha_r" and size > _LARGE_EIG_SIZE:
         warnings.warn(
             f"assembling a {size} x {size} eigenproblem; this path is meant "
@@ -408,19 +407,14 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
             stacklevel=4,
         )
     k = _resolve_k(k, size, min(dataset.n_voxels, size) if method == "rha" else size)
-    labeled = kernels[0].labeled
     svds = _data_svds(dataset.subjects, labeled)
-    couplings = None
-    fitted = svds
-    if not all(kernel.is_identity for kernel in kernels):
-        couplings = np.stack([kernel.matrix for kernel in kernels])
-        fitted = _coupled_svd(couplings, svds, dataset.n_voxels)
+    fitted = svds if couplings is None else _coupled_svd(couplings, svds, dataset.n_voxels)
     coupled = None
     if method == "sha_r":
-        data = np.stack([subject.data[labeled] for subject in dataset.subjects])
-        coupled = data if couplings is None else np.matmul(couplings, data)
+        coupled = couplings @ np.stack([subject.data[labeled] for subject in dataset.subjects])
     return _SubjectTerms(
-        kernels=tuple(kernels),
+        labeled=labeled,
+        gamma=gamma,
         svds=svds,
         rank_deficient=fitted.rank_deficient,
         k=k,
@@ -434,9 +428,9 @@ def _spans_whole_space(terms: _SubjectTerms) -> bool:
     """Whether every fit over these terms takes a ``W`` that spans all of ``U``.
 
     True when ``k`` is the size of ``U = sum_i (I - P_i)`` (the kernel's
-    class count: the time points under ``rha``'s identity kernel): ``W`` is
-    then square with orthonormal columns, a rotation that fixes no more than
-    a basis.  ``sha_r`` takes ``W`` from the SVD of a template with one
+    class count, or under ``rha``, which couples nothing, the count of time
+    points): ``W`` is then square with orthonormal columns, a rotation that
+    fixes no more than a basis.  ``sha_r`` takes ``W`` from the SVD of a template with one
     column per voxel, which has that many left singular vectors only when
     there are at least as many voxels (with fewer, its fit refuses ``k``).
     """
@@ -484,16 +478,15 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
     ``eigenvalues`` are then ``None``, ``history`` its per-round pairwise
     objective under ``for_model``, else ``None``).  ``trace`` is the sum of
     the ``k`` kept eigenvalues, which is ``tr(W^T U W)``.  The template is
-    the kernel-average back-projection of ``W``; under identity kernels
-    that is ``W`` itself, returned as it is (no average is formed).
+    the kernel-average back-projection of ``W``; under ``rha``, with no
+    kernels, it is ``W`` itself, returned as it is (no average is formed).
 
     ``for_model`` marks the fit a model keeps (:func:`fit`), whose outputs
     read its basis of ``W``.  Any other fit (a leave-one-subject-out fold)
     takes ``W = I`` at full ``k`` (:func:`_spans_whole_space`), whatever its
     kernels, since its classifier ignores the basis: it returns ``W`` as
-    ``None``, and its template is the mean ``K_i^T``; under ``rha`` that is
-    ``I``, built once per terms object and shared by every such fit
-    (:attr:`_SubjectTerms.identity_template`).
+    ``None``, and its template is the mean ``K_i^T``, or ``I`` under
+    ``rha``.
 
     A template that does not vary over time (the selected kernels cancel
     out, as when subjects hold swapped class labels) raises an
@@ -518,13 +511,9 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
             # eigenvectors alive in the model, non-contiguous.
             w = vectors[:, :terms.k].copy()
             trace = float(eigenvalues[:terms.k].sum())
-    if terms.couplings is None and w is None:
-        # The mean of identity kernels: finite, and never constant over its
-        # two or more time points, so it needs none of the checks below.
-        return w, terms.identity_template, trace, eigenvalues, history
     if terms.couplings is None:
-        # The mean of S identical back-projections W^T I is W itself.
-        template = w
+        # With no kernel to average over, the back-projection is W itself.
+        template = np.eye(terms.factors.shape[1]) if w is None else w
     else:
         contributions = terms.couplings[subset] if w is None else w.T @ terms.couplings[subset]
         template = (contributions.sum(axis=0) / len(contributions)).T
@@ -579,9 +568,9 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
         shared_space=w,
         template=template,
         epsilon=float(epsilon),
-        gamma=None if method == "rha" else terms.kernels[0].gamma,
+        gamma=terms.gamma,
         k=terms.k,
-        labeled=terms.kernels[0].labeled.copy(),
+        labeled=terms.labeled.copy(),
         fit_report=report,
     )
 
@@ -619,13 +608,14 @@ def fit_sha(train: Dataset, kernels, epsilon: float = 1e-4,
 
 def fit_rha(train: Dataset, epsilon: float = 1e-4,
             k: int | None = None) -> AlignmentModel:
-    """Unsupervised alignment: the identical pipeline under an identity kernel.
+    """Unsupervised alignment: the identical pipeline with no label coupling.
 
-    Every time point acts as its own class, the summed projector complement
-    is (time points x time points), and the template coincides with the
-    shared space.  ``k`` defaults to ``min(voxels, time points)``.  Each
-    subject's projector comes from the same memoized SVD of its data that
-    :func:`map_subject` uses.
+    Every time point is fitted and none is coupled to another, so each
+    projector comes from the subject's data alone, the summed projector
+    complement is (time points x time points), and the template coincides
+    with the shared space.  ``k`` defaults to ``min(voxels, time points)``.
+    Each subject's projector comes from the same memoized SVD of its data
+    that :func:`map_subject` uses.
     """
     return _fit("rha", train, None, epsilon, k)
 

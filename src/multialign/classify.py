@@ -391,8 +391,8 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
             features = np.stack([subj.data[labeled] for subj in normalized.subjects])
         else:
             # Only the labeled rows are classified: no rest-row factor.
-            factors = _mapping_factors(normalized.subjects, terms.svds,
-                                       terms.kernels[0].labeled, epsilon, labeled)
+            factors = _mapping_factors(normalized.subjects, terms.svds, terms.labeled,
+                                       epsilon, labeled)
         ids = np.unique(class_ids)
         groups = _training_class_sets(class_ids)
         columns_of = {int(f): np.searchsorted(ids, classes)
@@ -411,8 +411,7 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         with fold("fit_ns"):
             template = None if terms is None else _fit_terms(terms, train, iterations)[1]
         with fold("map_ns"):
-            if template is not None and not (template is mapped_from
-                                             or np.array_equal(template, mapped_from)):
+            if template is not None and not np.array_equal(template, mapped_from):
                 features = _map_rows(factors, template)
                 mapped_from = template
                 blocks = None

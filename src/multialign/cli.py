@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import METHODS, SUPERVISED_METHODS, fit, map_dataset, save_model
-from .classify import _Stages, run_loso, run_loso_normalized
+from .classify import _Stages, run_loso_normalized
 from .data import (
     Dataset,
     LabelMatrix,
@@ -175,9 +175,9 @@ def cmd_corr(args, out: Path, stage: _Stages) -> None:
 def cmd_loso(args, out: Path, stage: _Stages) -> None:
     gamma, k = _gamma_and_k(args)
     with stage("load_ns"):
-        dataset = load_dataset(args.data)
-    report = run_loso(dataset, args.method, epsilon=args.epsilon, gamma=gamma,
-                      k=k, iterations=args.iters, ridge=args.ridge)
+        dataset = normalize(load_dataset(args.data))
+    report = run_loso_normalized(dataset, args.method, epsilon=args.epsilon, gamma=gamma,
+                                 k=k, iterations=args.iters, ridge=args.ridge)
     stage.update(report.timings["total"])
     payload = report.to_json_dict()
     payload["dataset"] = str(args.data)

@@ -69,6 +69,9 @@ def coupling_determinant(n_points: int, gamma: float) -> float:
 class SupervisionKernel:
     """Label-coupling kernel for one subject.
 
+    Only the supervised methods take kernels; ``rha`` couples nothing and
+    fits every time point, so it needs none.
+
     Attributes
     ----------
     matrix : ndarray, shape (classes, labeled time points)
@@ -78,15 +81,11 @@ class SupervisionKernel:
     labeled : ndarray of int
         Indices of the labeled time points in the subject's full time axis;
         column ``j`` of ``matrix`` refers to time point ``labeled[j]``.
-    is_identity : bool
-        True for the trivial kernel (identity matrix, no label coupling)
-        used by the unsupervised alignment path.
     """
 
     matrix: np.ndarray
     gamma: float
     labeled: np.ndarray
-    is_identity: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_matrix(self.matrix, "kernel matrix"))
@@ -140,19 +139,6 @@ def _kernels(labels, gamma: float | None) -> list[SupervisionKernel]:
     # y @ (I - gamma*J) expanded: row m loses gamma * c_m everywhere.
     matrices = y - gamma * counts[..., None]
     return [SupervisionKernel(m, gamma, labeled) for m in matrices]
-
-
-def identity_kernel(n_points: int) -> SupervisionKernel:
-    """Trivial kernel coupling nothing: the (t x t) identity.
-
-    Used by the unsupervised alignment path, where every time point acts as
-    its own class.
-    """
-    if n_points < 1:
-        raise InvalidArgumentError(f"n_points must be >= 1, got {n_points}")
-    return SupervisionKernel(
-        np.eye(n_points), 0.0, np.arange(n_points), is_identity=True
-    )
 
 
 def kernels_for(dataset: Dataset, gamma: float | None = None) -> list[SupervisionKernel]:

@@ -19,6 +19,7 @@ from multialign import (
     LabelMatrix,
     NumericError,
     SubjectData,
+    SupervisionKernel,
     fit,
     fit_none,
     fit_rha,
@@ -36,7 +37,7 @@ from multialign import (
     supervision_kernel,
     write_matrix_csv,
 )
-from multialign.alignment import _coupled_svd
+from multialign.alignment import _coupled_svd, _subject_terms
 from multialign.linalg import projector_from_svd, regularized_projector, truncated_svd
 from conftest import assert_close_up_to_sign, random_dataset
 
@@ -242,9 +243,29 @@ class TestFitRha:
                                     unsupervised.shared_space, 1e-8)
             assert_close_up_to_sign(supervised.template, unsupervised.template, 1e-8)
 
+    @pytest.mark.parametrize("n_t, n_v", [(10, 16), (12, 12)])
+    def test_equals_sha_under_hand_built_identity_kernels(self, rng, n_t, n_v):
+        # rha builds no kernel; sha under one identity kernel per subject
+        # must still fit what rha fits.
+        ds = normalize(random_dataset(rng, 4, n_t, n_v, 3))
+        kernels = [SupervisionKernel(np.eye(n_t), 0.0, np.arange(n_t)) for _ in ds.subjects]
+        supervised = fit_sha(ds, kernels)
+        unsupervised = fit_rha(ds)
+        assert supervised.k == unsupervised.k == n_t  # full k: V >= T
+        np.testing.assert_allclose(supervised.fit_report.eigenvalues,
+                                   unsupervised.fit_report.eigenvalues, atol=1e-10, rtol=0)
+        for subject in ds.subjects:
+            z_sha = map_subject(supervised, subject).features
+            z_rha = map_subject(unsupervised, subject).features
+            np.testing.assert_allclose(z_sha @ z_sha.T, z_rha @ z_rha.T, atol=1e-10, rtol=0,
+                                       err_msg=subject.subject_id)
+        terms = _subject_terms("rha", ds, None, 1e-4, None)
+        assert terms.couplings is None and terms.gamma is None
+        np.testing.assert_array_equal(terms.labeled, np.arange(n_t))
+
     def test_template_equals_shared_space(self, rng):
-        # back-projecting through identity kernels averages S identical
-        # copies of the shared space, so the template is W itself, bit for bit
+        # with no kernel to average over, the back-projection is the shared
+        # space itself, bit for bit
         ds = normalize(random_dataset(rng, 3, 14, 20, 2))
         model = fit_rha(ds)
         np.testing.assert_array_equal(model.template, model.shared_space)

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import multialign
 import multialign.alignment
+import multialign.classify
 import multialign.data
 import multialign.linalg
 from multialign import (
@@ -763,6 +765,27 @@ class TestTimingsContract:
         replay = tmp_path / "replay"
         assert run_cli("rerun", str(out / "run_config.json"), "--out", str(replay)) == 0
         self._check(replay, argv[0], stages)
+
+    def test_loso_load_ns_covers_the_normalization(self, manifest, tmp_path, monkeypatch):
+        # Normalizing is loading's last step, as for align, corr and sweep: its
+        # time lands in load_ns, not before the LOSO stages start their clocks.
+        spans = []
+
+        def timed_normalize(dataset):
+            start = time.perf_counter_ns()
+            time.sleep(0.02)  # enough to stand out of any rounding of the span
+            normalized = multialign.data.normalize(dataset)
+            spans.append(time.perf_counter_ns() - start)
+            return normalized
+
+        for module in (multialign.cli, multialign.classify):
+            monkeypatch.setattr(module, "normalize", timed_normalize)
+        out = tmp_path / "out"
+        assert run_cli("loso", "--data", str(manifest), "--method", "sha",
+                       "--out", str(out)) == 0
+        stages = json.loads((out / "timings.json").read_text())["stages_ns"]
+        assert len(spans) == 1  # normalized once, in the load span
+        assert stages["load_ns"] >= spans[0]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_loso_report_keeps_per_fold_and_total(self, manifest, method):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import multialign
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multialign"
 
 
@@ -45,3 +47,17 @@ def test_the_check_finds_an_unused_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_resolves_and_lists_every_public_import():
+    # A name left in __all__ after its import is removed breaks
+    # ``from multialign import *``; a public import missing from __all__ is
+    # left out of it.
+    namespace = {}
+    exec("from multialign import *", namespace)
+    assert set(multialign.__all__) <= set(namespace)
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} <= set(multialign.__all__)

@@ -11,7 +11,6 @@ from multialign import (
     coupling_determinant,
     coupling_matrix,
     default_gamma,
-    identity_kernel,
     kernels_for,
     supervision_kernel,
 )
@@ -123,12 +122,6 @@ class TestSupervisionKernel:
         ds = random_dataset(rng, 1, 20, 3, 2)
         ker = supervision_kernel(ds.labels[0], gamma=0.0)
         np.testing.assert_array_equal(ker.matrix, ds.labels[0].onehot)
-
-    def test_identity_kernel(self):
-        ker = identity_kernel(6)
-        assert ker.is_identity
-        np.testing.assert_array_equal(ker.matrix, np.eye(6))
-        np.testing.assert_array_equal(ker.labeled, np.arange(6))
 
     def test_kernels_for_dataset(self, rng):
         ds = random_dataset(rng, 3, 24, 4, 3)
