@@ -32,7 +32,7 @@ def assert_close_up_to_sign(a: np.ndarray, b: np.ndarray, atol: float) -> None:
 
 def random_labels(rng: np.random.Generator, n_classes: int, n_timepoints: int,
                   rest_fraction: float = 0.0) -> LabelMatrix:
-    """Random run-structured labels covering every class at least once."""
+    """Random run-structured labels showing every class at labeled points."""
     classes = []
     while len(classes) < n_timepoints:
         c = int(rng.integers(n_classes))
@@ -50,6 +50,13 @@ def random_labels(rng: np.random.Generator, n_classes: int, n_timepoints: int,
         n_rest = int(rest_fraction * n_timepoints)
         rest = rng.choice(n_timepoints, size=n_rest, replace=False)
         onehot[:, rest] = 0.0
+    # A class left with no labeled point (overwritten above, or drawn at rest
+    # points only) takes over the first labeled point of a class shown twice.
+    for c in np.flatnonzero(onehot.sum(axis=1) == 0):
+        counts = onehot.sum(axis=1)
+        t = next(t for t in range(n_timepoints) if counts @ onehot[:, t] > 1)
+        onehot[:, t] = 0.0
+        onehot[c, t] = 1.0
     return LabelMatrix(onehot)
 
 

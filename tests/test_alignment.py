@@ -226,10 +226,12 @@ class TestFitSha:
 
 
 class TestFitRha:
-    def test_reduces_from_identity_supervision(self, rng):
-        # supervised path under an identity kernel == unsupervised path
+    @pytest.mark.parametrize("t, v", [(10, 16), (12, 12)])
+    def test_reduces_from_identity_supervision(self, rng, t, v):
+        # rha builds no kernel; sha under one identity kernel per subject
+        # (identity labels at gamma 0) must still fit what rha fits.
+        ident_kernel = SupervisionKernel(np.eye(t), 0.0, np.arange(t))
         for _ in range(3):
-            t, v = 10, 16
             subs = tuple(
                 SubjectData(f"s{i}", rng.standard_normal((t, v))) for i in range(3)
             )
@@ -237,31 +239,26 @@ class TestFitRha:
             ds = Dataset(subs, tuple(ident for _ in subs),
                          tuple(f"c{i}" for i in range(t)))
             kernels = [supervision_kernel(lab, gamma=0.0) for lab in ds.labels]
+            for kernel in kernels:
+                np.testing.assert_array_equal(kernel.matrix, ident_kernel.matrix)
+                np.testing.assert_array_equal(kernel.labeled, ident_kernel.labeled)
             supervised = fit_sha(ds, kernels, k=t)
             unsupervised = fit_rha(ds, k=t)
             assert_close_up_to_sign(supervised.shared_space,
                                     unsupervised.shared_space, 1e-8)
             assert_close_up_to_sign(supervised.template, unsupervised.template, 1e-8)
-
-    @pytest.mark.parametrize("n_t, n_v", [(10, 16), (12, 12)])
-    def test_equals_sha_under_hand_built_identity_kernels(self, rng, n_t, n_v):
-        # rha builds no kernel; sha under one identity kernel per subject
-        # must still fit what rha fits.
-        ds = normalize(random_dataset(rng, 4, n_t, n_v, 3))
-        kernels = [SupervisionKernel(np.eye(n_t), 0.0, np.arange(n_t)) for _ in ds.subjects]
-        supervised = fit_sha(ds, kernels)
-        unsupervised = fit_rha(ds)
-        assert supervised.k == unsupervised.k == n_t  # full k: V >= T
-        np.testing.assert_allclose(supervised.fit_report.eigenvalues,
-                                   unsupervised.fit_report.eigenvalues, atol=1e-10, rtol=0)
-        for subject in ds.subjects:
-            z_sha = map_subject(supervised, subject).features
-            z_rha = map_subject(unsupervised, subject).features
-            np.testing.assert_allclose(z_sha @ z_sha.T, z_rha @ z_rha.T, atol=1e-10, rtol=0,
-                                       err_msg=subject.subject_id)
-        terms = _subject_terms("rha", ds, None, 1e-4, None)
-        assert terms.couplings is None and terms.gamma is None
-        np.testing.assert_array_equal(terms.labeled, np.arange(n_t))
+            np.testing.assert_allclose(supervised.fit_report.eigenvalues,
+                                       unsupervised.fit_report.eigenvalues,
+                                       atol=1e-10, rtol=0)
+            # At full k with V >= T the mapped subjects agree up to basis.
+            for subject in ds.subjects:
+                z_sha = map_subject(supervised, subject).features
+                z_rha = map_subject(unsupervised, subject).features
+                np.testing.assert_allclose(z_sha @ z_sha.T, z_rha @ z_rha.T,
+                                           atol=1e-10, rtol=0, err_msg=subject.subject_id)
+            terms = _subject_terms("rha", ds, None, 1e-4, None)
+            assert terms.couplings is None and terms.gamma is None
+            np.testing.assert_array_equal(terms.labeled, np.arange(t))
 
     def test_template_equals_shared_space(self, rng):
         # with no kernel to average over, the back-projection is the shared
