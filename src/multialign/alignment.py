@@ -10,19 +10,18 @@ summed projector complements, the iterative path (``sha_r``) alternates
 between per-subject ridge maps and a shared template.  ``none`` is the
 do-nothing baseline.
 
-The fit has two cores.  :func:`_subject_terms` builds what the fit needs of
-each subject (the fitted time points, the validated kernels' ``gamma`` and
-coupling matrices, ``k``, the data SVD and one projector factor per
-subject), stacked in subject order and built as stacks, one array
-operation for every subject at once; :func:`_fit_terms` fits over
-any subset of those subjects by indexing the stacks, summing each selected
-complement ``I - P_i`` into ``U`` as it forms it.  :func:`fit` and the
-``fit_*`` wrappers run the two over every subject and add the diagnostics;
-leave-one-subject-out builds the terms once per run, fits every fold from
-them and maps through the data SVDs they hold.  At full ``k``
-(:func:`_spans_whole_space`) every fold takes ``W = I``, whatever its
-labels: a fold's ``W`` then only picks a basis of ``U``, and the
-classifier it feeds ignores the basis.  :func:`fit` keeps its eigenbasis.
+The fit has three cores, each with one job.  :func:`_subject_terms` builds
+what the fit needs of each subject (the fitted time points, the validated
+kernels' ``gamma`` and coupling matrices, ``k``, the data SVD and one
+projector factor per subject), stacked in subject order and built as
+stacks, one array operation for every subject at once.  Over any subset of
+those subjects, :func:`_shared_space` solves for ``W`` by indexing the
+stacks, summing each selected complement ``I - P_i`` into ``U`` as it forms
+it, and :func:`_template` back-projects a given ``W`` into the time-point
+template.  :func:`fit` and the ``fit_*`` wrappers run the three over every
+subject and add the diagnostics; leave-one-subject-out builds the terms
+once per run, fits every fold from them and maps through the data SVDs
+they hold.
 
 Mapping never materializes the (voxels x voxels) ridge system: it is
 phrased in the dual (time-point) form of the ridge regression, through the
@@ -384,9 +383,7 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
     subjects' stack: the kernels add the stacked (classes x rank) SVDs of
     :func:`_coupled_svd`, and one :func:`projector_from_svd` call shrinks
     every factor, checks ``epsilon = 0`` against every subject and carries
-    the rank flags.  The size
-    advisory's ``stacklevel`` names the line that called :func:`fit` or
-    ``fit_*``.
+    the rank flags.
     """
     if method == "rha":
         labeled, gamma, couplings = np.arange(dataset.n_timepoints), None, None
@@ -399,13 +396,6 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
         labeled, gamma = kernels[0].labeled, kernels[0].gamma
         couplings = np.stack([kernel.matrix for kernel in kernels])
     size = labeled.size if couplings is None else couplings.shape[1]
-    if method != "sha_r" and size > _LARGE_EIG_SIZE:
-        warnings.warn(
-            f"assembling a {size} x {size} eigenproblem; this path is meant "
-            "for moderate problem sizes",
-            AdvisoryWarning,
-            stacklevel=4,
-        )
     k = _resolve_k(k, size, min(dataset.n_voxels, size) if method == "rha" else size)
     svds = _data_svds(dataset.subjects, labeled)
     fitted = svds if couplings is None else _coupled_svd(couplings, svds, dataset.n_voxels)
@@ -422,20 +412,6 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
         couplings=couplings,
         coupled=coupled,
     )
-
-
-def _spans_whole_space(terms: _SubjectTerms) -> bool:
-    """Whether every fit over these terms takes a ``W`` that spans all of ``U``.
-
-    True when ``k`` is the size of ``U = sum_i (I - P_i)`` (the kernel's
-    class count, or under ``rha``, which couples nothing, the count of time
-    points): ``W`` is then square with orthonormal columns, a rotation that
-    fixes no more than a basis.  ``sha_r`` takes ``W`` from the SVD of a template with one
-    column per voxel, which has that many left singular vectors only when
-    there are at least as many voxels (with fewer, its fit refuses ``k``).
-    """
-    size = terms.factors.shape[1]
-    return terms.k == size and (terms.coupled is None or terms.coupled.shape[2] >= size)
 
 
 def _iterated_space(factors, coupled, k, iterations, initial_shared, record_history):
@@ -467,26 +443,51 @@ def _iterated_space(factors, coupled, k, iterations, initial_shared, record_hist
     return truncated_svd(template, k).left, tuple(history) if record_history else None
 
 
-def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
-               for_model=False):
-    """The fit over the subjects ``subset`` selects: ``W``, template, objectives.
+def _shared_space(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
+                  record_history=False):
+    """The shared space ``W`` of the subjects ``subset`` selects, and its objectives.
 
-    Returns ``(W, template, trace, eigenvalues, history)``.  The single-shot
-    paths add the selected complements ``I - P_i`` in subject order to a
-    running sum ``U``, from zeros, and keep the ``k`` eigenvectors of
-    smallest eigenvalue; ``sha_r`` iterates instead (``trace`` and
+    Returns ``(W, trace, eigenvalues, history)``.  The single-shot paths add
+    the selected complements ``I - P_i`` in subject order to a running sum
+    ``U``, from zeros, and keep the ``k`` eigenvectors of smallest
+    eigenvalue; ``trace`` is the sum of the ``k`` kept eigenvalues, which is
+    ``tr(W^T U W)``.  ``sha_r`` iterates instead (``trace`` and
     ``eigenvalues`` are then ``None``, ``history`` its per-round pairwise
-    objective under ``for_model``, else ``None``).  ``trace`` is the sum of
-    the ``k`` kept eigenvalues, which is ``tr(W^T U W)``.  The template is
-    the kernel-average back-projection of ``W``; under ``rha``, with no
-    kernels, it is ``W`` itself, returned as it is (no average is formed).
+    objective under ``record_history``, else ``None``).
 
-    ``for_model`` marks the fit a model keeps (:func:`fit`), whose outputs
-    read its basis of ``W``.  Any other fit (a leave-one-subject-out fold)
-    takes ``W = I`` at full ``k`` (:func:`_spans_whole_space`), whatever its
-    kernels, since its classifier ignores the basis: it returns ``W`` as
-    ``None``, and its template is the mean ``K_i^T``, or ``I`` under
-    ``rha``.
+    A single-shot ``U`` larger than ``_LARGE_EIG_SIZE`` raises an
+    :class:`AdvisoryWarning` that names its caller as :func:`_template`'s does.
+    """
+    factors = terms.factors[subset]
+    if terms.coupled is not None:
+        w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
+                                     iterations, initial_shared, record_history)
+        return w, None, None, history
+    size = factors.shape[1]
+    if size > _LARGE_EIG_SIZE:
+        warnings.warn(
+            f"assembling a {size} x {size} eigenproblem; this path is meant "
+            "for moderate problem sizes",
+            AdvisoryWarning,
+            stacklevel=4,
+        )
+    identity = np.eye(size)
+    u = np.zeros((size, size))
+    for f in factors:
+        u += identity - f @ f.T
+    eigenvalues, vectors = symmetric_eig(u)
+    # A copy of the kept columns: a view would hold all T x T eigenvectors
+    # alive in the model, non-contiguous.
+    w = vectors[:, :terms.k].copy()
+    return w, float(eigenvalues[:terms.k].sum()), eigenvalues, None
+
+
+def _template(terms: _SubjectTerms, subset, w) -> np.ndarray:
+    """The time-point template of ``W`` over the subjects ``subset`` selects.
+
+    The kernel-average back-projection ``(mean_i W^T K_i)^T``; under
+    ``rha``, with no kernels, it is ``W`` itself, returned as it is (no
+    average is formed).
 
     A template that does not vary over time (the selected kernels cancel
     out, as when subjects hold swapped class labels) raises an
@@ -494,28 +495,10 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
     ``stacklevel`` names the line that called :func:`fit`, ``fit_*`` or a
     ``multialign.classify.run_loso*`` entry point.
     """
-    trace = eigenvalues = history = w = None  # None is W = I: its products are skipped
-    if for_model or not _spans_whole_space(terms):
-        factors = terms.factors[subset]
-        if terms.coupled is not None:
-            w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
-                                         iterations, initial_shared, for_model)
-        else:
-            size = factors.shape[1]
-            identity = np.eye(size)
-            u = np.zeros((size, size))
-            for f in factors:
-                u += identity - f @ f.T
-            eigenvalues, vectors = symmetric_eig(u)
-            # A copy of the kept columns: a view would hold all T x T
-            # eigenvectors alive in the model, non-contiguous.
-            w = vectors[:, :terms.k].copy()
-            trace = float(eigenvalues[:terms.k].sum())
     if terms.couplings is None:
-        # With no kernel to average over, the back-projection is W itself.
-        template = np.eye(terms.factors.shape[1]) if w is None else w
+        template = w
     else:
-        contributions = terms.couplings[subset] if w is None else w.T @ terms.couplings[subset]
+        contributions = w.T @ terms.couplings[subset]
         template = (contributions.sum(axis=0) / len(contributions)).T
     _check_finite("alignment fit", w, template)
     # The first test, on the first and last rows, is cheaper and implied by
@@ -529,23 +512,25 @@ def _fit_terms(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
             AdvisoryWarning,
             stacklevel=4,
         )
-    return w, template, trace, eigenvalues, history
+    return template
 
 
 def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None):
     """The fit of ``rha``, ``sha`` and ``sha_r`` over every subject of ``train``.
 
-    :func:`fit` and the ``fit_*`` wrappers call it directly, so the size
-    warning's ``stacklevel`` names their caller's line.  A fit compares
-    subjects with each other, so it needs at least two.
+    It solves for ``W`` (:func:`_shared_space`), then back-projects it
+    (:func:`_template`).  :func:`fit` and the ``fit_*`` wrappers call it
+    directly, so the advisories' ``stacklevel`` names their caller's line.
+    A fit compares subjects with each other, so it needs at least two.
     """
     if train.n_subjects < 2:
         raise InvalidArgumentError(
             f"fitting {method!r} needs at least 2 subjects, got {train.n_subjects}"
         )
     terms = _subject_terms(method, train, kernels, epsilon, k)
-    w, template, trace, eigenvalues, history = _fit_terms(
-        terms, slice(None), iterations, initial_shared, for_model=True)
+    w, trace, eigenvalues, history = _shared_space(terms, slice(None), iterations,
+                                                   initial_shared, record_history=True)
+    template = _template(terms, slice(None), w)
     # Diagnostics: where each subject's projector carries the shared space.
     projected = terms.factors @ (terms.factors.swapaxes(1, 2) @ w)
     residual = float(sum(((p - w) ** 2).sum() for p in projected))

@@ -14,14 +14,15 @@ order: the supervision kernel, the projector factor ``F_i`` of the fit
 (``P_i = F_i F_i^T``), the mapping factors read off the data SVD (left
 factor and shrinks), and the class ids of the labeled rows.
 
-Every fold fits over its training subjects and maps every subject through
-its template with :func:`~multialign.alignment._map_rows`, the one
+Every fold forms a template over its training subjects and maps every
+subject through it with :func:`~multialign.alignment._map_rows`, the one
 mapping formula, which :func:`~multialign.alignment.map_subject` and
 :func:`~multialign.alignment.map_dataset` also use: all subjects in one
 stacked call, at the labeled rows only, the ones the classifier reads, so
-no rest-row factor is built.  At full ``k`` every fold takes ``W = I``,
-whatever its labels: no eigensolve and no ``sha_r`` iteration (see
-:func:`run_loso_normalized`).
+no rest-row factor is built.  The classifier ignores the basis of ``W``,
+so at full ``k`` (:func:`_spans_whole_space`) every fold takes one ``W =
+I`` per run, whatever its labels: no eigensolve and no ``sha_r``
+iteration (see :func:`run_loso_normalized`).
 
 Each fold then forms the ridge system of its classifier, the sum of its
 training subjects' blocks of the normal equations.  The blocks are formed
@@ -44,11 +45,13 @@ import numpy as np
 from .alignment import (
     METHODS,
     SUPERVISED_METHODS,
+    _SubjectTerms,
     _check_iterations,
-    _fit_terms,
     _map_rows,
     _mapping_factors,
+    _shared_space,
     _subject_terms,
+    _template,
 )
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
@@ -305,13 +308,14 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     :func:`~multialign.alignment.map_dataset` use; rest rows are not
     mapped, so no rest-row factor is built.
 
-    Every fold fits through :func:`~multialign.alignment._fit_terms` over
-    its training subjects and maps every subject with one stacked matmul;
-    a fold whose template equals the previous fold's keeps that fold's
-    features.  At full ``k`` (``k`` the size of ``U = sum_i (I -
-    P_i)``: the class count, the default of ``sha`` and ``sha_r``, or ``T``
-    under ``rha``, its default with at least as many voxels as time
-    points) every fold takes ``W = I``, whatever its labels: the ridge
+    Every fold forms its template with
+    :func:`~multialign.alignment._template` over its training subjects and
+    maps every subject with one stacked matmul; a fold whose template
+    equals the previous fold's keeps that fold's features.  At full ``k``
+    (``k`` the size of ``U = sum_i (I - P_i)``: the class count, the
+    default of ``sha`` and ``sha_r``, or ``T`` under ``rha``, its default
+    with at least as many voxels as time points) every fold takes ``W =
+    I``, one identity built once per run, whatever its labels: the ridge
     classifier (isotropic penalty, unpenalized intercept) predicts the same
     from any basis of ``U``.  No fold then solves an eigenproblem or runs a
     ``sha_r`` iteration, and its template is the mean ``K_i^T`` of its
@@ -319,13 +323,13 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     always under ``rha``, every subject is mapped once per run; ``sha_r``
     gives ``sha``'s folds for any labels, and ``iterations`` has no effect
     (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, per
-    fold too).  Below full ``k`` a fold adds its training subjects'
-    complements ``I - P_i`` to ``U`` in subject order, the sum a fit on
-    those subjects forms, solves one eigenproblem (``sha_r`` iterates
-    instead) and forms the template ``G``.  A fold whose template does not
-    vary over time (its training kernels cancel out) raises an
-    :class:`AdvisoryWarning`.  Per-fold memory is the (subjects, rows,
-    rank + k) stack of one mapping.
+    fold too).  Below full ``k`` a fold first solves for ``W`` with
+    :func:`~multialign.alignment._shared_space`: it adds its training
+    subjects' complements ``I - P_i`` to ``U`` in subject order, the sum a
+    fit on those subjects forms, and solves one eigenproblem (``sha_r``
+    iterates instead).  A fold whose template does not vary over time (its
+    training kernels cancel out) raises an :class:`AdvisoryWarning`.
+    Per-fold memory is the (subjects, rows, rank + k) stack of one mapping.
 
     The classifier's normal equations come in per-subject blocks
     (:func:`_ridge_blocks`), formed in one stacked matmul over every
@@ -347,17 +351,31 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     class, or none of the classes its fold trains on, has no AUC
     (``None``); ``auc_mean`` and ``auc_std`` cover the folds that have one.
 
-    Stage wall-clock totals (nanoseconds) are collected on the report's
-    ``timings`` attribute: ``per_fold`` holds each fold's ``fit_ns``,
-    ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method;
-    a fold's ``train_ns`` includes forming the blocks when its features
-    are new), and ``total`` their sums plus the run-level work: the
-    per-run stacks count toward ``fit_ns`` (kernels, fit terms) and
-    ``map_ns`` (mapping factors, class sets), the stacked solve toward
-    ``train_ns`` and the stacked scoring toward ``score_ns``.  They stay
+    Stage wall-clock totals (nanoseconds) of the whole run are collected
+    on the report's ``timings`` attribute, one flat dict of ``fit_ns``,
+    ``map_ns``, ``train_ns`` and ``score_ns`` (all four for every method).
+    ``fit_ns`` covers the per-run stacks (kernels, fit terms) and every
+    fold's fit, ``map_ns`` the mapping factors, class sets and every
+    fold's mapping, ``train_ns`` forming the blocks, every fold's system
+    and the stacked solve, and ``score_ns`` the stacked scoring.  They stay
     out of the JSON form so that reports are reproducible byte for byte.
     """
     return _loso(normalized, method, epsilon, gamma, k, iterations, ridge)
+
+
+def _spans_whole_space(terms: _SubjectTerms) -> bool:
+    """Whether every fold may take ``W = I``: ``W`` spans all of ``U``.
+
+    True when ``k`` is the size of ``U = sum_i (I - P_i)`` (the kernel's
+    class count, or under ``rha``, which couples nothing, the count of time
+    points): ``W`` is then square with orthonormal columns, a rotation that
+    fixes no more than a basis.  ``sha_r`` takes ``W`` from the SVD of a
+    template with one column per voxel, which has that many left singular
+    vectors only when there are at least as many voxels (with fewer, its
+    fit refuses ``k``).
+    """
+    size = terms.factors.shape[1]
+    return terms.k == size and (terms.coupled is None or terms.coupled.shape[2] >= size)
 
 
 def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoReport:
@@ -384,6 +402,9 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         if method != "none":
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k)
+        # At full k every fold takes W = I: one identity for the run.
+        full = terms is not None and _spans_whole_space(terms)
+        identity = np.eye(terms.factors.shape[1]) if full else None
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
@@ -401,27 +422,25 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
 
     systems = []
     held_rows = []
-    per_fold = []
     mapped_from = None  # the template ``features`` were mapped from
     blocks = None  # the ridge blocks of ``features``
     order = np.arange(subjects)
     for held in range(subjects):
         train = order[order != held]
-        fold = _Stages()
-        with fold("fit_ns"):
-            template = None if terms is None else _fit_terms(terms, train, iterations)[1]
-        with fold("map_ns"):
-            if template is not None and not np.array_equal(template, mapped_from):
+        with run("fit_ns"):
+            if terms is not None:
+                w = identity if full else _shared_space(terms, train, iterations)[0]
+                template = _template(terms, train, w)
+        with run("map_ns"):
+            if terms is not None and not np.array_equal(template, mapped_from):
                 features = _map_rows(factors, template)
                 mapped_from = template
                 blocks = None
-        with fold("train_ns"):
+        with run("train_ns"):
             if blocks is None:
                 blocks = _ridge_blocks(features, class_ids, ids)
             systems.append(_ridge_system(blocks, train, columns_of[held], ridge))
-        with fold("score_ns"):
-            held_rows.append(features[held].copy())
-        per_fold.append(fold)
+        held_rows.append(features[held])
 
     accs = np.empty(subjects)
     auc_of = np.full(subjects, np.nan)
@@ -445,8 +464,6 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         for i, subject in enumerate(normalized.subjects)
     )
     aucs = [f.auc for f in folds if f.auc is not None]
-    totals = {stage: sum(fold[stage] for fold in per_fold) + spent
-              for stage, spent in run.items()}
     params = {
         "epsilon": float(epsilon),
         "gamma": None if gamma is None or method not in SUPERVISED_METHODS else float(gamma),
@@ -462,5 +479,5 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         accuracy_std=float(accs.std()),
         auc_mean=float(np.mean(aucs)) if aucs else None,
         auc_std=float(np.std(aucs)) if aucs else None,
-        timings={"per_fold": per_fold, "total": totals},
+        timings=dict(run),
     )

@@ -178,7 +178,7 @@ def cmd_loso(args, out: Path, stage: _Stages) -> None:
         dataset = normalize(load_dataset(args.data))
     report = run_loso_normalized(dataset, args.method, epsilon=args.epsilon, gamma=gamma,
                                  k=k, iterations=args.iters, ridge=args.ridge)
-    stage.update(report.timings["total"])
+    stage.update(report.timings)
     payload = report.to_json_dict()
     payload["dataset"] = str(args.data)
     payload["seed"] = args.seed
@@ -232,7 +232,7 @@ def cmd_sweep(args, out: Path, stage: _Stages) -> None:
             report = run_loso_normalized(dataset, args.method, epsilon=args.epsilon,
                                          gamma=gamma, k=k, iterations=args.iters,
                                          ridge=args.ridge)
-            for key, ns in report.timings["total"].items():
+            for key, ns in report.timings.items():
                 stage[key] = stage.get(key, 0) + ns
         if args.kind in ("det", "gamma"):
             t = int(base.labels[0].labeled_indices.size)

@@ -61,8 +61,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     resolve to the first maximal index, which makes the convention
     deterministic.
     """
-    if vectors.shape[-1] == 0:
-        return vectors
     anchor = np.abs(vectors).argmax(axis=-2, keepdims=True)
     signs = np.sign(np.take_along_axis(vectors, anchor, axis=-2))
     signs[signs == 0] = 1.0

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,14 +33,15 @@ from multialign import (
     normalize,
     pairwise_objective,
     rho1,
+    run_loso,
     save_dataset,
     save_model,
     supervision_kernel,
     write_matrix_csv,
 )
-from multialign.alignment import _coupled_svd, _subject_terms
+from multialign.alignment import _coupled_svd, _subject_terms, _template
 from multialign.linalg import projector_from_svd, regularized_projector, truncated_svd
-from conftest import assert_close_up_to_sign, random_dataset
+from conftest import assert_close_up_to_sign, random_dataset, random_labels
 
 
 def _fitted(rng, n_subjects=4, n_t=24, n_v=15, n_classes=3, **kw):
@@ -224,6 +226,28 @@ class TestFitSha:
         with pytest.raises(InvalidArgumentError):
             fit_sha(ds, kernels)
 
+    @pytest.mark.parametrize("other, match", [
+        pytest.param(lambda k: SupervisionKernel(k.matrix[:2], k.gamma, k.labeled),
+                     "all kernels must share classes", id="fewer-classes"),
+        pytest.param(lambda k: SupervisionKernel(k.matrix[:, :-1], k.gamma, k.labeled[:-1]),
+                     "all kernels must share classes", id="fewer-time-points"),
+        pytest.param(lambda k: SupervisionKernel(k.matrix, k.gamma, k.labeled + 1),
+                     "couples different time points", id="shifted-time-points"),
+    ])
+    def test_kernels_that_disagree_with_kernel_0_rejected(self, rng, other, match):
+        ds = normalize(random_dataset(rng, 3, 18, 10, 3))
+        kernels = kernels_for(ds)
+        kernels[1] = other(kernels[1])
+        with pytest.raises(InvalidArgumentError, match=match):
+            fit_sha(ds, kernels)
+
+    def test_kernel_past_the_last_time_point_rejected(self, rng):
+        ds = normalize(random_dataset(rng, 3, 18, 10, 3))
+        kernels = [SupervisionKernel(k.matrix, k.gamma, k.labeled + 1)
+                   for k in kernels_for(ds)]
+        with pytest.raises(InvalidArgumentError, match="indexes time point 18"):
+            fit_sha(ds, kernels)
+
 
 class TestFitRha:
     @pytest.mark.parametrize("t, v", [(10, 16), (12, 12)])
@@ -315,6 +339,33 @@ class TestSharedSpaceStorage:
         w = model.shared_space
         assert w.shape[1] == k < w.shape[0]
         assert w.flags.c_contiguous and w.base is None
+
+
+class TestTemplate:
+    @given(seed=st.integers(0, 2**32 - 1), subjects=st.integers(2, 5),
+           timepoints=st.integers(6, 16), n_classes=st.integers(2, 4),
+           gamma=st.sampled_from([None, 0.0, 0.01]))
+    @settings(max_examples=40, deadline=None)
+    def test_identity_gives_the_mean_kernel_bit_for_bit(self, seed, subjects, timepoints,
+                                                        n_classes, gamma):
+        # Leave-one-subject-out hands every full-k fold W = I and relies on
+        # I @ K_i being K_i exactly.
+        gen = np.random.default_rng(seed)
+        ds = Dataset(tuple(SubjectData(f"s{i}", gen.standard_normal((timepoints, 6)))
+                           for i in range(subjects)),
+                     tuple(random_labels(gen, n_classes, timepoints)
+                           for _ in range(subjects)),
+                     tuple(f"c{m}" for m in range(n_classes)))
+        terms = _subject_terms("sha", normalize(ds), kernels_for(ds, gamma), 1e-4, None)
+        size = terms.factors.shape[1]
+        assert terms.k == size
+        train = gen.choice(subjects, int(gen.integers(1, subjects + 1)), replace=False)
+        with warnings.catch_warnings():
+            # Training kernels that cancel out are fine here.
+            warnings.simplefilter("ignore", AdvisoryWarning)
+            got = _template(terms, train, np.eye(size))
+        want = (terms.couplings[train].sum(axis=0) / len(train)).T
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -843,6 +894,21 @@ class TestLoadModelValidation:
         with pytest.raises(InvalidDataError, match="malformed value"):
             load_model(tmp_path)
 
+    def test_unknown_method(self, tmp_path, rng):
+        meta = self._saved(tmp_path, rng)
+        meta["method"] = "bogus"
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="unknown method 'bogus'"):
+            load_model(tmp_path)
+
+    @pytest.mark.parametrize("name", ["w.csv", "g.csv"])
+    def test_matrix_shape_other_than_dims(self, tmp_path, rng, name):
+        self._saved(tmp_path, rng)
+        lines = (tmp_path / name).read_text().splitlines()
+        (tmp_path / name).write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(InvalidDataError, match=f"{name} has shape"):
+            load_model(tmp_path)
+
     def test_supervised_model_without_dims(self, tmp_path, rng):
         meta = self._saved(tmp_path, rng)
         del meta["dims"]
@@ -883,6 +949,11 @@ class TestLoadModelValidation:
         (tmp_path / "model.json").write_text(json.dumps(meta))
         with pytest.raises(InvalidDataError, match=match):
             load_model(tmp_path)
+
+    def test_unknown_method_model_refused(self, rng):
+        _, _, model = _fitted(rng)
+        with pytest.raises(InvalidArgumentError, match="got 'bogus'"):
+            dataclasses.replace(model, method="bogus")
 
     def test_inconsistent_model_is_refused_before_mapping(self, rng):
         # The model's fault, whatever subject it would have been handed.
@@ -1011,3 +1082,17 @@ class TestLargeEigAdvisory:
         ds = normalize(random_dataset(rng, 3, 12, 8, 2))
         fit_sha_r(ds, kernels_for(ds), iterations=2)
         assert not [w for w in recwarn if "eigenproblem" in str(w.message)]
+
+    @pytest.mark.parametrize("method", ["rha", "sha"])
+    def test_loso_warns_only_where_a_fold_assembles_u(self, rng, small_threshold, method):
+        # At full k every fold takes W = I and assembles no U; below it each
+        # fold assembles one and warns, naming the line that ran the folds.
+        ds = random_dataset(rng, 4, 12, 16, 3)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_loso(ds, method)
+            line = inspect.currentframe().f_lineno + 1
+            run_loso(ds, method, k=2)
+        sizes = [w for w in record if "eigenproblem" in str(w.message)]
+        assert len(sizes) == ds.n_subjects
+        assert {(w.filename, w.lineno) for w in sizes} == {(__file__, line)}

@@ -207,25 +207,24 @@ class TestRunLoso:
 
     def test_timings_collected_but_not_serialized(self, dataset):
         report = run_loso(dataset, "none")
-        assert set(report.timings) == {"per_fold", "total"}
-        assert len(report.timings["per_fold"]) == 4
-        assert all(v >= 0 for v in report.timings["total"].values())
+        assert set(report.timings) == {"fit_ns", "map_ns", "train_ns", "score_ns"}
+        assert all(v >= 0 for v in report.timings.values())
         d = report.to_json_dict()
         assert "timings" not in d
         json.dumps(d)  # must be serializable as-is
 
     @pytest.mark.parametrize("k", [None, 2], ids=["full-k", "below-full-k"])
     def test_held_out_subject_never_enters_fitting(self, dataset, monkeypatch, k):
-        # The seam is each fold's fit over the per-run subject terms, which
-        # every fold runs, at full k (W = I) as below it.
+        # The seam is each fold's template over the per-run subject terms,
+        # which every fold forms, at full k (W = I) as below it.
         seen = []
-        real_fit = multialign.classify._fit_terms
+        real_template = multialign.classify._template
 
-        def recording_fit(terms, subset, *args, **kw):
+        def recording_template(terms, subset, w):
             seen.append(tuple(dataset.subjects[i].subject_id for i in subset))
-            return real_fit(terms, subset, *args, **kw)
+            return real_template(terms, subset, w)
 
-        monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
+        monkeypatch.setattr(multialign.classify, "_template", recording_template)
         report = run_loso(dataset, "sha", k=k)
         assert len(seen) == 4
         for fold, train_ids in zip(report.folds, seen):
@@ -432,13 +431,13 @@ class TestLosoHoisting:
     def test_folds_get_their_training_subjects_kernels(self, dataset, monkeypatch):
         # Below full k, where each fold still fits.
         seen = []
-        real_fit = multialign.classify._fit_terms
+        real_template = multialign.classify._template
 
-        def recording_fit(terms, subset, *args, **kw):
+        def recording_template(terms, subset, w):
             seen.append((terms.couplings[subset], terms.labeled, terms.gamma))
-            return real_fit(terms, subset, *args, **kw)
+            return real_template(terms, subset, w)
 
-        monkeypatch.setattr(multialign.classify, "_fit_terms", recording_fit)
+        monkeypatch.setattr(multialign.classify, "_template", recording_template)
         run_loso(dataset, "sha", gamma=0.01, k=2)
         assert len(seen) == dataset.n_subjects
         for held, (couplings, labeled, gamma) in enumerate(seen):

@@ -788,14 +788,10 @@ class TestTimingsContract:
         assert stages["load_ns"] >= spans[0]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_loso_report_keeps_per_fold_and_total(self, manifest, method):
+    def test_loso_report_keeps_the_four_stages(self, manifest, method):
         timings = run_loso(load_dataset(manifest), method).timings
-        assert set(timings) == {"per_fold", "total"}
-        assert len(timings["per_fold"]) == 3
-        assert all(set(fold) == LOSO_STAGES for fold in timings["per_fold"])
-        assert set(timings["total"]) == LOSO_STAGES
-        for stage in LOSO_STAGES:
-            assert timings["total"][stage] >= sum(f[stage] for f in timings["per_fold"])
+        assert set(timings) == LOSO_STAGES
+        assert all(isinstance(ns, int) and ns >= 0 for ns in timings.values())
 
 
 def _refuse_constant(token):
