@@ -53,6 +53,7 @@ from .errors import (
 from .linalg import (
     RegularizedProjector,
     TruncatedSvd,
+    gram_svd,
     projector_from_svd,
     regularized_projector,
     symmetric_eig,
@@ -125,6 +126,7 @@ __all__ = [
     "fit_sha",
     "fit_sha_r",
     "generate",
+    "gram_svd",
     "kernels_for",
     "load_dataset",
     "load_model",

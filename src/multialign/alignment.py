@@ -41,14 +41,19 @@ Each subject is factored once: the SVD ``X_l = U diag(s) V^T`` of its data
 at the template's time points is memoized on the subject object (see
 :meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
 that needs it, and reused by every later method, fold, fit and mapping that
-is handed the same subject.  The data SVDs are made per subject: stacked
-into one LAPACK call they measured slower, once the stack no longer fits
-in cache.  The supervised projectors are read off them: ``V`` has
-orthonormal columns, so ``K_i X_l`` shares its left singular vectors and
-values with the (classes x rank) ``K_i U diag(s)``, and no label-coupled
-(classes x voxels) matrix is ever factored.  :func:`_coupled_svd` forms
-every subject's product in one stacked matmul and factors the whole
-(subjects x classes x rank) stack in one :func:`truncated_svd` call.
+is handed the same subject.  A subject with more voxels than those time
+points is factored through its Gram matrix ``X_l X_l^T`` where
+:func:`multialign.linalg.gram_svd` certifies the result, and by the exact
+:func:`truncated_svd` otherwise; either gives the ``U`` and ``s`` read
+here.  The data SVDs are made per subject: stacked into one LAPACK call
+they measured slower, once the stack no longer fits in cache.  The
+supervised projectors are read off them: ``V`` has orthonormal columns, so
+``K_i X_l`` shares its left singular vectors and values with the (classes
+x rank) ``K_i U diag(s)``, and no label-coupled (classes x voxels) matrix
+is ever factored.  :func:`_coupled_svd` forms every subject's product in
+one stacked matmul and factors the whole (subjects x classes x rank) stack
+in one :func:`truncated_svd` call; that stack, like ``sha_r``'s template,
+keeps the QR-reduced SVD.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ import numpy as np
 from .data import (
     Dataset,
     SubjectData,
+    _time_indices,
     read_json_object,
     read_matrix_csv,
     write_json,
@@ -161,7 +167,8 @@ class AlignmentModel:
                 if getattr(self, name) is not None:
                     object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
             if self.labeled is not None:
-                object.__setattr__(self, "labeled", _time_indices(self.labeled))
+                labeled = _time_indices(self.labeled, "the model's labeled time points")
+                object.__setattr__(self, "labeled", labeled)
             if (self.template is not None and self.shared_space is not None
                     and np.may_share_memory(self.template, self.shared_space)):
                 # An rha fit's template is its W: hold it apart, so that
@@ -188,29 +195,6 @@ class AlignmentModel:
                 raise InvalidDataError(
                     f"model epsilon must be a finite value >= 0, got {self.epsilon}"
                 )
-
-
-def _time_indices(values) -> np.ndarray:
-    """``values`` as an integer array of strictly increasing time indices >= 0.
-
-    Anything else is refused with :class:`InvalidDataError`: numpy would
-    truncate a fraction, read a negative index from the end of the time
-    axis, or fail later with an ``IndexError`` on a boolean mask.
-    """
-    indices = np.asarray(values)
-    if indices.dtype.kind == "f" and (np.isfinite(indices)
-                                      & (indices == np.round(indices))).all():
-        indices = indices.astype(int)
-    if indices.dtype.kind not in "iu":
-        raise InvalidDataError(
-            f"the model's labeled time points must be whole numbers, got {indices.tolist()}"
-        )
-    if indices.size and (indices.min() < 0 or (np.diff(indices) <= 0).any()):
-        raise InvalidDataError(
-            "the model's labeled time points must be strictly increasing "
-            f"indices >= 0, got {indices.tolist()}"
-        )
-    return indices.astype(int, copy=False)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ command and every parsed option under its ``dest`` (e.g.
 replayed command line to :func:`main`.  ``timings.json`` holds ``command``,
 ``stages_ns`` (monotonic nanoseconds per stage, such as ``load_ns``;
 ``sweep`` sums its LOSO runs' stages over the grid values) and
-``total_ns``.  Timings are the only
-non-deterministic output: rerunning a command with the same arguments and
-seed reproduces every other file byte for byte.
+``total_ns``, then the environment that decides the other files' bits:
+``numpy_version``, ``blas`` (``name`` and ``version``) and ``thread_env``
+(the BLAS thread-count variables).  Timings are the only non-deterministic
+output: rerunning a command with the same arguments and seed, at the same
+numpy, BLAS and thread count, reproduces every other file byte for byte.
 
 ``sweep --kind noise`` generates its datasets from ``--seed`` and refuses
 ``--data``, so that no record names a dataset the run never read; the
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import shutil
 import sys
 import time
@@ -62,6 +65,22 @@ PROG = "multialign"
 SWEEP_KINDS = ("det", "gamma", "trs", "noise")
 EXIT_CODES = {InvalidArgumentError: 2, OSError: 2, InvalidDataError: 3,
               NumericError: 4, FloatingPointError: 4, np.linalg.LinAlgError: 4}
+# The thread-count variables of the BLAS libraries numpy is built against.
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _environment() -> dict:
+    """What besides the arguments decides an output's bits, for ``timings.json``.
+
+    The numpy version, the BLAS numpy was built against (``None`` where
+    numpy does not record it, as before numpy 1.26) and every thread-count
+    variable (``None`` when unset).
+    """
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"numpy_version": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "thread_env": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
 
 
 def _emit_error(exc: BaseException) -> None:
@@ -373,7 +392,8 @@ def main(argv=None) -> int:
         write_json(out / "run_config.json",
                    {"command": args.command, "arguments": _arguments(args)})
         write_json(out / "timings.json", {"command": args.command, "stages_ns": stage,
-                                          "total_ns": time.perf_counter_ns() - started})
+                                          "total_ns": time.perf_counter_ns() - started,
+                                          **_environment()})
         return 0
     except tuple(EXIT_CODES) as exc:
         _emit_error(exc)

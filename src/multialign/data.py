@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidDataError
-from .linalg import TruncatedSvd, as_matrix, truncated_svd
+from .linalg import TruncatedSvd, as_matrix, gram_svd, truncated_svd
 
 # Columns whose sample standard deviation falls at or below this are treated
 # as constant and zeroed during normalization.
@@ -295,6 +295,30 @@ def read_matrix_csv(path) -> np.ndarray:
     return m
 
 
+def _time_indices(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D integer array of strictly increasing time indices >= 0.
+
+    Anything else is refused with :class:`InvalidDataError` naming ``what``:
+    numpy would truncate a fraction, read a negative index from the end of
+    the time axis, read a boolean mask as the indices 0 and 1, or index a
+    stack of row sets with a 2-D array.  Floats that are whole numbers are
+    accepted.
+    """
+    indices = np.asarray(values)
+    if indices.ndim != 1:
+        raise InvalidDataError(f"{what} must be a 1-D array, got shape {indices.shape}")
+    if indices.dtype.kind == "f" and (np.isfinite(indices)
+                                      & (indices == np.round(indices))).all():
+        indices = indices.astype(int)
+    if indices.dtype.kind not in "iu":
+        raise InvalidDataError(f"{what} must be whole numbers, got {indices.tolist()}")
+    if indices.size and (indices.min() < 0 or (np.diff(indices) <= 0).any()):
+        raise InvalidDataError(
+            f"{what} must be strictly increasing indices >= 0, got {indices.tolist()}"
+        )
+    return indices.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class SubjectData:
     """One subject's responses: a (time points x voxels) matrix.
@@ -346,19 +370,29 @@ class SubjectData:
     def n_voxels(self) -> int:
         return self.data.shape[1]
 
-    def thin_svd(self, rows: np.ndarray) -> TruncatedSvd:
-        """Full-rank :func:`truncated_svd` of ``data[rows]``.
+    def thin_svd(self, rows) -> TruncatedSvd:
+        """Full-rank left SVD factor of ``data[rows]``.
 
-        Computed on the first request for a given ``rows`` and reused
-        afterwards, so every method, fold, fit and mapping that shares this
-        subject object factors its data once.
+        ``rows`` are strictly increasing time indices >= 0 (see
+        :func:`_time_indices`).  A wide row set (fewer rows than voxels)
+        is factored through its Gram matrix by :func:`gram_svd` when that
+        result is certified, as it usually is for normalized data; any
+        other row set, and a wide one :func:`gram_svd` cannot certify, gets
+        the exact :func:`truncated_svd`.  Computed on the first request for
+        a given ``rows`` and reused afterwards, so every method, fold, fit
+        and mapping that shares this subject object factors its data once.
+        The memo is keyed by the array ``rows`` is, so only a first request
+        pays for checking it.
         """
-        rows = np.asarray(rows, dtype=int)
-        key = rows.tobytes()
+        rows = np.asarray(rows)
+        key = (rows.dtype.str, rows.shape, rows.tobytes())
         svd = self._svds.get(key)
         if svd is None:
-            m = self.data[rows]
-            svd = self._svds[key] = truncated_svd(m, min(m.shape))
+            m = self.data[_time_indices(rows, "the factored rows")]
+            svd = gram_svd(m) if m.shape[0] < m.shape[1] else None
+            if svd is None:
+                svd = truncated_svd(m, min(m.shape))
+            self._svds[key] = svd
         return svd
 
 

@@ -1,15 +1,21 @@
 """Dense decomposition kernels shared by every alignment path.
 
-Three operations live here: a deterministic truncated SVD, the shrunken
-orthogonal projector built from it (from a matrix, or from an SVD already
-at hand), and a symmetric eigendecomposition with
-the same sign convention.  Everything downstream (alignment, mapping,
+Four operations live here: a deterministic truncated SVD, the same
+factorization of a wide matrix through its Gram matrix where that is
+certified, the shrunken orthogonal projector built from either (from a
+matrix, or from an SVD already at hand), and a symmetric eigendecomposition
+with the same sign convention.  Everything downstream (alignment, mapping,
 template extraction) is phrased in terms of these, so determinism and sign
 conventions are fixed once, in this module.
 
 The SVD keeps only the left factor and the singular values, and it reduces
 a wide matrix (fewer rows than columns) to its triangular QR factor before
 factoring it, so no SVD ever runs on a matrix with one column per voxel.
+:func:`gram_svd` does with one ``eigh`` of the (rows x rows) Gram matrix
+what the QR and the SVD do, and returns ``None`` where squaring the
+singular values would cost accuracy the SVD keeps: a subject's data
+factorization tries it first when the subject has more voxels than fitted
+time points (see :meth:`multialign.data.SubjectData.thin_svd`).
 
 The SVD, its sign convention and the projector built from it also take a
 stack of equally shaped matrices (leading axes), in one LAPACK call each
@@ -31,6 +37,10 @@ from .errors import InvalidArgumentError, InvalidDataError, NumericError
 # deciding whether an unregularized projector is well defined.
 _ZERO_SINGULAR_VALUE = 1e-12
 
+
+# How far above the Gram matrix's resolution :func:`gram_svd` needs every
+# eigenvalue it does not read as zero.
+_GRAM_GAP = 1e8
 
 # Largest asymmetry ``max|m - m.T|`` accepted from a "symmetric" input.
 _SYMMETRY_TOLERANCE = 1e-10
@@ -128,6 +138,58 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
     deficient = s[..., -1] <= s[..., 0] * max(rows, cols) * np.finfo(float).eps
     return TruncatedSvd(_fix_signs(left[..., :rank]), s,
                         rank_deficient=deficient if m.ndim > 2 else bool(deficient))
+
+
+def gram_svd(m) -> TruncatedSvd | None:
+    """Full-rank :func:`truncated_svd` of a wide matrix, through its Gram matrix.
+
+    With ``m m^T = U diag(lam) U^T``, ``m``'s left singular vectors are
+    ``U`` and its singular values ``sqrt(lam)``, so one (rows x rows)
+    ``eigh`` of the Gram matrix replaces the QR and the SVD.  Squaring
+    halves the digits, so the result is returned only when it is certified,
+    and ``None`` otherwise (factor ``m`` with :func:`truncated_svd` then).
+    With ``tau = rows * eps * lam_max``, the Gram matrix's resolution:
+
+    * every eigenvalue is at most ``tau`` (an exact zero singular value) or
+      at least ``1e8 * tau``, so each resolved shrink ``s^2 / (s^2 +
+      epsilon)`` lies within ``1 / (4 * 1e8)`` of the exact one, for any
+      ridge ``epsilon``;
+    * at most one eigenvalue is a zero, and it is the centering null:
+      ``m``'s column sums vanish, in that the all-ones direction's singular
+      value is below :func:`truncated_svd`'s rank cutoff.  Data whose
+      columns were centered over these rows has it; any other zero (a
+      repeated row, say) could hide a small singular value that a small
+      ridge would still resolve.
+
+    The sign convention and the rank cutoff are those of
+    :func:`truncated_svd`; a zero singular value is flagged and is refused
+    by ``epsilon = 0``, as the SVD's rounding-level one is.
+
+    Parameters
+    ----------
+    m : array_like, shape (rows, cols)
+        A finite matrix with fewer rows than columns.
+    """
+    m = as_matrix(m, "matrix")
+    rows, cols = m.shape
+    if rows >= cols:
+        raise InvalidArgumentError(f"the Gram path takes a wide matrix, got shape {m.shape}")
+    values, vectors = np.linalg.eigh(m @ m.T)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    eps = np.finfo(float).eps
+    resolution = rows * eps * values[0]
+    zero = values <= resolution
+    if (~zero & (values < _GRAM_GAP * resolution)).any():
+        return None
+    cutoff = max(rows, cols) * eps
+    if zero.any():
+        # The unit all-ones direction u: ||u^T m|| = ||sums|| / sqrt(rows)
+        # must not exceed the rank cutoff cutoff * s_max.
+        sums = m.sum(axis=0)
+        if np.count_nonzero(zero) > 1 or sums @ sums > rows * cutoff * cutoff * values[0]:
+            return None
+    s = np.sqrt(np.where(zero, 0.0, values))
+    return TruncatedSvd(_fix_signs(vectors), s, rank_deficient=bool(s[-1] <= s[0] * cutoff))
 
 
 @dataclass(frozen=True)

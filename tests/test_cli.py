@@ -612,6 +612,42 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NumericError"
 
+    @pytest.mark.parametrize("method", ["rha", "sha"])
+    def test_wide_synth_data_through_the_gram_path_is_numeric_error(
+            self, tmp_path, capsys, monkeypatch, method):
+        # Normalized synth subjects are centered: the Gram path reads the
+        # centering null as s = 0 and refuses epsilon = 0, as the SVD does.
+        data = tmp_path / "data"
+        argv = [*SYNTH_ARGS, "--voxels", "40", "--out", str(data)]
+        assert run_cli(*argv) == 0
+        certified = []
+
+        def spy(m):
+            svd = multialign.linalg.gram_svd(m)
+            certified.append(svd is not None)
+            return svd
+
+        monkeypatch.setattr(multialign.data, "gram_svd", spy)
+        code = run_cli("align", "--data", str(data / "manifest.json"), "--method", method,
+                       "--epsilon", "0", "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "NumericError"
+        assert certified == [True] * 3
+
+    def test_gram_path_keeps_the_svd_paths_advisories(self, tmp_path, monkeypatch):
+        config = SynthConfig(subjects=3, classes=2, instances_per_class=3,
+                             instance_length=3, voxels=40, seed=7)
+        dataset = multialign.normalize(multialign.generate(config)[0])
+        kernels = multialign.kernels_for(dataset)
+        gram = [multialign.fit(method, dataset, kernels).fit_report.advisories
+                for method in ("rha", "sha")]
+        monkeypatch.setattr(multialign.data, "gram_svd", lambda m: None)
+        fresh = multialign.normalize(multialign.generate(config)[0])
+        exact = [multialign.fit(method, fresh, kernels).fit_report.advisories
+                 for method in ("rha", "sha")]
+        assert gram == exact
+        assert len(gram[0]) == 3  # every subject's centering null is flagged
+
     @pytest.mark.parametrize("argv", [
         ("loso", "--method", "none", "--epsilon", "nan"),
         ("align", "--method", "none", "--epsilon", "-5"),
@@ -734,12 +770,22 @@ LOSO_STAGES = {"fit_ns", "map_ns", "train_ns", "score_ns"}
 
 
 class TestTimingsContract:
-    """``timings.json`` is flat, and ``bench/worker.py`` reads its ``stages_ns``."""
+    """``timings.json`` is flat, and ``bench/worker.py`` reads its ``stages_ns``.
+
+    Next to the timings it records what decides the other files' bits: the
+    numpy version, numpy's BLAS and the BLAS thread-count variables.
+    """
 
     @staticmethod
     def _check(out: Path, command: str, stages: set) -> None:
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"command", "stages_ns", "total_ns"}
+        assert set(timings) == {"command", "stages_ns", "total_ns", "numpy_version", "blas",
+                                "thread_env"}
+        assert timings["numpy_version"] == np.__version__
+        assert set(timings["blas"]) == {"name", "version"}
+        assert timings["thread_env"] == {name: os.environ.get(name)
+                                         for name in multialign.cli.THREAD_VARIABLES}
+        assert "OPENBLAS_NUM_THREADS" in timings["thread_env"]
         assert timings["command"] == command
         assert set(timings["stages_ns"]) == stages
         assert all(isinstance(ns, int) and ns >= 0 for ns in timings["stages_ns"].values())
@@ -786,6 +832,19 @@ class TestTimingsContract:
         stages = json.loads((out / "timings.json").read_text())["stages_ns"]
         assert len(spans) == 1  # normalized once, in the load span
         assert stages["load_ns"] >= spans[0]
+
+    def test_environment_follows_the_thread_variables(self, manifest, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert run_cli("loso", "--data", str(manifest), "--method", "none",
+                       "--out", str(out)) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert timings["thread_env"]["OMP_NUM_THREADS"] is None
+        if hasattr(np.__config__, "CONFIG"):  # numpy >= 1.26 records its BLAS
+            blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+            assert timings["blas"] == {"name": blas["name"], "version": blas["version"]}
 
     @pytest.mark.parametrize("method", METHODS)
     def test_loso_report_keeps_the_four_stages(self, manifest, method):

@@ -23,6 +23,9 @@ from multialign import (
     InvalidDataError,
     LabelMatrix,
     SubjectData,
+    SynthConfig,
+    generate,
+    gram_svd,
     load_dataset,
     normalize,
     read_matrix_csv,
@@ -452,6 +455,99 @@ class TestNormalizeMatchesTheFormula:
         assert subj.data.tobytes() == want.tobytes()
         assert subj.zeroed_columns == zeroed
         assert not subj.data.flags.writeable
+
+
+def _same_svd(a, b) -> bool:
+    return (a.left.tobytes() == b.left.tobytes()
+            and a.singular_values.tobytes() == b.singular_values.tobytes()
+            and a.rank_deficient == b.rank_deficient)
+
+
+class TestThinSvdPath:
+    """A wide row set goes through the Gram matrix only when that is certified."""
+
+    def test_normalized_wide_subjects_take_the_gram_path(self):
+        config = SynthConfig(subjects=3, classes=4, instances_per_class=2,
+                             instance_length=4, voxels=128, seed=5)
+        dataset = normalize(generate(config)[0])
+        rows = dataset.labels[0].labeled_indices
+        for subject in dataset.subjects:
+            m = subject.data[rows]
+            assert m.shape == (32, 128)
+            got = subject.thin_svd(rows)
+            assert _same_svd(got, gram_svd(m))
+            # Centered over these rows: the one zero is the centering null.
+            assert got.singular_values[-1] == 0.0 and got.rank_deficient
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(2, 12), extra=st.integers(1, 40), decades=st.floats(4.0, 6.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_an_unresolved_spectrum_gets_the_exact_svd(self, rows, extra, decades, seed):
+        # A smallest singular value 1e-4 to 1e-6.5 of the largest puts its
+        # eigenvalue between the Gram matrix's resolution and 1e8 times it.
+        rng = np.random.default_rng(seed)
+        left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        right = np.linalg.qr(rng.standard_normal((rows + extra, rows)))[0]
+        s = np.linspace(1.0, 0.5, rows)
+        s[-1] = 10.0 ** -decades
+        m = (left * s) @ right.T
+        assert gram_svd(m) is None
+        got = SubjectData("a", m).thin_svd(np.arange(rows))
+        assert _same_svd(got, truncated_svd(m, rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(2, 12), extra=st.integers(1, 40), centered=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_duplicated_time_point_gets_the_exact_svd(self, rows, extra, centered, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((rows, rows + extra)) + 1.0
+        m[-1] = m[0]  # a zero along e_0 - e_last, not the centering null
+        if centered:
+            m = m - m.mean(axis=0)  # and the all-ones direction a second zero
+        assert gram_svd(m) is None
+        got = SubjectData("a", m).thin_svd(np.arange(rows))
+        assert _same_svd(got, truncated_svd(m, rows))
+        assert got.rank_deficient
+
+    @settings(max_examples=40, deadline=None)
+    @given(cols=st.integers(1, 12), extra=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+    def test_a_tall_row_set_never_takes_the_gram_path(self, cols, extra, seed):
+        rows = max(cols + extra, 2)
+        m = multialign.data._normalize_columns(
+            np.random.default_rng(seed).standard_normal((rows, cols)))[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multialign.data, "gram_svd", _never_called)
+            got = SubjectData("a", m).thin_svd(np.arange(len(m)))
+        assert _same_svd(got, truncated_svd(m, cols))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([True, False, True, True]),  # a mask, not the indices 0 and 1
+        [0.7, 2.2],  # fractions numpy would truncate
+        [-1, 2],  # -1 is the last row to numpy
+        [2, 1],
+        [1, 1, 3],
+    ], ids=["mask", "fractions", "negative", "decreasing", "repeated"])
+    def test_rows_that_are_not_increasing_indices_are_refused(self, rng, rows):
+        subj = random_dataset(rng, 1, 4, 6, 2).subjects[0]
+        with pytest.raises(InvalidDataError, match="the factored rows"):
+            subj.thin_svd(rows)
+        assert subj._svds == {}
+
+    def test_whole_floats_are_the_same_rows(self, rng):
+        subj = random_dataset(rng, 1, 4, 6, 2).subjects[0]
+        assert _same_svd(subj.thin_svd([0.0, 2.0, 3.0]), subj.thin_svd(np.array([0, 2, 3])))
+
+    def test_a_mask_never_reads_the_memo_of_its_indices(self, rng):
+        subj = random_dataset(rng, 1, 4, 6, 2).subjects[0]
+        subj.thin_svd(np.array([0, 1]))
+        with pytest.raises(InvalidDataError):
+            subj.thin_svd(np.array([False, True]))  # 0 and 1 as integers
+        with pytest.raises(InvalidDataError):
+            subj.thin_svd(np.array([[0], [1]]))  # the same bytes, another shape
+
+
+def _never_called(*args):
+    raise AssertionError("a tall row set took the Gram path")
 
 
 class TestThinSvdMemo:

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multialign import (
     InvalidArgumentError,
     InvalidDataError,
     NumericError,
+    gram_svd,
     projector_from_svd,
     regularized_projector,
     symmetric_eig,
@@ -231,6 +232,56 @@ class TestStackedSvd:
             truncated_svd(np.zeros((0, 3, 2)), 1)
         with pytest.raises(InvalidArgumentError):
             truncated_svd(np.ones((2, 3, 2)), 3)
+
+
+def _hat(svd, epsilon):
+    """The shrunk hat matrix ``U diag(s^2 / (s^2 + eps)) U^T`` mapping reads."""
+    squares = svd.singular_values ** 2
+    return (svd.left * (squares / (squares + epsilon))) @ svd.left.T
+
+
+def _standardized(m):
+    """``m`` with every column centered and scaled, as normalization leaves it."""
+    centered = m - m.mean(axis=0)
+    return centered / np.sqrt(np.square(centered).sum(axis=0) / (len(m) - 1))
+
+
+class TestGramSvd:
+    """The Gram path agrees with the SVD wherever it certifies its result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(2, 12), extra=st.integers(1, 40), centered=st.booleans(),
+           log_epsilon=st.floats(-8, 0), seed=st.integers(0, 2**32 - 1))
+    def test_certified_result_gives_the_svds_hat_matrix(self, rows, extra, centered,
+                                                        log_epsilon, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((rows, rows + extra))
+        if centered:
+            m = _standardized(m)
+        got = gram_svd(m)
+        # A Gaussian spectrum is resolved; two centered rows are sometimes
+        # not, when their mean dwarfs their difference.
+        assume(got is not None)
+        want = truncated_svd(m, rows)
+        assert got.left.shape == want.left.shape
+        assert (got.singular_values == 0.0).sum() == centered  # the centering null
+        epsilon = 10.0 ** log_epsilon
+        np.testing.assert_allclose(_hat(got, epsilon), _hat(want, epsilon), rtol=0, atol=1e-8)
+        assert got.rank_deficient == want.rank_deficient == centered
+        assert _refuses(got, 0.0) == _refuses(want, 0.0) == centered
+        anchors = np.take_along_axis(got.left, np.abs(got.left).argmax(axis=0)[None], 0)
+        assert (anchors > 0).all()
+        assert (np.diff(got.singular_values) <= 0).all()
+
+    def test_zero_gram_and_tall_inputs(self):
+        assert gram_svd(np.zeros((2, 5))) is None  # two zeros
+        single = gram_svd(np.zeros((1, 3)))  # one row with vanishing sums
+        assert single.singular_values.tolist() == [0.0] and single.rank_deficient
+        for shape in ((3, 3), (4, 3)):
+            with pytest.raises(InvalidArgumentError):
+                gram_svd(np.ones(shape))
+        with pytest.raises(InvalidDataError):
+            gram_svd(np.array([[1.0, np.inf, 0.0]]))
 
 
 class TestRegularizedProjector:
