@@ -42,18 +42,19 @@ at the template's time points is memoized on the subject object (see
 :meth:`SubjectData.thin_svd`), computed lazily inside the first fit or map
 that needs it, and reused by every later method, fold, fit and mapping that
 is handed the same subject.  A subject with more voxels than those time
-points is factored through its Gram matrix ``X_l X_l^T`` where
-:func:`multialign.linalg.gram_svd` certifies the result, and by the exact
-:func:`truncated_svd` otherwise; either gives the ``U`` and ``s`` read
-here.  The data SVDs are made per subject: stacked into one LAPACK call
-they measured slower, once the stack no longer fits in cache.  The
-supervised projectors are read off them: ``V`` has orthonormal columns, so
-``K_i X_l`` shares its left singular vectors and values with the (classes
-x rank) ``K_i U diag(s)``, and no label-coupled (classes x voxels) matrix
-is ever factored.  :func:`_coupled_svd` forms every subject's product in
-one stacked matmul and factors the whole (subjects x classes x rank) stack
-in one :func:`truncated_svd` call; that stack, like ``sha_r``'s template,
-keeps the QR-reduced SVD.
+points is factored through its Gram matrix ``X_l X_l^T``, one with fewer
+through ``X_l^T X_l``, where :func:`multialign.linalg.gram_svd` certifies
+the result, and by the exact :func:`truncated_svd` otherwise; either gives
+the ``U`` and ``s`` read here.  The data SVDs are made per subject:
+stacked into one LAPACK call they measured slower, once the stack no
+longer fits in cache.  The supervised projectors are read off them: ``V``
+has orthonormal columns, so ``K_i X_l`` shares its left singular vectors
+and values with the (classes x rank) ``K_i U diag(s)``, and no
+label-coupled (classes x voxels) matrix is ever factored.
+:func:`_coupled_svd` forms every subject's product in one stacked matmul
+and factors the whole (subjects x classes x rank) stack in one
+:func:`truncated_svd` call; that stack, like ``sha_r``'s template, keeps
+the QR-reduced SVD.
 """
 
 from __future__ import annotations

@@ -319,7 +319,8 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     classifier (isotropic penalty, unpenalized intercept) predicts the same
     from any basis of ``U``.  No fold then solves an eigenproblem or runs a
     ``sha_r`` iteration, and its template is the mean ``K_i^T`` of its
-    training kernels (``I`` under ``rha``).  Under strict labels, and
+    training kernels (under ``rha`` the one ``I`` itself, formed and
+    checked once per run).  Under strict labels, and
     always under ``rha``, every subject is mapped once per run; ``sha_r``
     gives ``sha``'s folds for any labels, and ``iterations`` has no effect
     (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, per
@@ -397,14 +398,17 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         )
 
     run = _Stages()
+    order = np.arange(subjects)
     with run("fit_ns"):
         terms = None
         if method != "none":
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k)
-        # At full k every fold takes W = I: one identity for the run.
+        # At full k every fold takes W = I: one identity for the run.  Under
+        # rha that identity is every fold's template too, checked once here.
         full = terms is not None and _spans_whole_space(terms)
         identity = np.eye(terms.factors.shape[1]) if full else None
+        fixed = _template(terms, order, identity) if full and terms.couplings is None else None
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
@@ -424,15 +428,17 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
     held_rows = []
     mapped_from = None  # the template ``features`` were mapped from
     blocks = None  # the ridge blocks of ``features``
-    order = np.arange(subjects)
     for held in range(subjects):
         train = order[order != held]
         with run("fit_ns"):
-            if terms is not None:
+            if fixed is not None:
+                template = fixed
+            elif terms is not None:
                 w = identity if full else _shared_space(terms, train, iterations)[0]
                 template = _template(terms, train, w)
         with run("map_ns"):
-            if terms is not None and not np.array_equal(template, mapped_from):
+            if (terms is not None and template is not mapped_from
+                    and not np.array_equal(template, mapped_from)):
                 features = _map_rows(factors, template)
                 mapped_from = template
                 blocks = None

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import multialign.alignment
+import multialign.data
+import multialign.linalg
 from multialign import Dataset, LabelMatrix, SubjectData, SynthConfig, generate
 
 # CI sets HYPOTHESIS_PROFILE=ci: every run draws the same examples, and a
@@ -28,6 +31,34 @@ def align_signs(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def assert_close_up_to_sign(a: np.ndarray, b: np.ndarray, atol: float) -> None:
     np.testing.assert_allclose(a, align_signs(a, b), atol=atol, rtol=0)
+
+
+def record_factorizations(monkeypatch) -> list:
+    """Record the shape of every matrix the package factors, in call order.
+
+    A factorization is a :func:`~multialign.linalg.gram_svd` call that
+    returns a result or a :func:`~multialign.linalg.truncated_svd` call; a
+    ``gram_svd`` call that is not certified factors nothing, and the
+    ``truncated_svd`` call that follows it is the one recorded.  A stack is
+    recorded with its leading axes.
+    """
+    shapes = []
+    real_gram, real_svd = multialign.linalg.gram_svd, multialign.linalg.truncated_svd
+
+    def gram(m):
+        svd = real_gram(m)
+        if svd is not None:
+            shapes.append(np.shape(m))
+        return svd
+
+    def svd(m, rank):
+        shapes.append(np.shape(m))
+        return real_svd(m, rank)
+
+    for module in (multialign.linalg, multialign.data, multialign.alignment):
+        monkeypatch.setattr(module, "gram_svd", gram, raising=False)
+        monkeypatch.setattr(module, "truncated_svd", svd, raising=False)
+    return shapes
 
 
 def random_labels(rng: np.random.Generator, n_classes: int, n_timepoints: int,

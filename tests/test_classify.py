@@ -33,7 +33,12 @@ from multialign import (
     run_loso_normalized,
     train_classifier,
 )
-from conftest import NO_TRAINING_CLASS, random_dataset, relabeled_dataset
+from conftest import (
+    NO_TRAINING_CLASS,
+    random_dataset,
+    record_factorizations,
+    relabeled_dataset,
+)
 
 
 def _separable(rng, n_per_class=20, n_classes=3, n_features=6):
@@ -346,15 +351,7 @@ class TestLosoFactorReuse:
 
     @pytest.mark.parametrize("method, per_subject", [("rha", 1), ("sha", 2)])
     def test_each_subject_factored_once(self, dataset, monkeypatch, method, per_subject):
-        calls = []
-        real = multialign.linalg.truncated_svd
-
-        def counting(m, rank):
-            calls.append(np.shape(m))
-            return real(m, rank)
-
-        for module in (multialign.linalg, multialign.data, multialign.alignment):
-            monkeypatch.setattr(module, "truncated_svd", counting, raising=False)
+        calls = record_factorizations(monkeypatch)
         run_loso(dataset, method)
         n = dataset.n_subjects
         # rha: each subject's data; sha: its data and its label-coupled
@@ -457,13 +454,11 @@ class TestLosoHoisting:
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_normalized_subjects_shared_across_gammas(self, dataset, monkeypatch):
-        calls = _count_calls(monkeypatch, multialign.linalg, "truncated_svd",
-                             (multialign.data, multialign.alignment))
+        shapes = record_factorizations(monkeypatch)
         normalized = normalize(dataset)
         gammas = (0.0, 0.005, 0.01)
         reports = [run_loso_normalized(normalized, "sha", gamma=g) for g in gammas]
         n = dataset.n_subjects
-        shapes = [np.shape(c[0]) for c in calls]
         # Each subject's data once; its label-coupled responses once per
         # gamma, every subject's in one stacked call.
         assert shapes.count(normalized.subjects[0].data.shape) == n
@@ -643,6 +638,7 @@ class TestBatchedLoso:
         lookups = _count_calls(monkeypatch, multialign.data.SubjectData, "thin_svd")
         rows = _count_calls(monkeypatch, multialign.alignment, "_map_rows",
                             (multialign.classify,))
+        templates = _count_calls(monkeypatch, multialign.classify, "_template")
         run_loso_normalized(normalized, method, k=size if full else size - 1)
         # One projector call for every subject's factor; a supervised run
         # factors every subject's label-coupled matrix in one stacked call.
@@ -654,6 +650,10 @@ class TestBatchedLoso:
         assert len(rows) == (0 if method == "none" else 1 if full else n)
         # At full k no fold solves an eigenproblem; below it each rha/sha fold does.
         assert len(eigs) == (n if method in ("rha", "sha") and not full else 0)
+        # Every fold forms and checks its template, bar rha's at full k: the
+        # run's one W = I is every fold's, formed and checked once.
+        assert len(templates) == (0 if method == "none" else 1 if method == "rha" and full
+                                  else n)
         assert maps == []
         if method == "sha":
             # Each subject's data once: the fit reads its projector off it.

@@ -31,7 +31,12 @@ from multialign import (
 from multialign.alignment import METHODS
 from multialign.cli import build_parser, main
 from multialign.synth import SynthConfig
-from conftest import NO_TRAINING_CLASS, random_dataset, relabeled_dataset
+from conftest import (
+    NO_TRAINING_CLASS,
+    random_dataset,
+    record_factorizations,
+    relabeled_dataset,
+)
 
 
 SYNTH_ARGS = ["synth", "--subjects", "3", "--classes", "2", "--instances", "3",
@@ -351,15 +356,7 @@ class TestGammaSweepSharesSubjects:
         assert written == ("\n".join(lines) + "\n").encode()
 
     def test_each_subject_data_factored_once(self, manifest, tmp_path, monkeypatch):
-        calls = []
-        real = multialign.linalg.truncated_svd
-
-        def counting(m, rank):
-            calls.append(np.shape(m))
-            return real(m, rank)
-
-        for module in (multialign.linalg, multialign.data, multialign.alignment):
-            monkeypatch.setattr(module, "truncated_svd", counting, raising=False)
+        calls = record_factorizations(monkeypatch)
         assert self._sweep(manifest, tmp_path / "sweep") == 0
         dataset = load_dataset(manifest)
         n = dataset.n_subjects

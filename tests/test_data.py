@@ -464,7 +464,7 @@ def _same_svd(a, b) -> bool:
 
 
 class TestThinSvdPath:
-    """A wide row set goes through the Gram matrix only when that is certified."""
+    """A non-square row set goes through the Gram matrix only when that is certified."""
 
     def test_normalized_wide_subjects_take_the_gram_path(self):
         config = SynthConfig(subjects=3, classes=4, instances_per_class=2,
@@ -479,21 +479,38 @@ class TestThinSvdPath:
             # Centered over these rows: the one zero is the centering null.
             assert got.singular_values[-1] == 0.0 and got.rank_deficient
 
+    def test_normalized_tall_subjects_take_the_gram_path(self):
+        config = SynthConfig(subjects=3, classes=4, instances_per_class=2,
+                             instance_length=4, voxels=12, seed=5)
+        dataset = normalize(generate(config)[0])
+        rows = dataset.labels[0].labeled_indices
+        for subject in dataset.subjects:
+            m = subject.data[rows]
+            assert m.shape == (32, 12)
+            want = gram_svd(m)
+            assert want is not None
+            got = subject.thin_svd(rows)
+            assert _same_svd(got, want)
+            assert got.singular_values[-1] > 0.0 and not got.rank_deficient
+
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.integers(2, 12), extra=st.integers(1, 40), decades=st.floats(4.0, 6.5),
-           seed=st.integers(0, 2**32 - 1))
-    def test_an_unresolved_spectrum_gets_the_exact_svd(self, rows, extra, decades, seed):
+    @given(rank=st.integers(2, 12), extra=st.integers(1, 40), decades=st.floats(4.0, 6.5),
+           tall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_an_unresolved_spectrum_gets_the_exact_svd(self, rank, extra, decades, tall, seed):
         # A smallest singular value 1e-4 to 1e-6.5 of the largest puts its
-        # eigenvalue between the Gram matrix's resolution and 1e8 times it.
+        # eigenvalue between the Gram matrix's resolution and 1e8 times it
+        # (or, for a tall matrix, below its resolution: a zero it refuses).
         rng = np.random.default_rng(seed)
-        left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
-        right = np.linalg.qr(rng.standard_normal((rows + extra, rows)))[0]
-        s = np.linspace(1.0, 0.5, rows)
+        left = np.linalg.qr(rng.standard_normal((rank, rank)))[0]
+        right = np.linalg.qr(rng.standard_normal((rank + extra, rank)))[0]
+        s = np.linspace(1.0, 0.5, rank)
         s[-1] = 10.0 ** -decades
         m = (left * s) @ right.T
+        if tall:
+            m = m.T
         assert gram_svd(m) is None
-        got = SubjectData("a", m).thin_svd(np.arange(rows))
-        assert _same_svd(got, truncated_svd(m, rows))
+        got = SubjectData("a", m).thin_svd(np.arange(len(m)))
+        assert _same_svd(got, truncated_svd(m, rank))
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(2, 12), extra=st.integers(1, 40), centered=st.booleans(),
@@ -509,16 +526,38 @@ class TestThinSvdPath:
         assert _same_svd(got, truncated_svd(m, rows))
         assert got.rank_deficient
 
+    @settings(max_examples=100, deadline=None)
+    @given(cols=st.integers(2, 12), extra=st.integers(1, 40), zeroed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_zeroed_or_duplicated_voxel_gets_the_exact_svd(self, cols, extra, zeroed, seed):
+        # A tall matrix has no centering exception: any zero is refused.
+        rng = np.random.default_rng(seed)
+        m = np.array(multialign.data._normalize_columns(
+            rng.standard_normal((cols + extra, cols)))[0])
+        m[:, -1] = 0.0 if zeroed else m[:, 0]
+        assert gram_svd(m) is None
+        got = SubjectData("a", m).thin_svd(np.arange(len(m)))
+        assert _same_svd(got, truncated_svd(m, cols))
+        assert got.rank_deficient
+
     @settings(max_examples=40, deadline=None)
-    @given(cols=st.integers(1, 12), extra=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
-    def test_a_tall_row_set_never_takes_the_gram_path(self, cols, extra, seed):
-        rows = max(cols + extra, 2)
+    @given(cols=st.integers(1, 12), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_a_tall_row_set_takes_the_gram_path_when_certified(self, cols, extra, seed):
         m = multialign.data._normalize_columns(
-            np.random.default_rng(seed).standard_normal((rows, cols)))[0]
+            np.random.default_rng(seed).standard_normal((cols + extra, cols)))[0]
+        got = SubjectData("a", m).thin_svd(np.arange(len(m)))
+        certified = gram_svd(m)
+        assert _same_svd(got, truncated_svd(m, cols) if certified is None else certified)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_a_square_row_set_never_takes_the_gram_path(self, size, seed):
+        m = multialign.data._normalize_columns(
+            np.random.default_rng(seed).standard_normal((size, size)))[0]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(multialign.data, "gram_svd", _never_called)
-            got = SubjectData("a", m).thin_svd(np.arange(len(m)))
-        assert _same_svd(got, truncated_svd(m, cols))
+            got = SubjectData("a", m).thin_svd(np.arange(size))
+        assert _same_svd(got, truncated_svd(m, size))
 
     @pytest.mark.parametrize("rows", [
         np.array([True, False, True, True]),  # a mask, not the indices 0 and 1
@@ -547,7 +586,7 @@ class TestThinSvdPath:
 
 
 def _never_called(*args):
-    raise AssertionError("a tall row set took the Gram path")
+    raise AssertionError("a square row set took the Gram path")
 
 
 class TestThinSvdMemo:
@@ -556,9 +595,8 @@ class TestThinSvdMemo:
         rows = np.arange(2, 12)
         plain = subj.thin_svd(rows)
         assert subj.thin_svd(rows.copy()) is plain
-        want = truncated_svd(subj.data[rows], 5)
-        np.testing.assert_array_equal(plain.left, want.left)
-        np.testing.assert_array_equal(plain.singular_values, want.singular_values)
+        want = gram_svd(subj.data[rows])  # tall, and certified
+        assert want is not None and _same_svd(plain, want)
         assert subj.thin_svd(np.arange(12)) is not plain
 
     def test_memo_invisible_to_equality_hash_and_repr(self, rng):

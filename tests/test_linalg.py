@@ -250,36 +250,41 @@ class TestGramSvd:
     """The Gram path agrees with the SVD wherever it certifies its result."""
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.integers(2, 12), extra=st.integers(1, 40), centered=st.booleans(),
-           log_epsilon=st.floats(-8, 0), seed=st.integers(0, 2**32 - 1))
-    def test_certified_result_gives_the_svds_hat_matrix(self, rows, extra, centered,
+    @given(short=st.integers(2, 12), extra=st.integers(1, 40), tall=st.booleans(),
+           centered=st.booleans(), log_epsilon=st.floats(-8, 0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_certified_result_gives_the_svds_hat_matrix(self, short, extra, tall, centered,
                                                         log_epsilon, seed):
         rng = np.random.default_rng(seed)
-        m = rng.standard_normal((rows, rows + extra))
+        m = rng.standard_normal((short + extra, short) if tall else (short, short + extra))
         if centered:
             m = _standardized(m)
         got = gram_svd(m)
         # A Gaussian spectrum is resolved; two centered rows are sometimes
         # not, when their mean dwarfs their difference.
         assume(got is not None)
-        want = truncated_svd(m, rows)
+        want = truncated_svd(m, short)
         assert got.left.shape == want.left.shape
-        assert (got.singular_values == 0.0).sum() == centered  # the centering null
+        # Centered wide rows have the centering null; a tall matrix takes no zero.
+        null = centered and not tall
+        assert (got.singular_values == 0.0).sum() == null
         epsilon = 10.0 ** log_epsilon
         np.testing.assert_allclose(_hat(got, epsilon), _hat(want, epsilon), rtol=0, atol=1e-8)
-        assert got.rank_deficient == want.rank_deficient == centered
-        assert _refuses(got, 0.0) == _refuses(want, 0.0) == centered
+        assert got.rank_deficient == want.rank_deficient == null
+        assert _refuses(got, 0.0) == _refuses(want, 0.0) == null
         anchors = np.take_along_axis(got.left, np.abs(got.left).argmax(axis=0)[None], 0)
         assert (anchors > 0).all()
         assert (np.diff(got.singular_values) <= 0).all()
 
-    def test_zero_gram_and_tall_inputs(self):
+    def test_zero_gram_square_and_non_finite_inputs(self):
         assert gram_svd(np.zeros((2, 5))) is None  # two zeros
         single = gram_svd(np.zeros((1, 3)))  # one row with vanishing sums
         assert single.singular_values.tolist() == [0.0] and single.rank_deficient
-        for shape in ((3, 3), (4, 3)):
-            with pytest.raises(InvalidArgumentError):
-                gram_svd(np.ones(shape))
+        # A tall matrix takes no zero, not even one column's.
+        for tall in (np.zeros((3, 1)), np.zeros((5, 2)), np.ones((4, 3))):
+            assert gram_svd(tall) is None
+        with pytest.raises(InvalidArgumentError):
+            gram_svd(np.ones((3, 3)))
         with pytest.raises(InvalidDataError):
             gram_svd(np.array([[1.0, np.inf, 0.0]]))
 
