@@ -21,7 +21,9 @@ it, and :func:`_template` back-projects a given ``W`` into the time-point
 template.  :func:`fit` and the ``fit_*`` wrappers run the three over every
 subject and add the diagnostics; leave-one-subject-out builds the terms
 once per run, fits every fold from them and maps through the data SVDs
-they hold.
+they hold.  The full-``k`` rule has one home, :func:`_whole_space`: when
+``k`` spans all of ``U`` it gives ``W = I``, which every
+leave-one-subject-out fold takes in place of :func:`_shared_space`.
 
 Mapping never materializes the (voxels x voxels) ridge system: it is
 phrased in the dual (time-point) form of the ridge regression, through the
@@ -467,6 +469,23 @@ def _shared_space(terms: _SubjectTerms, subset, iterations=10, initial_shared=No
     return w, float(eigenvalues[:terms.k].sum()), eigenvalues, None
 
 
+def _whole_space(terms: _SubjectTerms) -> np.ndarray | None:
+    """``W = I`` when ``k`` spans all of ``U``, else ``None``.
+
+    ``k`` spans ``U = sum_i (I - P_i)`` when it is ``U``'s size (the
+    kernel's class count, or under ``rha``, which couples nothing, the
+    count of time points): ``W`` is then square with orthonormal columns, a
+    rotation that fixes no more than a basis, and the identity is one such
+    ``W``.  ``sha_r`` takes ``W`` from the SVD of a template with one
+    column per voxel, which has that many left singular vectors only when
+    there are at least as many voxels (with fewer, its fit refuses ``k``).
+    """
+    size = terms.factors.shape[1]
+    if terms.k == size and (terms.coupled is None or terms.coupled.shape[2] >= size):
+        return np.eye(size)
+    return None
+
+
 def _template(terms: _SubjectTerms, subset, w) -> np.ndarray:
     """The time-point template of ``W`` over the subjects ``subset`` selects.
 
@@ -486,11 +505,8 @@ def _template(terms: _SubjectTerms, subset, w) -> np.ndarray:
         contributions = w.T @ terms.couplings[subset]
         template = (contributions.sum(axis=0) / len(contributions)).T
     _check_finite("alignment fit", w, template)
-    # The first test, on the first and last rows, is cheaper and implied by
-    # the second.
     scale = _CONSTANT_TEMPLATE_TOLERANCE * max(template.max(), -template.min())
-    if (np.abs(template[-1] - template[0]).max() <= scale
-            and (template.max(axis=0) - template.min(axis=0) <= scale).all()):
+    if (template.max(axis=0) - template.min(axis=0) <= scale).all():
         warnings.warn(
             "the fitted template is constant over time (the training kernels "
             "cancel out); centered responses map it to rounding noise",

@@ -20,9 +20,9 @@ mapping formula, which :func:`~multialign.alignment.map_subject` and
 :func:`~multialign.alignment.map_dataset` also use: all subjects in one
 stacked call, at the labeled rows only, the ones the classifier reads, so
 no rest-row factor is built.  The classifier ignores the basis of ``W``,
-so at full ``k`` (:func:`_spans_whole_space`) every fold takes one ``W =
-I`` per run, whatever its labels: no eigensolve and no ``sha_r``
-iteration (see :func:`run_loso_normalized`).
+so at full ``k`` (:func:`~multialign.alignment._whole_space`) every fold
+takes one ``W = I`` per run, whatever its labels: no eigensolve and no
+``sha_r`` iteration (see :func:`run_loso_normalized`).
 
 Each fold then forms the ridge system of its classifier, the sum of its
 training subjects' blocks of the normal equations.  The blocks are formed
@@ -45,13 +45,13 @@ import numpy as np
 from .alignment import (
     METHODS,
     SUPERVISED_METHODS,
-    _SubjectTerms,
     _check_iterations,
     _map_rows,
     _mapping_factors,
     _shared_space,
     _subject_terms,
     _template,
+    _whole_space,
 )
 from .data import Dataset, normalize
 from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
@@ -315,16 +315,17 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     (``k`` the size of ``U = sum_i (I - P_i)``: the class count, the
     default of ``sha`` and ``sha_r``, or ``T`` under ``rha``, its default
     with at least as many voxels as time points) every fold takes ``W =
-    I``, one identity built once per run, whatever its labels: the ridge
-    classifier (isotropic penalty, unpenalized intercept) predicts the same
-    from any basis of ``U``.  No fold then solves an eigenproblem or runs a
-    ``sha_r`` iteration, and its template is the mean ``K_i^T`` of its
-    training kernels (under ``rha`` the one ``I`` itself, formed and
-    checked once per run).  Under strict labels, and
-    always under ``rha``, every subject is mapped once per run; ``sha_r``
-    gives ``sha``'s folds for any labels, and ``iterations`` has no effect
-    (with fewer voxels than classes ``sha_r``'s fit refuses full ``k``, per
-    fold too).  Below full ``k`` a fold first solves for ``W`` with
+    I``, one identity built once per run by
+    :func:`~multialign.alignment._whole_space`, whatever its labels: the
+    ridge classifier (isotropic penalty, unpenalized intercept) predicts
+    the same from any basis of ``U``.  No fold then solves an eigenproblem
+    or runs a ``sha_r`` iteration, and its template is the mean ``K_i^T``
+    of its training kernels (under ``rha`` the one ``I`` itself).  Under
+    strict labels, and always under ``rha``, every subject is mapped once
+    per run; ``sha_r`` gives ``sha``'s folds for any labels, and
+    ``iterations`` has no effect (with fewer voxels than classes
+    ``sha_r``'s fit refuses full ``k``, per fold too).  Below full ``k`` a
+    fold first solves for ``W`` with
     :func:`~multialign.alignment._shared_space`: it adds its training
     subjects' complements ``I - P_i`` to ``U`` in subject order, the sum a
     fit on those subjects forms, and solves one eigenproblem (``sha_r``
@@ -364,21 +365,6 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     return _loso(normalized, method, epsilon, gamma, k, iterations, ridge)
 
 
-def _spans_whole_space(terms: _SubjectTerms) -> bool:
-    """Whether every fold may take ``W = I``: ``W`` spans all of ``U``.
-
-    True when ``k`` is the size of ``U = sum_i (I - P_i)`` (the kernel's
-    class count, or under ``rha``, which couples nothing, the count of time
-    points): ``W`` is then square with orthonormal columns, a rotation that
-    fixes no more than a basis.  ``sha_r`` takes ``W`` from the SVD of a
-    template with one column per voxel, which has that many left singular
-    vectors only when there are at least as many voxels (with fewer, its
-    fit refuses ``k``).
-    """
-    size = terms.factors.shape[1]
-    return terms.k == size and (terms.coupled is None or terms.coupled.shape[2] >= size)
-
-
 def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoReport:
     """Both entry points' body, one call deep in each: advisories name their caller."""
     ridge = _check_ridge(ridge)
@@ -404,11 +390,8 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         if method != "none":
             kernels = kernels_for(normalized, gamma) if method in SUPERVISED_METHODS else None
             terms = _subject_terms(method, normalized, kernels, epsilon, k)
-        # At full k every fold takes W = I: one identity for the run.  Under
-        # rha that identity is every fold's template too, checked once here.
-        full = terms is not None and _spans_whole_space(terms)
-        identity = np.eye(terms.factors.shape[1]) if full else None
-        fixed = _template(terms, order, identity) if full and terms.couplings is None else None
+        # At full k every fold takes W = I: one identity for the run.
+        identity = None if terms is None else _whole_space(terms)
     with run("map_ns"):
         labeled = normalized.labels[0].labeled_indices
         class_ids = np.stack([lab.class_of()[labeled] for lab in normalized.labels])
@@ -431,14 +414,11 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
     for held in range(subjects):
         train = order[order != held]
         with run("fit_ns"):
-            if fixed is not None:
-                template = fixed
-            elif terms is not None:
-                w = identity if full else _shared_space(terms, train, iterations)[0]
+            if terms is not None:
+                w = _shared_space(terms, train, iterations)[0] if identity is None else identity
                 template = _template(terms, train, w)
         with run("map_ns"):
-            if (terms is not None and template is not mapped_from
-                    and not np.array_equal(template, mapped_from)):
+            if terms is not None and not np.array_equal(template, mapped_from):
                 features = _map_rows(factors, template)
                 mapped_from = template
                 blocks = None

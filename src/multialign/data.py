@@ -374,12 +374,11 @@ class SubjectData:
         """Full-rank left SVD factor of ``data[rows]``.
 
         ``rows`` are strictly increasing time indices >= 0 (see
-        :func:`_time_indices`).  A row set with fewer or more rows than
-        voxels is factored through its smaller Gram matrix by
-        :func:`gram_svd` when that result is certified, as it usually is
-        for normalized data; a square row set, and one :func:`gram_svd`
-        cannot certify (a zeroed constant voxel, say), gets the exact
-        :func:`truncated_svd`.  Computed on the first request for
+        :func:`_time_indices`).  The row set is factored through its
+        smaller Gram matrix by :func:`gram_svd` when that result is
+        certified, as it usually is for normalized data; one
+        :func:`gram_svd` cannot certify (a zeroed constant voxel, say) gets
+        the exact :func:`truncated_svd`.  Computed on the first request for
         a given ``rows`` and reused afterwards, so every method, fold, fit
         and mapping that shares this subject object factors its data once.
         The memo is keyed by the array ``rows`` is, so only a first request
@@ -390,7 +389,7 @@ class SubjectData:
         svd = self._svds.get(key)
         if svd is None:
             m = self.data[_time_indices(rows, "the factored rows")]
-            svd = gram_svd(m) if m.shape[0] != m.shape[1] else None
+            svd = gram_svd(m)
             if svd is None:
                 svd = truncated_svd(m, min(m.shape))
             self._svds[key] = svd

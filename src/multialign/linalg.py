@@ -1,22 +1,21 @@
 """Dense decomposition kernels shared by every alignment path.
 
 Four operations live here: a deterministic truncated SVD, the same
-factorization of a non-square matrix through its Gram matrix where that is
-certified, the shrunken orthogonal projector built from either (from a
-matrix, or from an SVD already at hand), and a symmetric eigendecomposition
-with the same sign convention.  Everything downstream (alignment, mapping,
-template extraction) is phrased in terms of these, so determinism and sign
+factorization through the smaller Gram matrix where that is certified, the
+shrunken orthogonal projector built from either (from a matrix, or from an
+SVD already at hand), and a symmetric eigendecomposition with the same
+sign convention.  Everything downstream (alignment, mapping, template
+extraction) is phrased in terms of these, so determinism and sign
 conventions are fixed once, in this module.
 
 The SVD keeps only the left factor and the singular values, and it reduces
 a wide matrix (fewer rows than columns) to its triangular QR factor before
 factoring it, so no SVD ever runs on a matrix with one column per voxel.
 :func:`gram_svd` does with one ``eigh`` of the smaller Gram matrix (rows x
-rows for a wide matrix, cols x cols for a tall one) what the SVD does, and
-returns ``None`` where squaring the singular values would cost accuracy
-the SVD keeps: a subject's data factorization tries it first whenever the
-fitted time points and the voxels differ in number (see
-:meth:`multialign.data.SubjectData.thin_svd`).
+rows for a wide or square matrix, cols x cols for a tall one) what the SVD
+does, and returns ``None`` where squaring the singular values would cost
+accuracy the SVD keeps: a subject's data factorization tries it first for
+every row set (see :meth:`multialign.data.SubjectData.thin_svd`).
 
 The SVD, its sign convention and the projector built from it also take a
 stack of equally shaped matrices (leading axes), in one LAPACK call each
@@ -142,14 +141,14 @@ def truncated_svd(m, rank: int) -> TruncatedSvd:
 
 
 def gram_svd(m) -> TruncatedSvd | None:
-    """Full-rank :func:`truncated_svd` of a non-square matrix, through its Gram matrix.
+    """Full-rank :func:`truncated_svd` of a matrix, through its smaller Gram matrix.
 
-    A wide matrix (fewer rows than columns) takes the (rows x rows) ``m
-    m^T = U diag(lam) U^T``: ``m``'s left singular vectors are ``U`` and its
-    singular values ``sqrt(lam)``, so one ``eigh`` replaces the QR and the
-    SVD.  A tall one takes the (cols x cols) ``m^T m = V diag(lam) V^T``
-    instead, with the same singular values and the left factor ``m V
-    diag(1 / sqrt(lam))``.  Squaring halves the digits, so the result is
+    A wide or square matrix (no more rows than columns) takes the (rows x
+    rows) ``m m^T = U diag(lam) U^T``: ``m``'s left singular vectors are
+    ``U`` and its singular values ``sqrt(lam)``, so one ``eigh`` replaces
+    the QR and the SVD.  A tall one takes the (cols x cols) ``m^T m = V
+    diag(lam) V^T`` instead, with the same singular values and the left
+    factor ``m V diag(1 / sqrt(lam))``.  Squaring halves the digits, so the result is
     returned only when it is certified, and ``None`` otherwise (factor ``m``
     with :func:`truncated_svd` then).  With ``tau = rows * eps * lam_max``,
     the Gram matrix's resolution (``rows`` is the summation length of a
@@ -162,12 +161,12 @@ def gram_svd(m) -> TruncatedSvd | None:
     * a tall matrix has no zero: there it means dependent columns (a
       zeroed or repeated voxel, say), which the left factor cannot divide
       out;
-    * a wide matrix has at most one, and it is the centering null: ``m``'s
-      column sums vanish, in that the all-ones direction's singular value
-      is below :func:`truncated_svd`'s rank cutoff.  Data whose columns
-      were centered over these rows has it; any other zero (a repeated
-      row, say) could hide a small singular value that a small ridge
-      would still resolve.
+    * a wide or square matrix has at most one, and it is the centering
+      null: ``m``'s column sums vanish, in that the all-ones direction's
+      singular value is below :func:`truncated_svd`'s rank cutoff.  Data
+      whose columns were centered over these rows has it; any other zero
+      (a repeated row, say) could hide a small singular value that a small
+      ridge would still resolve.
 
     The sign convention and the rank cutoff are those of
     :func:`truncated_svd`; a zero singular value is flagged and is refused
@@ -177,13 +176,10 @@ def gram_svd(m) -> TruncatedSvd | None:
     Parameters
     ----------
     m : array_like, shape (rows, cols)
-        A finite matrix that is not square.
+        Any finite matrix.
     """
     m = as_matrix(m, "matrix")
     rows, cols = m.shape
-    if rows == cols:
-        raise InvalidArgumentError(
-            f"the Gram path takes a non-square matrix, got shape {m.shape}")
     tall = rows > cols
     values, vectors = np.linalg.eigh(m.T @ m if tall else m @ m.T)
     values, vectors = values[::-1], vectors[:, ::-1]
@@ -194,9 +190,9 @@ def gram_svd(m) -> TruncatedSvd | None:
         return None
     cutoff = max(rows, cols) * eps
     if zero.any():
-        # A tall matrix takes no zero.  A wide one takes one, along the unit
-        # all-ones direction u: ||u^T m|| = ||sums|| / sqrt(rows) must not
-        # exceed the rank cutoff cutoff * s_max.
+        # A tall matrix takes no zero.  A wide or square one takes one, along
+        # the unit all-ones direction u: ||u^T m|| = ||sums|| / sqrt(rows)
+        # must not exceed the rank cutoff cutoff * s_max.
         sums = m.sum(axis=0)
         if (tall or np.count_nonzero(zero) > 1
                 or sums @ sums > rows * cutoff * cutoff * values[0]):

@@ -650,10 +650,8 @@ class TestBatchedLoso:
         assert len(rows) == (0 if method == "none" else 1 if full else n)
         # At full k no fold solves an eigenproblem; below it each rha/sha fold does.
         assert len(eigs) == (n if method in ("rha", "sha") and not full else 0)
-        # Every fold forms and checks its template, bar rha's at full k: the
-        # run's one W = I is every fold's, formed and checked once.
-        assert len(templates) == (0 if method == "none" else 1 if method == "rha" and full
-                                  else n)
+        # Every fold forms and checks its template, at full k too.
+        assert len(templates) == (0 if method == "none" else n)
         assert maps == []
         if method == "sha":
             # Each subject's data once: the fit reads its projector off it.

@@ -464,7 +464,7 @@ def _same_svd(a, b) -> bool:
 
 
 class TestThinSvdPath:
-    """A non-square row set goes through the Gram matrix only when that is certified."""
+    """A row set goes through the Gram matrix only when that is certified."""
 
     def test_normalized_wide_subjects_take_the_gram_path(self):
         config = SynthConfig(subjects=3, classes=4, instances_per_class=2,
@@ -550,14 +550,16 @@ class TestThinSvdPath:
         assert _same_svd(got, truncated_svd(m, cols) if certified is None else certified)
 
     @settings(max_examples=40, deadline=None)
-    @given(size=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
-    def test_a_square_row_set_never_takes_the_gram_path(self, size, seed):
-        m = multialign.data._normalize_columns(
-            np.random.default_rng(seed).standard_normal((size, size)))[0]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(multialign.data, "gram_svd", _never_called)
-            got = SubjectData("a", m).thin_svd(np.arange(size))
-        assert _same_svd(got, truncated_svd(m, size))
+    @given(size=st.integers(3, 12), duplicated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_a_square_row_set_takes_the_gram_path_when_certified(self, size, duplicated, seed):
+        m = np.random.default_rng(seed).standard_normal((size, size))
+        if duplicated:
+            m[-1] = m[0]  # a zero beside the centering null: never certified
+        m = multialign.data._normalize_columns(m)[0]
+        got = SubjectData("a", m).thin_svd(np.arange(size))
+        certified = gram_svd(m)
+        assert certified is None or not duplicated
+        assert _same_svd(got, truncated_svd(m, size) if certified is None else certified)
 
     @pytest.mark.parametrize("rows", [
         np.array([True, False, True, True]),  # a mask, not the indices 0 and 1
@@ -583,10 +585,6 @@ class TestThinSvdPath:
             subj.thin_svd(np.array([False, True]))  # 0 and 1 as integers
         with pytest.raises(InvalidDataError):
             subj.thin_svd(np.array([[0], [1]]))  # the same bytes, another shape
-
-
-def _never_called(*args):
-    raise AssertionError("a square row set took the Gram path")
 
 
 class TestThinSvdMemo:

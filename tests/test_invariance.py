@@ -28,7 +28,8 @@ from multialign import (
     run_loso_normalized,
 )
 
-# Tall (T = 48 > V = 20) and wide (T = 24 < V = 60) synth shapes, two seeds each.
+# Tall (T = 48 > V = 20), wide (T = 24 < V = 60) and square (T = V = 48)
+# synth shapes, two seeds each.
 CONFIGS = [
     SynthConfig(subjects=5, classes=3, instances_per_class=4, instance_length=4,
                 voxels=20, seed=seed)
@@ -37,6 +38,10 @@ CONFIGS = [
     SynthConfig(subjects=6, classes=4, instances_per_class=2, instance_length=3,
                 voxels=60, noise_sigma=0.8, seed=seed)
     for seed in (3, 4)
+] + [
+    SynthConfig(subjects=5, classes=3, instances_per_class=4, instance_length=4,
+                voxels=48, seed=seed)
+    for seed in (5, 6)
 ]
 
 
