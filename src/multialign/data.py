@@ -245,13 +245,98 @@ def write_matrix_csv(path, m, *, sha256=None) -> None:
                     sha256.update(block)
 
 
+def _indent(depth: int) -> bytes:
+    """The line break and indent ``json.dumps(indent=2)`` puts before an
+    item at nesting depth ``depth``."""
+    return b"\n" + b"  " * depth
+
+
+def _json_list(items: list[bytes], depth: int) -> bytes:
+    """A JSON list of the encoded ``items`` at nesting depth ``depth``."""
+    return b"".join((b"[", _indent(depth + 1), (b"," + _indent(depth + 1)).join(items),
+                     _indent(depth), b"]"))
+
+
+def _json_nest(rows: list[bytes], lead: tuple, depth: int) -> bytes:
+    """The rows of an array whose leading axes have shape ``lead``, nested
+    as JSON lists at depth ``depth``; each row's values are already
+    separated by a comma and their line break and indent.  The rows of
+    one 2-D slice are joined in one call, slices of leading axes in Python.
+    """
+    if len(lead) > 1:
+        step = len(rows) // lead[0]
+        return _json_list([_json_nest(rows[i:i + step], lead[1:], depth + 1)
+                           for i in range(0, len(rows), step)], depth)
+    if not lead:
+        return _json_list(rows, depth)
+    head, tail = b"[" + _indent(depth + 2), _indent(depth + 1) + b"]"
+    return _json_list([b"".join((head, (tail + b"," + _indent(depth + 1) + head).join(rows),
+                                 tail))], depth)
+
+
+def _json_array(a: np.ndarray, depth: int) -> bytes:
+    """``json.dumps(a.tolist(), indent=2)`` of a finite float64 array with
+    at least one axis and none of length zero, placed at nesting depth
+    ``depth``.
+
+    The values are formatted as CSV by :func:`_format_block` in one pass
+    of blocks, so each is written as ``repr`` (which ``json`` also uses for
+    a finite float) writes it.  Each row end is then marked, each comma
+    given the values' line break and indent, and the rows nested in their
+    brackets by :func:`_json_nest`.
+    """
+    flat = np.ascontiguousarray(a).reshape(-1)
+    text = b"".join(_format_block(flat[i:i + _CSV_BLOCK], a.shape[-1], i)
+                    for i in range(0, flat.size, _CSV_BLOCK))
+    rows = (text.replace(b"\n", b"|").replace(b",", b"," + _indent(depth + a.ndim))
+            .split(b"|"))
+    return _json_nest(rows[:-1], a.shape[:-1], depth)
+
+
+# Stands in for each array :func:`write_json` formats itself while ``json``
+# encodes the rest of the document.
+_ARRAY_MARK = "\0ndarray\0"
+
+
 def write_json(path, payload) -> None:
     """Write ``payload`` as indented, key-sorted JSON ending in one LF.
 
-    The document is encoded whole and written in a single call.
+    The bytes are ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``
+    with every numpy array in the payload read as its ``tolist()``.  A
+    float64 array with at least one axis, none of length zero and only
+    finite values is formatted by :func:`_json_array`, through the block
+    formatter the CSV writer uses, instead of one value at a time by
+    ``json``'s encoder; any other array goes to ``json`` as ``tolist()``,
+    as does every array of a payload holding a key or string that reads
+    as :data:`_ARRAY_MARK`.  A payload without arrays is encoded by
+    ``json`` alone.  The document is encoded whole and written in a
+    single call.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    arrays = []
+
+    def encode(value, formatted=True):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if (formatted and value.dtype == np.float64 and value.ndim and value.size
+                and np.isfinite(value).all()):
+            arrays.append(value)
+            return _ARRAY_MARK
+        return value.tolist()
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
+    pieces = text.split(json.dumps(_ARRAY_MARK))
+    if len(pieces) != len(arrays) + 1:
+        text = json.dumps(payload, indent=2, sort_keys=True,
+                          default=functools.partial(encode, formatted=False)) + "\n"
+        pieces = [text]
+    document = [pieces[0].encode()]
+    for array, before, after in zip(arrays, pieces, pieces[1:]):
+        # json indents the line that holds the stand-in two spaces per depth.
+        line = before[before.rfind("\n") + 1:]
+        document += [_json_array(array, (len(line) - len(line.lstrip(" "))) // 2),
+                     after.encode()]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(document))
 
 
 def read_json_object(path) -> dict:

@@ -133,12 +133,18 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
 
 def save_ground_truth(truth: GroundTruth, path) -> Path:
-    """Write the planted structure as a JSON sidecar."""
+    """Write the planted structure as a JSON sidecar.
+
+    The keys are ``signatures``, ``latent`` and ``rotations`` (one nested
+    list per subject).  The arrays go to :func:`~multialign.data.write_json`
+    as arrays, the rotations stacked, so their values are formatted in
+    blocks; the bytes are those of the ``tolist()`` payload.
+    """
     path = Path(path)
     payload = {
-        "signatures": truth.signatures.tolist(),
-        "latent": truth.latent.tolist(),
-        "rotations": [r.tolist() for r in truth.rotations],
+        "signatures": truth.signatures,
+        "latent": truth.latent,
+        "rotations": np.stack(truth.rotations),
     }
     write_json(path, payload)
     return path

@@ -208,15 +208,70 @@ class TestWriteMatrixCsv:
         assert not path.exists()
 
 
-def test_write_json_bytes_equal_streamed_dump(tmp_path):
-    payload = {"b": [1.5, -0.0, 1e22, None, True], "a": {"z": "\u00e9", "y": []},
-               "c": [[0.1, 2.0], [3, 5e-324]]}
-    reference = tmp_path / "reference.json"
+def _listed(value):
+    """``value`` with every numpy array in it replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_listed(item) for item in value]
+    return value
+
+
+def _assert_bytes_equal_streamed_dump(directory, payload):
+    reference = directory / "reference.json"
     with open(reference, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_listed(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_json(tmp_path / "out.json", payload)
-    assert (tmp_path / "out.json").read_bytes() == reference.read_bytes()
+    write_json(directory / "out.json", payload)
+    assert (directory / "out.json").read_bytes() == reference.read_bytes()
+
+
+# Floats whose JSON text is hard to get right: the formatter's edges, powers
+# of two, integral values, and any double (NaN and infinities included).
+_JSON_FLOATS = st.one_of(st.sampled_from(_EDGE_VALUES),
+                         st.integers(-1074, 1023).map(lambda e: 2.0 ** e),
+                         st.integers(-2 ** 53, 2 ** 53).map(float),
+                         st.floats(width=64))
+_JSON_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                      max_side=4), elements=_JSON_FLOATS)
+_JSON_PAYLOADS = st.recursive(
+    st.one_of(_JSON_ARRAYS, st.none(), st.booleans(), st.integers(), _JSON_FLOATS,
+              st.text(max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=8)
+
+
+def test_write_json_bytes_equal_streamed_dump(tmp_path):
+    payloads = [
+        {"b": [1.5, -0.0, 1e22, None, True], "a": {"z": "\u00e9", "y": []},
+         "c": [[0.1, 2.0], [3, 5e-324]]},
+        np.arange(24.0).reshape(2, 3, 4) / 7,
+        {"r": [np.full((2, 1, 1), -0.0), {"s": np.array([1e-6, 1e6])}], "t": "x"},
+        # A key that reads as the writer's stand-in for an array: every
+        # array goes to json as a list instead.
+        {multialign.data._ARRAY_MARK: np.ones((2, 2)), "a": [np.eye(2)]},
+        # Arrays json spells otherwise than repr, or that have no values.
+        {"ints": np.arange(3), "nan": np.array([[np.nan, 1.0]]), "empty": np.zeros((2, 0))},
+    ]
+    for i, payload in enumerate(payloads):
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        _assert_bytes_equal_streamed_dump(directory, payload)
+
+
+@given(drawn=_JSON_PAYLOADS, a=_JSON_ARRAYS, b=_JSON_ARRAYS, c=_JSON_ARRAYS)
+@settings(max_examples=200, deadline=None)
+def test_write_json_with_drawn_arrays_bytes_equal_streamed_dump(tmp_path_factory, drawn,
+                                                                a, b, c):
+    # Arrays at every depth: at the root, in a dict, in a list, in a dict
+    # in a list, and wherever the drawn payload puts them.
+    directory = tmp_path_factory.mktemp("json")
+    _assert_bytes_equal_streamed_dump(directory, a)
+    _assert_bytes_equal_streamed_dump(directory, {
+        "top": a, "list": [b, 1.5, "text", {"inner": c, "none": None}], "drawn": drawn})
 
 
 class TestLabelMatrix:

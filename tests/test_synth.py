@@ -60,9 +60,15 @@ class TestDeterminism:
         _, truth = generate(SMALL)
         path = save_ground_truth(truth, tmp_path / "truth.json")
         payload = json.loads(path.read_text())
-        np.testing.assert_allclose(payload["signatures"], truth.signatures)
-        np.testing.assert_allclose(payload["latent"], truth.latent)
-        assert len(payload["rotations"]) == 3
+        np.testing.assert_array_equal(payload["signatures"], truth.signatures)
+        np.testing.assert_array_equal(payload["latent"], truth.latent)
+        assert len(payload["rotations"]) == len(truth.rotations)
+        for back, rotation in zip(payload["rotations"], truth.rotations):
+            np.testing.assert_array_equal(back, rotation)
+        listed = {"signatures": truth.signatures.tolist(), "latent": truth.latent.tolist(),
+                  "rotations": [r.tolist() for r in truth.rotations]}
+        assert path.read_bytes() == (json.dumps(listed, indent=2, sort_keys=True)
+                                     + "\n").encode()
 
 
 class TestStructure:
