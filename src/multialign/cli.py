@@ -308,22 +308,7 @@ def _add_common(parser, data_required=True, with_method=True):
                         help="iterations of the iterative method (default: 10)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse's own default width, read once: every parser it would
-    # otherwise build a formatter for asks the terminal again.
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="Supervised and unsupervised functional alignment of "
-                    "multi-subject time series.",
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+def _synth_options(p):
     p.add_argument("--subjects", type=int, default=6)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--instances", type=int, default=4, dest="instances_per_class",
@@ -336,11 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotation", choices=ROTATIONS, default="orthogonal")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("align", help="fit an alignment and map every subject")
+
+def _align_options(p):
     _add_common(p)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("corr", help="correlation profiles per method")
+
+def _corr_options(p):
     _add_common(p, with_method=False)
     p.add_argument("--methods", default="none,rha,sha,sha_r",
                    help="comma-separated methods (default: all)")
@@ -348,13 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict rho1 to labeled time points")
     p.set_defaults(func=cmd_corr)
 
-    p = sub.add_parser("loso", help="leave-one-subject-out classification")
+
+def _loso_options(p):
     _add_common(p)
     p.add_argument("--ridge", type=float, default=1.0,
                    help="classifier ridge weight (default: 1.0)")
     p.set_defaults(func=cmd_loso)
 
-    p = sub.add_parser("sweep", help="grid sweeps (determinant, gamma, TRs, noise)")
+
+def _sweep_options(p):
     _add_common(p, data_required=False)
     p.add_argument("--kind", choices=SWEEP_KINDS, required=True)
     p.add_argument("--values", required=True,
@@ -362,23 +351,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=1.0)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rerun", help="replay a recorded run_config.json")
-    p.add_argument("config", help="path to run_config.json")
-    p.set_defaults(subcommands=sub.choices)
 
-    for name, sp in sub.choices.items():
-        if name != "rerun":  # a replay takes the recorded seed
+def _rerun_options(p):
+    p.add_argument("config", help="path to run_config.json")
+
+
+# Each command's help line and the function that adds its own options.
+COMMANDS = {
+    "synth": ("generate a synthetic dataset", _synth_options),
+    "align": ("fit an alignment and map every subject", _align_options),
+    "corr": ("correlation profiles per method", _corr_options),
+    "loso": ("leave-one-subject-out classification", _loso_options),
+    "sweep": ("grid sweeps (determinant, gamma, TRs, noise)", _sweep_options),
+    "rerun": ("replay a recorded run_config.json", _rerun_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every command's subparser or, given
+    ``command``, with that one alone.
+
+    A one-command parser parses that command's arguments as the full
+    parser does, with the same help text and usage errors; ``rerun`` reads
+    every command's options from its parser, so it needs the full one.
+    """
+    # argparse's own default width, read once: every parser it would
+    # otherwise build a formatter for asks the terminal again.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="Supervised and unsupervised functional alignment of "
+                    "multi-subject time series.",
+        formatter_class=formatter,
+    )
+    # A one-command parser still lists every command in its usage line.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter))
+    for name, (help_text, add_options) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        sp = sub.add_parser(name, help=help_text)
+        add_options(sp)
+        if name == "rerun":  # a replay takes the recorded seed
+            sp.set_defaults(subcommands=sub.choices)
+        else:
             sp.add_argument("--seed", type=int, default=0,
                             help="base random seed (default: 0)")
         sp.add_argument("--out", required=True, help="output directory")
-
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command; its records are written only once it has succeeded."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named command's subparser is built; rerun, help and anything
+    # else get the full parser.
+    command = argv[0] if argv and argv[0] in COMMANDS and argv[0] != "rerun" else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     started = time.perf_counter_ns()

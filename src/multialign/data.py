@@ -48,10 +48,18 @@ _ID_FORBIDDEN = ("/", "\\", "\0")
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-# Values :func:`write_matrix_csv` formats and writes at a time.  Larger
-# blocks measured slower: their temporaries outgrow the cache, and the
-# allocator maps fresh pages for them on every block.
-_CSV_BLOCK = 1 << 12
+# Values :func:`write_matrix_csv` and :func:`_json_array` format at a time.
+# Each block pays a fixed ~0.2 ms (about 90 numpy calls, the ``repr``
+# fallback's set-up, one ``translate``), a third of the formatter's time at
+# 4,096 values.  Against 4,096, 16,384 took the ``synth`` set-up of
+# ``bench/run.py --seconds 8 --trace 0`` from 0.277 to 0.241 s on
+# ``align-long`` and from 0.162 to 0.143 s on ``loso-wide`` (medians of 10
+# alternating pairs, faster in 10 of 10; 2-vCPU host, one BLAS thread).
+# Interleaved in one process, ``synth``'s writes on ``loso-wide`` took
+# 118 ms at 4,096, 110 ms at 8,192, 106 ms at 16,384 and 156 ms at 32,768,
+# where each 25,600-value subject is one block (slower than 16,384 in 16
+# of 16 pairs).
+_CSV_BLOCK = 1 << 14
 
 _U64 = np.uint64
 _FRACTION = _U64((1 << 52) - 1)
@@ -220,10 +228,10 @@ def write_matrix_csv(path, m, *, sha256=None) -> None:
 
     Every value is written as ``repr`` writes it, and the bytes equal
     ``",".join(map(repr, row)) + "\\n"`` per row.  The matrix is formatted
-    and written in blocks of up to 4,096 values, a longer row in several,
-    so memory stays at one block: see :func:`_format_block`, which settles
-    most values with exact integer arithmetic over the block and leaves
-    the rest to ``repr``.  A ``hashlib`` object passed as ``sha256`` is
+    and written in blocks of up to 16,384 values (:data:`_CSV_BLOCK`), a
+    longer row in several, so memory stays at one block: see
+    :func:`_format_block`, which settles most values with exact integer
+    arithmetic over the block and leaves the rest to ``repr``.  A ``hashlib`` object passed as ``sha256`` is
     updated with every block written.  Anything but a non-empty 2-D matrix
     is refused before the file is opened: CSV cannot hold a zero-length
     dimension.

@@ -435,6 +435,37 @@ class TestParserWidth:
             assert sub._get_formatter()._width == 55
 
 
+# Arguments each command parses without error once --out is added.
+_REQUIRED_ARGS = {"synth": [], "align": ["--data", "d.json"], "corr": ["--data", "d.json"],
+                  "loso": ["--data", "d.json"], "sweep": ["--kind", "det", "--values", "0"],
+                  "rerun": ["run_config.json"]}
+
+
+class TestOneCommandParser:
+    """``main`` builds only the named command's subparser (the full parser
+    for ``rerun``), and prints what the full parser prints."""
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED_ARGS))
+    @pytest.mark.parametrize("case", ["help", "missing", "unrecognized"])
+    def test_help_and_usage_errors_equal_the_full_parsers(self, monkeypatch, capsys,
+                                                           command, case):
+        assert set(_REQUIRED_ARGS) == set(multialign.cli.COMMANDS)
+        argv = {"help": [command, "--help"], "missing": [command],
+                "unrecognized": [command, *_REQUIRED_ARGS[command], "--out", "o",
+                                 "--bogus"]}[case]
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        built = []
+        monkeypatch.setattr(multialign.cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert main(argv) == full.value.code == (0 if case == "help" else 2)
+        assert built == [None if command == "rerun" else command]
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (expected.out, expected.err)
+        assert (got.out if case == "help" else got.err).startswith("usage: multialign ")
+
+
 class TestExitCodes:
     def test_empty_data_csv_exits_3_with_only_the_error_line(self, tmp_path, rng):
         manifest = multialign.data.save_dataset(random_dataset(rng, 3, 12, 6, 2),

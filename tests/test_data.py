@@ -179,6 +179,33 @@ class TestWriteMatrixCsv:
         assert path.read_bytes() == _reference_csv_bytes(m)
         assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @given(block=st.sampled_from([7, 250, 4096]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_straddling_smaller_blocks_equal_the_reference(self, tmp_path_factory,
+                                                                block, data):
+        # The writers read _CSV_BLOCK when called: at small sizes the drawn
+        # rows are longer than a block (CSV) or run across block ends (JSON).
+        cols = data.draw(st.integers(1, 2 * block + 3), label="cols")
+        rows = data.draw(st.integers(1, 3 * block // cols + 2), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        m = rng.choice(np.array(_EDGE_VALUES), size=(rows, cols))
+        drawn = ~np.isfinite(m) | (rng.random(m.shape) < 0.5)
+        m[drawn] = rng.standard_normal(np.count_nonzero(drawn)) * 10.0 ** rng.integers(
+            -6, 18, np.count_nonzero(drawn))
+        directory = tmp_path_factory.mktemp("blocks")
+        digest = hashlib.sha256()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multialign.data, "_CSV_BLOCK", block)
+            write_matrix_csv(directory / "m.csv", m, sha256=digest)
+            write_json(directory / "m.json", m)
+            write_json(directory / "row.json", m[0])
+        reference = _reference_csv_bytes(m)
+        assert (directory / "m.csv").read_bytes() == reference
+        assert digest.hexdigest() == hashlib.sha256(reference).hexdigest()
+        for name, a in (("m.json", m), ("row.json", m[0])):
+            assert (directory / name).read_bytes() == (
+                json.dumps(a.tolist(), indent=2) + "\n").encode()
+
     @pytest.mark.parametrize("layout", ["fortran", "strided", "big-endian", "float32", "int64"])
     def test_any_layout_or_dtype_equals_the_reference(self, tmp_path, rng, layout):
         base = rng.standard_normal((30, 40)) * 10.0 ** rng.integers(-6, 18, (30, 40))
