@@ -61,6 +61,7 @@ the QR-reduced SVD.
 
 from __future__ import annotations
 
+import operator
 import shutil
 import warnings
 from dataclasses import dataclass
@@ -208,13 +209,11 @@ class MappedFeatures:
     features: np.ndarray
 
 
-def pairwise_objective(mapped, kernels=None) -> float:
+def pairwise_objective(mapped) -> float:
     """Summed squared distance between subjects over unordered pairs.
 
     ``sum_{i<j} ||M_i - M_j||_F^2`` where ``M_i`` is subject ``i``'s entry of
-    ``mapped``; when ``kernels`` is given each entry is first restricted to
-    its kernel's coupled time points and premultiplied by the kernel, so the
-    comparison happens in label space.
+    ``mapped``.
 
     Computed as ``S * sum_i ||M_i - mean||_F^2`` in two passes over the
     entries, holding only a running sum and one deviation buffer.  Both
@@ -227,9 +226,6 @@ def pairwise_objective(mapped, kernels=None) -> float:
         z = np.asarray(z, dtype=float)
         if z.ndim != 2:
             raise InvalidDataError(f"mapped entry {idx} must be 2-D, got ndim={z.ndim}")
-        if kernels is not None:
-            ker = kernels[idx]
-            z = ker.matrix @ z[ker.labeled]
         if mats and z.shape != mats[0].shape:
             raise InvalidDataError(
                 f"mapped entry {idx} has shape {z.shape}, expected {mats[0].shape}"
@@ -278,12 +274,19 @@ def _validate_kernels(train: Dataset, kernels) -> list[SupervisionKernel]:
     return kernels
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an ``int``, if it is an integer (``operator.index`` takes it)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _resolve_k(k: int | None, limit: int, default: int) -> int:
-    if k is None:
-        k = default
+    k = default if k is None else _whole_number("k", k)
     if not 1 <= k <= limit:
         raise InvalidArgumentError(f"k must be in [1, {limit}], got {k}")
-    return int(k)
+    return k
 
 
 def _check_finite(name: str, *arrays) -> None:
@@ -306,10 +309,12 @@ class _SubjectTerms:
     ``K_i X_i`` (``X_i`` itself under ``rha``; ``P_i = F_i F_i^T``),
     ``couplings[i]`` the kernel matrix ``K_i`` (``None`` under ``rha``,
     which couples nothing) and ``coupled[i]`` the coupled responses ``K_i
-    X_i`` (``sha_r`` only, its default start).  A fit over a subset of the
-    subjects indexes these stacks.  No complement ``I - P_i`` is stacked:
-    each fit adds them to ``U`` one at a time, so a (time points x time
-    points) matrix is never held once per subject.
+    X_i`` (``sha_r`` only: a fit starts from their mean over its subjects).
+    ``k`` is at most ``U``'s size, and under ``sha_r`` at most ``min(classes,
+    voxels)``.  A fit over a subset of the subjects indexes these stacks.
+    No complement ``I - P_i`` is stacked: each fit adds them to ``U`` one at
+    a time, so a (time points x time points) matrix is never held once per
+    subject.
     """
 
     labeled: np.ndarray
@@ -323,7 +328,7 @@ class _SubjectTerms:
 
 
 def _check_iterations(iterations) -> None:
-    if iterations < 1:
+    if _whole_number("iterations", iterations) < 1:
         raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
 
 
@@ -383,7 +388,11 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
         labeled, gamma = kernels[0].labeled, kernels[0].gamma
         couplings = np.stack([kernel.matrix for kernel in kernels])
     size = labeled.size if couplings is None else couplings.shape[1]
-    k = _resolve_k(k, size, min(dataset.n_voxels, size) if method == "rha" else size)
+    fewest = min(dataset.n_voxels, size)
+    # sha_r's W is the left singular basis of a template with one column per
+    # voxel: past the voxel count, its columns would be an arbitrary completion.
+    k = _resolve_k(k, fewest if method == "sha_r" else size,
+                   fewest if method == "rha" else size)
     svds = _data_svds(dataset.subjects, labeled)
     fitted = svds if couplings is None else _coupled_svd(couplings, svds, dataset.n_voxels)
     coupled = None
@@ -401,26 +410,15 @@ def _subject_terms(method, dataset, kernels, epsilon, k) -> _SubjectTerms:
     )
 
 
-def _iterated_space(factors, coupled, k, iterations, initial_shared, record_history):
+def _iterated_space(factors, coupled, k, iterations, record_history):
     """``W`` from alternating ridge maps, and each round's pairwise objective.
 
-    The history is computed only under ``record_history`` (``None``
-    otherwise): it costs a pass over every subject per round, and only a
-    fit's report keeps it.
+    The rounds start from the mean of ``coupled`` and map it through every
+    subject's projector.  The history is computed only under
+    ``record_history`` (``None`` otherwise): it costs a pass over every
+    subject per round, and only a fit's report keeps it.
     """
-    size = factors.shape[1]
-    if initial_shared is None:
-        template = coupled.sum(axis=0) / len(coupled)
-    else:
-        template = np.asarray(initial_shared, dtype=float)
-        if template.ndim != 2 or template.shape[0] != size:
-            raise InvalidArgumentError(
-                f"initial_shared must have {size} rows, got shape {template.shape}"
-            )
-    if template.shape[1] < k:
-        raise InvalidArgumentError(
-            f"initial template has {template.shape[1]} columns, cannot extract k={k}"
-        )
+    template = coupled.sum(axis=0) / len(coupled)
     history = []
     for _ in range(iterations):
         mapped = factors @ (factors.swapaxes(1, 2) @ template)
@@ -430,8 +428,7 @@ def _iterated_space(factors, coupled, k, iterations, initial_shared, record_hist
     return truncated_svd(template, k).left, tuple(history) if record_history else None
 
 
-def _shared_space(terms: _SubjectTerms, subset, iterations=10, initial_shared=None,
-                  record_history=False):
+def _shared_space(terms: _SubjectTerms, subset, iterations=10, record_history=False):
     """The shared space ``W`` of the subjects ``subset`` selects, and its objectives.
 
     Returns ``(W, trace, eigenvalues, history)``.  The single-shot paths add
@@ -448,7 +445,7 @@ def _shared_space(terms: _SubjectTerms, subset, iterations=10, initial_shared=No
     factors = terms.factors[subset]
     if terms.coupled is not None:
         w, history = _iterated_space(factors, terms.coupled[subset], terms.k,
-                                     iterations, initial_shared, record_history)
+                                     iterations, record_history)
         return w, None, None, history
     size = factors.shape[1]
     if size > _LARGE_EIG_SIZE:
@@ -476,14 +473,11 @@ def _whole_space(terms: _SubjectTerms) -> np.ndarray | None:
     kernel's class count, or under ``rha``, which couples nothing, the
     count of time points): ``W`` is then square with orthonormal columns, a
     rotation that fixes no more than a basis, and the identity is one such
-    ``W``.  ``sha_r`` takes ``W`` from the SVD of a template with one
-    column per voxel, which has that many left singular vectors only when
-    there are at least as many voxels (with fewer, its fit refuses ``k``).
+    ``W``.  Under ``sha_r`` that needs at least as many voxels as classes:
+    :func:`_subject_terms` refuses every ``k`` past the voxel count.
     """
     size = terms.factors.shape[1]
-    if terms.k == size and (terms.coupled is None or terms.coupled.shape[2] >= size):
-        return np.eye(size)
-    return None
+    return np.eye(size) if terms.k == size else None
 
 
 def _template(terms: _SubjectTerms, subset, w) -> np.ndarray:
@@ -516,7 +510,7 @@ def _template(terms: _SubjectTerms, subset, w) -> np.ndarray:
     return template
 
 
-def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None):
+def _fit(method, train, kernels, epsilon, k, iterations=10):
     """The fit of ``rha``, ``sha`` and ``sha_r`` over every subject of ``train``.
 
     It solves for ``W`` (:func:`_shared_space`), then back-projects it
@@ -530,7 +524,7 @@ def _fit(method, train, kernels, epsilon, k, iterations=10, initial_shared=None)
         )
     terms = _subject_terms(method, train, kernels, epsilon, k)
     w, trace, eigenvalues, history = _shared_space(terms, slice(None), iterations,
-                                                   initial_shared, record_history=True)
+                                                   record_history=True)
     template = _template(terms, slice(None), w)
     # Diagnostics: where each subject's projector carries the shared space.
     projected = terms.factors @ (terms.factors.swapaxes(1, 2) @ w)
@@ -607,22 +601,27 @@ def fit_rha(train: Dataset, epsilon: float = 1e-4,
 
 
 def fit_sha_r(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = None,
-              iterations: int = 10, initial_shared=None) -> AlignmentModel:
+              iterations: int = 10) -> AlignmentModel:
     """Iterative supervised alignment by alternating minimization.
 
-    Alternates between per-subject ridge maps onto the current template and
-    re-averaging the template from the mapped responses.  After ``iterations``
-    rounds the shared space is the top-``k`` left singular basis of the final
-    template and the time-point template is rebuilt through the kernels, as
-    in the single-shot path.
+    Starts from the mean coupled response ``mean_i K_i X_i`` and alternates
+    between per-subject ridge maps onto the current template and
+    re-averaging the template from the mapped responses.  After
+    ``iterations`` rounds the shared space is the top-``k`` left singular
+    basis of the final template and the time-point template is rebuilt
+    through the kernels, as in the single-shot path.  That template has one
+    column per voxel, so ``1 <= k <= min(classes, voxels)``; ``k`` defaults
+    to the class count, which fewer voxels than classes refuse.
 
-    ``initial_shared`` seeds the template (classes x columns); by default the
-    mean coupled response is used.  The recorded ``objective_history`` holds
-    the pairwise objective of the mapped responses after each round.
-    ``iterations`` must be at least 1.
+    :func:`fit_sha`'s ``W`` is a fixed point of a round: ``mean_i P_i = I -
+    U / S`` maps it to ``W (I - diag(lambda) / S)``, the same left singular
+    basis, so a start from it would return :func:`fit_sha`'s ``W W^T``.
+    The recorded ``objective_history`` holds the pairwise objective of the
+    mapped responses after each round.  ``iterations`` must be an integer of
+    at least 1.
     """
     _check_iterations(iterations)
-    return _fit("sha_r", train, kernels, epsilon, k, iterations, initial_shared)
+    return _fit("sha_r", train, kernels, epsilon, k, iterations)
 
 
 def fit_none(train: Dataset) -> AlignmentModel:

@@ -323,10 +323,10 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     of its training kernels (under ``rha`` the one ``I`` itself).  Under
     strict labels, and always under ``rha``, every subject is mapped once
     per run; ``sha_r`` gives ``sha``'s folds for any labels, and
-    ``iterations`` has no effect (with fewer voxels than classes
-    ``sha_r``'s fit refuses full ``k``, per fold too).  Below full ``k`` a
-    fold first solves for ``W`` with
-    :func:`~multialign.alignment._shared_space`: it adds its training
+    ``iterations`` has no effect.  ``sha_r`` takes ``k <= min(classes,
+    voxels)``, so with fewer voxels than classes the run refuses full
+    ``k`` before any fold.  Below full ``k`` a fold first solves for ``W``
+    with :func:`~multialign.alignment._shared_space`: it adds its training
     subjects' complements ``I - P_i`` to ``U`` in subject order, the sum a
     fit on those subjects forms, and solves one eigenproblem (``sha_r``
     iterates instead).  A fold whose template does not vary over time (its

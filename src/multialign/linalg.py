@@ -267,7 +267,7 @@ def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjecto
     )
 
 
-def regularized_projector(x, epsilon: float, rank: int | None = None) -> RegularizedProjector:
+def regularized_projector(x, epsilon: float) -> RegularizedProjector:
     """Ridge-regularized projector onto the column space of ``x``.
 
     No command calls it: the alignment builds its projectors with
@@ -282,14 +282,9 @@ def regularized_projector(x, epsilon: float, rank: int | None = None) -> Regular
         Matrix whose column space is projected onto.
     epsilon : float
         Ridge term, must be >= 0; see :func:`projector_from_svd`.
-    rank : int, optional
-        Number of singular directions to retain; defaults to full rank
-        ``min(rows, cols)``.
     """
     x = as_matrix(x, "matrix")
-    if rank is None:
-        rank = min(x.shape)
-    return projector_from_svd(truncated_svd(x, rank), epsilon)
+    return projector_from_svd(truncated_svd(x, min(x.shape)), epsilon)
 
 
 def symmetric_eig(m) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from multialign import (
     supervision_kernel,
     write_matrix_csv,
 )
-from multialign.alignment import _coupled_svd, _subject_terms, _template
+from multialign.alignment import _coupled_svd, _iterated_space, _subject_terms, _template
 from multialign.linalg import projector_from_svd, regularized_projector, truncated_svd
 from conftest import assert_close_up_to_sign, random_dataset, random_labels
 
@@ -64,14 +64,6 @@ class TestPairwiseObjective:
         mean = mats.mean(axis=0)
         grouped = s * sum(((mi - mean) ** 2).sum() for mi in mats)
         assert pairwise_objective(list(mats)) == pytest.approx(grouped, abs=1e-8, rel=1e-10)
-
-    def test_kernel_restriction(self, rng):
-        ds = random_dataset(rng, 2, 10, 4, 2)
-        kernels = kernels_for(ds, gamma=0.01)
-        zs = [s.data for s in ds.subjects]
-        expected = ((kernels[0].matrix @ zs[0][kernels[0].labeled]
-                     - kernels[1].matrix @ zs[1][kernels[1].labeled]) ** 2).sum()
-        assert pairwise_objective(zs, kernels) == pytest.approx(expected)
 
     def test_single_subject_rejected(self, rng):
         with pytest.raises(InvalidArgumentError):
@@ -103,14 +95,6 @@ class TestPairwiseObjectiveBruteForce:
     def test_identical_subjects_give_zero(self, rng):
         base = rng.standard_normal((7, 3)) * 1e6
         assert pairwise_objective([base, base.copy(), base.copy()]) == 0.0
-
-    def test_with_kernels_equals_pair_loop(self, rng):
-        ds = random_dataset(rng, 4, 16, 5, 3, rest_fraction=0.25)
-        kernels = kernels_for(ds, gamma=0.02)
-        zs = [subj.data for subj in ds.subjects]
-        coupled = [ker.matrix @ z[ker.labeled] for ker, z in zip(kernels, zs)]
-        assert pairwise_objective(zs, kernels) == pytest.approx(
-            _brute_force_pairwise(coupled), rel=1e-12)
 
 
 class TestFitSha:
@@ -522,14 +506,17 @@ class TestFitShaR:
             assert history.size == 10
             assert (np.diff(history) <= 1e-10).all()
 
-    def test_single_iteration_from_single_shot_solution(self, rng):
-        ds, kernels, single = _fitted(rng)
-        iterative = fit_sha_r(ds, kernels, iterations=1,
-                              initial_shared=single.shared_space)
-        start = iterative.fit_report.objective_history[0]
-        target = single.fit_report.pairwise_objective
-        # seeding with the single-shot solution starts at its objective value
-        assert start == pytest.approx(target, rel=1e-9, abs=1e-12)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_single_shot_solution_is_a_fixed_point(self, rng, k):
+        # mean_i P_i = I - U / S maps sha's W to W (I - diag(lambda) / S): the
+        # rounds keep its span, and the first starts at its objective value.
+        ds, kernels, single = _fitted(rng, k=k)
+        factors = _subject_terms("sha", ds, kernels, single.epsilon, k).factors
+        w, history = _iterated_space(factors, single.shared_space[None], k, 10, True)
+        np.testing.assert_allclose(w @ w.T, single.shared_space @ single.shared_space.T,
+                                   atol=1e-12, rtol=0)
+        assert history[0] == pytest.approx(single.fit_report.pairwise_objective,
+                                           rel=1e-12, abs=0)
 
     def test_identical_subjects_converge_immediately(self, rng):
         base = rng.standard_normal((12, 6))
@@ -582,11 +569,15 @@ class TestFitShaR:
         with pytest.raises(InvalidArgumentError):
             fit_sha_r(ds, kernels, iterations=0)
 
-    def test_bad_initial_shape_rejected(self, rng):
-        ds = normalize(random_dataset(rng, 2, 10, 6, 2))
+    def test_k_past_the_voxel_count_is_refused(self, rng):
+        # Two voxels, three classes: the template has two left singular vectors.
+        ds = normalize(random_dataset(rng, 3, 12, 2, 3))
         kernels = kernels_for(ds)
-        with pytest.raises(InvalidArgumentError):
-            fit_sha_r(ds, kernels, initial_shared=np.ones((3, 6)))
+        for k in (1, 2):
+            assert fit("sha_r", ds, kernels, k=k).shared_space.shape == (3, k)
+        for k in (None, 3):
+            with pytest.raises(InvalidArgumentError, match=r"k must be in \[1, 2\], got 3"):
+                fit("sha_r", ds, kernels, k=k)
 
 
 class TestMapSubject:
@@ -1036,6 +1027,22 @@ class TestDispatcher:
                                match=f"'{method}' needs at least 2 subjects, got 1"):
                 attempt()
         assert factored == []
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda ds, ks, v: fit_sha(ds, ks, k=v), "k"),
+        (lambda ds, ks, v: fit_rha(ds, k=v), "k"),
+        (lambda ds, ks, v: fit_sha_r(ds, ks, k=v), "k"),
+        (lambda ds, ks, v: fit_sha_r(ds, ks, iterations=v), "iterations"),
+        (lambda ds, ks, v: run_loso(ds, "sha", k=v), "k"),
+        (lambda ds, ks, v: run_loso(ds, "sha_r", iterations=v), "iterations"),
+    ], ids=["fit_sha-k", "fit_rha-k", "fit_sha_r-k", "fit_sha_r-iterations",
+            "run_loso-k", "run_loso-iterations"])
+    def test_non_integer_counts_refused(self, rng, call, name):
+        ds = normalize(random_dataset(rng, 3, 12, 6, 2))
+        kernels = kernels_for(ds)
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer, got 2.5"):
+            call(ds, kernels, 2.5)
+        call(ds, kernels, np.int64(2))
 
     @pytest.mark.parametrize("method", ["none", "rha", "sha", "sha_r"])
     def test_zero_iterations_refused_for_every_method(self, rng, method):

@@ -872,6 +872,7 @@ class TestFullKLoso:
         assert not np.array_equal(systems[0][3], systems[base.n_subjects][3])
 
     def test_sha_r_with_fewer_voxels_than_classes_is_refused(self, rng):
-        # Its template has fewer left singular vectors than k: the fold fit refuses.
-        with pytest.raises(InvalidArgumentError, match="cannot extract k=3"):
+        # Its template has fewer left singular vectors than k: the run refuses
+        # k past the voxel count before any fold.
+        with pytest.raises(InvalidArgumentError, match=r"k must be in \[1, 2\], got 3"):
             run_loso(random_dataset(rng, 3, 12, 2, 3), "sha_r")

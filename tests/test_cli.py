@@ -601,6 +601,21 @@ class TestExitCodes:
         assert err == {"error": "InvalidArgumentError",
                        "message": "--k must be an integer or 'auto', got '1.5'"}
 
+    def test_sha_r_k_past_the_voxel_count_is_usage_error(self, tmp_path, capsys, rng):
+        # Two voxels, three classes: sha_r's template has two left singular vectors.
+        narrow = multialign.save_dataset(random_dataset(rng, 3, 12, 2, 3), tmp_path / "narrow")
+        for k in ("1", "2"):
+            assert run_cli("align", "--data", str(narrow), "--method", "sha_r", "--k", k,
+                           "--out", str(tmp_path / f"k{k}")) == 0
+        capsys.readouterr()
+        for argv in ((), ("--k", "3")):
+            code = run_cli("align", "--data", str(narrow), "--method", "sha_r", *argv,
+                           "--out", str(tmp_path / "out"))
+            assert code == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err == {"error": "InvalidArgumentError",
+                           "message": "k must be in [1, 2], got 3"}
+
     def test_exactly_singular_fit_is_numeric_error(self, tmp_path, capsys, rng):
         data_dir = tmp_path / "singular"
         data_dir.mkdir()

@@ -72,11 +72,19 @@ def normalized(request):
     return normalize(generate(CONFIGS[request.param])[0])
 
 
+# Every method at its default k, and the single-shot methods below full k too.
+# sha_r is left out there: its start, mean_i K_i X_i, sums voxel columns across
+# subjects, so a subject's own rotation moves its W below full k.
+METHOD_KS = [(method, None) for method in METHODS] + [
+    (method, k) for method in ("rha", "sha") for k in (1, 2)
+]
+
+
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
-@pytest.mark.parametrize("method", METHODS)
-def test_loso_folds_unchanged(normalized, method, transform):
-    base = run_loso_normalized(normalized, method)
-    moved = run_loso_normalized(TRANSFORMS[transform](normalized, method, 11), method)
+@pytest.mark.parametrize("method, k", METHOD_KS)
+def test_loso_folds_unchanged(normalized, method, k, transform):
+    base = run_loso_normalized(normalized, method, k=k)
+    moved = run_loso_normalized(TRANSFORMS[transform](normalized, method, 11), method, k=k)
     folds = {f.held_out: f for f in moved.folds}
     assert sorted(folds) == sorted(f.held_out for f in base.folds)
     for fold in base.folds:
