@@ -289,7 +289,8 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     everyone through the fitted model, train the ridge classifier on the
     mapped training rows, and score the held-out subject's labeled rows.
     ``gamma`` reaches only the supervision kernels of ``sha`` and ``sha_r``;
-    the report's ``params`` record it as ``None`` for the other methods.
+    the report's ``params`` record it as ``None`` for the other methods,
+    and ``k`` as ``None`` under ``none``, which fits no shared space.
 
     Every per-subject quantity is built once per run and stacked in subject
     order: the kernels (one pass over every subject), one projector factor
@@ -349,9 +350,10 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     the AUCs.  Each fold's scores are bit-identical to those of a solve of
     its system alone.  :func:`train_classifier` on the fold's
     concatenated rows adds them in another order, so its scores agree to
-    rounding only.  A held-out subject whose labeled rows show a single
-    class, or none of the classes its fold trains on, has no AUC
-    (``None``); ``auc_mean`` and ``auc_std`` cover the folds that have one.
+    rounding only.  :func:`_macro_aucs` alone decides which folds have an
+    AUC: a held-out subject whose labeled rows show a single class, or
+    none of the classes its fold trains on, has none (``None``);
+    ``auc_mean`` and ``auc_std`` cover the folds that have one.
 
     Stage wall-clock totals (nanoseconds) of the whole run are collected
     on the report's ``timings`` attribute, one flat dict of ``fit_ns``,
@@ -405,7 +407,6 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         groups = _training_class_sets(class_ids)
         columns_of = {int(f): np.searchsorted(ids, classes)
                       for classes, members in groups for f in members}
-        scorable = (class_ids != class_ids[:, :1]).any(axis=1)  # two classes or more
 
     systems = []
     held_rows = []
@@ -429,7 +430,7 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
         held_rows.append(features[held])
 
     accs = np.empty(subjects)
-    auc_of = np.full(subjects, np.nan)
+    auc_of = np.empty(subjects)
     for classes, members in groups:
         with run("train_ns"):
             coef = _solve_ridge(np.stack([systems[f][0] for f in members]),
@@ -439,21 +440,18 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
                              coef[:, :-1], coef[:, -1])
             truth = class_ids[members]
             accs[members] = (truth == classes[scores.argmax(axis=2)]).mean(axis=1)
-            # The AUC also needs a trained class among the held-out subject's.
-            ranked = scorable[members] & (truth[:, :, None] == classes).any(axis=(1, 2))
-            scorable[members] = ranked
-            auc_of[members[ranked]] = _macro_aucs(truth[ranked], scores[ranked], classes)
+            auc_of[members] = _macro_aucs(truth, scores, classes)
 
     folds = tuple(
         FoldResult(subject.subject_id, float(accs[i]),
-                   float(auc_of[i]) if scorable[i] else None, int(class_ids.shape[1]))
+                   None if np.isnan(auc_of[i]) else float(auc_of[i]), int(class_ids.shape[1]))
         for i, subject in enumerate(normalized.subjects)
     )
     aucs = [f.auc for f in folds if f.auc is not None]
     params = {
         "epsilon": float(epsilon),
         "gamma": None if gamma is None or method not in SUPERVISED_METHODS else float(gamma),
-        "k": None if k is None else int(k),
+        "k": None if k is None or method == "none" else int(k),
         "iterations": int(iterations),
         "ridge": float(ridge),
     }

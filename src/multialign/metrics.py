@@ -47,6 +47,8 @@ def _unit_rows(m) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
     if (norms == 0.0).any():
         raise NumericError("correlation undefined: an input has zero variance")
+    if not np.isfinite(norms).all():
+        raise NumericError("correlation undefined: an input's squared norm overflows")
     return centered / norms[:, None]
 
 
@@ -212,32 +214,31 @@ def _instance_masks(runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diagonal, same & ~diagonal, ~same
 
 
-def _instance_statistic(runs, mask, correlations) -> MetricSummary:
-    """Summary of the correlations of the instance pairs ``mask`` selects.
+def _truncation_advisory(runs, mask) -> str | None:
+    """The advisory for the instance pairs ``mask`` selects, or ``None``.
 
-    ``correlations`` holds them as :func:`_instance_correlations` returns
-    them.  Warns once if a selected pair has unequal lengths, quoting the
-    shorter length of the first such pair in (class, class, instance,
-    instance) order.
+    A selected pair of unequal lengths is compared on the shorter length;
+    the advisory quotes that length for the first such pair in (class,
+    class, instance, instance) order.
     """
     lengths = np.array([run.length for run in runs])
     first, second = np.nonzero(mask & (lengths[:, None] != lengths[None, :]))
-    if first.size:
-        classes = _classes(runs)
-        head = np.lexsort((second, first, classes[second], classes[first]))[0]
-        warnings.warn(
-            "comparing instances of unequal length; blocks truncated to the "
-            f"shorter ({min(lengths[first[head]], lengths[second[head]])} time points)",
-            AdvisoryWarning,
-            stacklevel=4,  # the caller of rho2/rho3/rho4 or correlation_report
-        )
-    return _summarize(correlations)
+    if not first.size:
+        return None
+    classes = _classes(runs)
+    head = np.lexsort((second, first, classes[second], classes[first]))[0]
+    return ("comparing instances of unequal length; blocks truncated to the "
+            f"shorter ({min(lengths[first[head]], lengths[second[head]])} time points)")
 
 
 def _statistic(mapped, labels, which: int) -> MetricSummary:
     z, runs = _instances(mapped, labels)
     mask = _instance_masks(runs)[which]
-    return _instance_statistic(runs, mask, _instance_correlations(z, runs, mask))
+    summary = _summarize(_instance_correlations(z, runs, mask))
+    advisory = _truncation_advisory(runs, mask)
+    if advisory is not None:
+        warnings.warn(advisory, AdvisoryWarning, stacklevel=3)  # rho2/rho3/rho4's caller
+    return summary
 
 
 def rho2(mapped, labels) -> MetricSummary:
@@ -288,24 +289,20 @@ def correlation_report(mapped, labels, rho1_labeled_only: bool = False) -> Corre
     to labeled ones; the instance statistics always use labeled points only
     (instances cannot span rest gaps).  The instance statistics share one
     pass of :func:`_instance_correlations` over every instance pair; each
-    takes its own entries from it, with the advisories ``rho2``, ``rho3``
-    and ``rho4`` raise, in that order.
+    takes its own entries from it.  The advisories are the texts of the
+    warnings ``rho2``, ``rho3`` and ``rho4`` raise, in that order, each
+    once (:func:`_truncation_advisory`); no warning is caught here.
     """
     labels = list(labels)
     mask = labels[0].labeled_mask if rho1_labeled_only else None
-    advisories: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AdvisoryWarning)
-        z = _stacked(mapped)
-        r1 = rho1(z, mask=mask)
-        runs = _shared_runs(labels, z.shape[0], z.shape[1])
-        masks = _instance_masks(runs)
-        union = np.logical_or.reduce(masks)
-        correlations = _instance_correlations(z, runs, union)
-        r2, r3, r4 = (_instance_statistic(runs, m, correlations[:, m[union]])
-                      for m in masks)
-        advisories.extend(str(w.message) for w in caught
-                          if issubclass(w.category, AdvisoryWarning))
+    z = _stacked(mapped)
+    r1 = rho1(z, mask=mask)
+    runs = _shared_runs(labels, z.shape[0], z.shape[1])
+    masks = _instance_masks(runs)
+    union = np.logical_or.reduce(masks)
+    correlations = _instance_correlations(z, runs, union)
+    r2, r3, r4 = (_summarize(correlations[:, m[union]]) for m in masks)
+    advisories = filter(None, (_truncation_advisory(runs, m) for m in masks))
     return CorrelationReport(r1, r2, r3, r4, tuple(dict.fromkeys(advisories)))
 
 
@@ -351,17 +348,17 @@ def _macro_aucs(truth: np.ndarray, scores: np.ndarray, classes: np.ndarray) -> n
     """Macro one-vs-rest AUC of every fold of a stack.
 
     ``truth`` (folds, n) holds each fold's class ids and ``scores``
-    (folds, n, c) its decision values for ``classes`` (c,); every fold's
-    truth must hold at least two distinct ids and at least one of
-    ``classes`` (a fold that holds none gets NaN).  A fold averages the
-    AUCs of the ``classes`` its truth holds, in ascending class order; no
-    column is formed for a class absent from its truth.  One
-    :func:`_column_aucs` sort ranks the columns of every fold at once, and
-    the folds with equally many columns are averaged in one row-wise mean,
-    which sums in the order a mean over one fold's columns does.
+    (folds, n, c) its decision values for ``classes`` (c,).  A fold
+    averages the AUCs of the ``classes`` its truth holds, in ascending
+    class order.  This alone decides which folds have an AUC: a fold whose
+    truth shows a single class, or none of ``classes``, forms no column
+    and gets NaN.  One :func:`_column_aucs` sort ranks the columns of
+    every fold at once, and the folds with equally many columns are
+    averaged in one row-wise mean, which sums in the order a mean over
+    one fold's columns does.
     """
     positive = truth[:, :, None] == classes
-    present = positive.any(axis=1)
+    present = positive.any(axis=1) & (truth != truth[:, :1]).any(axis=1, keepdims=True)
     fold, column = np.nonzero(present)
     aucs = np.full(present.shape, np.nan)
     aucs[fold, column] = _column_aucs(positive[fold, :, column].T,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabelMatrix
+from .data import Dataset, LabelMatrix, _time_indices
 from .errors import InvalidArgumentError
 from .linalg import as_matrix
 
@@ -81,6 +81,7 @@ class SupervisionKernel:
     labeled : ndarray of int
         Indices of the labeled time points in the subject's full time axis;
         column ``j`` of ``matrix`` refers to time point ``labeled[j]``.
+        Checked at construction by :func:`~multialign.data._time_indices`.
     """
 
     matrix: np.ndarray
@@ -89,7 +90,7 @@ class SupervisionKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_matrix(self.matrix, "kernel matrix"))
-        labeled = np.asarray(self.labeled, dtype=int)
+        labeled = _time_indices(self.labeled, "the kernel's labeled time points")
         if labeled.shape != (self.matrix.shape[1],):
             raise InvalidArgumentError(
                 f"labeled indices have shape {labeled.shape}, expected "

@@ -210,6 +210,11 @@ class TestRunLoso:
             "epsilon": 0.01, "gamma": 0.02, "k": 2, "iterations": 3, "ridge": 2.0,
         }
 
+    @pytest.mark.parametrize("k", [2.5, -3])
+    def test_k_recorded_as_none_without_alignment(self, dataset, k):
+        # none fits no shared space: a k it never reads is not recorded.
+        assert run_loso(dataset, "none", k=k).params["k"] is None
+
     def test_timings_collected_but_not_serialized(self, dataset):
         report = run_loso(dataset, "none")
         assert set(report.timings) == {"fit_ns", "map_ns", "train_ns", "score_ns"}

@@ -128,6 +128,15 @@ class TestRho1:
         with pytest.raises(InvalidArgumentError):
             rho1([rng.standard_normal((4, 2))])
 
+    def test_overflowing_squared_norm_refused(self, rng):
+        # Above |x| ~ 1e154 the squared norm is inf and every unit row would be 0.
+        zs = np.stack([rng.standard_normal((12, 3)) for _ in range(3)])
+        assert rho1(zs * 1e150).mean == pytest.approx(rho1(zs).mean, abs=1e-12)
+        labels = [_labels_from_classes(np.repeat([0, 1, 0, 1], 3), 2)] * 3
+        for statistic in (lambda z: rho1(z), lambda z: correlation_report(z, labels)):
+            with pytest.raises(NumericError, match="squared norm overflows"):
+                statistic(zs * 1e160)
+
 
 class TestInstanceStatistics:
     """Naive-oracle checks on a hand-laid-out session.
@@ -479,6 +488,20 @@ class TestCorrelationReport:
         report = correlation_report(zs, [labels] * 2)
         assert any("truncated" in a for a in report.advisories)
 
+    def test_other_warnings_reach_the_caller(self, rng, monkeypatch):
+        real = multialign.metrics._instance_correlations
+
+        def warning(z, runs, mask):
+            warnings.warn("raised inside the report", UserWarning)
+            return real(z, runs, mask)
+
+        monkeypatch.setattr(multialign.metrics, "_instance_correlations", warning)
+        classes = np.array([0, 0, 0, 1, 1, 0, 0, 1, 1, 1])
+        zs = [rng.standard_normal((10, 3)) for _ in range(2)]
+        with pytest.warns(UserWarning, match="raised inside the report"):
+            report = correlation_report(zs, [_labels_from_classes(classes, 2)] * 2)
+        assert report.advisories and all("truncated" in a for a in report.advisories)
+
 
 class TestMetricSummary:
     def test_empty_summary(self):
@@ -563,6 +586,21 @@ class TestAuc:
     def test_vector_scores_need_binary_truth(self):
         with pytest.raises(InvalidDataError):
             one_vs_rest_auc([0, 1, 2], [0.1, 0.2, 0.3])
+
+
+class TestMacroAucs:
+    """The one rule for which folds of a stack have an AUC."""
+
+    def test_single_class_fold_gets_nan_without_dividing(self):
+        gen = np.random.default_rng(2)
+        truth = np.array([[0, 1, 2, 0, 1, 2], [1, 1, 1, 1, 1, 1], [3, 3, 4, 4, 3, 4]])
+        scores = gen.standard_normal((3, 6, 3))
+        classes = np.array([0, 1, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            aucs = multialign.metrics._macro_aucs(truth, scores, classes)
+        assert aucs[0] == one_vs_rest_auc(truth[0], scores[0], classes)
+        assert np.isnan(aucs[1]) and np.isnan(aucs[2])
 
 
 class TestBinaryAucRanks:

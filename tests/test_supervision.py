@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from multialign import (
     InvalidArgumentError,
+    InvalidDataError,
     LabelMatrix,
+    SupervisionKernel,
     coupling_determinant,
     coupling_matrix,
     default_gamma,
@@ -130,3 +132,18 @@ class TestSupervisionKernel:
         for ker in kernels:
             assert ker.gamma == 0.01
             assert ker.n_classes == 3
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda t: t + 0.5, "whole numbers"),
+        (lambda t: t - 1, "strictly increasing"),
+        (lambda t: t[::-1], "strictly increasing"),
+        (lambda t: np.repeat(t[:1], t.size), "strictly increasing"),
+        (lambda t: t[None], "1-D"),
+    ], ids=["fraction", "negative", "unsorted", "repeated", "2-D"])
+    def test_labeled_indices_checked_at_construction(self, rng, spoil, match):
+        # numpy would truncate 0.5 to 0 and fit the wrong time points.
+        ker = kernels_for(random_dataset(rng, 2, 18, 4, 3))[0]
+        with pytest.raises(InvalidDataError, match=match):
+            SupervisionKernel(ker.matrix, ker.gamma, spoil(ker.labeled))
+        whole = SupervisionKernel(ker.matrix, ker.gamma, ker.labeled.astype(float))
+        np.testing.assert_array_equal(whole.labeled, ker.labeled)
