@@ -61,7 +61,6 @@ the QR-reduced SVD.
 
 from __future__ import annotations
 
-import operator
 import shutil
 import warnings
 from dataclasses import dataclass
@@ -78,11 +77,18 @@ from .data import (
     write_json,
     write_matrix_csv,
 )
-from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
+from .errors import (
+    AdvisoryWarning,
+    InvalidArgumentError,
+    InvalidDataError,
+    NumericError,
+    _nonnegative,
+    _whole_number,
+)
 from .linalg import (
     TruncatedSvd,
-    _check_epsilon,
     _check_nonsingular,
+    as_matrix,
     projector_from_svd,
     symmetric_eig,
     truncated_svd,
@@ -139,17 +145,19 @@ class AlignmentModel:
     fitted time point; mapping regresses a subject's responses onto it.
     ``labeled`` holds the indices of those time points in the full time
     axis.  For the ``none`` baseline both factors are absent and mapping is
-    the identity.  Every
-    other model is refused (:class:`InvalidDataError`) without a template
-    with one row per ``labeled`` index, with a ``k`` other than the column
-    count of its factors, or with an ``epsilon`` that is negative or not
-    finite; ``labeled`` must be strictly increasing and non-negative (numpy
-    would otherwise read a negative index from the end of the time axis),
-    so mapping never meets an inconsistent model.  The factors are stored
-    as float arrays and ``labeled`` as an integer array, whatever
-    array-likes they are handed; ``labeled`` values that are not whole
-    numbers are refused.  The two factors never share memory: a template
-    handed in as (a view of) the shared space is stored as a copy.
+    the identity.  Every model is refused (:class:`InvalidDataError`) unless
+    ``epsilon`` and a ``gamma`` other than ``None`` are finite reals >= 0
+    and ``k`` an integer >= 1 (never a ``bool`` or text), and its factors
+    finite matrices.  Every other model is refused without a template with
+    one row per ``labeled`` index, or with a ``k`` other than the column
+    count of its factors; ``labeled`` must be strictly increasing and
+    non-negative (numpy would otherwise read a negative index from the end
+    of the time axis), so mapping never meets an inconsistent model.  The
+    factors are stored as float arrays, ``labeled`` as an integer array,
+    ``epsilon`` and ``gamma`` as ``float`` and ``k`` as ``int``, whatever
+    they are handed; ``labeled`` values that are not whole numbers are
+    refused.  The two factors never share memory: a template handed in as
+    (a view of) the shared space is stored as a copy.
     """
 
     method: str
@@ -167,9 +175,13 @@ class AlignmentModel:
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
         try:
+            object.__setattr__(self, "epsilon", _nonnegative("epsilon", self.epsilon))
+            if self.gamma is not None:
+                object.__setattr__(self, "gamma", _nonnegative("gamma", self.gamma))
+            object.__setattr__(self, "k", _whole_number("k", self.k, 1))
             for name in ("shared_space", "template"):
                 if getattr(self, name) is not None:
-                    object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                    object.__setattr__(self, name, as_matrix(getattr(self, name), name))
             if self.labeled is not None:
                 labeled = _time_indices(self.labeled, "the model's labeled time points")
                 object.__setattr__(self, "labeled", labeled)
@@ -194,10 +206,6 @@ class AlignmentModel:
                 raise InvalidDataError(
                     f"model for method {self.method!r} is inconsistent: k={self.k} "
                     f"for factors of widths {sorted(widths)}"
-                )
-            if not np.isfinite(self.epsilon) or self.epsilon < 0:
-                raise InvalidDataError(
-                    f"model epsilon must be a finite value >= 0, got {self.epsilon}"
                 )
 
 
@@ -274,14 +282,6 @@ def _validate_kernels(train: Dataset, kernels) -> list[SupervisionKernel]:
     return kernels
 
 
-def _whole_number(name: str, value) -> int:
-    """``value`` as an ``int``, if it is an integer (``operator.index`` takes it)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _resolve_k(k: int | None, limit: int, default: int) -> int:
     k = default if k is None else _whole_number("k", k)
     if not 1 <= k <= limit:
@@ -325,11 +325,6 @@ class _SubjectTerms:
     factors: np.ndarray
     couplings: np.ndarray | None
     coupled: np.ndarray | None
-
-
-def _check_iterations(iterations) -> None:
-    if _whole_number("iterations", iterations) < 1:
-        raise InvalidArgumentError(f"iterations must be >= 1, got {iterations}")
 
 
 def _data_svds(subjects, rows) -> TruncatedSvd:
@@ -547,7 +542,7 @@ def _fit(method, train, kernels, epsilon, k, iterations=10):
         method=method,
         shared_space=w,
         template=template,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         gamma=terms.gamma,
         k=terms.k,
         labeled=terms.labeled.copy(),
@@ -620,7 +615,7 @@ def fit_sha_r(train: Dataset, kernels, epsilon: float = 1e-4, k: int | None = No
     mapped responses after each round.  ``iterations`` must be an integer of
     at least 1.
     """
-    _check_iterations(iterations)
+    _whole_number("iterations", iterations, 1)
     return _fit("sha_r", train, kernels, epsilon, k, iterations)
 
 
@@ -642,12 +637,12 @@ def fit(method: str, train: Dataset, kernels=None, *, epsilon: float = 1e-4,
         k: int | None = None, iterations: int = 10) -> AlignmentModel:
     """Fit the model named by ``method``; ``rha`` ignores ``kernels``.
 
-    ``epsilon`` and ``iterations`` (at least 1) are checked for every
-    method, ``none`` included, although only ``sha_r`` iterates and ``none``
-    uses neither.
+    ``epsilon`` (a finite real >= 0) and ``iterations`` (an integer >= 1)
+    are checked for every method, ``none`` included, although only
+    ``sha_r`` iterates and ``none`` uses neither; neither may be a ``bool``.
     """
-    _check_epsilon(epsilon)
-    _check_iterations(iterations)
+    _nonnegative("epsilon", epsilon)
+    _whole_number("iterations", iterations, 1)
     if method == "none":
         return fit_none(train)
     if method in METHODS:
@@ -732,8 +727,7 @@ def _map_subjects(model: AlignmentModel, subjects, epsilon) -> list[MappedFeatur
 
     ``epsilon`` is checked first, for every method, ``none`` included.
     """
-    eps = model.epsilon if epsilon is None else float(epsilon)
-    _check_epsilon(eps)
+    eps = model.epsilon if epsilon is None else _nonnegative("epsilon", epsilon)
     if model.method == "none":
         return [MappedFeatures(subject.subject_id, subject.data.copy()) for subject in subjects]
     labeled = model.labeled
@@ -817,10 +811,12 @@ def load_model(model_dir) -> AlignmentModel:
     """Load a model serialized by :func:`save_model` (diagnostics not kept).
 
     A ``model.json`` that does not parse, lacks a key :func:`save_model`
-    writes, names an unknown method, holds a value of the wrong type, or
-    disagrees with ``w.csv``/``g.csv`` raises :class:`InvalidDataError`: the matrices must have the shapes
+    writes, names an unknown method, or disagrees with ``w.csv``/``g.csv``
+    raises :class:`InvalidDataError`: the matrices must have the shapes
     ``dims`` records, and (see :class:`AlignmentModel`) a model other than
-    ``none`` needs them, with one ``labeled`` index per template row.
+    ``none`` needs them, with one ``labeled`` index per template row.  Its
+    values reach the model uncast, under the rules of a library call:
+    ``"k": 2.5``, ``"k": "2"`` or ``"epsilon": true`` is refused.
     """
     model_dir = Path(model_dir)
     path = model_dir / "model.json"
@@ -841,17 +837,12 @@ def load_model(model_dir) -> AlignmentModel:
                 raise InvalidDataError(
                     f"{name} has shape {list(m.shape)}, model.json says {dims.get(key)}"
                 )
-    try:
-        epsilon, k = float(meta["epsilon"]), int(meta["k"])
-        gamma = None if meta["gamma"] is None else float(meta["gamma"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidDataError(f"{path} holds a malformed value: {exc}") from exc
     return AlignmentModel(
         method=meta["method"],
         shared_space=shared,
         template=template,
-        epsilon=epsilon,
-        gamma=gamma,
-        k=k,
+        epsilon=meta["epsilon"],
+        gamma=meta["gamma"],
+        k=meta["k"],
         labeled=meta["labeled"],
     )

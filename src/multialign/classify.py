@@ -45,7 +45,6 @@ import numpy as np
 from .alignment import (
     METHODS,
     SUPERVISED_METHODS,
-    _check_iterations,
     _map_rows,
     _mapping_factors,
     _shared_space,
@@ -54,8 +53,14 @@ from .alignment import (
     _whole_space,
 )
 from .data import Dataset, normalize
-from .errors import AdvisoryWarning, InvalidArgumentError, InvalidDataError, NumericError
-from .linalg import _check_epsilon
+from .errors import (
+    AdvisoryWarning,
+    InvalidArgumentError,
+    InvalidDataError,
+    NumericError,
+    _nonnegative,
+    _whole_number,
+)
 from .metrics import _macro_aucs
 from .supervision import kernels_for
 
@@ -114,12 +119,6 @@ def _decide(features, weights, bias) -> np.ndarray:
     the same with a leading stack axis on all three.
     """
     return features @ weights + bias[..., None, :]
-
-
-def _check_ridge(ridge) -> float:
-    if not np.isfinite(ridge) or ridge < 0:
-        raise InvalidArgumentError(f"ridge must be a finite value >= 0, got {ridge}")
-    return float(ridge)
 
 
 def _ridge_blocks(features: np.ndarray, class_ids: np.ndarray,
@@ -201,7 +200,7 @@ def train_classifier(features, labels, ridge: float = 1.0) -> LinearClassifier:
         raise InvalidDataError(f"features must be 2-D, got ndim={x.ndim}")
     if y.size != x.shape[0]:
         raise InvalidDataError(f"{y.size} labels for {x.shape[0]} feature rows")
-    ridge = _check_ridge(ridge)
+    ridge = _nonnegative("ridge", ridge)
     classes = np.unique(y)
     if classes.size < 2:
         raise InvalidDataError(f"need at least 2 classes, got {classes.size}")
@@ -288,9 +287,11 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
     is.  Per fold: fit the alignment on the training subjects only, map
     everyone through the fitted model, train the ridge classifier on the
     mapped training rows, and score the held-out subject's labeled rows.
-    ``gamma`` reaches only the supervision kernels of ``sha`` and ``sha_r``;
-    the report's ``params`` record it as ``None`` for the other methods,
-    and ``k`` as ``None`` under ``none``, which fits no shared space.
+    Every method checks ``epsilon``, ``ridge`` (finite reals >= 0, never a
+    ``bool``) and ``iterations`` (an integer >= 1).  ``gamma`` reaches only
+    the supervision kernels of ``sha`` and ``sha_r``; the report's
+    ``params`` record it as ``None`` for the other methods, and ``k`` as
+    ``None`` under ``none``, which fits no shared space.
 
     Every per-subject quantity is built once per run and stacked in subject
     order: the kernels (one pass over every subject), one projector factor
@@ -369,9 +370,9 @@ def run_loso_normalized(normalized: Dataset, method: str, *, epsilon: float = 1e
 
 def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoReport:
     """Both entry points' body, one call deep in each: advisories name their caller."""
-    ridge = _check_ridge(ridge)
-    _check_epsilon(epsilon)
-    _check_iterations(iterations)
+    ridge = _nonnegative("ridge", ridge)
+    epsilon = _nonnegative("epsilon", epsilon)
+    iterations = _whole_number("iterations", iterations, 1)
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
     subjects = normalized.n_subjects
@@ -449,11 +450,11 @@ def _loso(normalized, method, epsilon, gamma, k, iterations, ridge) -> LosoRepor
     )
     aucs = [f.auc for f in folds if f.auc is not None]
     params = {
-        "epsilon": float(epsilon),
+        "epsilon": epsilon,
         "gamma": None if gamma is None or method not in SUPERVISED_METHODS else float(gamma),
         "k": None if k is None or method == "none" else int(k),
-        "iterations": int(iterations),
-        "ridge": float(ridge),
+        "iterations": iterations,
+        "ridge": ridge,
     }
     return LosoReport(
         method=method,

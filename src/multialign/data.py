@@ -640,13 +640,11 @@ def _check_entry(entry) -> None:
     """Refuse a manifest subject entry of the wrong form."""
     if not isinstance(entry, dict):
         raise InvalidDataError(f"subject entry must be a JSON object, got {entry!r}")
-    for key in ("id", "data", "labels"):
+    for key, kind in (("id", "a string"), ("data", "a file name"), ("labels", "a file name")):
         if key not in entry:
             raise InvalidDataError(f"subject entry is missing required key {key!r}")
-    for key in ("data", "labels"):
         if not isinstance(entry[key], str):
-            raise InvalidDataError(f"subject entry {key!r} must be a file name, "
-                                   f"got {entry[key]!r}")
+            raise InvalidDataError(f"subject entry {key!r} must be {kind}, got {entry[key]!r}")
 
 
 def _digest_field(entry: dict):
@@ -774,7 +772,7 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
             data = _matrix_from_twin(twin, i, data_path.read_bytes(), digest)
         if data is None:
             data = read_matrix_csv(data_path)
-        subjects.append(SubjectData(str(entry["id"]), data))
+        subjects.append(SubjectData(entry["id"], data))
         labels.append(LabelMatrix(read_matrix_csv(base / entry["labels"])))
     dataset = Dataset(tuple(subjects), tuple(labels), tuple(manifest["class_names"]))
     if strict_labels:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidDataError, NumericError
+from .errors import InvalidArgumentError, InvalidDataError, NumericError, _nonnegative
 
 # Singular values at or below this are treated as numerically zero when
 # deciding whether an unregularized projector is well defined.
@@ -232,11 +232,6 @@ class RegularizedProjector:
         return self.factor @ (self.factor.swapaxes(-1, -2) @ m)
 
 
-def _check_epsilon(epsilon) -> None:
-    if not np.isfinite(epsilon) or epsilon < 0:
-        raise InvalidArgumentError(f"epsilon must be a finite value >= 0, got {epsilon}")
-
-
 def _check_nonsingular(singular_values, epsilon: float, what: str) -> None:
     """Refuse ``epsilon = 0`` when a retained singular value is numerically zero.
 
@@ -258,12 +253,12 @@ def projector_from_svd(svd: TruncatedSvd, epsilon: float) -> RegularizedProjecto
     be singular).  The SVD of a stack gives the stack of projectors, in one
     pass; one singular member is enough for the refusal.
     """
-    _check_epsilon(epsilon)
+    epsilon = _nonnegative("epsilon", epsilon)
     s = svd.singular_values
     _check_nonsingular(s, epsilon, "projector")
     shrink = s / np.sqrt(s * s + epsilon)
     return RegularizedProjector(
-        svd.left * shrink[..., None, :], float(epsilon), rank_deficient=svd.rank_deficient
+        svd.left * shrink[..., None, :], epsilon, rank_deficient=svd.rank_deficient
     )
 
 

@@ -15,20 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, LabelMatrix, _time_indices
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _nonnegative, _whole_number
 from .linalg import as_matrix
 
 
 def default_gamma(n_points: int) -> float:
     """Default coupling strength ``1 / (2 * n_points)``."""
-    if n_points < 1:
-        raise InvalidArgumentError(f"n_points must be >= 1, got {n_points}")
-    return 1.0 / (2.0 * n_points)
+    return 1.0 / (2.0 * _whole_number("n_points", n_points, 1))
 
 
 def _check_gamma(gamma: float, n_points: int) -> float:
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or not 0.0 <= gamma < 1.0 / n_points:
+    gamma = _nonnegative("gamma", gamma)
+    if gamma >= 1.0 / n_points:
         raise InvalidArgumentError(
             f"gamma must lie in [0, 1/{n_points}) = [0, {1.0 / n_points:.6g}); got "
             f"{gamma!r}. Values at or above 1/t make the coupling matrix "
@@ -44,8 +42,7 @@ def coupling_matrix(n_points: int, gamma: float) -> np.ndarray:
     ``1`` (n_points - 1 times); it is idempotent exactly at
     ``gamma = 1/n_points``, which is outside the admissible range.
     """
-    if n_points < 1:
-        raise InvalidArgumentError(f"n_points must be >= 1, got {n_points}")
+    n_points = _whole_number("n_points", n_points, 1)
     gamma = _check_gamma(gamma, n_points)
     return np.eye(n_points) - gamma * np.ones((n_points, n_points))
 
@@ -53,16 +50,11 @@ def coupling_matrix(n_points: int, gamma: float) -> np.ndarray:
 def coupling_determinant(n_points: int, gamma: float) -> float:
     """Closed-form determinant ``1 - gamma * n_points`` of the coupling matrix.
 
-    Unlike :func:`coupling_matrix` this accepts any finite ``gamma >= 0`` so
-    diagnostic sweeps can chart the determinant through and past the
-    singular point ``gamma = 1/n_points``.
+    Unlike :func:`coupling_matrix` this accepts any finite real ``gamma >=
+    0`` (never a ``bool`` or text) so diagnostic sweeps can chart the
+    determinant through and past the singular point ``gamma = 1/n_points``.
     """
-    if n_points < 1:
-        raise InvalidArgumentError(f"n_points must be >= 1, got {n_points}")
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0:
-        raise InvalidArgumentError(f"gamma must be finite and >= 0, got {gamma!r}")
-    return 1.0 - gamma * n_points
+    return 1.0 - _whole_number("n_points", n_points, 1) * _nonnegative("gamma", gamma)
 
 
 @dataclass(frozen=True)
@@ -132,9 +124,7 @@ def _kernels(labels, gamma: float | None) -> list[SupervisionKernel]:
     t = labeled.size
     if t < 1:
         raise InvalidArgumentError("labels contain no labeled time points")
-    if gamma is None:
-        gamma = default_gamma(t)
-    gamma = _check_gamma(gamma, t)
+    gamma = _check_gamma(default_gamma(t) if gamma is None else gamma, t)
     y = np.stack([lab.onehot for lab in labels])[:, :, labeled]
     counts = y.sum(axis=2)
     # y @ (I - gamma*J) expanded: row m loses gamma * c_m everywhere.

@@ -18,23 +18,26 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, LabelMatrix, SubjectData, write_json
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _nonnegative, _whole_number
 
 ROTATIONS = ("orthogonal", "identity")
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Deterministic RNG stream derived from ``seed`` and a stream name."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    """Deterministic RNG stream derived from ``seed`` (an integer >= 0) and a stream name."""
+    seed = _whole_number("seed", seed, 0)
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), zlib.crc32(name.encode("utf-8"))])
+        np.random.SeedSequence([seed, zlib.crc32(name.encode("utf-8"))])
     )
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator settings; defaults give 6 subjects, 4 classes, 80 time points."""
+    """Generator settings; defaults give 6 subjects, 4 classes, 80 time points.
+
+    The five counts and ``seed`` must be integers (not a float such as 3.0),
+    ``voxels >= classes``, and ``noise_sigma`` a finite real >= 0.
+    """
 
     subjects: int = 6
     classes: int = 4
@@ -46,27 +49,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, floor in (("subjects", 2), ("classes", 2),
-                            ("instances_per_class", 1), ("instance_length", 1)):
-            if getattr(self, name) < floor:
-                raise InvalidArgumentError(
-                    f"{name} must be >= {floor}, got {getattr(self, name)}"
-                )
+        for name, floor in (("subjects", 2), ("classes", 2), ("instances_per_class", 1),
+                            ("instance_length", 1), ("voxels", 1), ("seed", 0)):
+            _whole_number(name, getattr(self, name), floor)
         if self.voxels < self.classes:
             raise InvalidArgumentError(
                 f"voxels ({self.voxels}) must be >= classes ({self.classes})"
             )
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise InvalidArgumentError(
-                f"noise_sigma must be a finite value >= 0, got {self.noise_sigma}"
-            )
+        _nonnegative("noise_sigma", self.noise_sigma)
         if self.rotation not in ROTATIONS:
             raise InvalidArgumentError(
                 f"rotation must be one of {ROTATIONS}, got {self.rotation!r}"
-            )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidArgumentError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
             )
 
     @property

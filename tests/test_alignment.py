@@ -877,7 +877,8 @@ class TestLoadModelValidation:
             load_model(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("epsilon", "small"), ("k", [2]),
-                                            ("labeled", [[0], [1, 2]])])
+                                            ("labeled", [[0], [1, 2]]), ("gamma", "0.1"),
+                                            ("gamma", True), ("gamma", -0.1)])
     def test_malformed_value(self, tmp_path, rng, key, value):
         meta = self._saved(tmp_path, rng)
         meta[key] = value
@@ -932,6 +933,14 @@ class TestLoadModelValidation:
         ("k", 999, "k=999"),
         ("epsilon", -1.0, "epsilon must be"),
         ("epsilon", "inf", "epsilon must be"),
+        # A library call would refuse these: so does a model file, uncast.
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", "2", "k must be an integer, got '2'"),
+        ("k", True, "k must be an integer, got True"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("epsilon", True, "epsilon must be a finite value >= 0, got True"),
+        ("epsilon", "1e-4", "epsilon must be a finite value >= 0, got '1e-4'"),
+        ("epsilon", None, "epsilon must be a finite value >= 0, got None"),
     ])
     def test_k_or_epsilon_that_cannot_be_right(self, tmp_path, rng, key, value, match):
         # Refused on load, not at mapping (epsilon) or never (k).
@@ -939,6 +948,25 @@ class TestLoadModelValidation:
         meta[key] = value
         (tmp_path / "model.json").write_text(json.dumps(meta))
         with pytest.raises(InvalidDataError, match=match):
+            load_model(tmp_path)
+
+    def test_json_numbers_load_as_float_and_int(self, tmp_path, rng):
+        meta = self._saved(tmp_path, rng)
+        (tmp_path / "model.json").write_text(json.dumps({**meta, "epsilon": 0, "gamma": 0}))
+        model = load_model(tmp_path)
+        assert type(model.epsilon) is float and type(model.gamma) is float
+        assert type(model.k) is int and model.k == meta["k"]
+
+    @pytest.mark.parametrize("name", ["w.csv", "g.csv"])
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_factor_refused_on_load(self, tmp_path, rng, name, entry):
+        # Refused as invalid data on load, not as a numeric failure at mapping.
+        self._saved(tmp_path, rng)
+        lines = (tmp_path / name).read_text().splitlines()
+        lines[0] = ",".join([entry] + lines[0].split(",")[1:])
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        factor = {"w.csv": "shared_space", "g.csv": "template"}[name]
+        with pytest.raises(InvalidDataError, match=f"{factor} contains non-finite entries"):
             load_model(tmp_path)
 
     def test_unknown_method_model_refused(self, rng):

@@ -731,6 +731,17 @@ class TestManifestTypes:
         with pytest.raises(InvalidDataError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("subject_id", [None, 3, ["s"], True],
+                             ids=["null", "number", "list", "true"])
+    def test_non_string_id_rejected(self, tmp_path, rng, subject_id):
+        # Cast to text it would load, and name z_<id>.csv files.
+        manifest = save_dataset(random_dataset(rng, 2, 6, 3, 2), tmp_path / "d")
+        meta = json.loads(manifest.read_text())
+        meta["subjects"][0]["id"] = subject_id
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(InvalidDataError, match="subject entry 'id' must be a string"):
+            load_dataset(manifest)
+
     def test_non_utf8_manifest_rejected_as_invalid_data(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_bytes(b'{"class_names": ["\xff"]}')
