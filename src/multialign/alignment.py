@@ -93,6 +93,7 @@ from .linalg import (
     symmetric_eig,
     truncated_svd,
 )
+from .metrics import _stacked
 from .supervision import SupervisionKernel
 
 METHODS = ("none", "rha", "sha", "sha_r")
@@ -221,7 +222,7 @@ def pairwise_objective(mapped) -> float:
     """Summed squared distance between subjects over unordered pairs.
 
     ``sum_{i<j} ||M_i - M_j||_F^2`` where ``M_i`` is subject ``i``'s entry of
-    ``mapped``.
+    ``mapped``, checked as every stack is (:func:`multialign.metrics._stacked`).
 
     Computed as ``S * sum_i ||M_i - mean||_F^2`` in two passes over the
     entries, holding only a running sum and one deviation buffer.  Both
@@ -229,29 +230,18 @@ def pairwise_objective(mapped) -> float:
     nearby entries, so well-aligned subjects lose no digits to
     cancellation.
     """
-    mats = []
-    for idx, z in enumerate(mapped):
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 2:
-            raise InvalidDataError(f"mapped entry {idx} must be 2-D, got ndim={z.ndim}")
-        if mats and z.shape != mats[0].shape:
-            raise InvalidDataError(
-                f"mapped entry {idx} has shape {z.shape}, expected {mats[0].shape}"
-            )
-        mats.append(z)
-    if len(mats) < 2:
-        raise InvalidArgumentError("need at least two subjects to compare")
-    origin = mats[0]
+    z = _stacked(mapped)
+    origin = z[0]
     mean = np.zeros(origin.shape)
-    for m in mats[1:]:
+    for m in z[1:]:
         mean += m - origin
-    mean /= len(mats)
+    mean /= len(z)
     total = float((mean * mean).sum())  # the first entry's deviation is -mean
-    for m in mats[1:]:
+    for m in z[1:]:
         dev = m - origin
         dev -= mean
         total += float((dev * dev).sum())
-    return len(mats) * total
+    return len(z) * total
 
 
 def _validate_kernels(train: Dataset, kernels) -> list[SupervisionKernel]:
@@ -722,12 +712,8 @@ def _map_rows(factors: _MappingFactors, template) -> np.ndarray:
     return z
 
 
-def _map_subjects(model: AlignmentModel, subjects, epsilon) -> list[MappedFeatures]:
-    """:func:`map_subject` and :func:`map_dataset` for subjects of one length.
-
-    ``epsilon`` is checked first, for every method, ``none`` included.
-    """
-    eps = model.epsilon if epsilon is None else _nonnegative("epsilon", epsilon)
+def _map_subjects(model: AlignmentModel, subjects) -> list[MappedFeatures]:
+    """:func:`map_subject` and :func:`map_dataset`, at ``model.epsilon``, for one length."""
     if model.method == "none":
         return [MappedFeatures(subject.subject_id, subject.data.copy()) for subject in subjects]
     labeled = model.labeled
@@ -737,29 +723,29 @@ def _map_subjects(model: AlignmentModel, subjects, epsilon) -> list[MappedFeatur
             f"subject {subjects[0].subject_id!r} has {n_timepoints} time points; the "
             f"model's template couples time point {int(labeled.max())}"
         )
-    factors = _mapping_factors(subjects, _data_svds(subjects, labeled), labeled, eps,
-                               np.arange(n_timepoints))
+    factors = _mapping_factors(subjects, _data_svds(subjects, labeled), labeled,
+                               model.epsilon, np.arange(n_timepoints))
     z = _map_rows(factors, model.template)
     _check_finite("mapping", z)
     return [MappedFeatures(subject.subject_id, features)
             for subject, features in zip(subjects, z)]
 
 
-def map_subject(model: AlignmentModel, subject: SubjectData,
-                epsilon: float | None = None) -> MappedFeatures:
+def map_subject(model: AlignmentModel, subject: SubjectData) -> MappedFeatures:
     """Carry one subject's responses into the model's shared space.
 
-    Solves the ridge regression of the subject's responses (at the template's
-    time points) onto the template and applies the resulting voxel map to the
-    full time series, in dual form through the left factor ``U`` and singular
-    values ``s`` of the data ``X_l`` at those time points (see
-    :func:`_map_rows`, the one mapping formula, here on a stack of one).
-    Neither the (voxels x voxels) system nor the voxel-side factor ``V`` is
-    ever formed.  The factors are memoized on the subject, shared with every
-    fit and every other model mapped through the same subject object.
-    ``epsilon`` overrides the model's ridge term.  Mapping needs no labels.
+    Solves the ridge regression, at the model's ``epsilon``, of the
+    subject's responses (at the template's time points) onto the template
+    and applies the resulting voxel map to the full time series, in dual
+    form through the left factor ``U`` and singular values ``s`` of the
+    data ``X_l`` at those time points (see :func:`_map_rows`, the one
+    mapping formula, here on a stack of one).  Neither the (voxels x voxels)
+    system nor the voxel-side factor ``V`` is ever formed.  The factors are
+    memoized on the subject, shared with every fit and every other model
+    mapped through the same subject object.  Mapping needs no labels; to
+    map at another ridge, map through ``dataclasses.replace(model, epsilon=...)``.
     """
-    return _map_subjects(model, (subject,), epsilon)[0]
+    return _map_subjects(model, (subject,))[0]
 
 
 def map_dataset(model: AlignmentModel, dataset: Dataset) -> list[MappedFeatures]:
@@ -768,7 +754,7 @@ def map_dataset(model: AlignmentModel, dataset: Dataset) -> list[MappedFeatures]
     One stacked :func:`_map_rows` call maps every subject, with the bits
     :func:`map_subject` gives each one.
     """
-    return _map_subjects(model, dataset.subjects, None)
+    return _map_subjects(model, dataset.subjects)
 
 
 def save_model(model: AlignmentModel, out_dir) -> Path:

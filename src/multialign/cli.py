@@ -56,7 +56,7 @@ from .data import (
     write_json,
     write_matrix_csv,
 )
-from .errors import InvalidArgumentError, InvalidDataError, NumericError
+from .errors import InvalidArgumentError, InvalidDataError, NumericError, _whole_number
 from .metrics import correlation_report
 from .supervision import coupling_determinant, kernels_for
 from .synth import ROTATIONS, SynthConfig, generate, save_ground_truth
@@ -117,16 +117,24 @@ def _gamma_and_k(args) -> tuple[float | None, int | None]:
             _number_or_auto(args.k, int, "--k must be an integer"))
 
 
+def _int_or_float(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_values(text: str, kind: str) -> list[float]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise InvalidArgumentError("--values must list at least one grid point")
     try:
-        if kind == "trs":
-            return [int(part) for part in items]
-        return [float(part) for part in items]
+        values = [(_int_or_float if kind == "trs" else float)(part) for part in items]
     except ValueError:
         raise InvalidArgumentError(f"--values contains a non-numeric entry: {text!r}")
+    if kind == "trs":
+        return [_whole_number("--values time-point counts", v) for v in values]
+    return values
 
 
 def cmd_synth(args, out: Path, stage: _Stages) -> None:

@@ -780,8 +780,8 @@ def load_dataset(manifest_path, strict_labels: bool = True) -> Dataset:
     return dataset
 
 
-def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json") -> Path:
-    """Write a dataset as manifest + CSV files; returns the manifest path.
+def save_dataset(dataset: Dataset, out_dir) -> Path:
+    """Write a dataset as ``manifest.json`` + CSV files; returns the manifest path.
 
     Each subject gets ``<id>_data.csv`` and ``<id>_labels.csv``, and its
     manifest entry records the data CSV's sha256 as ``data_sha256``, hashed
@@ -797,7 +797,7 @@ def save_dataset(dataset: Dataset, out_dir, manifest_name: str = "manifest.json"
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     replaced = _named_twin(manifest_path)
     entries = []
     for subj, lab in zip(dataset.subjects, dataset.labels):

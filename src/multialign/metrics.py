@@ -100,8 +100,9 @@ def class_instances(labels: LabelMatrix) -> list[InstanceRun]:
 def _stacked(mapped) -> np.ndarray:
     """Mapped subjects as one (subjects, time points, features) array.
 
-    Such an array, as this function returns it, is passed through as it
-    is, so a caller that stacked the subjects once can hand them on.
+    The one check of such a stack, here and in ``pairwise_objective``: at
+    least two 2-D entries of one shape.  An array as this returns it is
+    passed through, so a caller that stacked the subjects can hand them on.
     """
     if (isinstance(mapped, np.ndarray) and mapped.ndim == 3 and mapped.dtype == float
             and len(mapped) > 1):
@@ -117,7 +118,7 @@ def _stacked(mapped) -> np.ndarray:
             )
         arrays.append(z)
     if len(arrays) < 2:
-        raise InvalidArgumentError("need at least two subjects to correlate")
+        raise InvalidArgumentError("need at least two subjects")
     return np.stack(arrays)
 
 
@@ -193,11 +194,6 @@ def _instance_correlations(z: np.ndarray, runs, mask: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
-def _instances(mapped, labels) -> tuple[np.ndarray, list[InstanceRun]]:
-    z = _stacked(mapped)
-    return z, _shared_runs(labels, z.shape[0], z.shape[1])
-
-
 def _classes(runs) -> np.ndarray:
     return np.array([run.class_index for run in runs])
 
@@ -232,7 +228,8 @@ def _truncation_advisory(runs, mask) -> str | None:
 
 
 def _statistic(mapped, labels, which: int) -> MetricSummary:
-    z, runs = _instances(mapped, labels)
+    z = _stacked(mapped)
+    runs = _shared_runs(labels, z.shape[0], z.shape[1])
     mask = _instance_masks(runs)[which]
     summary = _summarize(_instance_correlations(z, runs, mask))
     advisory = _truncation_advisory(runs, mask)

@@ -597,7 +597,7 @@ class TestMapSubject:
         x = ds.subjects[0].data
         dense = x @ np.linalg.solve(x.T @ x + 0.5 * np.eye(x.shape[1]),
                                     x.T @ model.template)
-        z = map_subject(model, ds.subjects[0], epsilon=0.5).features
+        z = map_subject(dataclasses.replace(model, epsilon=0.5), ds.subjects[0]).features
         np.testing.assert_allclose(z, dense, atol=1e-8, rtol=0)
 
     def test_none_method_is_identity(self, rng):
@@ -608,11 +608,12 @@ class TestMapSubject:
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
     def test_epsilon_checked_for_every_method(self, rng, epsilon):
-        # As fit checks it, none included, although none maps as the identity.
+        # A model mapped with another ridge is a replaced model, checked as
+        # every model is, none included, although none maps as the identity.
         ds = normalize(random_dataset(rng, 2, 10, 6, 2))
         for model in (fit("none", ds), fit("sha", ds, kernels_for(ds))):
-            with pytest.raises(InvalidArgumentError, match="epsilon"):
-                map_subject(model, ds.subjects[0], epsilon=epsilon)
+            with pytest.raises(InvalidDataError, match="epsilon"):
+                dataclasses.replace(model, epsilon=epsilon)
 
     def test_timepoint_mismatch_rejected(self, rng):
         ds, kernels, model = _fitted(rng, n_t=24)
@@ -648,7 +649,7 @@ class TestMapSubject:
         dup = ds.subjects[0].data.copy()
         dup[:, 1] = dup[:, 0]  # exactly collinear voxels
         with pytest.raises(NumericError):
-            map_subject(model, SubjectData("dup", dup), epsilon=0.0)
+            map_subject(dataclasses.replace(model, epsilon=0.0), SubjectData("dup", dup))
 
 
 def _primal_ridge_map(x, labeled, template, epsilon):
@@ -699,7 +700,7 @@ class TestMapSubjectDualForm:
         ds = normalize(random_dataset(rng, 3, 30, 8, 3, rest_fraction=0.2))
         model = fit_sha(ds, kernels_for(ds))
         subj = ds.subjects[0]
-        z = map_subject(model, subj, epsilon=0.0).features
+        z = map_subject(dataclasses.replace(model, epsilon=0.0), subj).features
         dense = _primal_ridge_map(subj.data, model.labeled, model.template, 0.0)
         np.testing.assert_allclose(z, dense, rtol=1e-10,
                                    atol=1e-10 * np.abs(dense).max())
@@ -711,7 +712,7 @@ class TestMapSubjectDualForm:
         model = fit_sha(ds, kernels_for(ds))
         assert model.labeled.size < ds.n_voxels
         subj = ds.subjects[0]
-        z = map_subject(model, subj, epsilon=0.0).features
+        z = map_subject(dataclasses.replace(model, epsilon=0.0), subj).features
         x_l = subj.data[model.labeled]
         dense = subj.data @ np.linalg.lstsq(x_l, model.template, rcond=None)[0]
         atol = 1e-10 * np.abs(dense).max()
@@ -724,7 +725,7 @@ class TestMapSubjectDualForm:
         dup = ds.subjects[0].data.copy()
         dup[model.labeled[3]] = dup[model.labeled[1]]
         with pytest.raises(NumericError):
-            map_subject(model, SubjectData("dup", dup), epsilon=0.0)
+            map_subject(dataclasses.replace(model, epsilon=0.0), SubjectData("dup", dup))
 
     def test_epsilon_zero_on_singular_data_with_rest_rows_raises(self, rng):
         ds = normalize(random_dataset(rng, 3, 30, 8, 3, rest_fraction=0.2))
@@ -732,7 +733,7 @@ class TestMapSubjectDualForm:
         dup = ds.subjects[0].data.copy()
         dup[:, 2] = dup[:, 1]  # exactly collinear voxels
         with pytest.raises(NumericError):
-            map_subject(model, SubjectData("dup", dup), epsilon=0.0)
+            map_subject(dataclasses.replace(model, epsilon=0.0), SubjectData("dup", dup))
 
 
 class TestStackedMapping:

@@ -917,8 +917,8 @@ class TestDataTwin:
         second = Dataset(tuple(SubjectData(f"t{i}", -s.data)
                                for i, s in enumerate(first.subjects)),
                          first.labels, first.class_names)
-        a = save_dataset(first, tmp_path, "a.json")
-        b = save_dataset(second, tmp_path, "b.json")
+        a = save_dataset(first, tmp_path).rename(tmp_path / "a.json")
+        b = save_dataset(second, tmp_path).rename(tmp_path / "b.json")
         assert len(list(tmp_path.glob("data-*.npy"))) == 2
         parsed = _counted_csv_reads(monkeypatch)
         for manifest, ds in ((a, first), (b, second)):

@@ -26,7 +26,6 @@ from multialign import (
     fit_sha_r,
     generate,
     kernels_for,
-    map_subject,
     normalize,
     projector_from_svd,
     run_loso,
@@ -94,9 +93,6 @@ LIBRARY_PROBES = {
                         "epsilon must be a finite value >= 0, got nan"),
     "fit_sha_r-iterations-float": (lambda ds, ks: fit_sha_r(ds, ks, iterations=3.0),
                                    "iterations must be an integer, got 3.0"),
-    "map_subject-epsilon-bool": (lambda ds, ks: map_subject(fit_sha(ds, ks), ds.subjects[0],
-                                                            epsilon=True),
-                                 "epsilon must be a finite value >= 0, got True"),
     "run_loso-ridge-bool": (lambda ds, ks: run_loso(ds, "none", ridge=True),
                             "ridge must be a finite value >= 0, got True"),
     "run_loso-ridge-text": (lambda ds, ks: run_loso(ds, "none", ridge="1"),

@@ -17,10 +17,12 @@ from multialign import (
     InvalidArgumentError,
     InvalidDataError,
     LabelMatrix,
+    MultialignError,
     NumericError,
     SubjectData,
     SupervisionKernel,
     accuracy,
+    correlation_report,
     kernels_for,
     load_dataset,
     one_vs_rest_auc,
@@ -119,10 +121,10 @@ REFUSALS = {
     # alignment
     "pairwise_objective-1-D-entry": (
         lambda: pairwise_objective([np.ones(3), np.ones(3)]), InvalidDataError,
-        "mapped entry 0 must be 2-D, got ndim=1"),
+        "mapped entry 0 must be 2-D"),
     "pairwise_objective-shapes": (
         lambda: pairwise_objective([np.ones((2, 2)), np.ones((3, 2))]), InvalidDataError,
-        "mapped entry 1 has shape (3, 2), expected (2, 2)"),
+        "mapped entry 1 has shape (3, 2), entry 0 has (2, 2)"),
     # supervision
     "SupervisionKernel-labeled-shape": (
         lambda: SupervisionKernel(np.eye(2), 0.0, np.arange(3)), InvalidArgumentError,
@@ -138,6 +140,27 @@ def test_library_refusal(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+# Stacks of mapped subjects that every consumer of such a stack refuses.
+MALFORMED_STACKS = {
+    "one-subject": [_z()],
+    "1-D-entry": [np.ones(3), np.ones(3)],
+    "shapes": [np.ones((2, 2)), np.ones((3, 2))],
+}
+
+
+@pytest.mark.parametrize("mapped", MALFORMED_STACKS.values(), ids=MALFORMED_STACKS)
+def test_one_stack_check(mapped):
+    # pairwise_objective and the correlation statistics check a stack alike.
+    calls = (pairwise_objective, rho1,
+             lambda m: correlation_report(m, [_labels(2, 6)] * len(m)))
+    refusals = set()
+    for call in calls:
+        with pytest.raises(MultialignError) as info:
+            call(mapped)
+        refusals.add((type(info.value), str(info.value)))
+    assert len(refusals) == 1
 
 
 def test_manifest_without_subjects(tmp_path, rng):
@@ -160,6 +183,12 @@ CLI_REFUSALS = {
                             "--values must list at least one grid point"),
     "sweep-non-numeric": (("sweep", "--kind", "gamma", "--values", "0,abc"),
                           "--values contains a non-numeric entry: '0,abc'"),
+    "sweep-trs-fraction": (("sweep", "--kind", "trs", "--values", "4,2.5"),
+                           "--values time-point counts must be an integer, got 2.5"),
+    "sweep-trs-float": (("sweep", "--kind", "trs", "--values", "4.0"),
+                        "--values time-point counts must be an integer, got 4.0"),
+    "sweep-trs-non-numeric": (("sweep", "--kind", "trs", "--values", "2.5,abc"),
+                              "--values contains a non-numeric entry: '2.5,abc'"),
     "sweep-trs-below-2": (("sweep", "--kind", "trs", "--values", "1"),
                           "--values time-point counts must be in [2, 8], got 1"),
     "sweep-trs-past-T": (("sweep", "--kind", "trs", "--values", "4,9"),
